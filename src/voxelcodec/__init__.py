@@ -17,8 +17,8 @@ from .octree import (CellIndex, Octree, build, rebuild_from_symbols,
 from .pointcloud import (NormalizationParams, ParseError, PointCloud, RigidTransform,
                          apply_pose, denormalize, normalize, read_points, subsample,
                          write_points)
-from .refine import (RefineParams, build_refine_dataset, refine_apply, refine_offset,
-                     refine_offsets, train_refine)
+from .refine import (RefineParams, build_refine_dataset, refine_apply, refine_offsets,
+                     train_refine)
 from .voxelgrid import (Crop, VoxelGrid, child_region_crop, child_region_crops,
                         grid_from_level, local_crop, local_crops, pool_down,
                         temporal_context)

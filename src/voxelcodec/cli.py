@@ -98,7 +98,7 @@ def _load_sequence(path, poses_path):
     return frames
 
 
-def _make_model(args, for_encode=True):
+def _make_model(args):
     kind = args.model_kind
     if kind in (None, "uniform") and not args.model:
         return entropy.UniformModel()
@@ -164,7 +164,7 @@ def cmd_encode(args):
 
 def cmd_decode(args):
     data = _read_bytes(args.input)
-    model = _make_model(args, for_encode=False)
+    model = _make_model(args)
     refine_params = _load_refine(args.refine) if args.refine else None
     t0 = time.perf_counter()
     try:
@@ -337,7 +337,6 @@ def build_parser():
     p.add_argument("--channels", default="16,32,64")
     p.add_argument("--hidden", type=int, default=256)
     p.add_argument("--refine", action="store_true", help="train the coordinate refiner")
-    p.add_argument("--sequence", action="store_true")
     p.add_argument("--poses")
     p.add_argument("--loss-csv", help="loss curve path (default: MODEL.loss.csv)")
     _add_common(p)
@@ -364,7 +363,10 @@ def build_parser():
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:   # argparse exits only after printing --help
+            return exc.code
         return args.func(args)
     except CliError as exc:
         print(f"voxelcodec: {exc}", file=sys.stderr)

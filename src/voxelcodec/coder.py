@@ -296,10 +296,11 @@ def _code_level(ctx, symbols, model, enc_or_dec, decoding):
     """
     n = len(ctx)
     probs = model.level_probabilities(ctx)
-    if probs is not None and probs.ndim == 1:
-        probs = np.broadcast_to(probs, (n, em.ALPHABET))
     if probs is not None:
-        freq, cum = quantize_level(probs)
+        # a shared (255,) row is quantized once and its table broadcast
+        freq, cum = quantize_level(np.atleast_2d(probs))
+        freq = np.broadcast_to(freq, (n, em.ALPHABET))
+        cum = np.broadcast_to(cum, (n, em.ALPHABET + 1))
     out = np.zeros(n, dtype=np.uint8) if decoding else None
     for i in range(n):
         if probs is None:

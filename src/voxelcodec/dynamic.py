@@ -182,18 +182,7 @@ def sequence_code_lengths(model: em.EntropyModel, seq: CloudSequence, depth: int
     model.begin_stream()
     lengths = [[] for _ in range(len(trees))]
     for t, k, ctx, symbols in _iter_schedule(trees, depth, trunc_depth):
-        probs = model.level_probabilities(ctx)
-        syms = symbols.astype(np.int64)
-        if probs is None:
-            p = np.empty(len(syms))
-            for i, s in enumerate(syms):
-                p[i] = model.node_probability(ctx, i)[int(s) - 1]
-                model.observe(ctx, i, int(s))
-        elif probs.ndim == 1:
-            p = probs[syms - 1]
-        else:
-            p = probs[np.arange(len(syms)), syms - 1]
-        lengths[t].append(-np.log2(p))
+        lengths[t].append(em.level_code_lengths(model, ctx, symbols))
     return [np.concatenate(parts) if parts else np.empty(0) for parts in lengths]
 
 

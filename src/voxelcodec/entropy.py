@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import nn
-from .nn import Conv3D, FullyConnected, ReLU
 from .octree import Octree, cell_keys
 from .voxelgrid import CHILD_CROP_SIZE, VoxelGrid, child_region_crops, local_crops
 
@@ -238,272 +237,69 @@ class AdaptiveContextModel(EntropyModel):
                                   {"kind": self.kind, "context_bits": self.context_bits}, [])
 
 
-def _tower_layers(m: int, channels) -> tuple:
-    """Conv3D/ReLU stack sized so the spatial extent never drops below 1."""
-    n_convs = min(len(channels), max(0, (m - 1) // 2))
-    layers = []
-    for c in channels[:n_convs]:
-        layers += [Conv3D(c), ReLU()]
-    return tuple(layers)
-
-
-def _tower_out_dim(m: int, channels) -> int:
-    n_convs = min(len(channels), max(0, (m - 1) // 2))
-    if n_convs == 0:
-        return m ** 3
-    return channels[n_convs - 1] * (m - 2 * n_convs) ** 3
-
-
 FEATURE_DIM = 4
 
 
-class VoxelContextModel(EntropyModel):
-    """Neural model conditioning on the same-depth M^3 crop plus node features.
-
-    Conv tower over the crop, feature concat, then a two-layer MLP with a
+class ContextNetModel(EntropyModel):
+    """Entropy model over the shared context net (`nn.context_forward`): one
+    conv tower per crop branch, the node features, then a two-layer MLP with a
     zero-initialized 255-way output so the fresh model predicts uniformly.
+
+    Subclasses declare their kind code, the VCNM group name and training-set
+    key of each branch, the metadata that rebuilds them, and `level_crops`:
+    the crops each branch reads from a LevelContext.
     """
 
-    kind_code = KIND_VOXEL_STATIC
+    branch_names: tuple   # VCNM group of each branch, in file order; the head follows
+    dataset_keys: tuple   # training-set array of each branch
+    config_keys: tuple    # constructor arguments stored as metadata
 
-    def __init__(self, crop_size=9, channels=(16, 32, 64), hidden=256, seed=0,
-                 tower=None, head=None):
-        self.crop_size = crop_size
+    def __init__(self, channels, hidden, seed, crop_sizes, branches, head):
         self.channels = tuple(channels)
         self.hidden = hidden
         self.seed = seed
-        if tower is None:
-            tower = nn.init_params(_tower_layers(crop_size, channels), (1, crop_size, crop_size, crop_size), seed)
-            head = nn.init_params(
-                (FullyConnected(hidden), ReLU(), FullyConnected(ALPHABET)),
-                (_tower_out_dim(crop_size, channels) + FEATURE_DIM,),
-                seed + 1, zero_final=True)
-        self.tower = tower
+        if branches is None:
+            branches, head = nn.init_context_net(crop_sizes, self.channels, hidden, ALPHABET,
+                                                 seed, FEATURE_DIM)
+        self.branches = list(branches)
         self.head = head
-
-    def _hidden_input(self, crops, feats, caches=None):
-        x = crops[:, None, :, :, :].astype(np.float64)
-        if self.tower.layers:
-            f, cache_t = nn.forward(self.tower, x, want_cache=caches is not None)
-        else:
-            f, cache_t = x, None
-        flat = f.reshape(len(crops), -1)
-        if caches is not None:
-            caches.append((cache_t, flat.shape))
-        return np.concatenate([flat, feats], axis=1)
-
-    def logits(self, crops, feats, caches=None):
-        h = self._hidden_input(crops, feats, caches)
-        out, cache_h = nn.forward(self.head, h, want_cache=caches is not None)
-        if caches is not None:
-            caches.append(cache_h)
-        return out
-
-    def predict(self, crops, feats) -> np.ndarray:
-        z = self.logits(np.asarray(crops), np.asarray(feats, dtype=np.float64))
-        return nn._softmax(z)
-
-    def level_probabilities(self, ctx):
-        if len(ctx) == 0:
-            return np.zeros((0, ALPHABET))
-        return self.predict(ctx.crops(self.crop_size), ctx.node_features())
-
-    def node_probability(self, ctx, i):
-        return self.level_probabilities(ctx)[i]
-
-    # -- training ----------------------------------------------------------
-
-    def _parameter_groups(self):
-        return [("tower", self.tower), ("head", self.head)]
-
-    def _batch_grads(self, crops, feats, symbols):
-        caches = []
-        z = self.logits(crops, feats, caches)
-        targets = np.asarray(symbols, dtype=np.int64) - 1
-        loss, probs = nn.softmax_cross_entropy(z, targets)
-        g = nn.cross_entropy_grad(probs, targets)
-        (cache_t, flat_shape), cache_h = caches
-        head_grads, gh = nn.backward(self.head, cache_h, g)
-        gflat = gh[:, :flat_shape[1]]
-        if self.tower.layers:
-            tower_grads, _ = nn.backward(self.tower, cache_t,
-                                         gflat.reshape(-1, *nn.layer_shapes(self.tower.layers, (1,) + (self.crop_size,) * 3)[-1]))
-        else:
-            tower_grads = []
-        return loss, [tower_grads, head_grads]
-
-    def evaluate(self, dataset, batch_size=512) -> float:
-        """Mean cross-entropy of the current parameters on a dataset, in nats."""
-        crops, feats, symbols = dataset["crops"], dataset["features"], dataset["symbols"]
-        total = 0.0
-        for lo in range(0, len(symbols), batch_size):
-            sel = slice(lo, lo + batch_size)
-            z = self.logits(crops[sel], np.asarray(feats[sel], dtype=np.float64))
-            loss, _ = nn.softmax_cross_entropy(z, np.asarray(symbols[sel], dtype=np.int64) - 1)
-            total += loss * (min(len(symbols), lo + batch_size) - lo)
-        return total / len(symbols)
-
-    def train(self, dataset, epochs, batch_size=32, lr=1e-4, seed=0):
-        """Minimize mean per-symbol cross-entropy; returns per-epoch mean loss (nats)."""
-        crops, feats, symbols = dataset["crops"], dataset["features"], dataset["symbols"]
-        if len(symbols) == 0:
-            raise ValueError("empty training dataset")
-        rng = np.random.Generator(np.random.Philox(seed))
-        states = [nn.AdamState.for_params(p) for _, p in self._parameter_groups()]
-        curve = []
-        for _ in range(epochs):
-            order = rng.permutation(len(symbols))
-            total = 0.0
-            for lo in range(0, len(order), batch_size):
-                sel = order[lo:lo + batch_size]
-                loss, grads = self._batch_grads(crops[sel], feats[sel], symbols[sel])
-                total += loss * len(sel)
-                for (name, params), grad, state in zip(self._parameter_groups(), grads, states):
-                    if grad:
-                        nn.adam_step(params, grad, state, lr)
-            curve.append(total / len(symbols))
-        return curve
-
-    def serialize(self):
-        meta = {"kind": self.kind, "crop_size": self.crop_size,
-                "channels": list(self.channels), "hidden": self.hidden}
-        return nn.serialize_model(self.kind_code, self.seed, meta, self._parameter_groups())
-
-    @classmethod
-    def deserialize(cls, blob: bytes):
-        kind, seed, meta, groups = nn.deserialize_model(blob)
-        if kind != cls.kind_code:
-            raise ValueError(f"model kind {kind} is not {KIND_NAMES[cls.kind_code]}")
-        named = dict(groups)
-        return cls(meta["crop_size"], tuple(meta["channels"]), meta["hidden"], seed,
-                   tower=named["tower"], head=named["head"])
-
-
-class DynamicContextModel(EntropyModel):
-    """Four-branch temporal model: separate conv towers for the current,
-    previous and next frames' same-depth crops plus the previous frame's
-    child-depth crop; features are concatenated before the shared MLP."""
-
-    kind_code = KIND_VOXEL_DYNAMIC
-
-    def __init__(self, crop_size=9, child_crop_size=CHILD_CROP_SIZE, channels=(16, 32, 64),
-                 hidden=256, seed=0, towers=None, head=None):
-        self.crop_size = crop_size
-        self.child_crop_size = child_crop_size
-        self.channels = tuple(channels)
-        self.hidden = hidden
-        self.seed = seed
-        if towers is None:
-            same = (1, crop_size, crop_size, crop_size)
-            child = (1, child_crop_size, child_crop_size, child_crop_size)
-            towers = [nn.init_params(_tower_layers(crop_size, channels), same, seed + i)
-                      for i in range(3)]
-            towers.append(nn.init_params(_tower_layers(child_crop_size, channels), child, seed + 3))
-            feat = 3 * _tower_out_dim(crop_size, channels) + _tower_out_dim(child_crop_size, channels) + FEATURE_DIM
-            head = nn.init_params((FullyConnected(hidden), ReLU(), FullyConnected(ALPHABET)),
-                                  (feat,), seed + 4, zero_final=True)
-        self.towers = towers
-        self.head = head
-
-    def _branch_crops(self, ctx: LevelContext):
-        cur = ctx.crops(self.crop_size)
-        prev, nxt, child = ctx.temporal_crops(self.crop_size, self.child_crop_size)
-        return cur, prev, nxt, child
 
     def logits(self, crop_sets, feats, caches=None):
-        flats = []
-        for tower, crops in zip(self.towers, crop_sets):
-            x = np.asarray(crops)[:, None, :, :, :].astype(np.float64)
-            if tower.layers:
-                f, cache = nn.forward(tower, x, want_cache=caches is not None)
-            else:
-                f, cache = x, None
-            flat = f.reshape(len(crops), -1)
-            if caches is not None:
-                caches.append((cache, flat.shape))
-            flats.append(flat)
-        h = np.concatenate(flats + [np.asarray(feats, dtype=np.float64)], axis=1)
-        out, cache_h = nn.forward(self.head, h, want_cache=caches is not None)
-        if caches is not None:
-            caches.append(cache_h)
-        return out
+        return nn.context_forward(self.branches, self.head, crop_sets, feats, caches)
 
-    def predict(self, crop_sets, feats):
+    def predict(self, crop_sets, feats) -> np.ndarray:
+        """(n, 255) distributions; crop_sets holds one crop batch per branch."""
         return nn._softmax(self.logits(crop_sets, feats))
 
     def level_probabilities(self, ctx):
         if len(ctx) == 0:
             return np.zeros((0, ALPHABET))
-        return self.predict(self._branch_crops(ctx), ctx.node_features())
+        return self.predict(self.level_crops(ctx), ctx.node_features())
 
     def node_probability(self, ctx, i):
         return self.level_probabilities(ctx)[i]
 
-    def _parameter_groups(self):
-        return [("tower-current", self.towers[0]), ("tower-previous", self.towers[1]),
-                ("tower-next", self.towers[2]), ("tower-child", self.towers[3]),
-                ("head", self.head)]
-
-    def _batch_grads(self, crop_sets, feats, symbols):
-        caches = []
-        z = self.logits(crop_sets, feats, caches)
-        targets = np.asarray(symbols, dtype=np.int64) - 1
-        loss, probs = nn.softmax_cross_entropy(z, targets)
-        g = nn.cross_entropy_grad(probs, targets)
-        head_grads, gh = nn.backward(self.head, caches[-1], g)
-        all_grads = []
-        offset = 0
-        for tower, (cache, flat_shape), crops in zip(self.towers, caches[:-1], crop_sets):
-            gflat = gh[:, offset:offset + flat_shape[1]]
-            offset += flat_shape[1]
-            if tower.layers:
-                m = crops.shape[-1]
-                out_shape = nn.layer_shapes(tower.layers, (1, m, m, m))[-1]
-                grads, _ = nn.backward(tower, cache, gflat.reshape(-1, *out_shape))
-            else:
-                grads = []
-            all_grads.append(grads)
-        all_grads.append(head_grads)
-        return loss, all_grads
-
     def evaluate(self, dataset, batch_size=512) -> float:
-        keys = ("crops", "crops_prev", "crops_next", "crops_child")
+        """Mean cross-entropy of the current parameters on a dataset, in nats."""
         symbols, feats = dataset["symbols"], dataset["features"]
         total = 0.0
         for lo in range(0, len(symbols), batch_size):
             sel = slice(lo, lo + batch_size)
-            crop_sets = tuple(dataset[k][sel] for k in keys)
-            z = self.logits(crop_sets, np.asarray(feats[sel], dtype=np.float64))
-            loss, _ = nn.softmax_cross_entropy(z, np.asarray(symbols[sel], dtype=np.int64) - 1)
-            total += loss * (min(len(symbols), lo + batch_size) - lo)
+            z = self.logits([dataset[k][sel] for k in self.dataset_keys], feats[sel])
+            total += nn.symbol_loss(z, symbols[sel])[0] * len(z)
         return total / len(symbols)
 
     def train(self, dataset, epochs, batch_size=32, lr=1e-4, seed=0):
-        keys = ("crops", "crops_prev", "crops_next", "crops_child")
-        symbols, feats = dataset["symbols"], dataset["features"]
-        if len(symbols) == 0:
-            raise ValueError("empty training dataset")
-        rng = np.random.Generator(np.random.Philox(seed))
-        states = [nn.AdamState.for_params(p) for _, p in self._parameter_groups()]
-        curve = []
-        for _ in range(epochs):
-            order = rng.permutation(len(symbols))
-            total = 0.0
-            for lo in range(0, len(order), batch_size):
-                sel = order[lo:lo + batch_size]
-                crop_sets = tuple(dataset[k][sel] for k in keys)
-                loss, grads = self._batch_grads(crop_sets, feats[sel], symbols[sel])
-                total += loss * len(sel)
-                for (name, params), grad, state in zip(self._parameter_groups(), grads, states):
-                    if grad:
-                        nn.adam_step(params, grad, state, lr)
-            curve.append(total / len(symbols))
-        return curve
+        """Minimize mean per-symbol cross-entropy; returns per-epoch mean loss (nats)."""
+        return nn.fit(self.branches, self.head, [dataset[k] for k in self.dataset_keys],
+                      dataset["features"], dataset["symbols"], nn.symbol_loss,
+                      epochs, batch_size, lr, seed)
+
+    def _parameter_groups(self):
+        return list(zip(self.branch_names, self.branches)) + [("head", self.head)]
 
     def serialize(self):
-        meta = {"kind": self.kind, "crop_size": self.crop_size,
-                "child_crop_size": self.child_crop_size,
-                "channels": list(self.channels), "hidden": self.hidden}
+        meta = {"kind": self.kind, **{k: getattr(self, k) for k in self.config_keys}}
         return nn.serialize_model(self.kind_code, self.seed, meta, self._parameter_groups())
 
     @classmethod
@@ -512,10 +308,48 @@ class DynamicContextModel(EntropyModel):
         if kind != cls.kind_code:
             raise ValueError(f"model kind {kind} is not {KIND_NAMES[cls.kind_code]}")
         named = dict(groups)
-        towers = [named["tower-current"], named["tower-previous"],
-                  named["tower-next"], named["tower-child"]]
-        return cls(meta["crop_size"], meta["child_crop_size"], tuple(meta["channels"]),
-                   meta["hidden"], seed, towers=towers, head=named["head"])
+        config = {k: meta[k] for k in cls.config_keys}
+        config["channels"] = tuple(config["channels"])
+        return cls(seed=seed, branches=[named[n] for n in cls.branch_names],
+                   head=named["head"], **config)
+
+
+class VoxelContextModel(ContextNetModel):
+    """Static model: one conv tower over the same-depth M^3 crop."""
+
+    kind_code = KIND_VOXEL_STATIC
+    branch_names = ("tower",)
+    dataset_keys = ("crops",)
+    config_keys = ("crop_size", "channels", "hidden")
+
+    def __init__(self, crop_size=9, channels=(16, 32, 64), hidden=256, seed=0,
+                 branches=None, head=None):
+        self.crop_size = crop_size
+        super().__init__(channels, hidden, seed, (crop_size,), branches, head)
+
+    def level_crops(self, ctx):
+        return (ctx.crops(self.crop_size),)
+
+
+class DynamicContextModel(ContextNetModel):
+    """Four-branch temporal model: towers over the current, previous and next
+    frames' same-depth crops and over the previous frame's child-depth crop."""
+
+    kind_code = KIND_VOXEL_DYNAMIC
+    branch_names = ("tower-current", "tower-previous", "tower-next", "tower-child")
+    dataset_keys = ("crops", "crops_prev", "crops_next", "crops_child")
+    config_keys = ("crop_size", "child_crop_size", "channels", "hidden")
+
+    def __init__(self, crop_size=9, child_crop_size=CHILD_CROP_SIZE, channels=(16, 32, 64),
+                 hidden=256, seed=0, branches=None, head=None):
+        self.crop_size = crop_size
+        self.child_crop_size = child_crop_size
+        super().__init__(channels, hidden, seed, (crop_size,) * 3 + (child_crop_size,),
+                         branches, head)
+
+    def level_crops(self, ctx):
+        return (ctx.crops(self.crop_size),) + ctx.temporal_crops(self.crop_size,
+                                                                 self.child_crop_size)
 
 
 def load_entropy_model(blob: bytes) -> EntropyModel:
@@ -562,19 +396,27 @@ def model_code_lengths(model: EntropyModel, tree: Octree, trunc_depth=None) -> n
         ctx = make_level_context(k, tree.max_depth, tree.levels[k],
                                  prev_cells=tree.levels[k - 1] if k else None,
                                  prev_symbols=tree.symbols[k - 1] if k else None)
-        syms = tree.symbols[k]
-        probs = model.level_probabilities(ctx)
-        if probs is None:
-            p = np.empty(len(syms))
-            for i, s in enumerate(syms):
-                p[i] = model.node_probability(ctx, i)[int(s) - 1]
-                model.observe(ctx, i, int(s))
-        elif probs.ndim == 1:
-            p = probs[syms.astype(np.int64) - 1]
-        else:
-            p = probs[np.arange(len(syms)), syms.astype(np.int64) - 1]
-        out.append(-np.log2(p))
+        out.append(level_code_lengths(model, ctx, tree.symbols[k]))
     return np.concatenate(out) if out else np.empty(0)
+
+
+def level_code_lengths(model: EntropyModel, ctx: LevelContext, symbols) -> np.ndarray:
+    """-log2 q of one level's symbols (1..255), in coding order.
+
+    A model without level probabilities is queried node by node and observes
+    each symbol, as the coder does; a shared row or an (n, 255) batch is
+    indexed directly.
+    """
+    syms = np.asarray(symbols).astype(np.int64)
+    probs = model.level_probabilities(ctx)
+    if probs is None:
+        p = np.empty(len(syms))
+        for i, s in enumerate(syms):
+            p[i] = model.node_probability(ctx, i)[s - 1]
+            model.observe(ctx, i, int(s))
+    else:
+        p = np.broadcast_to(probs, (len(syms), ALPHABET))[np.arange(len(syms)), syms - 1]
+    return -np.log2(p)
 
 
 def cross_entropy_bpp(model: EntropyModel, trees, input_point_count: int, trunc_depth=None):

@@ -1,5 +1,6 @@
 """Deterministic neural kernel: 3D valid convolution, fully connected layers,
-ReLU/softmax, reverse-mode gradients, Adam, Glorot init and the "VCNM" model file.
+ReLU, reverse-mode gradients, Adam, Glorot init, the branch-generic context
+net with its training loop, and the "VCNM" model file.
 
 Every reduction goes through np.einsum with optimize=False so results are
 bit-identical regardless of BLAS threading; parameters are stored float32 and
@@ -36,14 +37,9 @@ class ReLU:
     pass
 
 
-@dataclass(frozen=True)
-class Softmax:
-    pass
-
-
-LAYER_KINDS = {Conv3D: 0, FullyConnected: 1, ReLU: 2, Softmax: 3}
+LAYER_KINDS = {Conv3D: 0, FullyConnected: 1, ReLU: 2}
 _KIND_TO_LAYER = {0: lambda a: Conv3D(a), 1: lambda a: FullyConnected(a),
-                  2: lambda a: ReLU(), 3: lambda a: Softmax()}
+                  2: lambda a: ReLU()}
 
 
 @dataclass
@@ -56,12 +52,6 @@ class ModelParams:
 
     def parameter_arrays(self):
         return [t for group in self.tensors for t in group]
-
-    def parameter_count(self):
-        return sum(t.size for t in self.parameter_arrays())
-
-    def copy(self):
-        return ModelParams(self.layers, [[t.copy() for t in g] for g in self.tensors], self.seed)
 
 
 def layer_shapes(layers, input_shape):
@@ -78,7 +68,7 @@ def layer_shapes(layers, input_shape):
             shape = (layer.out_channels, d - 2, h - 2, w - 2)
         elif isinstance(layer, FullyConnected):
             shape = (layer.out_dim,)
-        # ReLU / Softmax keep the shape
+        # ReLU keeps the shape
         shapes.append(shape)
     return shapes
 
@@ -176,10 +166,6 @@ def forward(params: ModelParams, x, want_cache=True):
             if want_cache:
                 cache.append(x > 0)
             x = np.maximum(x, 0.0)
-        elif isinstance(layer, Softmax):
-            x = _softmax(x)
-            if want_cache:
-                cache.append(x)
     if not batched:
         x = x[0]
     return x, cache
@@ -219,11 +205,6 @@ def backward(params: ModelParams, cache, grad_out):
             grads[i] = [dw, db]
         elif isinstance(layer, ReLU):
             g = g * c
-            grads[i] = []
-        elif isinstance(layer, Softmax):
-            p = c
-            dot = (g * p).sum(axis=-1, keepdims=True)
-            g = p * (g - dot)
             grads[i] = []
     return grads, (g if batched else g[0])
 
@@ -319,6 +300,101 @@ def adam_step(params: ModelParams, grads, state: AdamState, lr,
 
 
 # ---------------------------------------------------------------------------
+# context net: one conv tower per voxel-crop branch; the flattened tower
+# outputs, followed by optional per-node features, feed a two-layer MLP head.
+# A tower has as many Conv3D/ReLU pairs as its crop allows (the spatial extent
+# stays >= 1); a branch whose crop is too small for one passes it through.
+
+
+def init_context_net(crop_sizes, channels, hidden, out_dim, seed, feature_dim=0):
+    """-> (branches, head): tower i drawn from seed+i, the head from
+    seed+len(crop_sizes) with a zeroed output layer."""
+    branches, width = [], feature_dim
+    for i, m in enumerate(crop_sizes):
+        n_convs = min(len(channels), max(0, (m - 1) // 2))
+        layers = tuple(layer for c in channels[:n_convs] for layer in (Conv3D(c), ReLU()))
+        branches.append(init_params(layers, (1, m, m, m), seed + i))
+        width += int(np.prod(layer_shapes(layers, (1, m, m, m))[-1]))
+    head = init_params((FullyConnected(hidden), ReLU(), FullyConnected(out_dim)), (width,),
+                       seed + len(crop_sizes), zero_final=True)
+    return branches, head
+
+
+def context_forward(branches, head, crop_sets, feats=None, caches=None):
+    """Head outputs for a batch: crop_sets holds one (n, M, M, M) array per branch.
+
+    Pass a list as `caches` to record what context_backward needs.
+    """
+    want = caches is not None
+    flats = []
+    for tower, crops in zip(branches, crop_sets):
+        x = np.asarray(crops)[:, None, :, :, :].astype(F64)
+        cache = None
+        if tower.layers:
+            x, cache = forward(tower, x, want_cache=want)
+        if want:
+            caches.append((cache, x.shape))
+        flats.append(x.reshape(len(x), -1))
+    if feats is not None:
+        flats.append(np.asarray(feats, dtype=F64))
+    out, cache_h = forward(head, np.concatenate(flats, axis=1), want_cache=want)
+    if want:
+        caches.append(cache_h)
+    return out
+
+
+def context_backward(branches, head, caches, grad_out):
+    """Per-group parameter gradients, branches first and the head last."""
+    head_grads, g = backward(head, caches[-1], grad_out)
+    grads, lo = [], 0
+    for tower, (cache, shape) in zip(branches, caches[:-1]):
+        width = int(np.prod(shape[1:]))
+        if tower.layers:
+            grads.append(backward(tower, cache, g[:, lo:lo + width].reshape(shape))[0])
+        else:
+            grads.append([])
+        lo += width
+    return grads + [head_grads]
+
+
+def symbol_loss(logits, symbols):
+    """Mean softmax cross-entropy (nats) of 1..255 symbols, and d loss / d logits."""
+    targets = np.asarray(symbols, dtype=np.int64) - 1
+    loss, probs = softmax_cross_entropy(logits, targets)
+    return loss, cross_entropy_grad(probs, targets)
+
+
+def fit(branches, head, crop_sets, feats, targets, loss, epochs, batch_size, lr, seed):
+    """Adam over shuffled mini-batches; loss(outputs, targets) -> (mean loss, d/d outputs).
+
+    Returns the per-epoch mean loss curve.
+    """
+    n = len(targets)
+    if n == 0:
+        raise ValueError("empty training dataset")
+    groups = list(branches) + [head]
+    states = [AdamState.for_params(p) for p in groups]
+    rng = np.random.Generator(np.random.Philox(seed))
+    curve = []
+    for _ in range(epochs):
+        order = rng.permutation(n)
+        total = 0.0
+        for lo in range(0, n, batch_size):
+            sel = order[lo:lo + batch_size]
+            caches = []
+            out = context_forward(branches, head, [c[sel] for c in crop_sets],
+                                  None if feats is None else feats[sel], caches)
+            value, grad_out = loss(out, targets[sel])
+            total += value * len(sel)
+            grads = context_backward(branches, head, caches, grad_out)
+            for params, group_grads, state in zip(groups, grads, states):
+                if group_grads:
+                    adam_step(params, group_grads, state, lr)
+        curve.append(total / n)
+    return curve
+
+
+# ---------------------------------------------------------------------------
 # "VCNM" model container: magic, version, kind, seed, JSON metadata, then named
 # parameter groups, closed by an FNV-1a-64 hash of everything before it.
 
@@ -403,6 +479,8 @@ def deserialize_model(blob: bytes):
         for _ in range(n_layers):
             lk, arg = struct.unpack_from("<BI", blob, pos)
             pos += 5
+            if lk not in _KIND_TO_LAYER:
+                raise ValueError(f"unknown layer kind {lk} in group {name!r}")
             layers.append(_KIND_TO_LAYER[lk](arg))
         (n_tensors,) = struct.unpack_from("<H", blob, pos)
         pos += 2

@@ -12,15 +12,15 @@ from __future__ import annotations
 import numpy as np
 
 from . import nn
-from .entropy import KIND_REFINE, _tower_layers, _tower_out_dim
-from .nn import FullyConnected, ReLU
-from .octree import Octree, build
+from .entropy import KIND_REFINE
+from .octree import Octree, build, cell_keys
 from .pointcloud import NormalizationParams, PointCloud
 from .voxelgrid import grid_from_level, local_crops
 
 
 class RefineParams:
-    """Map from depth level to its (tower, head) network pair."""
+    """Map from depth level to its (tower, head) network pair: a one-branch
+    context net (`nn.context_forward`) with a 3-wide head and no node features."""
 
     def __init__(self, crop_size=9, channels=(16, 32, 64), hidden=256, seed=0):
         self.crop_size = crop_size
@@ -30,12 +30,8 @@ class RefineParams:
         self.entries: dict[int, tuple] = {}
 
     def add_depth(self, depth: int):
-        m = self.crop_size
-        tower = nn.init_params(_tower_layers(m, self.channels), (1, m, m, m),
-                               self.seed + 2 * depth)
-        head = nn.init_params((FullyConnected(self.hidden), ReLU(), FullyConnected(3)),
-                              (_tower_out_dim(m, self.channels),),
-                              self.seed + 2 * depth + 1, zero_final=True)
+        (tower,), head = nn.init_context_net((self.crop_size,), self.channels, self.hidden, 3,
+                                             self.seed + 2 * depth)
         self.entries[depth] = (tower, head)
         return self.entries[depth]
 
@@ -65,21 +61,6 @@ class RefineParams:
         return params
 
 
-def _head_outputs(entry, crops, caches=None):
-    tower, head = entry
-    x = np.asarray(crops)[:, None, :, :, :].astype(np.float64)
-    if tower.layers:
-        f, cache_t = nn.forward(tower, x, want_cache=caches is not None)
-    else:
-        f, cache_t = x, None
-    flat = f.reshape(len(crops), -1)
-    y, cache_h = nn.forward(head, flat, want_cache=caches is not None)
-    if caches is not None:
-        caches.append((cache_t, flat.shape))
-        caches.append(cache_h)
-    return y
-
-
 _HALF_OPEN = np.nextafter(0.5, 0.0)   # tanh saturates to exactly 1.0 in float64
 
 
@@ -87,13 +68,9 @@ def refine_offsets(params: RefineParams, depth: int, crops) -> np.ndarray:
     """(n, 3) offsets in leaf-cell-edge units, each component in (-0.5, 0.5)."""
     if depth not in params.entries:
         raise ValueError(f"no refinement network for depth {depth}")
-    y = _head_outputs(params.entries[depth], crops)
+    tower, head = params.entries[depth]
+    y = nn.context_forward([tower], head, (crops,))
     return np.clip(0.5 * np.tanh(y), -_HALF_OPEN, _HALF_OPEN)
-
-
-def refine_offset(params: RefineParams, depth: int, crop) -> np.ndarray:
-    """Single-leaf variant of refine_offsets."""
-    return refine_offsets(params, depth, np.asarray(crop)[None])[0]
 
 
 def refine_apply(tree: Octree, params: RefineParams, norm: NormalizationParams) -> PointCloud:
@@ -117,7 +94,6 @@ def build_refine_dataset(cloud_norm: PointCloud, depth: int, crop_size=9):
     cells = tree.levels[depth]
     scaled = cloud_norm.points * (1 << depth)
     idx = np.clip(np.floor(scaled).astype(np.int64), 0, (1 << depth) - 1)
-    from .octree import cell_keys
     keys = cell_keys(idx, depth)
     cell_key = cell_keys(cells, depth)
     slot = np.searchsorted(cell_key, keys)
@@ -132,24 +108,12 @@ def build_refine_dataset(cloud_norm: PointCloud, depth: int, crop_size=9):
     return {"crops": crops, "targets": targets, "tree": tree}
 
 
-def offset_loss_and_grads(entry, crops, targets, crop_size):
-    """Mean squared offset error and its gradients for one (tower, head) pair."""
-    tower, head = entry
-    caches = []
-    y = _head_outputs(entry, crops, caches)
+def offset_loss(y, targets):
+    """Mean squared error of the 0.5*tanh offsets, and its gradient d loss / d y."""
     th = np.tanh(y)
     err = 0.5 * th - np.asarray(targets, dtype=np.float64)
     loss = float((err ** 2).sum(axis=1).mean())
-    # d loss / dy through the 0.5*tanh squash
-    gy = (2.0 * err / len(crops)) * 0.5 * (1.0 - th ** 2)
-    (cache_t, _), cache_h = caches
-    head_grads, gflat = nn.backward(head, cache_h, gy)
-    tower_grads = []
-    if tower.layers:
-        m = crop_size
-        out_shape = nn.layer_shapes(tower.layers, (1, m, m, m))[-1]
-        tower_grads, _ = nn.backward(tower, cache_t, gflat.reshape(-1, *out_shape))
-    return loss, [tower_grads, head_grads]
+    return loss, (2.0 * err / len(y)) * 0.5 * (1.0 - th ** 2)
 
 
 def train_refine(params: RefineParams, depth: int, dataset, epochs,
@@ -161,21 +125,6 @@ def train_refine(params: RefineParams, depth: int, dataset, epochs,
     crops, targets = dataset["crops"], np.asarray(dataset["targets"], dtype=np.float64)
     if len(crops) == 0:
         raise ValueError("empty refinement dataset")
-    entry = params.entries.get(depth) or params.add_depth(depth)
-    tower, head = entry
-    states = [nn.AdamState.for_params(tower), nn.AdamState.for_params(head)]
-    rng = np.random.Generator(np.random.Philox(seed))
-    curve = []
-    for _ in range(epochs):
-        order = rng.permutation(len(crops))
-        total = 0.0
-        for lo in range(0, len(order), batch_size):
-            sel = order[lo:lo + batch_size]
-            loss, grads = offset_loss_and_grads(entry, crops[sel], targets[sel],
-                                                params.crop_size)
-            total += loss * len(sel)
-            if grads[0]:
-                nn.adam_step(tower, grads[0], states[0], lr)
-            nn.adam_step(head, grads[1], states[1], lr)
-        curve.append(total / len(crops))
-    return curve
+    tower, head = params.entries.get(depth) or params.add_depth(depth)
+    return nn.fit([tower], head, (crops,), None, targets, offset_loss, epochs, batch_size,
+                  lr, seed)

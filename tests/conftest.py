@@ -1,9 +1,11 @@
 """Shared synthetic data generators and independent oracles."""
 
+import struct
+
 import numpy as np
 import pytest
 
-from voxelcodec import PointCloud, RigidTransform, nn
+from voxelcodec import PointCloud, RigidTransform, VoxelContextModel, nn
 
 
 def random_cloud(n, seed, lo=0.0, hi=1.0):
@@ -52,6 +54,17 @@ def moving_sequence(n_frames, n_points, seed, step=0.05):
         pose = RigidTransform(np.eye(3), -shift)   # maps the frame back onto base
         frames.append(PointCloud(moved, pose=pose))
     return frames
+
+
+def unknown_layer_kind_model():
+    """A voxel-static VCNM file whose first layer kind is 9, with a valid content hash."""
+    blob = bytearray(VoxelContextModel(crop_size=5, channels=(2,), hidden=8, seed=0).serialize())
+    (meta_len,) = struct.unpack_from("<I", blob, 14)
+    pos = 14 + 4 + meta_len + 2         # past the metadata and the group count
+    pos += 1 + blob[pos] + 2            # past the first group's name and layer count
+    blob[pos] = 9
+    blob[-8:] = struct.pack("<Q", nn.fnv1a64(bytes(blob[:-8])))
+    return bytes(blob)
 
 
 # --- independent oracles ----------------------------------------------------

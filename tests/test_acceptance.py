@@ -22,7 +22,7 @@ from voxelcodec import (AdaptiveContextModel, DynamicContextModel, Normalization
                         normalize, payload_size, psnr_point, reconstruct_centers,
                         refine_apply, sequence_code_lengths, train_refine)
 from voxelcodec.entropy import LOG2_ALPHABET
-from voxelcodec.refine import offset_loss_and_grads, _head_outputs
+from voxelcodec.refine import offset_loss
 
 from conftest import (brute_force_chamfer, brute_force_nn, planar_cloud, random_cloud,
                       structured_cloud, _relu_masks)
@@ -170,6 +170,12 @@ def _flatten_grads(grads):
     return [t for group in grads for layer in group for t in layer]
 
 
+def _net_grads(branches, head, crop_sets, feats, targets, loss):
+    caches = []
+    out = nn.context_forward(branches, head, crop_sets, feats, caches)
+    return nn.context_backward(branches, head, caches, loss(out, targets)[1])
+
+
 def _fd_over_model(arrays, flat_grads, loss_and_masks, rng, checks_per_tensor, eps=1e-4):
     """Validate a quota of coordinates per tensor; coordinates whose +/- eps
     step flips a ReLU mask are non-differentiable points and are re-sampled."""
@@ -231,18 +237,18 @@ def test_criterion_4_gradient_correctness():
 
         # static shape
         m = VoxelContextModel(crop_size=9, channels=(16, 32, 64), hidden=256, seed=seed)
-        m.tower = _genericize(_to64(m.tower), rng)
+        m.branches = [_genericize(_to64(m.branches[0]), rng)]
         m.head = _genericize(_to64(m.head), rng)
 
         def static_loss():
             caches = []
-            z = m.logits(crops, feats, caches)
+            z = nn.context_forward(m.branches, m.head, (crops,), feats, caches)
             loss, _ = nn.softmax_cross_entropy(z, targets - 1)
-            masks = _relu_masks(caches[0][0], m.tower.layers) + \
+            masks = _relu_masks(caches[0][0], m.branches[0].layers) + \
                 _relu_masks(caches[1], m.head.layers)
             return loss, masks
 
-        _, grads = m._batch_grads(crops, feats, targets)
+        grads = _net_grads(m.branches, m.head, (crops,), feats, targets, nn.symbol_loss)
         worst, checked, skipped = _fd_over_model(
             _composite_arrays(m._parameter_groups()), _flatten_grads(grads),
             static_loss, rng, checks_per_tensor=4)
@@ -252,21 +258,21 @@ def test_criterion_4_gradient_correctness():
 
         # dynamic shape
         dm = DynamicContextModel(crop_size=9, channels=(16, 32, 64), hidden=256, seed=seed)
-        dm.towers = [_genericize(_to64(t), rng) for t in dm.towers]
+        dm.branches = [_genericize(_to64(t), rng) for t in dm.branches]
         dm.head = _genericize(_to64(dm.head), rng)
         crop_sets = (crops, crops[::-1].copy(), crops, child)
 
         def dynamic_loss():
             caches = []
-            z = dm.logits(crop_sets, feats, caches)
+            z = nn.context_forward(dm.branches, dm.head, crop_sets, feats, caches)
             loss, _ = nn.softmax_cross_entropy(z, targets - 1)
             masks = []
-            for tower, (cache_t, _) in zip(dm.towers, caches[:-1]):
+            for tower, (cache_t, _) in zip(dm.branches, caches[:-1]):
                 masks += _relu_masks(cache_t, tower.layers)
             masks += _relu_masks(caches[-1], dm.head.layers)
             return loss, masks
 
-        _, grads = dm._batch_grads(crop_sets, feats, targets)
+        grads = _net_grads(dm.branches, dm.head, crop_sets, feats, targets, nn.symbol_loss)
         worst, checked, skipped = _fd_over_model(
             _composite_arrays(dm._parameter_groups()), _flatten_grads(grads),
             dynamic_loss, rng, checks_per_tensor=2)
@@ -282,14 +288,14 @@ def test_criterion_4_gradient_correctness():
 
         def refine_loss():
             caches = []
-            y = _head_outputs(entry, crops, caches)
+            y = nn.context_forward([entry[0]], entry[1], (crops,), None, caches)
             th = np.tanh(y)
             loss = float(((0.5 * th - offsets_target) ** 2).sum(axis=1).mean())
             masks = _relu_masks(caches[0][0], entry[0].layers) + \
                 _relu_masks(caches[1], entry[1].layers)
             return loss, masks
 
-        _, grads = offset_loss_and_grads(entry, crops, offsets_target, 9)
+        grads = _net_grads([entry[0]], entry[1], (crops,), None, offsets_target, offset_loss)
         worst, checked, skipped = _fd_over_model(
             [t for p in entry for g in p.tensors for t in g], _flatten_grads(grads),
             refine_loss, rng, checks_per_tensor=3)
@@ -330,7 +336,7 @@ def test_criterion_5_entropy_model_learning():
     # scalar-path loss is bit-identical to ln(255); the batched mean must equal
     # the identical vectorized computation (numpy's SIMD log may differ from the
     # scalar libm by one ulp, which we also bound explicitly)
-    z = model.logits(held_ds["crops"][:2048], held_ds["features"][:2048])
+    z = model.logits((held_ds["crops"][:2048],), held_ds["features"][:2048])
     assert np.all(z == 0.0)
     loss0, _ = nn.softmax_cross_entropy(z, held_ds["symbols"][:2048] - 1)
     singles = [nn.softmax_cross_entropy(z[i], int(held_ds["symbols"][i] - 1))[0]

@@ -13,7 +13,7 @@ from voxelcodec import (PointCloud, UniformModel, decode_cloud, encode_cloud,
                         pointcloud, psnr_point)
 from voxelcodec.cli import main
 
-from conftest import random_cloud, structured_cloud
+from conftest import random_cloud, structured_cloud, unknown_layer_kind_model
 
 _PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 
@@ -71,9 +71,24 @@ class TestEncodeDecode:
         bitstream.write_bytes(bytes(corrupt))
         assert _run("decode", bitstream, tmp_path / "o.ply") == 3
 
+    def test_unknown_layer_kind_exit_3(self, tmp_path, capsys):
+        src = tmp_path / "in.xyz"
+        _write_cloud(src, random_cloud(50, 3))
+        bitstream = tmp_path / "c.vcnb"
+        assert _run("encode", src, bitstream, "--depth", 4) == 0
+        model = tmp_path / "bad.vcnm"
+        model.write_bytes(unknown_layer_kind_model())
+        assert _run("decode", bitstream, tmp_path / "o.ply", "--model", model) == 3
+        assert "unknown layer kind 9" in capsys.readouterr().err
+
     def test_usage_error_exit_1(self):
         assert _run("encode") == 1
         assert _run("frobnicate") == 1
+
+    def test_help_returns_0(self, capsys):
+        assert _run("--help") == 0
+        assert _run("encode", "--help") == 0
+        assert capsys.readouterr().out.count("usage: voxelcodec") == 2
 
     def test_io_error_exit_2(self, tmp_path):
         assert _run("encode", tmp_path / "absent.xyz", tmp_path / "o.vcnb",

@@ -155,20 +155,19 @@ class TestPairedModels:
         # single-frame sequence exactly like the static model made of its
         # main tower plus the matching head column slices
         from voxelcodec import nn
-        from voxelcodec.entropy import _tower_out_dim
         cloud = structured_cloud(400, seed=20)
         dyn = DynamicContextModel(crop_size=9, child_crop_size=10, channels=(2, 4),
                                   hidden=16, seed=5)
         rng = np.random.default_rng(1)
         dyn.head.tensors[2][0][:] = rng.normal(0, 0.1, dyn.head.tensors[2][0].shape)
-        for tower in dyn.towers[1:]:
+        for tower in dyn.branches[1:]:
             for group in tower.tensors:
                 for t in group:
                     t[:] = 0
 
-        main_dim = _tower_out_dim(9, (2, 4))
+        main_dim = int(np.prod(nn.layer_shapes(dyn.branches[0].layers, (1, 9, 9, 9))[-1]))
         static = VoxelContextModel(crop_size=9, channels=(2, 4), hidden=16, seed=5)
-        static.tower = dyn.towers[0]
+        static.branches[0] = dyn.branches[0]
         fc1_w = dyn.head.tensors[0][0]
         cols = np.concatenate([fc1_w[:, :main_dim], fc1_w[:, -4:]], axis=1)
         static.head = nn.ModelParams(

@@ -104,7 +104,7 @@ class TestVoxelModel:
         rng = np.random.default_rng(0)
         crops = (rng.random((10, 5, 5, 5)) < 0.5).astype(np.uint8)
         feats = rng.random((10, 4))
-        p = m.predict(crops, feats)
+        p = m.predict((crops,), feats)
         assert np.allclose(p, 1.0 / ALPHABET, atol=1e-15)
 
     def test_distribution_valid(self):
@@ -112,7 +112,7 @@ class TestVoxelModel:
         m.train(_tiny_dataset(seed=0, m=9), epochs=1, batch_size=16, lr=1e-3)
         rng = np.random.default_rng(5)
         crops = (rng.random((20, 9, 9, 9)) < 0.3).astype(np.uint8)
-        p = m.predict(crops, rng.random((20, 4)))
+        p = m.predict((crops,), rng.random((20, 4)))
         assert np.all(p >= 0)
         assert np.abs(p.sum(axis=1) - 1).max() < 1e-9
 
@@ -123,7 +123,7 @@ class TestVoxelModel:
         rng = np.random.default_rng(1)
         crops = (rng.random((8, 5, 5, 5)) < 0.4).astype(np.uint8)
         feats = rng.random((8, 4))
-        assert np.array_equal(m.predict(crops, feats), m2.predict(crops, feats))
+        assert np.array_equal(m.predict((crops,), feats), m2.predict((crops,), feats))
         assert m.content_hash() == m2.content_hash()
 
     def test_all_children_corpus_learns_255(self):
@@ -153,7 +153,7 @@ class TestVoxelModel:
     def test_crop_size_mismatch(self):
         m = VoxelContextModel(crop_size=9, channels=(2,), hidden=8, seed=0)
         with pytest.raises(ValueError):
-            m.predict(np.zeros((2, 5, 5, 5), dtype=np.uint8), np.zeros((2, 4)))
+            m.predict((np.zeros((2, 5, 5, 5), dtype=np.uint8),), np.zeros((2, 4)))
 
     def test_empty_dataset_rejected(self):
         m = VoxelContextModel(crop_size=5, channels=(2,), hidden=8, seed=0)
@@ -167,7 +167,7 @@ class TestDynamicModel:
     def test_zero_temporal_towers_ignore_temporal_crops(self):
         m = DynamicContextModel(crop_size=5, child_crop_size=6, channels=(2, 4),
                                 hidden=16, seed=4)
-        for tower in m.towers[1:]:
+        for tower in m.branches[1:]:
             for group in tower.tensors:
                 for t in group:
                     t[:] = 0

@@ -1,0 +1,107 @@
+"""Golden values of fixed-seed training runs, one per network shape.
+
+Each case trains a small network for a few epochs from fixed seeds and pins
+the sha256 of its VCNM model file, of its per-epoch loss curve (float64
+bytes), of its held-in evaluation and of what it produces: a bitstream for
+the entropy models, the refined points for the refiner. One more case pins
+a uniform-model bitstream, whose level tables come from one shared row. A
+change to the shared context net, the training loop or the coder that alters
+a single bit of any of these fails here. The values were recorded with numpy 2.4 on
+x86-64 Linux.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from voxelcodec import (DynamicContextModel, RefineParams, UniformModel, VoxelContextModel,
+                        align_sequence, build, build_node_dataset, build_refine_dataset,
+                        build_sequence_dataset, encode_cloud, encode_sequence, normalize,
+                        refine_apply, train_refine)
+
+from conftest import moving_sequence, structured_cloud
+
+
+def _sha(data) -> str:
+    if not isinstance(data, bytes):
+        data = np.ascontiguousarray(data, dtype=np.float64).tobytes()
+    return hashlib.sha256(data).hexdigest()
+
+
+def static_run(crop_size):
+    cloud = structured_cloud(600, seed=71)
+    norm, _ = normalize(cloud)
+    ds = build_node_dataset([build(norm, 5)], crop_size=crop_size)
+    model = VoxelContextModel(crop_size=crop_size, channels=(2, 4), hidden=16, seed=3)
+    curve = model.train(ds, epochs=3, batch_size=32, lr=1e-2, seed=5)
+    return {"model": _sha(model.serialize()), "curve": _sha(curve),
+            "evaluate": _sha([model.evaluate(ds)]),
+            "bitstream": _sha(encode_cloud(cloud, 5, 5, model))}
+
+
+def dynamic_run():
+    frames = moving_sequence(3, 200, seed=72)
+    ds = build_sequence_dataset(align_sequence(frames), 4, crop_size=5, child_crop_size=6)
+    model = DynamicContextModel(crop_size=5, child_crop_size=6, channels=(2, 4),
+                                hidden=16, seed=4)
+    curve = model.train(ds, epochs=2, batch_size=32, lr=1e-2, seed=6)
+    return {"model": _sha(model.serialize()), "curve": _sha(curve),
+            "evaluate": _sha([model.evaluate(ds)]),
+            "bitstream": _sha(encode_sequence(frames, 4, 4, model))}
+
+
+def refine_run():
+    norm, params = normalize(structured_cloud(500, seed=73))
+    ds = build_refine_dataset(norm, 5, crop_size=5)
+    refiner = RefineParams(crop_size=5, channels=(2, 4), hidden=16, seed=2)
+    curve = train_refine(refiner, 5, ds, epochs=3, batch_size=32, lr=1e-2, seed=7)
+    return {"model": _sha(refiner.serialize()), "curve": _sha(curve),
+            "points": _sha(refine_apply(ds["tree"], refiner, params).points)}
+
+
+def uniform_run():
+    return {"bitstream": _sha(encode_cloud(structured_cloud(600, seed=71), 6, 6, UniformModel()))}
+
+
+GOLDEN = {
+    "static-crop5": {
+        "model": "3e2657e17d3ac5e4b7a60311ac557ef0637bcc8f4bd0b146d8483b24c6e1e3cb",
+        "curve": "8108e56757ce80c76fc25ce7caf5e0e021aec3ae6d52f06098f462e4c5250f99",
+        "evaluate": "cdf12bacd3d21146fdc3e2f629cf823d1a38073cf263ee4eeb49e10d00d032cd",
+        "bitstream": "e79684a798b1f2e2ab1c170172e288e0a063cdcaeee04fcd876e1afe5b689dee",
+    },
+    "static-crop1": {
+        "model": "a96de24fd41f997b65c340509e3a79c79916c69d6cdadb0c7f00515c7ec45f57",
+        "curve": "ea6e4b69cfe70523b462838fbd9fbda26ecd534f0e75690e252af8e20c6cbd0b",
+        "evaluate": "a18166b6899b20d1adb9bd4f7027f61a346047f26dfd5a72f01f171afd7dbdef",
+        "bitstream": "b189162e8faf9bb070f33cd3dbe19bc777d6a5f6d8c6d566aa2007087c33f25a",
+    },
+    "dynamic": {
+        "model": "cc27c61362fc55aa87bf9954e45f08e55b7b156a0fba9cadf2239828df16a53e",
+        "curve": "d0b15cffc20b15aa9ab35328e4758c9b62f53573db7c638a86a37751117d6c6e",
+        "evaluate": "699e080d124d1d1b275b6e0de4203c3325ec2d698b13c1581a4eaf2540e40535",
+        "bitstream": "3c1ad588fda0aa02c47d1510734b5578d56a05d3ef34fb70ee25ee637ee79b65",
+    },
+    "refine": {
+        "model": "1ce0e535091cb6363692d137e6adcdf592323dddfb6733a8f6a7c0d39d72d3f0",
+        "curve": "4a25d53843bdc4b0e5a03af40c840269e6e83b1d73652c006c3e81709198ba2d",
+        "points": "917f2db71e6e81a1d7cf73b2c44182bace22464f089532c7736f60ee4408f24c",
+    },
+    "uniform": {
+        "bitstream": "92c2f980d505004a4bf6b33d2a04198e4d7602330c4dbf2cc588f61afa1ce473",
+    },
+}
+
+RUNS = {
+    "static-crop5": lambda: static_run(5),
+    "static-crop1": lambda: static_run(1),
+    "dynamic": dynamic_run,
+    "refine": refine_run,
+    "uniform": uniform_run,
+}
+
+
+@pytest.mark.parametrize("case", list(GOLDEN))
+def test_golden_bytes(case):
+    assert RUNS[case]() == GOLDEN[case]

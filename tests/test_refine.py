@@ -3,8 +3,8 @@ import pytest
 
 from voxelcodec import (PointCloud, RefineParams, UniformModel, build,
                         build_refine_dataset, chamfer, decode_cloud, encode_cloud,
-                        normalize, reconstruct_centers, refine_apply, refine_offset,
-                        refine_offsets, train_refine)
+                        normalize, reconstruct_centers, refine_apply, refine_offsets,
+                        train_refine)
 from voxelcodec.voxelgrid import grid_from_level, local_crops
 
 from conftest import planar_cloud, random_cloud
@@ -24,7 +24,7 @@ class TestOffsets:
         params = RefineParams(crop_size=5, channels=(2, 4), hidden=16, seed=0)
         params.add_depth(4)
         crop = (np.random.default_rng(0).random((5, 5, 5)) < 0.5).astype(np.uint8)
-        assert np.all(refine_offset(params, 4, crop) == 0.0)
+        assert np.all(refine_offsets(params, 4, crop[None])[0] == 0.0)
 
     def test_offsets_bounded(self):
         params = RefineParams(crop_size=5, channels=(2, 4), hidden=16, seed=1)
@@ -39,7 +39,7 @@ class TestOffsets:
     def test_missing_depth_errors(self):
         params = RefineParams(crop_size=5, channels=(2,), hidden=8, seed=0)
         with pytest.raises(ValueError):
-            refine_offset(params, 6, np.zeros((5, 5, 5), dtype=np.uint8))
+            refine_offsets(params, 6, np.zeros((1, 5, 5, 5), dtype=np.uint8))
 
 
 class TestApply:
