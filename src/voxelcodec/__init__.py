@@ -4,7 +4,7 @@ refinement."""
 
 from .coder import (BitstreamHeader, DecodeError, FrequencyTable, RangeDecoder,
                     RangeEncoder, coded_bpp, decode_cloud, encode_cloud, payload_size,
-                    quantize_distribution, rc_decode, rc_encode)
+                    quantize_distribution)
 from .dynamic import (CloudSequence, align_sequence, build_sequence_dataset,
                       decode_sequence, encode_sequence, sequence_code_lengths)
 from .entropy import (AdaptiveContextModel, DynamicContextModel, EntropyModel,
@@ -12,15 +12,12 @@ from .entropy import (AdaptiveContextModel, DynamicContextModel, EntropyModel,
                       cross_entropy_bpp, load_entropy_model, model_code_lengths)
 from .metrics import (RDPoint, bdbr, chamfer, estimate_normals, nearest_neighbor,
                       psnr_plane, psnr_point, rd_from_csv, rd_to_csv)
-from .octree import (CellIndex, Octree, build, rebuild_from_symbols,
-                     reconstruct_centers)
+from .octree import Octree, build, rebuild_from_symbols, reconstruct_centers
 from .pointcloud import (NormalizationParams, ParseError, PointCloud, RigidTransform,
                          apply_pose, denormalize, normalize, read_points, subsample,
                          write_points)
 from .refine import (RefineParams, build_refine_dataset, refine_apply, refine_offsets,
                      train_refine)
-from .voxelgrid import (Crop, VoxelGrid, child_region_crop, child_region_crops,
-                        grid_from_level, local_crop, local_crops, pool_down,
-                        temporal_context)
+from .voxelgrid import VoxelGrid, child_region_crops, grid_from_level, local_crops, pool_down
 
 __version__ = "0.1.0"

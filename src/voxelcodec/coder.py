@@ -1,4 +1,6 @@
-"""Range coder, probability quantization and the "VCNB" bitstream container.
+"""Range coder, probability quantization, the "VCNB" bitstream container, and
+the one encode loop and one decode loop that code any bitstream along the
+level schedule (`entropy.level_contexts`; a static cloud is one frame).
 
 The entropy coder is a 32-bit byte-oriented range coder with carry counting;
 the range register stays in [2^24, 2^32), keeping the truncation loss under
@@ -161,37 +163,6 @@ class RangeDecoder:
             self._range = (self._range << 8) & _MASK32
 
 
-def rc_encode(symbols, table_for, on_symbol=None) -> bytes:
-    """Encode integer symbols 1..255; table_for(i) supplies the i-th FrequencyTable.
-
-    The supplier must be reproducible on the decoder from previously decoded
-    symbols alone. on_symbol(i, s) fires after each symbol (adaptive updates).
-    """
-    enc = RangeEncoder()
-    for i, s in enumerate(symbols):
-        table = table_for(i)
-        idx = int(s) - 1
-        enc.encode(int(table.cum[idx]), int(table.freq[idx]))
-        if on_symbol is not None:
-            on_symbol(i, int(s))
-    return enc.finish()
-
-
-def rc_decode(data: bytes, count: int, table_for, on_symbol=None) -> list:
-    dec = RangeDecoder(data)
-    out = []
-    for i in range(count):
-        table = table_for(i)
-        target = dec.decode_target()
-        idx = int(np.searchsorted(table.cum, target, side="right")) - 1
-        dec.consume(int(table.cum[idx]), int(table.freq[idx]))
-        s = idx + 1
-        out.append(s)
-        if on_symbol is not None:
-            on_symbol(i, s)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # bitstream container
 
@@ -280,15 +251,6 @@ class BitstreamHeader:
         return header, pos
 
 
-def _check_model(header: BitstreamHeader, model: em.EntropyModel):
-    if model.kind_code != header.model_kind:
-        raise DecodeError(f"bitstream was coded with model kind "
-                          f"{em.KIND_NAMES.get(header.model_kind, header.model_kind)}, "
-                          f"got {model.kind}")
-    if model.content_hash() != header.model_hash:
-        raise DecodeError("model hash mismatch: refusing to decode with different weights")
-
-
 def _code_level(ctx, symbols, model, enc_or_dec, decoding):
     """Code or decode all symbols of one depth level in canonical order.
 
@@ -334,45 +296,62 @@ def encode_cloud(cloud: PointCloud, depth: int, trunc_depth: int,
     tree = oct.build(norm_cloud, depth).truncate(trunc_depth)
     header = BitstreamHeader(MODE_STATIC, params, depth, trunc_depth, len(cloud),
                              model.kind_code, model.content_hash())
-    enc = RangeEncoder()
-    model.begin_stream()
-    for k in range(trunc_depth):
-        ctx = em.make_level_context(k, depth, tree.levels[k],
-                                    prev_cells=tree.levels[k - 1] if k else None,
-                                    prev_symbols=tree.symbols[k - 1] if k else None)
-        _code_level(ctx, tree.symbols[k], model, enc, decoding=False)
-    return header.pack() + enc.finish()
+    return encode_frames(header, [tree], model)
 
 
 def decode_cloud(data: bytes, model: em.EntropyModel, refine_params=None,
                  return_tree=False):
     """Rebuild the octree level by level and reconstruct (optionally refined) centers."""
-    header, pos = BitstreamHeader.unpack(data)
-    if header.mode != MODE_STATIC:
-        raise DecodeError("not a static bitstream; use decode_sequence")
-    _check_model(header, model)
-    dec = RangeDecoder(data[pos:])
-    model.begin_stream()
-    levels = [np.zeros((1, 3), dtype=np.int64)]
-    symbols = []
-    for k in range(header.trunc_depth):
-        ctx = em.make_level_context(k, header.max_depth, levels[k],
-                                    prev_cells=levels[k - 1] if k else None,
-                                    prev_symbols=symbols[k - 1] if k else None)
-        sym = _code_level(ctx, None, model, dec, decoding=True)
-        if sym.min() < 1:
-            raise DecodeError(f"decoded an impossible zero symbol at depth {k}")
-        symbols.append(sym)
-        levels.append(oct._expand_children(levels[k], sym, k))
-    tree = oct.Octree(header.trunc_depth, levels, symbols)
-    if refine_params is not None:
-        from .refine import refine_apply
-        cloud = refine_apply(tree, refine_params, header.norm)
-    else:
-        cloud = oct.reconstruct_centers(tree, header.norm)
+    header, (tree,), (cloud,) = decode_frames(data, model, MODE_STATIC, refine_params)
     if return_tree:
         return cloud, tree, header
     return cloud
+
+
+def encode_frames(header: BitstreamHeader, trees, model: em.EntropyModel) -> bytes:
+    """Code the (truncated) octrees of every frame along the level schedule."""
+    enc = RangeEncoder()
+    model.begin_stream()
+    for t, k, ctx in em.level_contexts(trees, header.max_depth, header.trunc_depth):
+        _code_level(ctx, trees[t].symbols[k], model, enc, decoding=False)
+    return header.pack() + enc.finish()
+
+
+_WRONG_MODE = {MODE_STATIC: "not a static bitstream; use decode_sequence",
+               MODE_DYNAMIC: "not a sequence bitstream; use decode_cloud"}
+
+
+def decode_frames(data: bytes, model: em.EntropyModel, mode: int, refine_params=None):
+    """Replay the level schedule -> (header, octrees, clouds), one of each per frame.
+
+    Clouds are leaf centers, or refined leaves when refine_params is given.
+    """
+    header, pos = BitstreamHeader.unpack(data)
+    if header.mode != mode:
+        raise DecodeError(_WRONG_MODE[mode])
+    if model.kind_code != header.model_kind:
+        raise DecodeError(f"bitstream was coded with model kind "
+                          f"{em.KIND_NAMES.get(header.model_kind, header.model_kind)}, "
+                          f"got {model.kind}")
+    if model.content_hash() != header.model_hash:
+        raise DecodeError("model hash mismatch: refusing to decode with different weights")
+    n = len(header.frame_point_counts) if mode == MODE_DYNAMIC else 1
+    dec = RangeDecoder(data[pos:])
+    model.begin_stream()
+    trees = [oct.Octree(header.trunc_depth, [np.zeros((1, 3), dtype=np.int64)], [])
+             for _ in range(n)]
+    for t, k, ctx in em.level_contexts(trees, header.max_depth, header.trunc_depth):
+        sym = _code_level(ctx, None, model, dec, decoding=True)
+        if sym.min() < 1:
+            raise DecodeError(f"decoded an impossible zero symbol at depth {k}")
+        trees[t].symbols.append(sym)
+        trees[t].levels.append(oct._expand_children(trees[t].levels[k], sym, k))
+    if refine_params is not None:
+        from .refine import refine_apply
+        clouds = [refine_apply(tree, refine_params, header.norm) for tree in trees]
+    else:
+        clouds = [oct.reconstruct_centers(tree, header.norm) for tree in trees]
+    return header, trees, clouds
 
 
 def payload_size(data: bytes) -> int:

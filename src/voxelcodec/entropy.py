@@ -122,6 +122,43 @@ def make_level_context(k, max_depth, cells, prev_cells=None, prev_symbols=None,
                         prev_cells, prev_symbols, **temporal)
 
 
+def level_contexts(trees, max_depth, trunc_depth):
+    """The depth-synchronized coding schedule over one octree per frame:
+    yields (t, k, ctx) in coding order.
+
+    Pass k visits every frame's depth-k level in frame order before any frame
+    moves on to depth k+1. Frame t's context carries the depth-k grids of
+    frames t-1 and t+1 and the depth-(k+1) grid of frame t-1, all known by
+    then; a missing neighbour frame gives no grid, so a one-frame schedule is
+    the static level walk. The decoder appends each frame's decoded symbols
+    and next level to its tree between steps. max_depth is the untruncated
+    depth, which the node features divide by.
+    """
+    grids = {}
+
+    def grid(t, k):
+        if (t, k) not in grids:
+            if k >= len(trees[t].levels):
+                raise ValueError(f"schedule desync: frame {t} level {k} not decoded yet")
+            grids[t, k] = VoxelGrid(k, trees[t].levels[k])
+        return grids[t, k]
+
+    n = len(trees)
+    for k in range(trunc_depth):
+        for key in [key for key in grids if key[1] < k]:
+            del grids[key]
+        for t in range(n):
+            levels, symbols = trees[t].levels, trees[t].symbols
+            yield t, k, make_level_context(
+                k, max_depth, levels[k],
+                prev_cells=levels[k - 1] if k else None,
+                prev_symbols=symbols[k - 1] if k else None,
+                grid=grid(t, k),
+                grid_prev=grid(t - 1, k) if t > 0 else None,
+                grid_next=grid(t + 1, k) if t < n - 1 else None,
+                grid_prev_child=grid(t - 1, k + 1) if t > 0 else None)
+
+
 # ---------------------------------------------------------------------------
 # model kinds
 
@@ -308,10 +345,12 @@ class ContextNetModel(EntropyModel):
         if kind != cls.kind_code:
             raise ValueError(f"model kind {kind} is not {KIND_NAMES[cls.kind_code]}")
         named = dict(groups)
-        config = {k: meta[k] for k in cls.config_keys}
-        config["channels"] = tuple(config["channels"])
-        return cls(seed=seed, branches=[named[n] for n in cls.branch_names],
-                   head=named["head"], **config)
+        with nn.model_fields():
+            config = {k: meta[k] for k in cls.config_keys}
+            config["channels"] = tuple(config["channels"])
+            branches = [named[n] for n in cls.branch_names]
+            head = named["head"]
+        return cls(seed=seed, branches=branches, head=head, **config)
 
 
 class VoxelContextModel(ContextNetModel):
@@ -357,7 +396,8 @@ def load_entropy_model(blob: bytes) -> EntropyModel:
     if kind == KIND_UNIFORM:
         return UniformModel()
     if kind == KIND_ADAPTIVE:
-        return AdaptiveContextModel(meta["context_bits"])
+        with nn.model_fields():
+            return AdaptiveContextModel(meta["context_bits"])
     if kind == KIND_VOXEL_STATIC:
         return VoxelContextModel.deserialize(blob)
     if kind == KIND_VOXEL_DYNAMIC:
@@ -375,8 +415,7 @@ def build_node_dataset(trees, crop_size=9):
         trees = [trees]
     crops, feats, symbols = [], [], []
     for tree in trees:
-        for k in range(tree.max_depth):
-            ctx = make_level_context(k, tree.max_depth, tree.levels[k])
+        for _, k, ctx in level_contexts([tree], tree.max_depth, tree.max_depth):
             crops.append(ctx.crops(crop_size))
             feats.append(ctx.node_features())
             symbols.append(tree.symbols[k].astype(np.int64))
@@ -390,14 +429,16 @@ def model_code_lengths(model: EntropyModel, tree: Octree, trunc_depth=None) -> n
     Resets per-stream model state first, exactly like coding a fresh bitstream.
     """
     d = trunc_depth if trunc_depth is not None else tree.max_depth
+    return schedule_code_lengths(model, [tree], tree.max_depth, d)[0]
+
+
+def schedule_code_lengths(model: EntropyModel, trees, max_depth, trunc_depth) -> list:
+    """Per-frame -log2 q of every symbol the schedule codes, after begin_stream."""
     model.begin_stream()
-    out = []
-    for k in range(d):
-        ctx = make_level_context(k, tree.max_depth, tree.levels[k],
-                                 prev_cells=tree.levels[k - 1] if k else None,
-                                 prev_symbols=tree.symbols[k - 1] if k else None)
-        out.append(level_code_lengths(model, ctx, tree.symbols[k]))
-    return np.concatenate(out) if out else np.empty(0)
+    lengths = [[] for _ in trees]
+    for t, k, ctx in level_contexts(trees, max_depth, trunc_depth):
+        lengths[t].append(level_code_lengths(model, ctx, trees[t].symbols[k]))
+    return [np.concatenate(parts) if parts else np.empty(0) for parts in lengths]
 
 
 def level_code_lengths(model: EntropyModel, ctx: LevelContext, symbols) -> np.ndarray:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -451,12 +452,23 @@ def model_content_hash(blob: bytes) -> int:
 
 
 def deserialize_model(blob: bytes):
-    """Inverse of serialize_model -> (kind, seed, meta, [(name, ModelParams), ...])."""
+    """Inverse of serialize_model -> (kind, seed, meta, [(name, ModelParams), ...]).
+
+    Raises ValueError for anything that is not a well-formed model file; the
+    trailing hash is never parsed as data.
+    """
     if len(blob) < 26 or blob[:4] != MODEL_MAGIC:
         raise ValueError("not a model file (bad magic)")
     stored = struct.unpack("<Q", blob[-8:])[0]
     if fnv1a64(blob[:-8]) != stored:
         raise ValueError("model file corrupt (content hash mismatch)")
+    try:
+        return _parse_model(blob[:-8])
+    except struct.error as exc:
+        raise ValueError(f"model file truncated or corrupt: {exc}") from exc
+
+
+def _parse_model(blob: bytes):
     version, kind, seed = struct.unpack_from("<BBQ", blob, 4)
     if version != MODEL_VERSION:
         raise ValueError(f"unsupported model version {version}")
@@ -494,15 +506,25 @@ def deserialize_model(blob: bytes):
             arr = np.frombuffer(blob, dtype="<f4", count=size, offset=pos).reshape(shape).copy()
             pos += 4 * size
             flat.append(arr)
-        tensors = []
+        weighted = [isinstance(layer, (Conv3D, FullyConnected)) for layer in layers]
+        if len(flat) != 2 * sum(weighted):
+            raise ValueError(f"group {name!r} has {len(flat)} tensors for "
+                             f"{sum(weighted)} weighted layers")
         it = iter(flat)
-        for layer in layers:
-            if isinstance(layer, (Conv3D, FullyConnected)):
-                tensors.append([next(it), next(it)])
-            else:
-                tensors.append([])
+        tensors = [[next(it), next(it)] if w else [] for w in weighted]
         groups.append((name, ModelParams(tuple(layers), tensors, seed)))
     return kind, seed, meta, groups
+
+
+@contextmanager
+def model_fields():
+    """Report a missing or mistyped metadata entry or group of a model file as ValueError."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ValueError(f"model file lacks {exc.args[0]!r}") from exc
+    except TypeError as exc:
+        raise ValueError(f"model file has a malformed field: {exc}") from exc
 
 
 def save_model(path, kind, seed, meta, groups):

@@ -22,19 +22,6 @@ MAX_DEPTH = 16
 CHILD_OFFSETS = np.array([[(j >> 2) & 1, (j >> 1) & 1, j & 1] for j in range(8)], dtype=np.int64)
 
 
-@dataclass(frozen=True)
-class CellIndex:
-    depth: int
-    ix: int
-    iy: int
-    iz: int
-
-    def __post_init__(self):
-        n = 1 << self.depth
-        if not (0 <= self.ix < n and 0 <= self.iy < n and 0 <= self.iz < n):
-            raise ValueError(f"cell ({self.ix},{self.iy},{self.iz}) out of range at depth {self.depth}")
-
-
 def cell_keys(cells: np.ndarray, depth: int) -> np.ndarray:
     """Pack (ix, iy, iz) into a single int64 whose order is lexicographic."""
     c = np.asarray(cells, dtype=np.int64)
@@ -59,14 +46,6 @@ class Octree:
 
     def symbol_count(self):
         return sum(len(s) for s in self.symbols)
-
-    def level_symbols(self, k):
-        """Symbols at depth k as (CellIndex, symbol) pairs in canonical order."""
-        if not 0 <= k < self.max_depth:
-            raise ValueError(f"no symbols at depth {k} (max_depth {self.max_depth})")
-        cells = self.levels[k]
-        return [(CellIndex(k, *map(int, cells[i])), int(self.symbols[k][i]))
-                for i in range(len(cells))]
 
     def symbol_stream(self) -> np.ndarray:
         """All symbols, level by level, in canonical order."""

@@ -54,10 +54,11 @@ class RefineParams:
         kind, seed, meta, groups = nn.deserialize_model(blob)
         if kind != KIND_REFINE:
             raise ValueError(f"model kind {kind} is not a refinement model")
-        params = cls(meta["crop_size"], tuple(meta["channels"]), meta["hidden"], seed)
         named = dict(groups)
-        for depth in meta["depths"]:
-            params.entries[depth] = (named[f"tower-d{depth}"], named[f"head-d{depth}"])
+        with nn.model_fields():
+            params = cls(meta["crop_size"], tuple(meta["channels"]), meta["hidden"], seed)
+            for depth in meta["depths"]:
+                params.entries[depth] = (named[f"tower-d{depth}"], named[f"head-d{depth}"])
         return params
 
 

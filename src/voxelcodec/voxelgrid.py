@@ -7,11 +7,9 @@ cells and membership tests vectorize well with searchsorted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .octree import CellIndex, Octree, cell_keys
+from .octree import Octree, cell_keys
 
 DENSE_DEPTH_LIMIT = 9
 
@@ -51,15 +49,6 @@ class VoxelGrid:
         pos[pos >= len(self.keys)] = max(len(self.keys) - 1, 0)
         hit = (self.keys[pos] == keys) if len(self.keys) else np.zeros(len(cells), dtype=bool)
         return (hit & inside).astype(np.uint8)
-
-
-@dataclass
-class Crop:
-    """An M^3 binary window of a grid; out-of-bounds entries are zero."""
-
-    size: int
-    values: np.ndarray      # (M, M, M) uint8
-    center: CellIndex
 
 
 def grid_from_level(source, k: int) -> VoxelGrid:
@@ -123,13 +112,6 @@ def local_crops(grid: VoxelGrid, cells: np.ndarray, m: int) -> np.ndarray:
     return _extract_windows(grid, cells - (m - 1) // 2, m)
 
 
-def local_crop(grid: VoxelGrid, center: CellIndex, m: int) -> Crop:
-    if center.depth != grid.depth:
-        raise ValueError(f"center depth {center.depth} != grid depth {grid.depth}")
-    vals = local_crops(grid, np.array([[center.ix, center.iy, center.iz]]), m)[0]
-    return Crop(m, vals, center)
-
-
 CHILD_CROP_SIZE = 10
 
 
@@ -144,32 +126,6 @@ def child_region_crops(grid: VoxelGrid, cells: np.ndarray, m: int = CHILD_CROP_S
         raise ValueError(f"child-region crop size must be even, got {m}")
     cells = np.asarray(cells, dtype=np.int64).reshape(-1, 3)
     return _extract_windows(grid, 2 * cells - (m - 2) // 2, m)
-
-
-def child_region_crop(grid: VoxelGrid, center: CellIndex, m: int = CHILD_CROP_SIZE) -> Crop:
-    if grid.depth != center.depth + 1:
-        raise ValueError(f"grid depth {grid.depth} != center depth {center.depth} + 1")
-    vals = child_region_crops(grid, np.array([[center.ix, center.iy, center.iz]]), m)[0]
-    return Crop(m, vals, center)
-
-
-def temporal_context(center: CellIndex, grid_cur: VoxelGrid, grid_prev, grid_next,
-                     grid_prev_child, m: int = 9, m_child: int = CHILD_CROP_SIZE):
-    """The four crops for one node of a sequence frame.
-
-    Returns (same-depth current, same-depth previous, same-depth next,
-    child-depth previous). Missing neighbour frames (None) give all-zero crops.
-    """
-    if grid_cur is None:
-        raise ValueError("current-frame grid is required")
-    cur = local_crop(grid_cur, center, m)
-    zeros = np.zeros((m, m, m), dtype=np.uint8)
-    zeros_child = np.zeros((m_child,) * 3, dtype=np.uint8)
-    prev = local_crop(grid_prev, center, m) if grid_prev is not None else Crop(m, zeros, center)
-    nxt = local_crop(grid_next, center, m) if grid_next is not None else Crop(m, zeros, center)
-    child = (child_region_crop(grid_prev_child, center, m_child)
-             if grid_prev_child is not None else Crop(m_child, zeros_child, center))
-    return cur, prev, nxt, child
 
 
 def pool_down(grid: VoxelGrid) -> np.ndarray:

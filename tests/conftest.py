@@ -5,7 +5,7 @@ import struct
 import numpy as np
 import pytest
 
-from voxelcodec import PointCloud, RigidTransform, VoxelContextModel, nn
+from voxelcodec import DynamicContextModel, PointCloud, RigidTransform, VoxelContextModel, nn
 
 
 def random_cloud(n, seed, lo=0.0, hi=1.0):
@@ -63,8 +63,45 @@ def unknown_layer_kind_model():
     pos = 14 + 4 + meta_len + 2         # past the metadata and the group count
     pos += 1 + blob[pos] + 2            # past the first group's name and layer count
     blob[pos] = 9
+    return _rehash(blob)
+
+
+def _rehash(blob):
+    blob = bytearray(blob)
     blob[-8:] = struct.pack("<Q", nn.fnv1a64(bytes(blob[:-8])))
     return bytes(blob)
+
+
+def _without_group(model, name):
+    kind, seed, meta, groups = nn.deserialize_model(model.serialize())
+    return nn.serialize_model(kind, seed, meta, [g for g in groups if g[0] != name])
+
+
+def malformed_model_files():
+    """VCNM files with valid content hashes that are not well-formed models:
+    name -> (blob, the decode option that loads it, expected error text)."""
+    uniform = bytearray(nn.serialize_model(0, 2, {"kind": "uniform"}, []))
+    (meta_len,) = struct.unpack_from("<I", uniform, 14)
+    struct.pack_into("<H", uniform, 14 + 4 + meta_len, 1)   # one group, but no group data
+    static = VoxelContextModel(crop_size=5, channels=(2,), hidden=8, seed=0)
+    dynamic = DynamicContextModel(crop_size=5, child_crop_size=6, channels=(2,), hidden=8, seed=0)
+    return {
+        "static-no-crop-size": (nn.serialize_model(2, 0, {"kind": "voxel-static"}, []),
+                                "--model", "crop_size"),
+        "refine-no-crop-size": (nn.serialize_model(4, 0, {"kind": "refine"}, []),
+                                "--refine", "crop_size"),
+        "adaptive-no-context-bits": (nn.serialize_model(1, 0, {"kind": "adaptive"}, []),
+                                     "--model", "context_bits"),
+        "static-no-head": (_without_group(static, "head"), "--model", "head"),
+        "dynamic-no-current-tower": (_without_group(dynamic, "tower-current"), "--model",
+                                     "tower-current"),
+        "group-count-past-data": (_rehash(uniform), "--model", "truncated or corrupt"),
+        "head-without-tensors": (nn.serialize_model(2, 0, {"kind": "voxel-static"}, [
+            ("head", nn.ModelParams((nn.FullyConnected(4),), [[]], 0))]), "--model", "tensors"),
+        "channels-not-a-list": (nn.serialize_model(2, 0, {
+            "kind": "voxel-static", "crop_size": 5, "channels": 2, "hidden": 8}, []),
+            "--model", "malformed field"),
+    }
 
 
 # --- independent oracles ----------------------------------------------------

@@ -13,9 +13,11 @@ from voxelcodec import (PointCloud, UniformModel, decode_cloud, encode_cloud,
                         pointcloud, psnr_point)
 from voxelcodec.cli import main
 
-from conftest import random_cloud, structured_cloud, unknown_layer_kind_model
+from conftest import (malformed_model_files, random_cloud, structured_cloud,
+                      unknown_layer_kind_model)
 
 _PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
+MALFORMED = malformed_model_files()
 
 
 def _write_cloud(path, cloud):
@@ -80,6 +82,18 @@ class TestEncodeDecode:
         model.write_bytes(unknown_layer_kind_model())
         assert _run("decode", bitstream, tmp_path / "o.ply", "--model", model) == 3
         assert "unknown layer kind 9" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_model_file_exit_3(self, tmp_path, capsys, case):
+        blob, option, message = MALFORMED[case]
+        src = tmp_path / "in.xyz"
+        _write_cloud(src, random_cloud(50, 3))
+        bitstream = tmp_path / "c.vcnb"
+        assert _run("encode", src, bitstream, "--depth", 4) == 0
+        model = tmp_path / "bad.vcnm"
+        model.write_bytes(blob)
+        assert _run("decode", bitstream, tmp_path / "o.ply", option, model) == 3
+        assert message in capsys.readouterr().err
 
     def test_usage_error_exit_1(self):
         assert _run("encode") == 1

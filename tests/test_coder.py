@@ -4,8 +4,7 @@ import pytest
 from voxelcodec import (AdaptiveContextModel, DecodeError, PointCloud, UniformModel,
                         VoxelContextModel, build, coded_bpp, coder, cross_entropy_bpp,
                         decode_cloud, encode_cloud, model_code_lengths, normalize,
-                        payload_size, quantize_distribution, rc_decode, rc_encode,
-                        reconstruct_centers)
+                        payload_size, quantize_distribution, reconstruct_centers)
 from voxelcodec.coder import RangeDecoder, RangeEncoder, quantize_level
 
 from conftest import random_cloud, structured_cloud
@@ -55,80 +54,104 @@ def _uniform_table():
     return quantize_distribution(np.full(255, 1.0 / 255))
 
 
+class _FixedModel:
+    """Test-only model: hands coder._code_level the same probabilities for
+    every level, either one shared (255,) row or an (n, 255) batch."""
+
+    def __init__(self, probs):
+        self.probs = probs
+
+    def level_probabilities(self, ctx):
+        return self.probs
+
+    def observe(self, ctx, i, symbol):
+        pass
+
+
+class _OneContextAdaptive:
+    """Test-only model: every node reads and updates adaptive context 0."""
+
+    def __init__(self):
+        self.counts = AdaptiveContextModel(8)
+        self.counts.begin_stream()
+
+    def level_probabilities(self, ctx):
+        return None
+
+    def node_probability(self, ctx, i):
+        return self.counts.probabilities_for_id(0)
+
+    def observe(self, ctx, i, symbol):
+        self.counts.observe_id(0, symbol)
+
+
+def _encode(symbols, model) -> bytes:
+    enc = RangeEncoder()
+    coder._code_level(range(len(symbols)), symbols, model, enc, decoding=False)
+    return enc.finish()
+
+
+def _decode(data, count, model) -> list:
+    return coder._code_level(range(count), None, model, RangeDecoder(data), decoding=True).tolist()
+
+
+UNIFORM = np.full(255, 1.0 / 255)
+
+
 class TestRangeCoder:
     def test_empty_stream(self):
-        data = rc_encode([], lambda i: None)
+        data = _encode([], _FixedModel(UNIFORM))
         assert len(data) <= 8
 
     def test_uniform_1e5_rate(self):
         rng = np.random.default_rng(0)
         symbols = rng.integers(1, 256, 100_000)
-        table = _uniform_table()
-        data = rc_encode(symbols, lambda i: table)
+        data = _encode(symbols, _FixedModel(UNIFORM))
         bits = 8 * len(data)
         assert abs(bits - 100_000 * 7.994) / (100_000 * 7.994) < 0.01
 
     def test_skewed_under_600_bytes(self):
         p = np.zeros(255)
         p[0] = 1.0
-        table = quantize_distribution(p)
-        data = rc_encode(np.ones(100_000, dtype=int), lambda i: table)
+        data = _encode(np.ones(100_000, dtype=int), _FixedModel(p))
         assert len(data) < 600
 
     def test_roundtrip_uniform_tables(self):
         rng = np.random.default_rng(3)
         symbols = rng.integers(1, 256, 10_000).tolist()
-        table = _uniform_table()
-        data = rc_encode(symbols, lambda i: table)
-        assert rc_decode(data, len(symbols), lambda i: table) == symbols
+        data = _encode(symbols, _FixedModel(UNIFORM))
+        assert _decode(data, len(symbols), _FixedModel(UNIFORM)) == symbols
 
     def test_roundtrip_adaptive_supplier(self):
         # evolving per-position tables, replayed identically on both sides
         rng = np.random.default_rng(4)
         symbols = rng.integers(1, 50, 5000).tolist()
-
-        def make_supplier():
-            model = AdaptiveContextModel(8)
-            model.begin_stream()
-
-            def table_for(i):
-                return quantize_distribution(model.probabilities_for_id(0))
-
-            def on_symbol(i, s):
-                model.observe_id(0, s)
-            return table_for, on_symbol
-
-        t_enc, o_enc = make_supplier()
-        data = rc_encode(symbols, t_enc, o_enc)
-        t_dec, o_dec = make_supplier()
-        assert rc_decode(data, len(symbols), t_dec, o_dec) == symbols
+        data = _encode(symbols, _OneContextAdaptive())
+        assert _decode(data, len(symbols), _OneContextAdaptive()) == symbols
 
     def test_truncated_stream_raises(self):
-        table = _uniform_table()
-        data = rc_encode(list(range(1, 101)), lambda i: table)
+        data = _encode(list(range(1, 101)), _FixedModel(UNIFORM))
         with pytest.raises(DecodeError):
-            rc_decode(data[: len(data) // 2], 100, lambda i: table)
+            _decode(data[: len(data) // 2], 100, _FixedModel(UNIFORM))
 
     def test_rate_bound_128_bits(self):
         # payload bits <= sum(-log2 freq/65536) + 128 slack, across stream shapes
         rng = np.random.default_rng(5)
         streams = [
-            (rng.integers(1, 256, 100_000), _uniform_table()),
-            (np.ones(100_000, dtype=int), quantize_distribution(
-                np.where(np.arange(255) == 0, 1.0, 0.0))),
+            (rng.integers(1, 256, 100_000), UNIFORM),
+            (np.ones(100_000, dtype=int), np.where(np.arange(255) == 0, 1.0, 0.0)),
         ]
-        for symbols, table in streams:
-            data = rc_encode(symbols, lambda i: table)
+        for symbols, p in streams:
+            table = quantize_distribution(p)
+            data = _encode(symbols, _FixedModel(p))
             ideal = float((-np.log2(table.freq[np.asarray(symbols) - 1] / 65536.0)).sum())
             assert 8 * len(data) <= ideal + 128
         # mixed random tables
         probs = rng.dirichlet(np.full(255, 0.2), size=20_000)
         freq, cum = quantize_level(probs)
         symbols = [int(rng.choice(255, p=f / 65536.0)) + 1 for f in freq]
-        tables = [coder.FrequencyTable(freq[i], cum[i]) for i in range(len(symbols))]
-        data = rc_encode(symbols, lambda i: tables[i])
-        ideal = float(sum(-np.log2(tables[i].freq[s - 1] / 65536.0)
-                          for i, s in enumerate(symbols)))
+        data = _encode(symbols, _FixedModel(probs))
+        ideal = float(sum(-np.log2(freq[i, s - 1] / 65536.0) for i, s in enumerate(symbols)))
         assert 8 * len(data) <= ideal + 128
 
     def test_decoder_rejects_internal_desync(self):

@@ -3,10 +3,14 @@
 Each case trains a small network for a few epochs from fixed seeds and pins
 the sha256 of its VCNM model file, of its per-epoch loss curve (float64
 bytes), of its held-in evaluation and of what it produces: a bitstream for
-the entropy models, the refined points for the refiner. One more case pins
-a uniform-model bitstream, whose level tables come from one shared row. A
-change to the shared context net, the training loop or the coder that alters
-a single bit of any of these fails here. The values were recorded with numpy 2.4 on
+the entropy models, the refined points for the refiner. More cases pin a
+uniform-model bitstream, whose level tables come from one shared row;
+adaptive static and sequence bitstreams, coded node by node; the refined,
+pose-restored points of a decoded sequence; and code lengths and training
+features at a truncation depth below the tree depth, whose node features
+divide by the untruncated depth. A change to the shared context net, the
+training loop, the level schedule or the coder that alters a single bit of
+any of these fails here. The values were recorded with numpy 2.4 on
 x86-64 Linux.
 """
 
@@ -15,10 +19,11 @@ import hashlib
 import numpy as np
 import pytest
 
-from voxelcodec import (DynamicContextModel, RefineParams, UniformModel, VoxelContextModel,
-                        align_sequence, build, build_node_dataset, build_refine_dataset,
-                        build_sequence_dataset, encode_cloud, encode_sequence, normalize,
-                        refine_apply, train_refine)
+from voxelcodec import (AdaptiveContextModel, DynamicContextModel, RefineParams, UniformModel,
+                        VoxelContextModel, align_sequence, build, build_node_dataset,
+                        build_refine_dataset, build_sequence_dataset, decode_sequence,
+                        encode_cloud, encode_sequence, model_code_lengths, normalize,
+                        refine_apply, sequence_code_lengths, train_refine)
 
 from conftest import moving_sequence, structured_cloud
 
@@ -64,6 +69,42 @@ def uniform_run():
     return {"bitstream": _sha(encode_cloud(structured_cloud(600, seed=71), 6, 6, UniformModel()))}
 
 
+def adaptive_run():
+    cloud = structured_cloud(600, seed=71)
+    frames = moving_sequence(3, 200, seed=72)
+    return {"static": _sha(encode_cloud(cloud, 6, 4, AdaptiveContextModel(12))),
+            "sequence": _sha(encode_sequence(frames, 5, 3, AdaptiveContextModel(10)))}
+
+
+def sequence_decode_run():
+    frames = moving_sequence(3, 200, seed=72)
+    refiner = RefineParams(crop_size=5, channels=(2, 4), hidden=16, seed=2)
+    ds = build_refine_dataset(align_sequence(frames).frames[0], 4, crop_size=5)
+    train_refine(refiner, 4, ds, epochs=2, batch_size=32, lr=1e-2, seed=7)
+    model = AdaptiveContextModel(10)
+    data = encode_sequence(frames, 6, 4, model, store_poses=True)
+    clouds = decode_sequence(data, model, refine_params=refiner, restore_poses=True)
+    return {"points": _sha(np.concatenate([c.points for c in clouds]))}
+
+
+def truncated_lengths_run():
+    norm, _ = normalize(structured_cloud(600, seed=71))
+    tree = build(norm, 5)
+    static = VoxelContextModel(crop_size=5, channels=(2, 4), hidden=16, seed=3)
+    static.train(build_node_dataset([tree], crop_size=5), epochs=2, batch_size=32, lr=1e-2,
+                 seed=5)
+    seq = align_sequence(moving_sequence(3, 200, seed=72))
+    ds = build_sequence_dataset(seq, 5, crop_size=5, child_crop_size=6, trunc_depth=3)
+    dynamic = DynamicContextModel(crop_size=5, child_crop_size=6, channels=(2, 4), hidden=16,
+                                  seed=4)
+    dynamic.train(ds, epochs=2, batch_size=32, lr=1e-2, seed=6)
+    return {"static": _sha(model_code_lengths(static, tree, 3)),
+            "static-bitstream": _sha(encode_cloud(structured_cloud(600, seed=71), 5, 3, static)),
+            "dataset": _sha(ds["features"]),
+            "dynamic": _sha(np.concatenate(sequence_code_lengths(dynamic, seq, 5, 3))),
+            "dynamic-bitstream": _sha(encode_sequence(seq, 5, 3, dynamic))}
+
+
 GOLDEN = {
     "static-crop5": {
         "model": "3e2657e17d3ac5e4b7a60311ac557ef0637bcc8f4bd0b146d8483b24c6e1e3cb",
@@ -91,6 +132,20 @@ GOLDEN = {
     "uniform": {
         "bitstream": "92c2f980d505004a4bf6b33d2a04198e4d7602330c4dbf2cc588f61afa1ce473",
     },
+    "adaptive": {
+        "static": "39b5ab9807c21f5e1046937cc7bc0df034290f8e4a7956f5f349d5ecfcef26e6",
+        "sequence": "56145a2877856269f6f433ef8218798455453fbc1d3ce92f41f006c4104d6bdc",
+    },
+    "sequence-decode": {
+        "points": "7bbf6dfd7a5683f9b85c4ee18a25d057940e646d0b16249d553b6c0978e901df",
+    },
+    "truncated-lengths": {
+        "static": "f87891c08be766bc66883877ef1bb4f0aeccd964629293fd439fbbd1054e93e4",
+        "static-bitstream": "a114008136f86e0ee7ef8de5cd28b526b36542a26ce263b1905f3ed4697b3f73",
+        "dataset": "261e9f45888bbaf00c513bb1f5595c2b6b02c6c908f2792a3c981066643e123d",
+        "dynamic": "205c0393f31a8cffef0863d64f28876c8fd6db3380e70d329a3a8e728762ec00",
+        "dynamic-bitstream": "764ee55e54eee7f262c1a5963066f4582279398fd05349af0b0b8fd564e4dea1",
+    },
 }
 
 RUNS = {
@@ -99,6 +154,9 @@ RUNS = {
     "dynamic": dynamic_run,
     "refine": refine_run,
     "uniform": uniform_run,
+    "adaptive": adaptive_run,
+    "sequence-decode": sequence_decode_run,
+    "truncated-lengths": truncated_lengths_run,
 }
 
 

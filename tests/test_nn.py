@@ -4,12 +4,15 @@ import math
 import numpy as np
 import pytest
 
-from voxelcodec import nn
+from voxelcodec import RefineParams, load_entropy_model, nn
 from voxelcodec.nn import (AdamState, Conv3D, FullyConnected, ModelParams, ReLU,
                            adam_step, backward, forward, init_params, layer_shapes,
                            softmax_cross_entropy)
 
-from conftest import fd_check_params, to_float64, unknown_layer_kind_model, _relu_masks
+from conftest import (fd_check_params, malformed_model_files, to_float64,
+                      unknown_layer_kind_model, _relu_masks)
+
+MALFORMED = malformed_model_files()
 
 
 class TestForward:
@@ -240,6 +243,14 @@ class TestModelFile:
         assert nn.fnv1a64(blob[:-8]) == nn.model_content_hash(blob)
         with pytest.raises(ValueError, match="unknown layer kind 9"):
             nn.deserialize_model(blob)
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_file_is_value_error(self, case):
+        # missing metadata, a missing group or a group count past the data
+        blob, option, message = MALFORMED[case]
+        load = RefineParams.deserialize if option == "--refine" else load_entropy_model
+        with pytest.raises(ValueError, match=message):
+            load(blob)
 
     def test_fnv_reference_value(self):
         # FNV-1a 64 of empty input is the offset basis; of b"a" a known constant

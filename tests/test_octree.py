@@ -69,21 +69,15 @@ class TestBuild:
 class TestLevelSymbols:
     def test_single_point_root(self):
         tree = build(PointCloud([[0.2, 0.2, 0.2]]), 3)
-        syms = tree.level_symbols(0)
-        assert len(syms) == 1
-        assert syms[0][0].depth == 0
+        assert len(tree.symbols[0]) == 1
+        assert np.array_equal(tree.levels[0], [[0, 0, 0]])
 
     def test_lexicographic_order(self):
         # cells (0,0,0) and (0,0,1) at depth 1 emit in that order
         tree = build(PointCloud([[0.25, 0.25, 0.75], [0.25, 0.25, 0.25]]), 2)
-        cells = [c for c, _ in tree.level_symbols(1)]
-        assert (cells[0].ix, cells[0].iy, cells[0].iz) == (0, 0, 0)
-        assert (cells[1].ix, cells[1].iy, cells[1].iz) == (0, 0, 1)
-
-    def test_out_of_range(self):
-        tree = build(PointCloud([[0.5, 0.5, 0.5]]), 2)
-        with pytest.raises(ValueError):
-            tree.level_symbols(2)
+        cells = tree.levels[1]
+        assert tuple(cells[0]) == (0, 0, 0)
+        assert tuple(cells[1]) == (0, 0, 1)
 
 
 class TestRebuild:

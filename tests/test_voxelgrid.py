@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from voxelcodec import (CellIndex, PointCloud, VoxelGrid, build, child_region_crop,
-                        child_region_crops, grid_from_level, local_crop, local_crops,
-                        pool_down, rebuild_from_symbols, temporal_context)
+from voxelcodec import (PointCloud, VoxelGrid, build, child_region_crops, grid_from_level,
+                        local_crops, pool_down, rebuild_from_symbols)
+from voxelcodec.entropy import make_level_context
 
 from conftest import random_cloud, structured_cloud, voxelize_directly
 
@@ -54,41 +54,36 @@ class TestLocalCrop:
     def test_m1_single_occupied_entry(self):
         tree = build(PointCloud([[0.1, 0.1, 0.1]]), 3)
         grid = grid_from_level(tree, 3)
-        crop = local_crop(grid, CellIndex(3, 0, 0, 0), 1)
-        assert crop.values.shape == (1, 1, 1)
-        assert crop.values[0, 0, 0] == 1
+        crop = local_crops(grid, np.array([[0, 0, 0]]), 1)[0]
+        assert crop.shape == (1, 1, 1)
+        assert crop[0, 0, 0] == 1
 
     def test_corner_zero_padding(self):
         grid = VoxelGrid(3, np.array([[0, 0, 0]]))
-        crop = local_crop(grid, CellIndex(3, 0, 0, 0), 3)
+        crop = local_crops(grid, np.array([[0, 0, 0]]), 3)[0]
         expect = np.zeros((3, 3, 3), dtype=np.uint8)
         expect[1, 1, 1] = 1
-        assert np.array_equal(crop.values, expect)
+        assert np.array_equal(crop, expect)
 
     def test_dense_interior_all_ones(self):
         n = 16
         cells = np.stack(np.meshgrid(*[np.arange(n)] * 3, indexing="ij"), -1).reshape(-1, 3)
         grid = VoxelGrid(4, cells)
-        crop = local_crop(grid, CellIndex(4, 8, 8, 8), 9)
-        assert crop.values.all()
+        crop = local_crops(grid, np.array([[8, 8, 8]]), 9)[0]
+        assert crop.all()
 
     def test_even_m_rejected(self):
         grid = VoxelGrid(2, np.array([[0, 0, 0]]))
         with pytest.raises(ValueError):
-            local_crop(grid, CellIndex(2, 0, 0, 0), 4)
-
-    def test_depth_mismatch_rejected(self):
-        grid = VoxelGrid(2, np.array([[0, 0, 0]]))
-        with pytest.raises(ValueError):
-            local_crop(grid, CellIndex(3, 0, 0, 0), 3)
+            local_crops(grid, np.array([[0, 0, 0]]), 4)
 
     def test_crop_locality(self):
         # flipping a cell beyond Chebyshev radius (M-1)/2 leaves the crop unchanged
         cells = np.array([[8, 8, 8], [15, 15, 15]])
         near = VoxelGrid(4, cells[:1])
         far = VoxelGrid(4, cells)
-        a = local_crop(near, CellIndex(4, 8, 8, 8), 9).values
-        b = local_crop(far, CellIndex(4, 8, 8, 8), 9).values
+        a = local_crops(near, np.array([[8, 8, 8]]), 9)[0]
+        b = local_crops(far, np.array([[8, 8, 8]]), 9)[0]
         assert np.array_equal(a, b)
 
     def test_sparse_path_matches_dense(self):
@@ -104,31 +99,32 @@ class TestLocalCrop:
         assert np.array_equal(a, b)
 
     def test_batch_matches_single(self):
+        # each row of the batch is one slice of the zero-padded dense grid
         tree = build(random_cloud(200, 5), 4)
         grid = grid_from_level(tree, 4)
         cells = tree.levels[4][:17]
         batch = local_crops(grid, cells, 5)
-        for i, c in enumerate(cells):
-            single = local_crop(grid, CellIndex(4, *map(int, c)), 5)
-            assert np.array_equal(batch[i], single.values)
+        padded = np.pad(grid.occupancy, 2)
+        for i, (x, y, z) in enumerate(cells):
+            assert np.array_equal(batch[i], padded[x:x + 5, y:y + 5, z:z + 5])
 
 
 class TestChildRegionCrop:
     def test_empty_child_grid(self):
         grid = VoxelGrid(3, np.empty((0, 3), dtype=np.int64))
-        crop = child_region_crop(grid, CellIndex(2, 1, 1, 1))
-        assert crop.values.shape == (10, 10, 10)
-        assert crop.values.sum() == 0
+        crop = child_region_crops(grid, np.array([[1, 1, 1]]))[0]
+        assert crop.shape == (10, 10, 10)
+        assert crop.sum() == 0
 
     def test_own_children_at_center(self):
         # only the node's 8 children occupied -> ones exactly at crop indices {4,5}^3
         parent = np.array([3, 2, 1])
         kids = np.stack(np.meshgrid([0, 1], [0, 1], [0, 1], indexing="ij"), -1).reshape(-1, 3)
         grid = VoxelGrid(3, 2 * parent + kids)
-        crop = child_region_crop(grid, CellIndex(2, *parent))
+        crop = child_region_crops(grid, parent[None])[0]
         expect = np.zeros((10, 10, 10), dtype=np.uint8)
         expect[4:6, 4:6, 4:6] = 1
-        assert np.array_equal(crop.values, expect)
+        assert np.array_equal(crop, expect)
 
     def test_center_block_pools_to_node_bit(self):
         tree = build(random_cloud(300, 7), 5)
@@ -137,11 +133,6 @@ class TestChildRegionCrop:
         crops = child_region_crops(grid5, cells4)
         center_pool = crops[:, 4:6, 4:6, 4:6].max(axis=(1, 2, 3))
         assert np.all(center_pool == 1)   # every depth-4 node has occupied children
-
-    def test_depth_mismatch(self):
-        grid = VoxelGrid(3, np.array([[0, 0, 0]]))
-        with pytest.raises(ValueError):
-            child_region_crop(grid, CellIndex(3, 0, 0, 0))
 
     def test_alignment_against_manual_window(self):
         # the window must span depth-(k+1) indices [2c-4, 2c+6) per axis
@@ -166,30 +157,30 @@ class TestTemporalContext:
     def test_first_frame_zero_prev(self):
         tree = build(random_cloud(100, 2), 3)
         g = grid_from_level(tree, 2)
-        center = CellIndex(2, *map(int, tree.levels[2][0]))
-        cur, prev, nxt, child = temporal_context(center, g, None, None, None)
-        assert prev.values.sum() == 0 and child.values.sum() == 0
-        assert cur.values[4, 4, 4] == 1
+        ctx = make_level_context(2, 3, tree.levels[2][:1], grid=g)
+        cur = ctx.crops(9)[0]
+        prev, nxt, child = (c[0] for c in ctx.temporal_crops(9, 10))
+        assert prev.sum() == 0 and child.sum() == 0
+        assert cur[4, 4, 4] == 1
 
     def test_identical_frames_equal_crops(self):
         tree = build(structured_cloud(300, 3), 4)
         g = grid_from_level(tree, 3)
-        center = CellIndex(3, *map(int, tree.levels[3][5]))
-        cur, prev, nxt, _ = temporal_context(center, g, g, g, None)
-        assert np.array_equal(cur.values, prev.values)
-        assert np.array_equal(cur.values, nxt.values)
+        ctx = make_level_context(3, 4, tree.levels[3][5:6], grid=g, grid_prev=g, grid_next=g)
+        cur = ctx.crops(9)[0]
+        prev, nxt, _ = (c[0] for c in ctx.temporal_crops(9, 10))
+        assert np.array_equal(cur, prev)
+        assert np.array_equal(cur, nxt)
 
     def test_two_frame_compositional_oracle(self):
         a = build(random_cloud(200, 8), 4)
         b = build(random_cloud(200, 9), 4)
         ga3, gb3, gb4 = grid_from_level(a, 3), grid_from_level(b, 3), grid_from_level(b, 4)
-        center = CellIndex(3, *map(int, a.levels[3][0]))
-        cur, prev, nxt, child = temporal_context(center, ga3, gb3, None, gb4)
-        assert np.array_equal(cur.values, local_crop(ga3, center, 9).values)
-        assert np.array_equal(prev.values, local_crop(gb3, center, 9).values)
-        assert nxt.values.sum() == 0
-        assert np.array_equal(child.values, child_region_crop(gb4, center).values)
-
-    def test_missing_current_grid(self):
-        with pytest.raises(ValueError):
-            temporal_context(CellIndex(2, 0, 0, 0), None, None, None, None)
+        center = a.levels[3][:1]
+        ctx = make_level_context(3, 4, center, grid=ga3, grid_prev=gb3, grid_prev_child=gb4)
+        cur = ctx.crops(9)[0]
+        prev, nxt, child = (c[0] for c in ctx.temporal_crops(9, 10))
+        assert np.array_equal(cur, local_crops(ga3, center, 9)[0])
+        assert np.array_equal(prev, local_crops(gb3, center, 9)[0])
+        assert nxt.sum() == 0
+        assert np.array_equal(child, child_region_crops(gb4, center)[0])
