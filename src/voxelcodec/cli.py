@@ -138,6 +138,7 @@ def cmd_encode(args):
         frames = _load_sequence(args.input, args.poses)
         data = dynamic.encode_sequence(frames, args.depth, args.trunc or args.depth,
                                        model, store_poses=bool(args.poses))
+        wall = time.perf_counter() - t0
         seq = dynamic.align_sequence(frames)
         trees = [octree.build(f, args.depth).truncate(args.trunc or args.depth)
                  for f in seq.frames]
@@ -148,11 +149,11 @@ def cmd_encode(args):
         if len(cloud) == 0:
             raise CliError(f"{args.input}: empty cloud", EXIT_FORMAT)
         data = coder.encode_cloud(cloud, args.depth, args.trunc or args.depth, model)
+        wall = time.perf_counter() - t0
         norm_cloud, _ = pointcloud.normalize(cloud)
         tree = octree.build(norm_cloud, args.depth).truncate(args.trunc or args.depth)
         n_symbols = tree.symbol_count()
         n_points = len(cloud)
-    wall = time.perf_counter() - t0
     _atomic_write(args.output, data)
     payload_bits = 8 * coder.payload_size(data)
     _write_report(args.report, {

@@ -15,7 +15,8 @@ import numpy as np
 
 from . import nn
 from .octree import Octree, cell_keys
-from .voxelgrid import CHILD_CROP_SIZE, VoxelGrid, child_region_crops, local_crops
+from .voxelgrid import (CHILD_CROP_SIZE, VoxelGrid, anchor_tiles, child_anchors,
+                        child_region_crops, local_anchors, local_crops)
 
 ALPHABET = 255
 LOG2_ALPHABET = float(np.log2(ALPHABET))
@@ -32,6 +33,44 @@ KIND_CODES = {v: k for k, v in KIND_NAMES.items()}
 
 _NEIGHBOR_OFFSETS = np.array([[1, 0, 0], [-1, 0, 0], [0, 1, 0],
                               [0, -1, 0], [0, 0, 1], [0, 0, -1]], dtype=np.int64)
+
+
+@dataclass(frozen=True)
+class Branch:
+    """Where one tower's crop comes from, declared once per model and read both
+    by the training crops (`LevelContext.branch_crops`) and by the level-wise
+    coding pass (`ContextNetModel.level_probabilities`): the LevelContext grid
+    it reads (None there means an absent neighbour frame) and whether the crop
+    is the depth-(k+1) region around the node's children (`child_region_crops`)
+    rather than the same-depth neighbourhood (`local_crops`)."""
+
+    grid: str
+    child: bool = False
+
+    def anchors(self, cells, m):
+        """Each node's crop corner in the branch's grid."""
+        return child_anchors(cells, m) if self.child else local_anchors(cells, m)
+
+
+CURRENT = Branch("grid")
+TEMPORAL = (Branch("grid_prev"), Branch("grid_next"), Branch("grid_prev_child", child=True))
+
+
+def tower_rows(tower: nn.ModelParams, grid: VoxelGrid | None, anchors, m: int) -> np.ndarray:
+    """(n, width) tower outputs of the m^3 crops at `anchors` in `grid`, by the
+    level-wise pass (`nn.tower_windows`) tile by tile (`voxelgrid.anchor_tiles`),
+    rows in node order. An absent grid is an all-zero crop for every node: its
+    one output row is computed once and broadcast."""
+    n = len(anchors)
+    width = nn.tower_width(tower, m)
+    if grid is None:
+        row = nn.tower_windows(tower, np.zeros((m,) * 3, dtype=np.uint8),
+                               np.zeros((1, 3), dtype=np.int64), m)
+        return np.broadcast_to(row, (n, width))
+    rows = np.empty((n, width))
+    for idx, box, local in anchor_tiles(grid, anchors, m):
+        rows[idx] = nn.tower_windows(tower, box, local, m)
+    return rows
 
 
 @dataclass
@@ -92,26 +131,24 @@ class LevelContext:
             self._cache["neigh"] = bits
         return self._cache["neigh"]
 
-    def crops(self, m: int) -> np.ndarray:
-        key = ("crop", m)
+    def branch_crops(self, branch: Branch, m: int) -> np.ndarray:
+        """(n, m, m, m) crops of one branch; zeros where its frame is absent."""
+        key = ("crop", branch, m)
         if key not in self._cache:
-            self._cache[key] = local_crops(self.grid, self.cells, m)
+            grid = getattr(self, branch.grid)
+            if grid is None:
+                crops = np.zeros((len(self.cells),) + (m,) * 3, dtype=np.uint8)
+            else:
+                crops = (child_region_crops if branch.child else local_crops)(grid, self.cells, m)
+            self._cache[key] = crops
         return self._cache[key]
+
+    def crops(self, m: int) -> np.ndarray:
+        return self.branch_crops(CURRENT, m)
 
     def temporal_crops(self, m: int, m_child: int):
         """(prev, next, prev_child) crop batches; zeros where the frame is absent."""
-        key = ("tcrop", m, m_child)
-        if key not in self._cache:
-            n = len(self.cells)
-            prev = (local_crops(self.grid_prev, self.cells, m) if self.grid_prev is not None
-                    else np.zeros((n, m, m, m), dtype=np.uint8))
-            nxt = (local_crops(self.grid_next, self.cells, m) if self.grid_next is not None
-                   else np.zeros((n, m, m, m), dtype=np.uint8))
-            child = (child_region_crops(self.grid_prev_child, self.cells, m_child)
-                     if self.grid_prev_child is not None
-                     else np.zeros((n, m_child, m_child, m_child), dtype=np.uint8))
-            self._cache[key] = (prev, nxt, child)
-        return self._cache[key]
+        return tuple(self.branch_crops(b, s) for b, s in zip(TEMPORAL, (m, m, m_child)))
 
 
 def make_level_context(k, max_depth, cells, prev_cells=None, prev_symbols=None,
@@ -282,16 +319,19 @@ class ContextNetModel(EntropyModel):
     conv tower per crop branch, the node features, then a two-layer MLP with a
     zero-initialized 255-way output so the fresh model predicts uniformly.
 
-    Subclasses declare their kind code, the VCNM group name and training-set
-    key of each branch, the metadata that rebuilds them, and `level_crops`:
-    the crops each branch reads from a LevelContext.
+    Subclasses declare their kind code, the VCNM group name, training-set key
+    and `Branch` geometry of each branch, and the metadata that rebuilds them.
+    Training and `predict` take per-node crops; coding runs each tower once
+    per level (`level_probabilities`), with the same result.
     """
 
     branch_names: tuple   # VCNM group of each branch, in file order; the head follows
     dataset_keys: tuple   # training-set array of each branch
+    geometry: tuple       # crop geometry (Branch) of each branch
     config_keys: tuple    # constructor arguments stored as metadata
 
     def __init__(self, channels, hidden, seed, crop_sizes, branches, head):
+        self.crop_sizes = tuple(crop_sizes)
         self.channels = tuple(channels)
         self.hidden = hidden
         self.seed = seed
@@ -309,12 +349,15 @@ class ContextNetModel(EntropyModel):
         return nn._softmax(self.logits(crop_sets, feats))
 
     def level_probabilities(self, ctx):
+        """(n, 255) distributions, equal bit for bit to predict() on each
+        branch's `ctx.branch_crops` and `ctx.node_features()`."""
         if len(ctx) == 0:
             return np.zeros((0, ALPHABET))
-        return self.predict(self.level_crops(ctx), ctx.node_features())
-
-    def node_probability(self, ctx, i):
-        return self.level_probabilities(ctx)[i]
+        rows = [tower_rows(tower, getattr(ctx, b.grid), b.anchors(ctx.cells, m), m)
+                for b, tower, m in zip(self.geometry, self.branches, self.crop_sizes)]
+        z, _ = nn.forward(self.head, np.concatenate(rows + [ctx.node_features()], axis=1),
+                          want_cache=False)
+        return nn._softmax(z)
 
     def evaluate(self, dataset, batch_size=512) -> float:
         """Mean cross-entropy of the current parameters on a dataset, in nats."""
@@ -350,7 +393,10 @@ class ContextNetModel(EntropyModel):
             config["channels"] = tuple(config["channels"])
             branches = [named[n] for n in cls.branch_names]
             head = named["head"]
-        return cls(seed=seed, branches=branches, head=head, **config)
+        model = cls(seed=seed, branches=branches, head=head, **config)
+        for tower, m in zip(model.branches, model.crop_sizes):
+            nn.tower_width(tower, m)
+        return model
 
 
 class VoxelContextModel(ContextNetModel):
@@ -359,15 +405,13 @@ class VoxelContextModel(ContextNetModel):
     kind_code = KIND_VOXEL_STATIC
     branch_names = ("tower",)
     dataset_keys = ("crops",)
+    geometry = (CURRENT,)
     config_keys = ("crop_size", "channels", "hidden")
 
     def __init__(self, crop_size=9, channels=(16, 32, 64), hidden=256, seed=0,
                  branches=None, head=None):
         self.crop_size = crop_size
         super().__init__(channels, hidden, seed, (crop_size,), branches, head)
-
-    def level_crops(self, ctx):
-        return (ctx.crops(self.crop_size),)
 
 
 class DynamicContextModel(ContextNetModel):
@@ -377,6 +421,7 @@ class DynamicContextModel(ContextNetModel):
     kind_code = KIND_VOXEL_DYNAMIC
     branch_names = ("tower-current", "tower-previous", "tower-next", "tower-child")
     dataset_keys = ("crops", "crops_prev", "crops_next", "crops_child")
+    geometry = (CURRENT,) + TEMPORAL
     config_keys = ("crop_size", "child_crop_size", "channels", "hidden")
 
     def __init__(self, crop_size=9, child_crop_size=CHILD_CROP_SIZE, channels=(16, 32, 64),
@@ -385,10 +430,6 @@ class DynamicContextModel(ContextNetModel):
         self.child_crop_size = child_crop_size
         super().__init__(channels, hidden, seed, (crop_size,) * 3 + (child_crop_size,),
                          branches, head)
-
-    def level_crops(self, ctx):
-        return (ctx.crops(self.crop_size),) + ctx.temporal_crops(self.crop_size,
-                                                                 self.child_crop_size)
 
 
 def load_entropy_model(blob: bytes) -> EntropyModel:

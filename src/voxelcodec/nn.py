@@ -1,15 +1,25 @@
 """Deterministic neural kernel: 3D valid convolution, fully connected layers,
 ReLU, reverse-mode gradients, Adam, Glorot init, the branch-generic context
-net with its training loop, and the "VCNM" model file.
+net with its training loop, the level-wise tower pass, and the "VCNM" model
+file.
 
 Every reduction goes through np.einsum with optimize=False so results are
 bit-identical regardless of BLAS threading; parameters are stored float32 and
 promoted to float64 for compute. Initialization draws from a Philox counter
 stream so seeds are portable.
+
+`forward` runs a stack on a batch of per-node crops; training and `predict`
+use it. Coding and refinement use `tower_windows` instead, which runs a conv
+tower once over a zero-padded occupancy box and gathers each node's window:
+each layer is evaluated only where some node's window needs it and an
+occupied cell is in reach (elsewhere its value on empty space is computed
+once), with the patch columns in im2col's order and the same einsum, so
+every output equals the per-crop one bit for bit.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import struct
@@ -315,10 +325,19 @@ def init_context_net(crop_sizes, channels, hidden, out_dim, seed, feature_dim=0)
         n_convs = min(len(channels), max(0, (m - 1) // 2))
         layers = tuple(layer for c in channels[:n_convs] for layer in (Conv3D(c), ReLU()))
         branches.append(init_params(layers, (1, m, m, m), seed + i))
-        width += int(np.prod(layer_shapes(layers, (1, m, m, m))[-1]))
+        width += tower_width(branches[-1], m)
     head = init_params((FullyConnected(hidden), ReLU(), FullyConnected(out_dim)), (width,),
                        seed + len(crop_sizes), zero_final=True)
     return branches, head
+
+
+def tower_width(tower: ModelParams, m) -> int:
+    """Flattened output width of a conv tower on one m^3 crop. Raises
+    ValueError unless the tower is Conv3D and ReLU layers that fit the crop."""
+    for layer in tower.layers:
+        if not isinstance(layer, (Conv3D, ReLU)):
+            raise ValueError(f"a tower holds Conv3D and ReLU layers, not {layer}")
+    return int(np.prod(layer_shapes(tower.layers, (1, m, m, m))[-1]))
 
 
 def context_forward(branches, head, crop_sets, feats=None, caches=None):
@@ -356,6 +375,97 @@ def context_backward(branches, head, caches, grad_out):
             grads.append([])
         lo += width
     return grads + [head_grads]
+
+
+# ---------------------------------------------------------------------------
+# level-wise tower pass: a valid 3x3x3 convolution commutes with translation,
+# so the tower output of the crop box[a:a+m] is the window at a of one tower run
+# over the whole box. Each layer is computed once, at the union of positions
+# the nodes' windows need, with im2col's column order and the per-crop einsum,
+# so every output element is reduced exactly as in `forward`. A needed position
+# whose receptive field holds no occupied cell sees only empty space; its
+# output, the same at every such position, is computed once from a patch of
+# the previous layer's empty-space value, by the same einsum.
+
+_COLUMN_BUDGET = 1 << 16   # patch-matrix entries per einsum call; cache-sized
+
+
+def _dilate(mask, w, step):
+    """OR of `mask` shifted by step*d, d in [0, w), along each axis.
+
+    step=+1 marks the union of the w^3 windows with lower corners in `mask`;
+    step=-1 marks the positions whose w^3 window reaches into `mask`.
+    """
+    for axis in range(3):
+        grown = mask.copy()
+        for d in range(1, w):
+            near, far = [slice(None)] * 3, [slice(None)] * 3
+            near[axis], far[axis] = slice(None, -d), slice(d, None)
+            dst, src = (far, near) if step > 0 else (near, far)
+            np.logical_or(grown[tuple(dst)], mask[tuple(src)], out=grown[tuple(dst)])
+        mask = grown
+    return mask
+
+
+def _conv_at(x, t, where, background):
+    """Conv3D of the (C, X, Y, Z) map x at the positions where `where` is set.
+
+    Output position q reads input q..q+2 and is stored at q of a map of the
+    same box shape, so every layer shares the box's flat indices. Every other
+    position gets the output of a patch of `background` (x's value per
+    channel wherever its patch was not recomputed), run through the same
+    einsum. Returns (output map, its background).
+    """
+    c, sx, sy, sz = x.shape
+    w = t[0].astype(F64).reshape(t[0].shape[0], -1)
+    b = t[1].astype(F64)
+    patch = np.repeat(background, 27)[None, None]
+    background = (_mm(patch, w, "npk,ok->nop") + b[None, :, None])[0, :, 0]
+    pos = np.flatnonzero(where)
+    ar = np.arange(3)
+    offsets = (np.arange(c)[:, None, None, None] * (sx * sy * sz) + ar[:, None, None] * (sy * sz)
+               + ar[:, None] * sz + ar).reshape(-1)        # k = c*27 + a*9 + b*3 + e
+    flat = x.reshape(-1)
+    out = np.repeat(background[:, None], where.size, axis=1)
+    step = max(1, _COLUMN_BUDGET // len(offsets))
+    for lo in range(0, len(pos), step):
+        idx = pos[lo:lo + step]
+        cols = flat[idx[:, None] + offsets]
+        out[:, idx] = (_mm(cols[None], w, "npk,ok->nop") + b[None, :, None])[0]
+    return out.reshape((len(w),) + where.shape), background
+
+
+def tower_windows(params: ModelParams, box, anchors, m):
+    """Tower outputs of the m^3 crops box[a:a+m] for each anchor (crop corner) a.
+
+    `box` is a zero-padded occupancy array containing every crop. Returns
+    (n, width) rows, each flattened in (channel, x, y, z) order, equal bit for
+    bit to forward(params, crops) reshaped the same way. A layer is computed
+    where some node's window needs it and its receptive field holds an
+    occupied cell; elsewhere in the windows it equals the output on empty
+    space, computed once.
+    """
+    tower_width(params, m)   # layer and shape check up front
+    anchors = np.asarray(anchors, dtype=np.int64).reshape(-1, 3)
+    x = np.asarray(box, dtype=F64)[None]
+    corners = np.zeros(x.shape[1:], dtype=bool)
+    corners[anchors[:, 0], anchors[:, 1], anchors[:, 2]] = True
+    reached = x[0] != 0        # positions whose receptive field holds an occupied cell
+    background = np.zeros(1)   # the map's value everywhere else
+    w = m
+    for layer, t in zip(params.layers, params.tensors):
+        if isinstance(layer, Conv3D):
+            w -= 2
+            reached = _dilate(reached, 3, -1)
+            x, background = _conv_at(x, t, _dilate(corners, w, +1) & reached, background)
+        else:
+            x = np.maximum(x, 0.0)
+            background = np.maximum(background, 0.0)
+    s = x.strides
+    win = np.lib.stride_tricks.as_strided(
+        x, tuple(d - w + 1 for d in x.shape[1:]) + (x.shape[0], w, w, w),
+        (s[1], s[2], s[3], s[0], s[1], s[2], s[3]), writeable=False)
+    return win[anchors[:, 0], anchors[:, 1], anchors[:, 2]].reshape(len(anchors), -1)
 
 
 def symbol_loss(logits, symbols):
@@ -408,6 +518,14 @@ _FNV_MASK = 0xFFFFFFFFFFFFFFFF
 
 
 def fnv1a64(data: bytes) -> int:
+    """FNV-1a-64 of `data`, memoized on the bytes themselves: the cache compares
+    whole keys, so hashing an unchanged model again costs one compare, and a
+    model whose weights changed in any byte is hashed afresh."""
+    return _fnv1a64(bytes(data))
+
+
+@functools.lru_cache(maxsize=8)
+def _fnv1a64(data: bytes) -> int:
     h = FNV_OFFSET
     for byte in data:
         h = ((h ^ byte) * FNV_PRIME) & _FNV_MASK

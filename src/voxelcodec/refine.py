@@ -12,10 +12,10 @@ from __future__ import annotations
 import numpy as np
 
 from . import nn
-from .entropy import KIND_REFINE
+from .entropy import KIND_REFINE, tower_rows
 from .octree import Octree, build, cell_keys
 from .pointcloud import NormalizationParams, PointCloud
-from .voxelgrid import grid_from_level, local_crops
+from .voxelgrid import grid_from_level, local_anchors, local_crops
 
 
 class RefineParams:
@@ -59,28 +59,41 @@ class RefineParams:
             params = cls(meta["crop_size"], tuple(meta["channels"]), meta["hidden"], seed)
             for depth in meta["depths"]:
                 params.entries[depth] = (named[f"tower-d{depth}"], named[f"head-d{depth}"])
+        for tower, _ in params.entries.values():
+            nn.tower_width(tower, params.crop_size)
         return params
 
 
 _HALF_OPEN = np.nextafter(0.5, 0.0)   # tanh saturates to exactly 1.0 in float64
 
 
-def refine_offsets(params: RefineParams, depth: int, crops) -> np.ndarray:
-    """(n, 3) offsets in leaf-cell-edge units, each component in (-0.5, 0.5)."""
+def _network(params: RefineParams, depth: int):
     if depth not in params.entries:
         raise ValueError(f"no refinement network for depth {depth}")
-    tower, head = params.entries[depth]
-    y = nn.context_forward([tower], head, (crops,))
+    return params.entries[depth]
+
+
+def _bounded(y):
     return np.clip(0.5 * np.tanh(y), -_HALF_OPEN, _HALF_OPEN)
 
 
+def refine_offsets(params: RefineParams, depth: int, crops) -> np.ndarray:
+    """(n, 3) offsets in leaf-cell-edge units, each component in (-0.5, 0.5)."""
+    tower, head = _network(params, depth)
+    return _bounded(nn.context_forward([tower], head, (crops,)))
+
+
 def refine_apply(tree: Octree, params: RefineParams, norm: NormalizationParams) -> PointCloud:
-    """Shift each leaf center by its predicted offset and denormalize."""
+    """Shift each leaf center by its predicted offset and denormalize.
+
+    The tower runs once over the leaf grid (`entropy.tower_rows`), so the
+    offsets equal refine_offsets() on the leaves' crops bit for bit.
+    """
     d = tree.max_depth
-    cells = tree.levels[d]
-    grid = grid_from_level(tree, d)
-    crops = local_crops(grid, cells, params.crop_size)
-    offsets = refine_offsets(params, d, crops)
+    tower, head = _network(params, d)
+    m = params.crop_size
+    rows = tower_rows(tower, grid_from_level(tree, d), local_anchors(tree.levels[d], m), m)
+    offsets = _bounded(nn.forward(head, rows, want_cache=False)[0])
     centers = tree.leaf_centers() + offsets * (2.0 ** -d)
     return PointCloud(norm.invert(centers))
 

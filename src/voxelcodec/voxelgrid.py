@@ -1,8 +1,10 @@
-"""Per-depth binary occupancy grids and the local voxel crops fed to the models.
+"""Per-depth binary occupancy grids, the local voxel crops fed to the models,
+and the tiles of zero-padded occupancy the level-wise tower pass reads.
 
 Grids at depth k cover [0, 2^k)^3. Up to depth 9 a dense uint8 array is kept;
-deeper grids fall back to a sorted-key set, since a crop only ever touches M^3
-cells and membership tests vectorize well with searchsorted.
+deeper grids fall back to a sorted-key set, since a crop or tile only ever
+touches a bounded box of cells and membership tests vectorize well with
+searchsorted.
 """
 
 from __future__ import annotations
@@ -65,15 +67,16 @@ def grid_from_level(source, k: int) -> VoxelGrid:
     return VoxelGrid(k, cells)
 
 
-def _extract_windows(grid: VoxelGrid, starts: np.ndarray, m: int) -> np.ndarray:
-    """Gather (n, m, m, m) windows whose lower corner per node is `starts` (may be negative)."""
+def _extract_windows(grid: VoxelGrid, starts: np.ndarray, shape) -> np.ndarray:
+    """Gather (n, *shape) windows whose lower corner per node is `starts` (may be
+    negative); `shape` is one edge for cubes or three extents."""
     starts = np.asarray(starts, dtype=np.int64).reshape(-1, 3)
+    ex, ey, ez = np.broadcast_to(np.asarray(shape, dtype=np.int64), 3)
     n = len(starts)
     s = grid.size
-    ar = np.arange(m, dtype=np.int64)
-    ax = starts[:, 0, None] + ar
-    ay = starts[:, 1, None] + ar
-    az = starts[:, 2, None] + ar
+    ax = starts[:, 0, None] + np.arange(ex)
+    ay = starts[:, 1, None] + np.arange(ey)
+    az = starts[:, 2, None] + np.arange(ez)
     if grid._dense is not None:
         vx = (ax >= 0) & (ax < s)
         vy = (ay >= 0) & (ay < s)
@@ -83,8 +86,8 @@ def _extract_windows(grid: VoxelGrid, starts: np.ndarray, m: int) -> np.ndarray:
         valid = vx[:, :, None, None] & vy[:, None, :, None] & vz[:, None, None, :]
         return (out & valid).astype(np.uint8)
     # sparse path, chunked to bound the key-cube working set
-    out = np.empty((n, m, m, m), dtype=np.uint8)
-    chunk = max(1, (1 << 21) // (m * m * m))
+    out = np.empty((n, ex, ey, ez), dtype=np.uint8)
+    chunk = max(1, (1 << 21) // int(ex * ey * ez))
     d = grid.depth
     for lo in range(0, n, chunk):
         hi = min(lo + chunk, n)
@@ -104,19 +107,23 @@ def _extract_windows(grid: VoxelGrid, starts: np.ndarray, m: int) -> np.ndarray:
     return out
 
 
-def local_crops(grid: VoxelGrid, cells: np.ndarray, m: int) -> np.ndarray:
-    """Same-depth M^3 crops centered on each cell; M must be odd."""
+def local_anchors(cells: np.ndarray, m: int) -> np.ndarray:
+    """Lower corner of the same-depth M^3 crop centered on each cell; M must be odd."""
     if m % 2 == 0 or m < 1:
         raise ValueError(f"crop size must be odd and >= 1, got {m}")
-    cells = np.asarray(cells, dtype=np.int64).reshape(-1, 3)
-    return _extract_windows(grid, cells - (m - 1) // 2, m)
+    return np.asarray(cells, dtype=np.int64).reshape(-1, 3) - (m - 1) // 2
+
+
+def local_crops(grid: VoxelGrid, cells: np.ndarray, m: int) -> np.ndarray:
+    """Same-depth M^3 crops centered on each cell; M must be odd."""
+    return _extract_windows(grid, local_anchors(cells, m), m)
 
 
 CHILD_CROP_SIZE = 10
 
 
-def child_region_crops(grid: VoxelGrid, cells: np.ndarray, m: int = CHILD_CROP_SIZE) -> np.ndarray:
-    """Depth-(k+1) crops around the children of depth-k cells.
+def child_anchors(cells: np.ndarray, m: int = CHILD_CROP_SIZE) -> np.ndarray:
+    """Lower corner, at depth k+1, of the child-region crop of each depth-k cell.
 
     The window spans child indices [2c - (m-2)/2, 2c + (m+2)/2) per axis, i.e.
     for m=10 the refinement of the 5-cell same-depth neighborhood, keeping the
@@ -124,8 +131,36 @@ def child_region_crops(grid: VoxelGrid, cells: np.ndarray, m: int = CHILD_CROP_S
     """
     if m % 2 != 0:
         raise ValueError(f"child-region crop size must be even, got {m}")
-    cells = np.asarray(cells, dtype=np.int64).reshape(-1, 3)
-    return _extract_windows(grid, 2 * cells - (m - 2) // 2, m)
+    return 2 * np.asarray(cells, dtype=np.int64).reshape(-1, 3) - (m - 2) // 2
+
+
+def child_region_crops(grid: VoxelGrid, cells: np.ndarray, m: int = CHILD_CROP_SIZE) -> np.ndarray:
+    """Depth-(k+1) crops around the children of depth-k cells (see `child_anchors`)."""
+    return _extract_windows(grid, child_anchors(cells, m), m)
+
+
+TILE = 32   # edge, in cells of the cropped grid, of the tiles of the level-wise tower pass
+
+
+def anchor_tiles(grid: VoxelGrid, anchors: np.ndarray, m: int):
+    """Split M^3 crops with lower corners `anchors` into TILE^3 tiles by crop center.
+
+    Yields, per tile, (node indices, the zero-padded occupancy box that holds
+    the tile's crops, the crop corners relative to that box). The box spans
+    only the tile's crops, so its size is bounded whatever the level's extent.
+    """
+    anchors = np.asarray(anchors, dtype=np.int64).reshape(-1, 3)
+    if not len(anchors):
+        return
+    tiles = (anchors + m // 2) // TILE
+    order = np.lexsort((tiles[:, 2], tiles[:, 1], tiles[:, 0]))
+    ordered = tiles[order]
+    cuts = np.flatnonzero((ordered[1:] != ordered[:-1]).any(axis=1)) + 1
+    for idx in np.split(order, cuts):
+        a = anchors[idx]
+        lo = a.min(axis=0)
+        box = _extract_windows(grid, lo, a.max(axis=0) - lo + m)[0]
+        yield idx, box, a - lo
 
 
 def pool_down(grid: VoxelGrid) -> np.ndarray:

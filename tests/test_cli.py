@@ -4,12 +4,14 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from voxelcodec import (PointCloud, UniformModel, decode_cloud, encode_cloud,
+from voxelcodec import (PointCloud, UniformModel, cli, decode_cloud, encode_cloud,
                         pointcloud, psnr_point)
 from voxelcodec.cli import main
 
@@ -39,6 +41,28 @@ class TestEncodeDecode:
         rep = json.loads(report.read_text())
         assert rep["symbols"] == 3
         assert out.exists()
+
+    @pytest.mark.parametrize("sequence", [False, True])
+    def test_report_wall_time_excludes_symbol_recount(self, tmp_path, monkeypatch, sequence):
+        frames_dir = tmp_path / "frames"
+        frames_dir.mkdir()
+        for t in range(2 if sequence else 1):
+            _write_cloud(frames_dir / f"f{t}.xyz", structured_cloud(200, seed=t))
+        real_build = cli.octree.build
+
+        def slow_build(*args, **kwargs):
+            time.sleep(1.0)
+            return real_build(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "octree", SimpleNamespace(build=slow_build))
+        report = tmp_path / "r.json"
+        source = frames_dir if sequence else frames_dir / "f0.xyz"
+        flags = ["--sequence"] if sequence else []
+        assert _run("encode", source, tmp_path / "c.vcnb", "--depth", 4, "--report", report,
+                    *flags) == 0
+        rep = json.loads(report.read_text())
+        assert rep["wall_time_s"] < 1.0
+        assert rep["symbols"] > 0
 
     def test_end_to_end_matches_library(self, tmp_path):
         cloud = structured_cloud(800, seed=1)

@@ -6,7 +6,7 @@ import pytest
 from voxelcodec import (AdaptiveContextModel, DynamicContextModel, UniformModel,
                         VoxelContextModel, build, build_node_dataset,
                         cross_entropy_bpp, entropy, load_entropy_model,
-                        model_code_lengths, normalize)
+                        model_code_lengths, nn, normalize)
 from voxelcodec.entropy import ALPHABET, LOG2_ALPHABET, make_level_context
 
 from conftest import random_cloud, structured_cloud
@@ -205,6 +205,51 @@ class TestDynamicModel:
                       for s in (5, 5, 5, 6))
         feats = rng.random((4, 4))
         assert np.array_equal(m.predict(crops, feats), back.predict(crops, feats))
+
+
+class TestTowerGeometry:
+    """A model file whose towers cannot run on their crops is rejected at load."""
+
+    def test_fully_connected_tower_rejected(self):
+        kind, seed, meta, groups = nn.deserialize_model(
+            VoxelContextModel(crop_size=5, channels=(2,), hidden=8, seed=0).serialize())
+        fc = nn.init_params((nn.FullyConnected(18),), (125,), 0)
+        groups = [(name, fc if name == "tower" else g) for name, g in groups]
+        with pytest.raises(ValueError, match="Conv3D and ReLU"):
+            load_entropy_model(nn.serialize_model(kind, seed, meta, groups))
+
+    def test_tower_larger_than_crop_rejected(self):
+        kind, seed, meta, groups = nn.deserialize_model(
+            DynamicContextModel(crop_size=5, child_crop_size=6, channels=(2, 4), hidden=8,
+                                seed=0).serialize())
+        with pytest.raises(ValueError, match="too small"):
+            load_entropy_model(nn.serialize_model(kind, seed, {**meta, "crop_size": 3}, groups))
+
+
+class TestContentHash:
+    """content_hash() is memoized on the serialized bytes, so it must follow
+    every change of the weights, in place or by assignment."""
+
+    @staticmethod
+    def _uncached(model):
+        return nn._fnv1a64.__wrapped__(model.serialize()[:-8])
+
+    def test_hash_follows_in_place_training(self):
+        m = VoxelContextModel(crop_size=5, channels=(2, 4), hidden=16, seed=5)
+        before = m.content_hash()
+        assert before == self._uncached(m)
+        m.train(_tiny_dataset(seed=7, m=5, n=64), epochs=1, batch_size=32, lr=1e-2, seed=5)
+        after = m.content_hash()
+        assert after != before
+        assert after == self._uncached(m)
+
+    def test_hash_follows_branch_assignment(self):
+        m = DynamicContextModel(crop_size=5, child_crop_size=6, channels=(2,), hidden=8, seed=0)
+        before = m.content_hash()
+        m.branches = DynamicContextModel(crop_size=5, child_crop_size=6, channels=(2,),
+                                         hidden=8, seed=1).branches
+        assert m.content_hash() != before
+        assert m.content_hash() == self._uncached(m)
 
 
 class TestTraining:

@@ -8,8 +8,13 @@ uniform-model bitstream, whose level tables come from one shared row;
 adaptive static and sequence bitstreams, coded node by node; the refined,
 pose-restored points of a decoded sequence; and code lengths and training
 features at a truncation depth below the tree depth, whose node features
-divide by the untruncated depth. A change to the shared context net, the
-training loop, the level schedule or the coder that alters a single bit of
+divide by the untruncated depth. The "wide" cases run three-conv towers on
+9^3 crops (and 10^3 child crops) over levels that span several tiles of
+the level-wise tower pass, and the "deep" case codes and refines a depth-11
+cloud whose levels 10 and 11 live in sparse grids; their models are
+trained, since a fresh model's zeroed head predicts uniformly whatever its
+towers compute. A change to the shared context net, the training loop, the
+level schedule, the tower pass or the coder that alters a single bit of
 any of these fails here. The values were recorded with numpy 2.4 on
 x86-64 Linux.
 """
@@ -21,8 +26,8 @@ import pytest
 
 from voxelcodec import (AdaptiveContextModel, DynamicContextModel, RefineParams, UniformModel,
                         VoxelContextModel, align_sequence, build, build_node_dataset,
-                        build_refine_dataset, build_sequence_dataset, decode_sequence,
-                        encode_cloud, encode_sequence, model_code_lengths, normalize,
+                        build_refine_dataset, build_sequence_dataset, decode_cloud,
+                        decode_sequence, encode_cloud, encode_sequence, model_code_lengths, normalize,
                         refine_apply, sequence_code_lengths, train_refine)
 
 from conftest import moving_sequence, structured_cloud
@@ -105,6 +110,56 @@ def truncated_lengths_run():
             "dynamic-bitstream": _sha(encode_sequence(seq, 5, 3, dynamic))}
 
 
+WIDE = (2, 4, 8)
+
+
+def static_wide_run():
+    cloud = structured_cloud(1500, seed=74)
+    norm, _ = normalize(cloud)
+    ds = build_node_dataset([build(norm, 6)], crop_size=9)
+    model = VoxelContextModel(crop_size=9, channels=WIDE, hidden=16, seed=3)
+    curve = model.train(ds, epochs=2, batch_size=64, lr=1e-2, seed=5)
+    data = encode_cloud(cloud, 7, 7, model)
+    return {"model": _sha(model.serialize()), "curve": _sha(curve),
+            "bitstream": _sha(data), "decoded": _sha(decode_cloud(data, model).points)}
+
+
+def dynamic_wide_run():
+    frames = moving_sequence(3, 300, seed=75)
+    ds = build_sequence_dataset(align_sequence(frames), 5, crop_size=9, child_crop_size=10)
+    model = DynamicContextModel(crop_size=9, child_crop_size=10, channels=WIDE, hidden=16,
+                                seed=4)
+    curve = model.train(ds, epochs=2, batch_size=64, lr=1e-2, seed=6)
+    data = encode_sequence(frames, 6, 6, model)
+    clouds = decode_sequence(data, model)
+    return {"model": _sha(model.serialize()), "curve": _sha(curve), "bitstream": _sha(data),
+            "decoded": _sha(np.concatenate([c.points for c in clouds]))}
+
+
+def refine_wide_run():
+    norm, params = normalize(structured_cloud(1500, seed=76))
+    ds = build_refine_dataset(norm, 7, crop_size=9)
+    refiner = RefineParams(crop_size=9, channels=WIDE, hidden=16, seed=2)
+    curve = train_refine(refiner, 7, ds, epochs=2, batch_size=64, lr=1e-2, seed=7)
+    return {"model": _sha(refiner.serialize()), "curve": _sha(curve),
+            "points": _sha(refine_apply(ds["tree"], refiner, params).points)}
+
+
+def deep_run():
+    cloud = structured_cloud(300, seed=77)
+    norm, _ = normalize(cloud)
+    tree = build(norm, 11)
+    model = VoxelContextModel(crop_size=9, channels=WIDE, hidden=16, seed=3)
+    curve = model.train(build_node_dataset([tree], crop_size=9), epochs=2, batch_size=64,
+                        lr=1e-2, seed=5)
+    refiner = RefineParams(crop_size=9, channels=WIDE, hidden=16, seed=2)
+    train_refine(refiner, 11, build_refine_dataset(norm, 11, crop_size=9), epochs=2,
+                 batch_size=64, lr=1e-2, seed=7)
+    data = encode_cloud(cloud, 11, 11, model)
+    return {"model": _sha(model.serialize()), "curve": _sha(curve), "bitstream": _sha(data),
+            "refined": _sha(decode_cloud(data, model, refine_params=refiner).points)}
+
+
 GOLDEN = {
     "static-crop5": {
         "model": "3e2657e17d3ac5e4b7a60311ac557ef0637bcc8f4bd0b146d8483b24c6e1e3cb",
@@ -146,6 +201,29 @@ GOLDEN = {
         "dynamic": "205c0393f31a8cffef0863d64f28876c8fd6db3380e70d329a3a8e728762ec00",
         "dynamic-bitstream": "764ee55e54eee7f262c1a5963066f4582279398fd05349af0b0b8fd564e4dea1",
     },
+    "static-wide": {
+        "model": "76f19572ddaf955053304327ea9c126cb02ee696bd6b234f3c1d4f9640eb78bd",
+        "curve": "c877bb4fd6503762f83d02d4d60ab730f54c1584e4d49e30b02acea833345956",
+        "bitstream": "7c4b235b7c94696d6396383fe497036d5cb1c3591c0656602b5fdd515c6b59a7",
+        "decoded": "f342a38f9094d7f32c1fbede3cc8c59e2ce3b97dd8f4aabc6f40608fe04603a2",
+    },
+    "dynamic-wide": {
+        "model": "68e8caada12a73a213639b93b3cf3d6456e5dea40670e5302a2db6aae548fa97",
+        "curve": "5f83c864a4957361b699df84bc7bac4119f24be656f9b34e17a3cfbf77cdd47f",
+        "bitstream": "d2a3fc3c4b046999bf87d55af66f572c2603a7089008687a9d1e3c5c49255cce",
+        "decoded": "fdb45c5f6c8b5fbb7e8449c53d62bfe0a1fe9f0818994ba81734843b177b1401",
+    },
+    "refine-wide": {
+        "model": "dfbb14baf5aa1df8f5ba5ef6e97e1f7f33cd1dcc2b2c49b01812ce4cb72a1498",
+        "curve": "09483e0dcc900a62080e5daf298fd49e575ebff1410ab88f04875dd57bec8533",
+        "points": "fab40b4e41a54c44f59e6759a3c3f4d863e1d9a12c961b0339ed245b2a022c06",
+    },
+    "deep": {
+        "model": "e98dcc165a123bed57722bd6bd50b9d17a36e0beb2eb7c0b58014699bd90bcc0",
+        "curve": "f417d2ee15f4b2a9949c5c80b95b700673cd2a4543b4eac39bdef65a72e0c603",
+        "bitstream": "dcda2222b12874ec460a5d877ef612ba52c59c711fa2e326531668bb84a8ac42",
+        "refined": "18729601a3ed9d36008796683bd8a2f470f8447913f0de34673ad04d7a3b192e",
+    },
 }
 
 RUNS = {
@@ -157,6 +235,10 @@ RUNS = {
     "adaptive": adaptive_run,
     "sequence-decode": sequence_decode_run,
     "truncated-lengths": truncated_lengths_run,
+    "static-wide": static_wide_run,
+    "dynamic-wide": dynamic_wide_run,
+    "refine-wide": refine_wide_run,
+    "deep": deep_run,
 }
 
 

@@ -1,0 +1,111 @@
+"""The level-wise tower pass equals the per-crop path bit for bit.
+
+Coding runs each tower once per level over tiles of the zero-padded grid
+(`entropy.tower_rows`, `nn.tower_windows`); training and `predict` run
+`nn.forward` on per-node crops. The two must agree on the float64 bit
+patterns, or encoder-side probabilities would depend on which path ran.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from voxelcodec import DynamicContextModel, VoxelGrid, nn
+from voxelcodec.entropy import CURRENT, TEMPORAL, make_level_context, tower_rows
+from voxelcodec.voxelgrid import DENSE_DEPTH_LIMIT, TILE, _extract_windows, anchor_tiles
+
+
+def _randomize(params, rng):
+    """Nonzero weights and biases, so every layer and the relu(bias) chain matter."""
+    for group in params.tensors:
+        for t in group:
+            t[...] = rng.normal(0.0, 0.5, t.shape).astype(np.float32)
+
+
+def _tower(m, channels, rng):
+    (tower,), _ = nn.init_context_net((m,), channels, 4, 3, 0)
+    _randomize(tower, rng)
+    return tower
+
+
+def _cells(rng, depth, n):
+    """Random cells, some pinned to the grid's faces so crops cross the edge."""
+    size = 1 << depth
+    cells = rng.integers(0, size, (n, 3))
+    faces = rng.random((n, 3)) < 0.2
+    cells[faces] = rng.choice([0, size - 1], faces.sum())
+    return cells
+
+
+def _per_crop(tower, crops):
+    x = crops[:, None].astype(np.float64)
+    if tower.layers:
+        x = nn.forward(tower, x, want_cache=False)[0]
+    return x.reshape(len(crops), -1)
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       depth=st.sampled_from([3, 6, 7, DENSE_DEPTH_LIMIT + 1]),
+       m=st.sampled_from([1, 3, 5, 9, 6, 10]),
+       channels=st.lists(st.integers(1, 5), min_size=1, max_size=3),
+       n=st.integers(1, 60))
+def test_tower_rows_equal_per_crop_forward(seed, depth, m, channels, n):
+    """Dense and sparse grids, crops at and past the edge, 1-3 convs, one or many tiles."""
+    rng = np.random.default_rng(seed)
+    tower = _tower(m, tuple(channels), rng)
+    child = m % 2 == 0
+    grid = VoxelGrid(depth + child, _cells(rng, depth + child, int(rng.integers(1, 400))))
+    cells = _cells(rng, depth, n)
+    anchors = (TEMPORAL[2] if child else CURRENT).anchors(cells, m)
+    expected = _per_crop(tower, _extract_windows(grid, anchors, m))
+    assert _same_bits(tower_rows(tower, grid, anchors, m), expected)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.sampled_from([1, 3, 5, 9, 6, 10]),
+       channels=st.lists(st.integers(1, 5), min_size=1, max_size=3))
+def test_absent_frame_row_equals_zero_crops(seed, m, channels):
+    rng = np.random.default_rng(seed)
+    tower = _tower(m, tuple(channels), rng)
+    got = tower_rows(tower, None, np.zeros((5, 3), dtype=np.int64), m)
+    assert _same_bits(np.ascontiguousarray(got), _per_crop(tower, np.zeros((5,) + (m,) * 3)))
+
+
+def test_level_spanning_many_tiles():
+    """A depth-7 level whose crops fall into many tiles, with three convs."""
+    rng = np.random.default_rng(0)
+    tower = _tower(9, (2, 3, 4), rng)
+    grid = VoxelGrid(7, _cells(rng, 7, 3000))
+    anchors = CURRENT.anchors(_cells(rng, 7, 300), 9)
+    assert len(list(anchor_tiles(grid, anchors, 9))) > (128 // TILE) ** 3 // 2
+    expected = _per_crop(tower, _extract_windows(grid, anchors, 9))
+    assert _same_bits(tower_rows(tower, grid, anchors, 9), expected)
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), depth=st.sampled_from([2, 5, DENSE_DEPTH_LIMIT + 1]),
+       present=st.tuples(st.booleans(), st.booleans()),
+       channels=st.lists(st.integers(1, 4), min_size=1, max_size=3))
+def test_level_probabilities_equal_predict(seed, depth, present, channels):
+    """The dynamic model's coding pass against predict() on the same level's
+    crops, with either neighbour frame missing (end frames of a sequence)."""
+    rng = np.random.default_rng(seed)
+    model = DynamicContextModel(crop_size=5, child_crop_size=6, channels=tuple(channels),
+                                hidden=8, seed=1)
+    for params in model.branches + [model.head]:
+        _randomize(params, rng)
+    cells = np.unique(_cells(rng, depth, 40), axis=0)
+    has_prev, has_next = present
+    ctx = make_level_context(
+        depth, depth + 1, cells,
+        grid_prev=VoxelGrid(depth, _cells(rng, depth, 50)) if has_prev else None,
+        grid_next=VoxelGrid(depth, _cells(rng, depth, 50)) if has_next else None,
+        grid_prev_child=VoxelGrid(depth + 1, _cells(rng, depth + 1, 200)) if has_prev else None)
+    crops = [ctx.branch_crops(b, m) for b, m in zip(model.geometry, model.crop_sizes)]
+    expected = model.predict(crops, ctx.node_features())
+    assert _same_bits(model.level_probabilities(ctx), expected)

@@ -4,7 +4,7 @@ import pytest
 from voxelcodec import (PointCloud, RefineParams, UniformModel, build,
                         build_refine_dataset, chamfer, decode_cloud, encode_cloud,
                         normalize, reconstruct_centers, refine_apply, refine_offsets,
-                        train_refine)
+                        nn, train_refine)
 from voxelcodec.voxelgrid import grid_from_level, local_crops
 
 from conftest import planar_cloud, random_cloud
@@ -159,3 +159,11 @@ class TestEndToEnd:
         crops = (rng.random((5, 5, 5, 5)) < 0.5).astype(np.uint8)
         assert np.array_equal(refine_offsets(params, 6, crops),
                               refine_offsets(back, 6, crops))
+
+    def test_tower_larger_than_crop_rejected(self):
+        params = RefineParams(crop_size=5, channels=(2, 4), hidden=16, seed=8)
+        params.add_depth(4)
+        kind, seed, meta, groups = nn.deserialize_model(params.serialize())
+        with pytest.raises(ValueError, match="too small"):
+            RefineParams.deserialize(nn.serialize_model(kind, seed, {**meta, "crop_size": 3},
+                                                        groups))
