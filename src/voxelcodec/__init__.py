@@ -18,6 +18,6 @@ from .pointcloud import (NormalizationParams, ParseError, PointCloud, RigidTrans
                          write_points)
 from .refine import (RefineParams, build_refine_dataset, refine_apply, refine_offsets,
                      train_refine)
-from .voxelgrid import VoxelGrid, child_region_crops, grid_from_level, local_crops, pool_down
+from .voxelgrid import VoxelGrid, child_region_crops, grid_from_level, local_crops
 
 __version__ = "0.1.0"

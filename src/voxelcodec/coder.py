@@ -335,17 +335,20 @@ def decode_frames(data: bytes, model: em.EntropyModel, mode: int, refine_params=
                           f"got {model.kind}")
     if model.content_hash() != header.model_hash:
         raise DecodeError("model hash mismatch: refusing to decode with different weights")
-    n = len(header.frame_point_counts) if mode == MODE_DYNAMIC else 1
+    # every node holds a point, so no level of a frame outgrows its point count
+    limits = header.frame_point_counts if mode == MODE_DYNAMIC else [header.point_count]
     dec = RangeDecoder(data[pos:])
     model.begin_stream()
     trees = [oct.Octree(header.trunc_depth, [np.zeros((1, 3), dtype=np.int64)], [])
-             for _ in range(n)]
+             for _ in limits]
     for t, k, ctx in em.level_contexts(trees, header.max_depth, header.trunc_depth):
         sym = _code_level(ctx, None, model, dec, decoding=True)
-        if sym.min() < 1:
-            raise DecodeError(f"decoded an impossible zero symbol at depth {k}")
+        level = oct._expand_children(trees[t].levels[k], sym, k)
+        if len(level) > limits[t]:
+            raise DecodeError(f"frame {t} depth {k + 1} decodes to {len(level)} nodes, "
+                              f"more than its {limits[t]} points")
         trees[t].symbols.append(sym)
-        trees[t].levels.append(oct._expand_children(trees[t].levels[k], sym, k))
+        trees[t].levels.append(level)
     if refine_params is not None:
         from .refine import refine_apply
         clouds = [refine_apply(tree, refine_params, header.norm) for tree in trees]

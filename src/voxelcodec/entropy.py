@@ -237,9 +237,6 @@ class UniformModel(EntropyModel):
     def level_probabilities(self, ctx):
         return np.full(ALPHABET, 1.0 / ALPHABET)
 
-    def node_probability(self, ctx, i):
-        return np.full(ALPHABET, 1.0 / ALPHABET)
-
     def serialize(self):
         return nn.serialize_model(self.kind_code, 0, {"kind": self.kind}, [])
 

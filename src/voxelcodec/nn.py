@@ -643,17 +643,3 @@ def model_fields():
         raise ValueError(f"model file lacks {exc.args[0]!r}") from exc
     except TypeError as exc:
         raise ValueError(f"model file has a malformed field: {exc}") from exc
-
-
-def save_model(path, kind, seed, meta, groups):
-    blob = serialize_model(kind, seed, meta, groups)
-    with open(path, "wb") as fh:
-        fh.write(blob)
-    return model_content_hash(blob)
-
-
-def load_model(path):
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    kind, seed, meta, groups = deserialize_model(blob)
-    return kind, seed, meta, groups, model_content_hash(blob)

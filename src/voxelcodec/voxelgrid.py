@@ -1,23 +1,22 @@
-"""Per-depth binary occupancy grids, the local voxel crops fed to the models,
-and the tiles of zero-padded occupancy the level-wise tower pass reads.
+"""Per-depth binary occupancy grids, the tiles of zero-padded occupancy the
+level-wise tower pass reads, and the local voxel crops cut from those tiles.
 
-Grids at depth k cover [0, 2^k)^3. Up to depth 9 a dense uint8 array is kept;
-deeper grids fall back to a sorted-key set, since a crop or tile only ever
-touches a bounded box of cells and membership tests vectorize well with
-searchsorted.
+A grid at depth k covers [0, 2^k)^3 and is stored at every depth as the
+sorted keys of its occupied cells, since a crop or tile only ever touches a
+bounded box of cells. A box is gathered from key ranges (`VoxelGrid.box`),
+the coordinate-map idea of sparse convolution (Choy et al., MinkowskiEngine,
+arXiv:1904.08755), and every crop is a cube window of a tile's box.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .octree import Octree, cell_keys
-
-DENSE_DEPTH_LIMIT = 9
+from .octree import Octree, cell_keys, keys_to_cells
 
 
 class VoxelGrid:
-    """Binary occupancy of one octree level."""
+    """Binary occupancy of one octree level, as the sorted keys of its cells."""
 
     def __init__(self, depth: int, cells: np.ndarray):
         self.depth = depth
@@ -26,21 +25,6 @@ class VoxelGrid:
         if len(cells) and (cells.min() < 0 or cells.max() >= self.size):
             raise ValueError(f"cell index out of range for depth {depth}")
         self.keys = np.unique(cell_keys(cells, depth))
-        self._dense = None
-        if depth <= DENSE_DEPTH_LIMIT:
-            dense = np.zeros((self.size,) * 3, dtype=np.uint8)
-            dense[cells[:, 0], cells[:, 1], cells[:, 2]] = 1
-            self._dense = dense
-
-    @property
-    def occupancy(self) -> np.ndarray:
-        """Dense 2^k cubed array; only materialized at dense depths."""
-        if self._dense is None:
-            raise ValueError(f"grid at depth {self.depth} is sparse; no dense occupancy array")
-        return self._dense
-
-    def occupied_count(self) -> int:
-        return len(self.keys)
 
     def contains(self, cells: np.ndarray) -> np.ndarray:
         """Vectorized membership: (n, 3) int -> (n,) uint8, out-of-range counts as empty."""
@@ -52,9 +36,33 @@ class VoxelGrid:
         hit = (self.keys[pos] == keys) if len(self.keys) else np.zeros(len(cells), dtype=bool)
         return (hit & inside).astype(np.uint8)
 
+    def box(self, lo, ext) -> np.ndarray:
+        """Zero-padded uint8 occupancy of the cells [lo, lo + ext); the box may
+        reach past any face of the grid.
+
+        Keys are x-major, so the cells of one x row within the box's y span are
+        one key range, found by searchsorted; they are filtered on z and
+        scattered into the box.
+        """
+        lo = np.asarray(lo, dtype=np.int64).reshape(3)
+        ext = np.asarray(ext, dtype=np.int64).reshape(3)
+        out = np.zeros(tuple(ext), dtype=np.uint8)
+        a, b = np.maximum(lo, 0), np.minimum(lo + ext, self.size)
+        if (a >= b).any():
+            return out
+        d = self.depth
+        rows = np.arange(a[0], b[0]) << (2 * d)
+        first = np.searchsorted(self.keys, rows + (a[1] << d))
+        count = np.searchsorted(self.keys, rows + (b[1] << d)) - first
+        pos = np.repeat(first - np.cumsum(count) + count, count) + np.arange(count.sum())
+        cells = keys_to_cells(self.keys[pos], d) - lo
+        cells = cells[(cells[:, 2] >= 0) & (cells[:, 2] < ext[2])]
+        out[cells[:, 0], cells[:, 1], cells[:, 2]] = 1
+        return out
+
 
 def grid_from_level(source, k: int) -> VoxelGrid:
-    """Materialize the occupancy grid of depth level k.
+    """The occupancy grid of depth level k.
 
     `source` is either an Octree or a (n, 3) array of occupied cells.
     """
@@ -67,43 +75,14 @@ def grid_from_level(source, k: int) -> VoxelGrid:
     return VoxelGrid(k, cells)
 
 
-def _extract_windows(grid: VoxelGrid, starts: np.ndarray, shape) -> np.ndarray:
-    """Gather (n, *shape) windows whose lower corner per node is `starts` (may be
-    negative); `shape` is one edge for cubes or three extents."""
-    starts = np.asarray(starts, dtype=np.int64).reshape(-1, 3)
-    ex, ey, ez = np.broadcast_to(np.asarray(shape, dtype=np.int64), 3)
-    n = len(starts)
-    s = grid.size
-    ax = starts[:, 0, None] + np.arange(ex)
-    ay = starts[:, 1, None] + np.arange(ey)
-    az = starts[:, 2, None] + np.arange(ez)
-    if grid._dense is not None:
-        vx = (ax >= 0) & (ax < s)
-        vy = (ay >= 0) & (ay < s)
-        vz = (az >= 0) & (az < s)
-        cx, cy, cz = np.clip(ax, 0, s - 1), np.clip(ay, 0, s - 1), np.clip(az, 0, s - 1)
-        out = grid._dense[cx[:, :, None, None], cy[:, None, :, None], cz[:, None, None, :]]
-        valid = vx[:, :, None, None] & vy[:, None, :, None] & vz[:, None, None, :]
-        return (out & valid).astype(np.uint8)
-    # sparse path, chunked to bound the key-cube working set
-    out = np.empty((n, ex, ey, ez), dtype=np.uint8)
-    chunk = max(1, (1 << 21) // int(ex * ey * ez))
-    d = grid.depth
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
-        bx, by, bz = ax[lo:hi], ay[lo:hi], az[lo:hi]
-        valid = ((bx >= 0) & (bx < s))[:, :, None, None] \
-            & ((by >= 0) & (by < s))[:, None, :, None] \
-            & ((bz >= 0) & (bz < s))[:, None, None, :]
-        kx = np.clip(bx, 0, s - 1) << (2 * d)
-        ky = np.clip(by, 0, s - 1) << d
-        kz = np.clip(bz, 0, s - 1)
-        keys = kx[:, :, None, None] | ky[:, None, :, None] | kz[:, None, None, :]
-        flat = keys.reshape(-1)
-        pos = np.searchsorted(grid.keys, flat)
-        pos[pos >= len(grid.keys)] = max(len(grid.keys) - 1, 0)
-        hit = (grid.keys[pos] == flat) if len(grid.keys) else np.zeros(flat.shape, dtype=bool)
-        out[lo:hi] = (hit.reshape(keys.shape) & valid).astype(np.uint8)
+def _extract_windows(grid: VoxelGrid, anchors: np.ndarray, m: int) -> np.ndarray:
+    """(n, m, m, m) crops whose lower corners are `anchors` (may be negative),
+    cut as cube windows of the tile boxes of `anchor_tiles`."""
+    anchors = np.asarray(anchors, dtype=np.int64).reshape(-1, 3)
+    out = np.empty((len(anchors),) + (m,) * 3, dtype=np.uint8)
+    for idx, box, local in anchor_tiles(grid, anchors, m):
+        windows = np.lib.stride_tricks.sliding_window_view(box, (m,) * 3)
+        out[idx] = windows[local[:, 0], local[:, 1], local[:, 2]]
     return out
 
 
@@ -159,12 +138,4 @@ def anchor_tiles(grid: VoxelGrid, anchors: np.ndarray, m: int):
     for idx in np.split(order, cuts):
         a = anchors[idx]
         lo = a.min(axis=0)
-        box = _extract_windows(grid, lo, a.max(axis=0) - lo + m)[0]
-        yield idx, box, a - lo
-
-
-def pool_down(grid: VoxelGrid) -> np.ndarray:
-    """2x max-pool of a dense grid: the depth-(k-1) occupancy it implies."""
-    occ = grid.occupancy
-    s = grid.size // 2
-    return occ.reshape(s, 2, s, 2, s, 2).max(axis=(1, 3, 5))
+        yield idx, grid.box(lo, a.max(axis=0) - lo + m), a - lo

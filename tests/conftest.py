@@ -127,6 +127,14 @@ def voxelize_directly(points, depth):
     return grid
 
 
+def crops_by_contains(grid, anchors, m):
+    """(n, m, m, m) crops with lower corners `anchors`, read cell by cell with
+    `grid.contains`, so they share no code with the box and window gathers."""
+    offsets = np.indices((m,) * 3).reshape(3, -1).T
+    cells = (np.asarray(anchors, dtype=np.int64).reshape(-1, 1, 3) + offsets).reshape(-1, 3)
+    return grid.contains(cells).reshape((-1,) + (m,) * 3)
+
+
 # --- finite-difference gradient harness -------------------------------------
 
 

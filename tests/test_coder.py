@@ -267,6 +267,18 @@ class TestCloudCodec:
         with pytest.raises(DecodeError):
             decode_cloud(data[:-40], model)
 
+    @pytest.mark.parametrize("model_factory", [UniformModel, lambda: AdaptiveContextModel(12)])
+    def test_level_larger_than_point_count_raises(self, model_factory):
+        # a header whose point count is below a decoded level's node count is a lie
+        cloud = structured_cloud(3000, seed=7)
+        model = model_factory()
+        data = encode_cloud(cloud, 8, 8, model)
+        header, pos = coder.BitstreamHeader.unpack(data)
+        assert len(decode_cloud(data, model)) == 2969
+        header.point_count = 5
+        with pytest.raises(DecodeError, match="more than its 5 points"):
+            decode_cloud(header.pack() + data[pos:], model)
+
     def test_coded_bpp_helper(self):
         cloud = random_cloud(250, seed=4)
         data = encode_cloud(cloud, 5, 5, UniformModel())

@@ -93,6 +93,16 @@ class TestRoundTrip:
         assert header.frame_point_counts == [120, 230, 180]
         assert header.point_count == 530
 
+    def test_frame_level_larger_than_its_point_count_raises(self):
+        # each frame's levels are bounded by that frame's count, not the total
+        frames = [PointCloud(random_cloud(n, n).points) for n in (120, 230, 180)]
+        model = UniformModel()
+        data = encode_sequence(frames, 7, 7, model)
+        header, pos = BitstreamHeader.unpack(data)
+        header.frame_point_counts[1] = 5
+        with pytest.raises(DecodeError, match="frame 1 depth"):
+            decode_sequence(header.pack() + data[pos:], model)
+
     def test_static_model_rejected(self):
         frames = moving_sequence(2, 100, seed=8)
         with pytest.raises(ValueError):

@@ -11,9 +11,9 @@ features at a truncation depth below the tree depth, whose node features
 divide by the untruncated depth. The "wide" cases run three-conv towers on
 9^3 crops (and 10^3 child crops) over levels that span several tiles of
 the level-wise tower pass, and the "deep" case codes and refines a depth-11
-cloud whose levels 10 and 11 live in sparse grids; their models are
-trained, since a fresh model's zeroed head predicts uniformly whatever its
-towers compute. A change to the shared context net, the training loop, the
+cloud whose levels 10 and 11 span 2^10 and 2^11 cells a side; their models
+are trained, since a fresh model's zeroed head predicts uniformly whatever
+its towers compute. A change to the shared context net, the training loop, the
 level schedule, the tower pass or the coder that alters a single bit of
 any of these fails here. The values were recorded with numpy 2.4 on
 x86-64 Linux.

@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 
 from voxelcodec import DynamicContextModel, VoxelGrid, nn
 from voxelcodec.entropy import CURRENT, TEMPORAL, make_level_context, tower_rows
-from voxelcodec.voxelgrid import DENSE_DEPTH_LIMIT, TILE, _extract_windows, anchor_tiles
+from voxelcodec.voxelgrid import TILE, anchor_tiles
+
+from conftest import crops_by_contains
 
 
 def _randomize(params, rng):
@@ -37,6 +39,14 @@ def _cells(rng, depth, n):
     return cells
 
 
+def _near(rng, occupied, depth, n):
+    """n cells: half within two cells of an occupied one, so crops hold cells
+    even in deep, sparse grids; half from `_cells`."""
+    near = occupied[rng.integers(0, len(occupied), n)] + rng.integers(-2, 3, (n, 3))
+    return np.where(rng.random((n, 1)) < 0.5, np.clip(near, 0, (1 << depth) - 1),
+                    _cells(rng, depth, n))
+
+
 def _per_crop(tower, crops):
     x = crops[:, None].astype(np.float64)
     if tower.layers:
@@ -50,19 +60,20 @@ def _same_bits(a, b):
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1),
-       depth=st.sampled_from([3, 6, 7, DENSE_DEPTH_LIMIT + 1]),
+       depth=st.sampled_from([3, 6, 7, 10, 12]),
        m=st.sampled_from([1, 3, 5, 9, 6, 10]),
        channels=st.lists(st.integers(1, 5), min_size=1, max_size=3),
        n=st.integers(1, 60))
 def test_tower_rows_equal_per_crop_forward(seed, depth, m, channels, n):
-    """Dense and sparse grids, crops at and past the edge, 1-3 convs, one or many tiles."""
+    """Shallow and deep grids, crops at and past the edge, 1-3 convs, one or many tiles."""
     rng = np.random.default_rng(seed)
     tower = _tower(m, tuple(channels), rng)
     child = m % 2 == 0
-    grid = VoxelGrid(depth + child, _cells(rng, depth + child, int(rng.integers(1, 400))))
-    cells = _cells(rng, depth, n)
+    occupied = _cells(rng, depth + child, int(rng.integers(1, 400)))
+    grid = VoxelGrid(depth + child, occupied)
+    cells = _near(rng, occupied >> child, depth, n)
     anchors = (TEMPORAL[2] if child else CURRENT).anchors(cells, m)
-    expected = _per_crop(tower, _extract_windows(grid, anchors, m))
+    expected = _per_crop(tower, crops_by_contains(grid, anchors, m))
     assert _same_bits(tower_rows(tower, grid, anchors, m), expected)
 
 
@@ -83,12 +94,12 @@ def test_level_spanning_many_tiles():
     grid = VoxelGrid(7, _cells(rng, 7, 3000))
     anchors = CURRENT.anchors(_cells(rng, 7, 300), 9)
     assert len(list(anchor_tiles(grid, anchors, 9))) > (128 // TILE) ** 3 // 2
-    expected = _per_crop(tower, _extract_windows(grid, anchors, 9))
+    expected = _per_crop(tower, crops_by_contains(grid, anchors, 9))
     assert _same_bits(tower_rows(tower, grid, anchors, 9), expected)
 
 
 @settings(max_examples=15, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), depth=st.sampled_from([2, 5, DENSE_DEPTH_LIMIT + 1]),
+@given(seed=st.integers(0, 2**32 - 1), depth=st.sampled_from([2, 5, 10, 12]),
        present=st.tuples(st.booleans(), st.booleans()),
        channels=st.lists(st.integers(1, 4), min_size=1, max_size=3))
 def test_level_probabilities_equal_predict(seed, depth, present, channels):
@@ -103,9 +114,10 @@ def test_level_probabilities_equal_predict(seed, depth, present, channels):
     has_prev, has_next = present
     ctx = make_level_context(
         depth, depth + 1, cells,
-        grid_prev=VoxelGrid(depth, _cells(rng, depth, 50)) if has_prev else None,
-        grid_next=VoxelGrid(depth, _cells(rng, depth, 50)) if has_next else None,
-        grid_prev_child=VoxelGrid(depth + 1, _cells(rng, depth + 1, 200)) if has_prev else None)
+        grid_prev=VoxelGrid(depth, _near(rng, cells, depth, 50)) if has_prev else None,
+        grid_next=VoxelGrid(depth, _near(rng, cells, depth, 50)) if has_next else None,
+        grid_prev_child=VoxelGrid(depth + 1, _near(rng, 2 * cells, depth + 1, 200))
+        if has_prev else None)
     crops = [ctx.branch_crops(b, m) for b, m in zip(model.geometry, model.crop_sizes)]
     expected = model.predict(crops, ctx.node_features())
     assert _same_bits(model.level_probabilities(ctx), expected)
