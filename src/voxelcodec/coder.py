@@ -3,31 +3,36 @@ the one encode loop and one decode loop that code any bitstream along the
 level schedule (`entropy.level_contexts`; a static cloud is one frame).
 
 The entropy coder is a 32-bit byte-oriented range coder with carry counting;
-the range register stays in [2^24, 2^32), keeping the truncation loss under
-0.006 bits per symbol. Probabilities are quantized to 16-bit frequencies on
-both sides from identical model outputs, so model determinism alone keeps
-encoder and decoder in sync; no tables travel in the stream.
+the range register stays in [2^24, 2^32) and every table totals at most
+2^16, keeping the truncation loss under 0.006 bits per symbol. Every symbol
+is coded from an integer cumulative table whose last entry is its total:
+batch models' probabilities are quantized to 16-bit frequencies (total
+2^16) on both sides from identical model outputs, and the adaptive model
+hands over its integer count tables as they are. Model determinism alone
+keeps encoder and decoder in sync; no tables travel in the stream, and the
+decoder ends exactly at the end of the payload.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from . import entropy as em
 from . import octree as oct
+from .entropy import TOTAL_FREQ
 from .nn import fnv1a64
 from .pointcloud import NormalizationParams, PointCloud, normalize
 
 MAGIC = b"VCNB"
-VERSION = 1
+VERSION = 2
 MODE_STATIC = 0
 MODE_DYNAMIC = 1
 FLAG_POSES = 1
 
-TOTAL_FREQ = 1 << 16
 _MASK32 = 0xFFFFFFFF
 _RC_TOP = 1 << 24
 
@@ -162,6 +167,12 @@ class RangeDecoder:
             self._code = ((self._code << 8) | self._byte()) & _MASK32
             self._range = (self._range << 8) & _MASK32
 
+    def finish(self):
+        """The encoder's flush ends the payload: a valid stream is read to its
+        last byte, never past it, so any byte left over is corruption."""
+        if self._pos != len(self._data):
+            raise DecodeError(f"{len(self._data) - self._pos} bytes after the coded payload")
+
 
 # ---------------------------------------------------------------------------
 # bitstream container
@@ -245,6 +256,8 @@ class BitstreamHeader:
         pos += 8
         if not (1 <= trunc_depth <= max_depth <= oct.MAX_DEPTH):
             raise DecodeError(f"bad depths in header: trunc {trunc_depth}, max {max_depth}")
+        if mode == MODE_DYNAMIC and not frame_counts:
+            raise DecodeError("sequence header has no frames")
         header = cls(mode, NormalizationParams(np.array(origin, dtype=np.float64), float(edge)),
                      max_depth, trunc_depth, point_count, model_kind, model_hash,
                      frame_counts, poses)
@@ -254,32 +267,33 @@ class BitstreamHeader:
 def _code_level(ctx, symbols, model, enc_or_dec, decoding):
     """Code or decode all symbols of one depth level in canonical order.
 
-    Returns the decoded symbol array when decoding.
+    Each node's table is an integer cumulative table whose last entry is its
+    total: a row of the quantized level batch (total TOTAL_FREQ), or the
+    model's own `node_table` on the sequential path. Returns the decoded
+    symbol array when decoding.
     """
     n = len(ctx)
     probs = model.level_probabilities(ctx)
-    if probs is not None:
+    if probs is None:
+        table = partial(model.node_table, ctx)
+    else:
         # a shared (255,) row is quantized once and its table broadcast
-        freq, cum = quantize_level(np.atleast_2d(probs))
-        freq = np.broadcast_to(freq, (n, em.ALPHABET))
-        cum = np.broadcast_to(cum, (n, em.ALPHABET + 1))
+        _, cum = quantize_level(np.atleast_2d(probs))
+        table = np.broadcast_to(cum, (n, em.ALPHABET + 1)).__getitem__
     out = np.zeros(n, dtype=np.uint8) if decoding else None
     for i in range(n):
-        if probs is None:
-            table = quantize_distribution(model.node_probability(ctx, i))
-            f_row, c_row = table.freq, table.cum
-        else:
-            f_row, c_row = freq[i], cum[i]
+        c_row = table(i)
+        total = int(c_row[-1])
         if decoding:
-            target = enc_or_dec.decode_target()
-            idx = int(np.searchsorted(c_row, target, side="right")) - 1
-            enc_or_dec.consume(int(c_row[idx]), int(f_row[idx]))
-            s = idx + 1
+            s = int(c_row.searchsorted(enc_or_dec.decode_target(total), side="right"))
+            lo = int(c_row[s - 1])
+            enc_or_dec.consume(lo, int(c_row[s]) - lo)
             out[i] = s
         else:
             s = int(symbols[i])
-            enc_or_dec.encode(int(c_row[s - 1]), int(f_row[s - 1]))
-        model.observe(ctx, i, int(s))
+            lo = int(c_row[s - 1])
+            enc_or_dec.encode(lo, int(c_row[s]) - lo, total)
+        model.observe(ctx, i, s)
     return out
 
 
@@ -349,6 +363,7 @@ def decode_frames(data: bytes, model: em.EntropyModel, mode: int, refine_params=
                               f"more than its {limits[t]} points")
         trees[t].symbols.append(sym)
         trees[t].levels.append(level)
+    dec.finish()
     if refine_params is not None:
         from .refine import refine_apply
         clouds = [refine_apply(tree, refine_params, header.norm) for tree in trees]

@@ -3,8 +3,9 @@
 Symbol values run 1..255 (a split node always has at least one occupied
 child), mapped to array indices 0..254. Four model kinds share one coding
 interface: per depth level the coder hands the model a LevelContext and gets
-either a batch of distributions (uniform / neural) or per-node sequential
-predictions (the adaptive baseline, whose counts evolve as symbols are coded).
+either a batch of distributions (uniform / neural), which it quantizes, or
+per-node integer frequency tables (the adaptive baseline, whose counts evolve
+as symbols are coded).
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .voxelgrid import (CHILD_CROP_SIZE, VoxelGrid, anchor_tiles, child_anchors,
 
 ALPHABET = 255
 LOG2_ALPHABET = float(np.log2(ALPHABET))
+TOTAL_FREQ = 1 << 16   # largest total of any table the coder codes with
 
 KIND_UNIFORM = 0
 KIND_ADAPTIVE = 1
@@ -216,6 +218,11 @@ class EntropyModel:
         """(n, 255) batch, (255,) shared row, or None to force the sequential path."""
         return None
 
+    def node_table(self, ctx: LevelContext, i: int) -> np.ndarray:
+        """Sequential path: node i's (256,) integer cumulative frequencies,
+        cum[0] = 0, every frequency >= 1, total cum[-1] <= TOTAL_FREQ."""
+        raise NotImplementedError
+
     def node_probability(self, ctx: LevelContext, i: int) -> np.ndarray:
         raise NotImplementedError
 
@@ -242,6 +249,8 @@ class UniformModel(EntropyModel):
 
 
 _M64 = np.uint64(0xFFFFFFFFFFFFFFFF)
+_FRESH_TABLE = np.arange(ALPHABET + 1, dtype=np.int64)
+_FRESH_TABLE.flags.writeable = False
 
 
 def _splitmix64(x: np.ndarray) -> np.ndarray:
@@ -255,8 +264,12 @@ class AdaptiveContextModel(EntropyModel):
     """Non-neural baseline: per-context Laplace-smoothed symbol counts.
 
     The context id is a B-bit splitmix64 hash of (parent symbol, child octant,
-    6-neighbour occupancy). Counts start empty at begin_stream and advance by
-    one after every coded symbol, identically on encoder and decoder.
+    6-neighbour occupancy). Each context keeps an integer cumulative table that
+    the coder codes with directly: it starts at arange(256), one count per
+    symbol, so its total is observations + 255. Every coded symbol adds one to
+    its frequency, identically on encoder and decoder; when the total would
+    pass TOTAL_FREQ, every frequency f becomes (f + 1) >> 1, which keeps each
+    at least 1 (Witten, Neal & Cleary, CACM 1987).
     """
 
     kind_code = KIND_ADAPTIVE
@@ -265,12 +278,10 @@ class AdaptiveContextModel(EntropyModel):
         if not 1 <= context_bits <= 16:
             raise ValueError("context_bits must be in [1, 16]")
         self.context_bits = context_bits
-        self._counts: dict[int, np.ndarray] = {}
-        self._totals: dict[int, int] = {}
+        self._tables: dict[int, np.ndarray] = {}
 
     def begin_stream(self):
-        self._counts = {}
-        self._totals = {}
+        self._tables = {}
 
     def context_ids(self, ctx: LevelContext) -> np.ndarray:
         key = ("cid", self.context_bits)
@@ -282,23 +293,20 @@ class AdaptiveContextModel(EntropyModel):
             ctx._cache[key] = (_splitmix64(packed) & mask).astype(np.int64)
         return ctx._cache[key]
 
-    def probabilities_for_id(self, cid: int) -> np.ndarray:
-        counts = self._counts.get(cid)
-        if counts is None:
-            return np.full(ALPHABET, 1.0 / ALPHABET)
-        return (counts + 1.0) / (self._totals[cid] + ALPHABET)
+    def table_for_id(self, cid: int) -> np.ndarray:
+        """The context's cumulative table; read-only, it changes on observe."""
+        return self._tables.get(cid, _FRESH_TABLE)
 
     def observe_id(self, cid: int, symbol: int):
-        counts = self._counts.get(cid)
-        if counts is None:
-            counts = np.zeros(ALPHABET, dtype=np.int64)
-            self._counts[cid] = counts
-            self._totals[cid] = 0
-        counts[symbol - 1] += 1
-        self._totals[cid] += 1
+        cum = self._tables.get(cid)
+        if cum is None:
+            cum = self._tables[cid] = np.arange(ALPHABET + 1, dtype=np.int64)
+        cum[symbol:] += 1
+        if cum[-1] > TOTAL_FREQ:
+            np.cumsum((np.diff(cum) + 1) >> 1, out=cum[1:])
 
-    def node_probability(self, ctx, i):
-        return self.probabilities_for_id(int(self.context_ids(ctx)[i]))
+    def node_table(self, ctx, i):
+        return self.table_for_id(int(self.context_ids(ctx)[i]))
 
     def observe(self, ctx, i, symbol):
         self.observe_id(int(self.context_ids(ctx)[i]), symbol)
@@ -482,17 +490,19 @@ def schedule_code_lengths(model: EntropyModel, trees, max_depth, trunc_depth) ->
 def level_code_lengths(model: EntropyModel, ctx: LevelContext, symbols) -> np.ndarray:
     """-log2 q of one level's symbols (1..255), in coding order.
 
-    A model without level probabilities is queried node by node and observes
-    each symbol, as the coder does; a shared row or an (n, 255) batch is
-    indexed directly.
+    A model without level probabilities is read node by node from the tables
+    the coder codes with (q = freq/total) and observes each symbol, as the
+    coder does; a shared row or an (n, 255) batch is indexed directly.
     """
     syms = np.asarray(symbols).astype(np.int64)
     probs = model.level_probabilities(ctx)
     if probs is None:
-        p = np.empty(len(syms))
-        for i, s in enumerate(syms):
-            p[i] = model.node_probability(ctx, i)[s - 1]
-            model.observe(ctx, i, int(s))
+        freq, total = np.empty(len(syms)), np.empty(len(syms))
+        for i, s in enumerate(syms.tolist()):
+            cum = model.node_table(ctx, i)
+            freq[i], total[i] = cum[s] - cum[s - 1], cum[-1]
+            model.observe(ctx, i, s)
+        p = freq / total
     else:
         p = np.broadcast_to(probs, (len(syms), ALPHABET))[np.arange(len(syms)), syms - 1]
     return -np.log2(p)

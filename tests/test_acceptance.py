@@ -511,8 +511,10 @@ def test_criterion_10_determinism_across_thread_counts():
     """Fixed seeds give byte-identical model files and bitstreams regardless
     of the BLAS/OpenMP thread count."""
     outputs = []
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     for threads in ("1", "4"):
         env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
                     "NUMEXPR_NUM_THREADS"):
             env[var] = threads

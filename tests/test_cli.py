@@ -337,10 +337,13 @@ def test_console_script_installed(tmp_path):
                                        group="console_scripts")
     assert ep.load() is main
     wrapper = f"import sys; from {ep.module} import {ep.attr}; sys.exit({ep.attr}())"
+    env = dict(os.environ)
+    src = str(_PYPROJECT.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
 
     def run(*argv):
         return subprocess.run([sys.executable, "-c", wrapper, *map(str, argv)],
-                              capture_output=True, text=True, timeout=120)
+                              capture_output=True, text=True, timeout=120, env=env)
 
     proc = run("--help")
     assert proc.returncode == 0, proc.stderr

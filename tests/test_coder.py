@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from voxelcodec import (AdaptiveContextModel, DecodeError, PointCloud, UniformModel,
-                        VoxelContextModel, build, coded_bpp, coder, cross_entropy_bpp,
-                        decode_cloud, encode_cloud, model_code_lengths, normalize,
-                        payload_size, quantize_distribution, reconstruct_centers)
-from voxelcodec.coder import RangeDecoder, RangeEncoder, quantize_level
+from voxelcodec import (AdaptiveContextModel, DecodeError, DynamicContextModel, PointCloud,
+                        UniformModel, VoxelContextModel, build, coded_bpp, coder,
+                        cross_entropy_bpp, decode_cloud, decode_sequence, encode_cloud,
+                        encode_sequence, model_code_lengths, normalize, payload_size,
+                        quantize_distribution, reconstruct_centers)
+from voxelcodec.coder import TOTAL_FREQ, RangeDecoder, RangeEncoder, quantize_level
 
-from conftest import random_cloud, structured_cloud
+from conftest import moving_sequence, random_cloud, structured_cloud
 
 
 class TestQuantize:
@@ -78,8 +81,8 @@ class _OneContextAdaptive:
     def level_probabilities(self, ctx):
         return None
 
-    def node_probability(self, ctx, i):
-        return self.counts.probabilities_for_id(0)
+    def node_table(self, ctx, i):
+        return self.counts.table_for_id(0)
 
     def observe(self, ctx, i, symbol):
         self.counts.observe_id(0, symbol)
@@ -129,6 +132,33 @@ class TestRangeCoder:
         data = _encode(symbols, _OneContextAdaptive())
         assert _decode(data, len(symbols), _OneContextAdaptive()) == symbols
 
+    def test_roundtrip_adaptive_past_total_freq(self):
+        # 70k symbols in one context: its counts are halved once on the way,
+        # every table the coder reads stays within the range coder's bounds
+        # (the symbols above 49 never occur, so their frequency stays 1), and
+        # the halved counts keep the skew
+        rng = np.random.default_rng(6)
+        symbols = np.where(rng.random(70_000) < 0.8, 9, rng.integers(1, 50, 70_000)).tolist()
+
+        class Checked(_OneContextAdaptive):
+            def __init__(self):
+                super().__init__()
+                self.totals = []
+
+            def node_table(self, ctx, i):
+                cum = super().node_table(ctx, i)
+                assert cum[-1] <= TOTAL_FREQ and np.diff(cum).min() >= 1
+                self.totals.append(int(cum[-1]))
+                return cum
+
+        encoder_model, decoder_model = Checked(), Checked()
+        data = _encode(symbols, encoder_model)
+        assert _decode(data, len(symbols), decoder_model) == symbols
+        assert encoder_model.totals == decoder_model.totals
+        assert max(encoder_model.totals) == TOTAL_FREQ
+        assert (np.diff(encoder_model.totals) < 0).sum() == 1
+        assert np.argmax(np.diff(encoder_model.counts.table_for_id(0))) == 8
+
     def test_truncated_stream_raises(self):
         data = _encode(list(range(1, 101)), _FixedModel(UNIFORM))
         with pytest.raises(DecodeError):
@@ -162,6 +192,82 @@ class TestRangeCoder:
         dec = RangeDecoder(data)
         v = dec.decode_target()
         assert t.cum[10] <= v < t.cum[11]
+
+
+_TRIPLE = st.integers(1, TOTAL_FREQ).flatmap(
+    lambda total: st.integers(1, total).flatmap(
+        lambda freq: st.tuples(st.integers(0, total - freq), st.just(freq), st.just(total))))
+# the top sliver of a 2^16 table pushes `low` up against the range's top, so
+# the encoder holds back long runs of 0xFF bytes
+_TOP = st.integers(1, 16).map(lambda f: (TOTAL_FREQ - f, f, TOTAL_FREQ))
+
+
+def _carry_run(n):
+    """n half-table symbols that keep the coding interval around one byte
+    boundary (first 2^31, then 2^32 after every renormalization), so the
+    encoder holds back a run of n/8 0xFF bytes; upper halves then lift `low`
+    past the boundary and the carry turns the whole run into zeros."""
+    half = TOTAL_FREQ // 2
+    enc, triples = RangeEncoder(), []
+    for _ in range(n):
+        boundary = 1 << (32 if enc._out else 31)
+        mid = enc._low + (enc._range // TOTAL_FREQ) * half
+        triples.append((half, half, TOTAL_FREQ) if mid <= boundary else (0, half, TOTAL_FREQ))
+        enc.encode(*triples[-1])
+    return triples + [(half, half, TOTAL_FREQ)] * 40
+
+
+class TestPayloadEnd:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.one_of(_TRIPLE, _TOP), max_size=400))
+    @example([(TOTAL_FREQ - 1, 1, TOTAL_FREQ)] * 400)
+    @example(_carry_run(400))
+    @example([(0, 1, TOTAL_FREQ)] * 400)
+    @example([])
+    def test_decoder_ends_exactly_at_payload_end(self, triples):
+        enc = RangeEncoder()
+        for cum, freq, total in triples:
+            enc.encode(cum, freq, total)
+        data = enc.finish()
+        dec = RangeDecoder(data)
+        for cum, freq, total in triples:
+            assert cum <= dec.decode_target(total) < cum + freq
+            dec.consume(cum, freq)
+        dec.finish()
+        padded = RangeDecoder(data + b"\x00")
+        for cum, freq, total in triples:
+            padded.decode_target(total)
+            padded.consume(cum, freq)
+        with pytest.raises(DecodeError, match="1 bytes after"):
+            padded.finish()
+
+    @pytest.mark.parametrize("kind", ["uniform", "adaptive", "voxel-static", "sequence"])
+    def test_appended_byte_rejected(self, kind):
+        if kind == "sequence":
+            model = DynamicContextModel(crop_size=5, child_crop_size=6, channels=(2,),
+                                        hidden=8, seed=0)
+            data = encode_sequence(moving_sequence(2, 150, seed=3), 5, 5, model)
+            decode = decode_sequence
+        else:
+            model = {"uniform": UniformModel, "adaptive": lambda: AdaptiveContextModel(12),
+                     "voxel-static": lambda: VoxelContextModel(crop_size=5, channels=(2,),
+                                                               hidden=8, seed=0)}[kind]()
+            data = encode_cloud(structured_cloud(300, seed=3), 6, 6, model)
+            decode = decode_cloud
+        decode(data, model)
+        with pytest.raises(DecodeError, match="after the coded payload"):
+            decode(data + b"\x00", model)
+
+    def test_version_1_stream_rejected(self, monkeypatch):
+        model = AdaptiveContextModel(12)
+        data = encode_cloud(structured_cloud(300, seed=3), 6, 6, model)
+        header, pos = coder.BitstreamHeader.unpack(data)
+        monkeypatch.setattr(coder, "VERSION", 1)
+        v1 = header.pack() + data[pos:]
+        monkeypatch.undo()
+        assert coder.VERSION == 2 and v1[4] == 1
+        with pytest.raises(DecodeError, match="unsupported bitstream version 1"):
+            decode_cloud(v1, model)
 
 
 class TestCloudCodec:
@@ -211,6 +317,27 @@ class TestCloudCodec:
             assert tree.symbol_count() >= 10_000
             assert 8 * payload_size(data) <= bits * 1.01 + 64 * 8
             assert 8 * payload_size(data) >= bits * 0.99 - 64 * 8
+
+    def test_adaptive_code_lengths_are_coded_tables(self):
+        # model bits are -log2(freq/total) of exactly the tables the coder coded with
+        cloud = structured_cloud(2000, seed=8)
+        coded = []
+
+        class Recording(AdaptiveContextModel):
+            def node_table(self, ctx, i):
+                cum = super().node_table(ctx, i)
+                coded.append(cum.copy())
+                return cum
+
+        encode_cloud(cloud, 7, 7, Recording(10))
+        norm, _ = normalize(cloud)
+        tree = build(norm, 7)
+        syms = np.concatenate(tree.symbols).astype(np.int64)
+        tables = np.array(coded)
+        rows = np.arange(len(syms))
+        freq = tables[rows, syms] - tables[rows, syms - 1]
+        expected = -np.log2(freq / tables[:, -1])
+        assert np.array_equal(model_code_lengths(AdaptiveContextModel(10), tree), expected)
 
     def test_bpp_accounting_identity(self):
         cloud = random_cloud(700, seed=5)

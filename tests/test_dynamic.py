@@ -93,6 +93,16 @@ class TestRoundTrip:
         assert header.frame_point_counts == [120, 230, 180]
         assert header.point_count == 530
 
+    def test_zero_frame_header_rejected(self):
+        # a validly hashed sequence header that lists no frames is refused
+        frames = moving_sequence(2, 150, seed=7)
+        model = UniformModel()
+        data = encode_sequence(frames, 4, 4, model)
+        header, pos = BitstreamHeader.unpack(data)
+        header.frame_point_counts = []
+        with pytest.raises(DecodeError, match="no frames"):
+            decode_sequence(header.pack() + data[pos:], model)
+
     def test_frame_level_larger_than_its_point_count_raises(self):
         # each frame's levels are bounded by that frame's count, not the total
         frames = [PointCloud(random_cloud(n, n).points) for n in (120, 230, 180)]

@@ -34,17 +34,24 @@ class TestUniform:
         assert back.content_hash() == m.content_hash()
 
 
+def _q(cum):
+    """Probabilities of an integer cumulative table: freq / total."""
+    return np.diff(cum) / cum[-1]
+
+
 class TestAdaptive:
     def test_fresh_context_uniform(self):
         m = AdaptiveContextModel(12)
         m.begin_stream()
-        assert np.allclose(m.probabilities_for_id(7), 1.0 / 255)
+        cum = m.table_for_id(7)
+        assert cum[-1] == 255
+        assert np.allclose(_q(cum), 1.0 / 255)
 
     def test_single_observation_count(self):
         m = AdaptiveContextModel(12)
         m.begin_stream()
         m.observe_id(3, 255)
-        p = m.probabilities_for_id(3)
+        p = _q(m.table_for_id(3))
         assert p[254] == pytest.approx(2.0 / 256)
         assert p[0] == pytest.approx(1.0 / 256)
 
@@ -59,7 +66,7 @@ class TestAdaptive:
         m.begin_stream()
         bits = np.empty(n)
         for i, s in enumerate(symbols):
-            bits[i] = -np.log2(m.probabilities_for_id(0)[s - 1])
+            bits[i] = -np.log2(_q(m.table_for_id(0))[s - 1])
             m.observe_id(0, int(s))
         tail = symbols[burn:]
         vals, counts = np.unique(tail, return_counts=True)
@@ -76,13 +83,12 @@ class TestAdaptive:
         a.begin_stream()
         b.begin_stream()
         for cid, s in seq:
-            pa, pb = a.probabilities_for_id(cid), b.probabilities_for_id(cid)
-            assert np.array_equal(pa, pb)
+            assert np.array_equal(a.table_for_id(cid), b.table_for_id(cid))
             a.observe_id(cid, s)
             b.observe_id(cid, s)
-        assert set(a._counts) == set(b._counts)
-        for cid in a._counts:
-            assert np.array_equal(a._counts[cid], b._counts[cid])
+        assert set(a._tables) == set(b._tables)
+        for cid in a._tables:
+            assert np.array_equal(a._tables[cid], b._tables[cid])
 
     def test_context_bits_range(self):
         with pytest.raises(ValueError):

@@ -16,7 +16,7 @@ are trained, since a fresh model's zeroed head predicts uniformly whatever
 its towers compute. A change to the shared context net, the training loop, the
 level schedule, the tower pass or the coder that alters a single bit of
 any of these fails here. The values were recorded with numpy 2.4 on
-x86-64 Linux.
+x86-64 Linux; the bitstreams are of wire version 2.
 """
 
 import hashlib
@@ -165,19 +165,19 @@ GOLDEN = {
         "model": "3e2657e17d3ac5e4b7a60311ac557ef0637bcc8f4bd0b146d8483b24c6e1e3cb",
         "curve": "8108e56757ce80c76fc25ce7caf5e0e021aec3ae6d52f06098f462e4c5250f99",
         "evaluate": "cdf12bacd3d21146fdc3e2f629cf823d1a38073cf263ee4eeb49e10d00d032cd",
-        "bitstream": "e79684a798b1f2e2ab1c170172e288e0a063cdcaeee04fcd876e1afe5b689dee",
+        "bitstream": "5813383fe4988913503fa75d2282e494bacf4a176eab198378f90eb291cd045f",
     },
     "static-crop1": {
         "model": "a96de24fd41f997b65c340509e3a79c79916c69d6cdadb0c7f00515c7ec45f57",
         "curve": "ea6e4b69cfe70523b462838fbd9fbda26ecd534f0e75690e252af8e20c6cbd0b",
         "evaluate": "a18166b6899b20d1adb9bd4f7027f61a346047f26dfd5a72f01f171afd7dbdef",
-        "bitstream": "b189162e8faf9bb070f33cd3dbe19bc777d6a5f6d8c6d566aa2007087c33f25a",
+        "bitstream": "7614b6d790cf29f6f568e75bcdce7b0e2c0825fdfca2820ab72dbb9ee720409f",
     },
     "dynamic": {
         "model": "cc27c61362fc55aa87bf9954e45f08e55b7b156a0fba9cadf2239828df16a53e",
         "curve": "d0b15cffc20b15aa9ab35328e4758c9b62f53573db7c638a86a37751117d6c6e",
         "evaluate": "699e080d124d1d1b275b6e0de4203c3325ec2d698b13c1581a4eaf2540e40535",
-        "bitstream": "3c1ad588fda0aa02c47d1510734b5578d56a05d3ef34fb70ee25ee637ee79b65",
+        "bitstream": "a5028f3578c991446c005be9f55b39b60c882f66e2ffdb2820a699ca126e5904",
     },
     "refine": {
         "model": "1ce0e535091cb6363692d137e6adcdf592323dddfb6733a8f6a7c0d39d72d3f0",
@@ -185,32 +185,32 @@ GOLDEN = {
         "points": "917f2db71e6e81a1d7cf73b2c44182bace22464f089532c7736f60ee4408f24c",
     },
     "uniform": {
-        "bitstream": "92c2f980d505004a4bf6b33d2a04198e4d7602330c4dbf2cc588f61afa1ce473",
+        "bitstream": "41d68b7c12cf132c066fa1b1f861532546c3564a19ab2b857d366be5545619cc",
     },
     "adaptive": {
-        "static": "39b5ab9807c21f5e1046937cc7bc0df034290f8e4a7956f5f349d5ecfcef26e6",
-        "sequence": "56145a2877856269f6f433ef8218798455453fbc1d3ce92f41f006c4104d6bdc",
+        "static": "032e3af6203af41244e0b0db9ebc26025faab400a466525d451bc5eb587db7cb",
+        "sequence": "15fb60de01fdda1e5e0cd604983b98f239a68e6190ea33554ec39414862e30d1",
     },
     "sequence-decode": {
         "points": "7bbf6dfd7a5683f9b85c4ee18a25d057940e646d0b16249d553b6c0978e901df",
     },
     "truncated-lengths": {
         "static": "f87891c08be766bc66883877ef1bb4f0aeccd964629293fd439fbbd1054e93e4",
-        "static-bitstream": "a114008136f86e0ee7ef8de5cd28b526b36542a26ce263b1905f3ed4697b3f73",
+        "static-bitstream": "7ed02eb20b36c1f9253685fb4e75100f06b274c47d0bb06d75341db2323fddd0",
         "dataset": "261e9f45888bbaf00c513bb1f5595c2b6b02c6c908f2792a3c981066643e123d",
         "dynamic": "205c0393f31a8cffef0863d64f28876c8fd6db3380e70d329a3a8e728762ec00",
-        "dynamic-bitstream": "764ee55e54eee7f262c1a5963066f4582279398fd05349af0b0b8fd564e4dea1",
+        "dynamic-bitstream": "1d97ff3e832303077e27883745fdc2d530eea4e1a6f8e7b87dd456e33f7cb533",
     },
     "static-wide": {
         "model": "76f19572ddaf955053304327ea9c126cb02ee696bd6b234f3c1d4f9640eb78bd",
         "curve": "c877bb4fd6503762f83d02d4d60ab730f54c1584e4d49e30b02acea833345956",
-        "bitstream": "7c4b235b7c94696d6396383fe497036d5cb1c3591c0656602b5fdd515c6b59a7",
+        "bitstream": "8d403279553d6d432f638b4f45bb147400bbb4a66253357cdb3fe2dfef854de8",
         "decoded": "f342a38f9094d7f32c1fbede3cc8c59e2ce3b97dd8f4aabc6f40608fe04603a2",
     },
     "dynamic-wide": {
         "model": "68e8caada12a73a213639b93b3cf3d6456e5dea40670e5302a2db6aae548fa97",
         "curve": "5f83c864a4957361b699df84bc7bac4119f24be656f9b34e17a3cfbf77cdd47f",
-        "bitstream": "d2a3fc3c4b046999bf87d55af66f572c2603a7089008687a9d1e3c5c49255cce",
+        "bitstream": "e182fd8999443345ce670dbb9d739a7e6044055f702f9aeae2e3005e1bd4b457",
         "decoded": "fdb45c5f6c8b5fbb7e8449c53d62bfe0a1fe9f0818994ba81734843b177b1401",
     },
     "refine-wide": {
@@ -221,7 +221,7 @@ GOLDEN = {
     "deep": {
         "model": "e98dcc165a123bed57722bd6bd50b9d17a36e0beb2eb7c0b58014699bd90bcc0",
         "curve": "f417d2ee15f4b2a9949c5c80b95b700673cd2a4543b4eac39bdef65a72e0c603",
-        "bitstream": "dcda2222b12874ec460a5d877ef612ba52c59c711fa2e326531668bb84a8ac42",
+        "bitstream": "a7e00c4b66127ded79ca78ee585e86cdbac74a401cff4a68ae840ab811cef2c3",
         "refined": "18729601a3ed9d36008796683bd8a2f470f8447913f0de34673ad04d7a3b192e",
     },
 }
