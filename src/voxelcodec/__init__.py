@@ -9,15 +9,14 @@ from .dynamic import (CloudSequence, align_sequence, build_sequence_dataset,
                       decode_sequence, encode_sequence, sequence_code_lengths)
 from .entropy import (AdaptiveContextModel, DynamicContextModel, EntropyModel,
                       UniformModel, VoxelContextModel, build_node_dataset,
-                      cross_entropy_bpp, load_entropy_model, model_code_lengths)
+                      load_entropy_model, model_code_lengths)
 from .metrics import (RDPoint, bdbr, chamfer, estimate_normals, nearest_neighbor,
                       psnr_plane, psnr_point, rd_from_csv, rd_to_csv)
-from .octree import Octree, build, rebuild_from_symbols, reconstruct_centers
+from .octree import Octree, build, reconstruct_centers
 from .pointcloud import (NormalizationParams, ParseError, PointCloud, RigidTransform,
-                         apply_pose, denormalize, normalize, read_points, subsample,
-                         write_points)
+                         apply_pose, normalize, read_points, write_points)
 from .refine import (RefineParams, build_refine_dataset, refine_apply, refine_offsets,
                      train_refine)
-from .voxelgrid import VoxelGrid, child_region_crops, grid_from_level, local_crops
+from .voxelgrid import VoxelGrid, child_region_crops, local_crops
 
 __version__ = "0.1.0"

@@ -103,7 +103,10 @@ def _make_model(args):
     if kind in (None, "uniform") and not args.model:
         return entropy.UniformModel()
     if kind == "adaptive" and not args.model:
-        return entropy.AdaptiveContextModel(args.context_bits)
+        try:
+            return entropy.AdaptiveContextModel(args.context_bits)
+        except ValueError as exc:
+            raise CliError(f"--context-bits: {exc}", EXIT_USAGE) from exc
     if not args.model:
         raise CliError(f"model kind {kind!r} needs --model FILE", EXIT_USAGE)
     if not os.path.exists(args.model):
@@ -131,27 +134,35 @@ def _write_report(path, payload: dict):
         _atomic_write(path, (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode())
 
 
+def _check_truncs(depth, truncs):
+    """A usage error unless 1 <= trunc <= depth for every truncation depth."""
+    for trunc in truncs:
+        if not 1 <= trunc <= depth:
+            raise CliError(f"truncation depth {trunc} out of range [1, {depth}]", EXIT_USAGE)
+
+
 def cmd_encode(args):
+    trunc = args.depth if args.trunc is None else args.trunc
+    _check_truncs(args.depth, [trunc])
     model = _make_model(args)
     t0 = time.perf_counter()
     if args.sequence:
         frames = _load_sequence(args.input, args.poses)
-        data = dynamic.encode_sequence(frames, args.depth, args.trunc or args.depth,
-                                       model, store_poses=bool(args.poses))
+        data = dynamic.encode_sequence(frames, args.depth, trunc, model,
+                                       store_poses=bool(args.poses))
         wall = time.perf_counter() - t0
         seq = dynamic.align_sequence(frames)
-        trees = [octree.build(f, args.depth).truncate(args.trunc or args.depth)
-                 for f in seq.frames]
+        trees = [octree.build(f, args.depth).truncate(trunc) for f in seq.frames]
         n_symbols = sum(t.symbol_count() for t in trees)
         n_points = sum(len(f) for f in frames)
     else:
         cloud = _load_cloud(args.input)
         if len(cloud) == 0:
             raise CliError(f"{args.input}: empty cloud", EXIT_FORMAT)
-        data = coder.encode_cloud(cloud, args.depth, args.trunc or args.depth, model)
+        data = coder.encode_cloud(cloud, args.depth, trunc, model)
         wall = time.perf_counter() - t0
         norm_cloud, _ = pointcloud.normalize(cloud)
-        tree = octree.build(norm_cloud, args.depth).truncate(args.trunc or args.depth)
+        tree = octree.build(norm_cloud, args.depth).truncate(trunc)
         n_symbols = tree.symbol_count()
         n_points = len(cloud)
     _atomic_write(args.output, data)
@@ -208,7 +219,7 @@ def cmd_train(args):
     try:
         if args.refine:
             params = refine.RefineParams(args.crop_size, seed=args.seed,
-                                         channels=_channels(args), hidden=args.hidden)
+                                         channels=args.channels, hidden=args.hidden)
             clouds = _corpus_clouds(args.input)
             datasets = []
             for c in clouds:
@@ -224,7 +235,7 @@ def cmd_train(args):
             frames = _load_sequence(args.input, args.poses)
             seq = dynamic.align_sequence(frames)
             dataset = dynamic.build_sequence_dataset(seq, args.depth, args.crop_size)
-            model = entropy.DynamicContextModel(args.crop_size, channels=_channels(args),
+            model = entropy.DynamicContextModel(args.crop_size, channels=args.channels,
                                                 hidden=args.hidden, seed=args.seed)
             curve = model.train(dataset, args.epochs, args.batch, args.lr, args.seed)
             blob = model.serialize()
@@ -235,7 +246,7 @@ def cmd_train(args):
                 norm_c, _ = pointcloud.normalize(c)
                 trees.append(octree.build(norm_c, args.depth))
             dataset = entropy.build_node_dataset(trees, args.crop_size)
-            model = entropy.VoxelContextModel(args.crop_size, channels=_channels(args),
+            model = entropy.VoxelContextModel(args.crop_size, channels=args.channels,
                                               hidden=args.hidden, seed=args.seed)
             curve = model.train(dataset, args.epochs, args.batch, args.lr, args.seed)
             blob = model.serialize()
@@ -255,10 +266,11 @@ def cmd_train(args):
 
 
 def cmd_eval(args):
+    _check_truncs(args.depth, args.truncs)
     model = _make_model(args)
     cloud = _load_cloud(args.input)
     refine_params = _load_refine(args.refine) if args.refine else None
-    truncs = sorted(int(v) for v in args.truncs.split(","))
+    truncs = sorted(args.truncs)
     normals_ref = metrics.estimate_normals(cloud.points) if len(cloud) > 12 else None
     rows = []
     for trunc in truncs:
@@ -291,18 +303,21 @@ def cmd_bdbr(args):
     return 0
 
 
-def _channels(args):
-    return tuple(int(c) for c in args.channels.split(","))
+def _int_list(text):
+    """argparse type of a comma-separated integer list such as "16,32,64"."""
+    try:
+        return tuple(int(v) for v in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a comma-separated integer list: {text!r}") from None
 
 
-def _add_common(p, model=True):
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--report", help="write a JSON report here")
-    if model:
-        p.add_argument("--model", help="model file (VCNM)")
-        p.add_argument("--model-kind",
-                       choices=["uniform", "adaptive", "voxel-static", "voxel-dynamic"])
-        p.add_argument("--context-bits", type=int, default=16)
+def _add_model(p, context_bits=True):
+    p.add_argument("--model", help="model file (VCNM)")
+    p.add_argument("--model-kind",
+                   choices=["uniform", "adaptive", "voxel-static", "voxel-dynamic"])
+    if context_bits:
+        p.add_argument("--context-bits", type=int, default=16,
+                       help="adaptive model context hash bits, 1-16")
 
 
 def build_parser():
@@ -317,7 +332,8 @@ def build_parser():
     p.add_argument("--trunc", type=int, help="truncation depth (default: --depth)")
     p.add_argument("--sequence", action="store_true", help="input is a directory of frames")
     p.add_argument("--poses", help="pose file, one 3x4 row-major pose per line")
-    _add_common(p)
+    p.add_argument("--report", help="write a JSON report here")
+    _add_model(p)
     p.set_defaults(func=cmd_encode)
 
     p = sub.add_parser("decode", help="reconstruct a cloud or sequence from a bitstream")
@@ -325,7 +341,8 @@ def build_parser():
     p.add_argument("output")
     p.add_argument("--refine", help="refinement model file")
     p.add_argument("--restore-poses", action="store_true")
-    _add_common(p)
+    p.add_argument("--report", help="write a JSON report here")
+    _add_model(p)
     p.set_defaults(func=cmd_decode)
 
     p = sub.add_parser("train", help="train an entropy or refinement model")
@@ -335,28 +352,30 @@ def build_parser():
     p.add_argument("--batch", type=int, default=32)
     p.add_argument("--lr", type=float, default=1e-4)
     p.add_argument("--crop-size", type=int, default=9)
-    p.add_argument("--channels", default="16,32,64")
+    p.add_argument("--channels", type=_int_list, default="16,32,64")
     p.add_argument("--hidden", type=int, default=256)
     p.add_argument("--refine", action="store_true", help="train the coordinate refiner")
     p.add_argument("--poses")
     p.add_argument("--loss-csv", help="loss curve path (default: MODEL.loss.csv)")
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--report", help="write a JSON report here")
+    _add_model(p, context_bits=False)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="rate-distortion sweep over truncation depths")
     p.add_argument("input")
     p.add_argument("output", help="RD CSV path")
     p.add_argument("--depth", type=int, required=True)
-    p.add_argument("--truncs", default="3,4,5,6")
+    p.add_argument("--truncs", type=_int_list, default="3,4,5,6")
     p.add_argument("--refine")
-    _add_common(p)
+    _add_model(p)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("bdbr", help="Bjontegaard delta bitrate between two RD CSVs")
     p.add_argument("anchor")
     p.add_argument("test")
     p.add_argument("--metric", default="psnr_d1", choices=["psnr_d1", "psnr_d2", "cd"])
-    _add_common(p, model=False)
+    p.add_argument("--report", help="write a JSON report here")
     p.set_defaults(func=cmd_bdbr)
     return parser
 

@@ -79,17 +79,12 @@ def _quantize_rows(p: np.ndarray) -> np.ndarray:
     bump = np.zeros_like(base)
     np.put_along_axis(bump, order, add.astype(np.int64), axis=1)
     base += bump
-    # raise zeros to 1, taking the excess from the largest entries
-    deficits = (base == 0).sum(axis=1)
-    for r in np.nonzero(deficits)[0]:
-        row = base[r]
-        row[row == 0] = 1
-        need = int(deficits[r])
-        while need > 0:
-            i = int(np.argmax(row))
-            take = min(need, int(row[i]) - 1)
-            row[i] -= take
-            need -= take
+    # raise zeros to 1 and take the excess from each row's first largest entry:
+    # a row's d <= 254 zeros leave 255 - d entries summing to 2^16, so its largest
+    # is at least 258 and can give up all d while staying >= 1
+    zeros = base == 0
+    base[zeros] = 1
+    base[np.arange(len(base)), base.argmax(axis=1)] -= zeros.sum(axis=1)
     return base
 
 

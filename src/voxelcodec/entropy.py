@@ -507,16 +507,3 @@ def level_code_lengths(model: EntropyModel, ctx: LevelContext, symbols) -> np.nd
         p = np.broadcast_to(probs, (len(syms), ALPHABET))[np.arange(len(syms)), syms - 1]
     return -np.log2(p)
 
-
-def cross_entropy_bpp(model: EntropyModel, trees, input_point_count: int, trunc_depth=None):
-    """Model cross-entropy as (bits per input point, bits per symbol)."""
-    if isinstance(trees, Octree):
-        trees = [trees]
-    bits = 0.0
-    n_sym = 0
-    for tree in trees:
-        lengths = model_code_lengths(model, tree, trunc_depth)
-        bits += float(lengths.sum())
-        n_sym += len(lengths)
-    bps = bits / n_sym if n_sym else 0.0
-    return bits / input_point_count, bps

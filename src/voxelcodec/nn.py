@@ -143,17 +143,11 @@ def _softmax(z):
 
 
 def forward(params: ModelParams, x, want_cache=True):
-    """Run the stack. `x` is one sample or a batch (extra leading axis).
+    """Run the stack on a batch: one sample per entry of `x`'s leading axis.
 
     Returns (output, cache); pass the cache to backward() unchanged.
     """
     x = np.asarray(x, dtype=F64)
-    sample_ndim = 4 if params.layers and isinstance(params.layers[0], Conv3D) else 1
-    batched = x.ndim == sample_ndim + 1
-    if not batched:
-        if x.ndim != sample_ndim:
-            raise ValueError(f"input shape {x.shape} incompatible with layer stack")
-        x = x[None]
     layer_shapes(params.layers, x.shape[1:])  # shape check up front
     cache = [] if want_cache else None
     for layer, t in zip(params.layers, params.tensors):
@@ -177,24 +171,13 @@ def forward(params: ModelParams, x, want_cache=True):
             if want_cache:
                 cache.append(x > 0)
             x = np.maximum(x, 0.0)
-    if not batched:
-        x = x[0]
     return x, cache
 
 
 def backward(params: ModelParams, cache, grad_out):
-    """Reverse pass: upstream gradient -> (per-layer [dW, db] grads, input gradient)."""
+    """Reverse pass on a batch: upstream gradient -> (per-layer [dW, db] grads,
+    input gradient)."""
     g = np.asarray(grad_out, dtype=F64)
-    last = params.layers[-1]
-    if isinstance(last, Conv3D):
-        out_ndim = 5
-    elif isinstance(last, FullyConnected):
-        out_ndim = 2
-    else:
-        out_ndim = cache[-1].ndim
-    batched = g.ndim == out_ndim
-    if not batched:
-        g = g[None]
     grads = [None] * len(params.layers)
     for i in range(len(params.layers) - 1, -1, -1):
         layer, t, c = params.layers[i], params.tensors[i], cache[i]
@@ -217,7 +200,7 @@ def backward(params: ModelParams, cache, grad_out):
         elif isinstance(layer, ReLU):
             g = g * c
             grads[i] = []
-    return grads, (g if batched else g[0])
+    return grads, g
 
 
 def _col2im(dcols, in_shape):
@@ -259,13 +242,8 @@ def softmax_cross_entropy(logits, target):
 
 
 def cross_entropy_grad(probs, target):
-    """d(mean CE)/d(logits): softmax minus one-hot (batch-mean scaled)."""
-    p = np.asarray(probs, dtype=F64)
-    if p.ndim == 1:
-        g = p.copy()
-        g[target] -= 1.0
-        return g
-    g = p.copy()
+    """d(mean CE)/d(logits) of a batch: softmax minus one-hot, over the batch size."""
+    g = np.asarray(probs, dtype=F64).copy()
     g[np.arange(len(g)), np.asarray(target)] -= 1.0
     return g / len(g)
 

@@ -1,4 +1,5 @@
-"""Octree construction over the unit cube and lossless symbol (de)serialization.
+"""Octree construction over the unit cube, and the expansion of a level's
+occupancy symbols into the next level that the decoder replays.
 
 An octree is stored flat: one sorted array of occupied cells per depth level and
 one 8-bit occupancy symbol per non-leaf cell describing which of its eight
@@ -39,19 +40,8 @@ class Octree:
     levels: list     # levels[k]: (n_k, 3) int64, lexicographically sorted
     symbols: list    # symbols[k]: (n_k,) uint8 for k < max_depth
 
-    def node_count(self, depth=None):
-        if depth is None:
-            return sum(len(lv) for lv in self.levels)
-        return len(self.levels[depth])
-
     def symbol_count(self):
         return sum(len(s) for s in self.symbols)
-
-    def symbol_stream(self) -> np.ndarray:
-        """All symbols, level by level, in canonical order."""
-        if self.max_depth == 0 or not self.symbols:
-            return np.empty(0, dtype=np.uint8)
-        return np.concatenate(self.symbols)
 
     def truncate(self, trunc_depth: int) -> "Octree":
         if not 1 <= trunc_depth <= self.max_depth:
@@ -64,20 +54,6 @@ class Octree:
         """Unit-cube centers of the deepest-level cells."""
         d = self.max_depth
         return (self.levels[d].astype(np.float64) + 0.5) / (1 << d)
-
-    def validate(self):
-        """Check structural invariants; raises on violation. Intended for tests."""
-        assert len(self.levels) == self.max_depth + 1
-        assert len(self.symbols) == self.max_depth
-        assert len(self.levels[0]) == 1 and np.all(self.levels[0] == 0)
-        for k in range(self.max_depth + 1):
-            keys = cell_keys(self.levels[k], k)
-            assert np.all(np.diff(keys) > 0), f"level {k} not sorted/unique"
-        for k in range(self.max_depth):
-            assert len(self.symbols[k]) == len(self.levels[k])
-            assert self.symbols[k].min() >= 1
-            kids = _expand_children(self.levels[k], self.symbols[k], k)
-            assert np.array_equal(kids, self.levels[k + 1]), f"level {k + 1} inconsistent"
 
 
 def build(cloud: PointCloud, depth: int) -> Octree:
@@ -122,34 +98,6 @@ def _expand_children(cells: np.ndarray, syms: np.ndarray, k: int) -> np.ndarray:
     return kids[order]
 
 
-def rebuild_from_symbols(stream, depth: int) -> Octree:
-    """Inverse of the canonical symbol serialization: stream -> octree.
-
-    The stream must contain, level by level, one symbol per occupied cell in
-    lexicographic cell order, exactly as produced by Octree.symbol_stream().
-    """
-    if not 1 <= depth <= MAX_DEPTH:
-        raise ValueError(f"depth {depth} out of range [1, {MAX_DEPTH}]")
-    stream = np.asarray(stream, dtype=np.int64)
-    levels = [np.zeros((1, 3), dtype=np.int64)]
-    symbols = []
-    pos = 0
-    for k in range(depth):
-        n = len(levels[k])
-        if pos + n > len(stream):
-            raise ValueError(f"symbol stream exhausted at depth {k}: need {n}, have {len(stream) - pos}")
-        chunk = stream[pos: pos + n]
-        pos += n
-        if chunk.min() < 1 or chunk.max() > 255:
-            raise ValueError(f"invalid occupancy symbol at depth {k} (must be in [1, 255])")
-        sym = chunk.astype(np.uint8)
-        symbols.append(sym)
-        levels.append(_expand_children(levels[k], sym, k))
-    if pos != len(stream):
-        raise ValueError(f"{len(stream) - pos} trailing symbols beyond depth {depth}")
-    return Octree(depth, levels, symbols)
-
-
 def reconstruct_centers(tree: Octree, params: NormalizationParams) -> PointCloud:
-    """One point per deepest-level cell, at the denormalized cube center."""
+    """One point per deepest-level cell, at its cube center in input coordinates."""
     return PointCloud(params.invert(tree.leaf_centers()))

@@ -33,10 +33,6 @@ class RigidTransform:
         if abs(np.linalg.det(r) - 1.0) > 1e-6:
             raise ValueError("rotation determinant is not +1")
 
-    @classmethod
-    def identity(cls):
-        return cls(np.eye(3), np.zeros(3))
-
     def apply(self, points):
         return np.asarray(points, dtype=np.float64) @ self.rotation.T + self.translation
 
@@ -110,19 +106,6 @@ def normalize(cloud: PointCloud) -> tuple[PointCloud, NormalizationParams]:
         edge = 1.0
     params = NormalizationParams(origin, edge)
     return PointCloud(params.apply(cloud.points), pose=cloud.pose), params
-
-
-def denormalize(cloud: PointCloud, params: NormalizationParams) -> PointCloud:
-    return PointCloud(params.invert(cloud.points), pose=cloud.pose)
-
-
-def subsample(cloud: PointCloud, count: int, seed: int) -> PointCloud:
-    """Uniform random subsample without replacement (seeded Philox stream)."""
-    if count >= len(cloud):
-        return PointCloud(cloud.points.copy(), pose=cloud.pose)
-    rng = np.random.Generator(np.random.Philox(seed))
-    idx = rng.choice(len(cloud), size=count, replace=False)
-    return PointCloud(cloud.points[np.sort(idx)], pose=cloud.pose)
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +287,3 @@ def load(path: str) -> PointCloud:
     fmt, _, _, _ = _parse_ply_header(data)
     return read_points(data, fmt)
 
-
-def save(path: str, cloud: PointCloud, fmt: str | None = None):
-    with open(path, "wb") as fh:
-        fh.write(write_points(cloud, fmt or guess_format(path)))

@@ -15,7 +15,7 @@ from . import nn
 from .entropy import KIND_REFINE, tower_rows
 from .octree import Octree, build, cell_keys
 from .pointcloud import NormalizationParams, PointCloud
-from .voxelgrid import grid_from_level, local_anchors, local_crops
+from .voxelgrid import VoxelGrid, local_anchors, local_crops
 
 
 class RefineParams:
@@ -84,7 +84,7 @@ def refine_offsets(params: RefineParams, depth: int, crops) -> np.ndarray:
 
 
 def refine_apply(tree: Octree, params: RefineParams, norm: NormalizationParams) -> PointCloud:
-    """Shift each leaf center by its predicted offset and denormalize.
+    """Shift each leaf center by its predicted offset and map it to input coordinates.
 
     The tower runs once over the leaf grid (`entropy.tower_rows`), so the
     offsets equal refine_offsets() on the leaves' crops bit for bit.
@@ -92,7 +92,7 @@ def refine_apply(tree: Octree, params: RefineParams, norm: NormalizationParams) 
     d = tree.max_depth
     tower, head = _network(params, d)
     m = params.crop_size
-    rows = tower_rows(tower, grid_from_level(tree, d), local_anchors(tree.levels[d], m), m)
+    rows = tower_rows(tower, VoxelGrid(d, tree.levels[d]), local_anchors(tree.levels[d], m), m)
     offsets = _bounded(nn.forward(head, rows, want_cache=False)[0])
     centers = tree.leaf_centers() + offsets * (2.0 ** -d)
     return PointCloud(norm.invert(centers))
@@ -117,8 +117,7 @@ def build_refine_dataset(cloud_norm: PointCloud, depth: int, crop_size=9):
     np.add.at(counts, slot, 1.0)
     centroids = sums / counts[:, None]
     targets = centroids - (cells + 0.5)
-    grid = grid_from_level(tree, depth)
-    crops = local_crops(grid, cells, crop_size)
+    crops = local_crops(VoxelGrid(depth, cells), cells, crop_size)
     return {"crops": crops, "targets": targets, "tree": tree}
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .octree import Octree, cell_keys, keys_to_cells
+from .octree import cell_keys, keys_to_cells
 
 
 class VoxelGrid:
@@ -59,20 +59,6 @@ class VoxelGrid:
         cells = cells[(cells[:, 2] >= 0) & (cells[:, 2] < ext[2])]
         out[cells[:, 0], cells[:, 1], cells[:, 2]] = 1
         return out
-
-
-def grid_from_level(source, k: int) -> VoxelGrid:
-    """The occupancy grid of depth level k.
-
-    `source` is either an Octree or a (n, 3) array of occupied cells.
-    """
-    if isinstance(source, Octree):
-        if not 0 <= k <= source.max_depth:
-            raise ValueError(f"level {k} not available (max_depth {source.max_depth})")
-        cells = source.levels[k]
-    else:
-        cells = np.asarray(source, dtype=np.int64)
-    return VoxelGrid(k, cells)
 
 
 def _extract_windows(grid: VoxelGrid, anchors: np.ndarray, m: int) -> np.ndarray:

@@ -107,6 +107,27 @@ def malformed_model_files():
 # --- independent oracles ----------------------------------------------------
 
 
+def assert_octree_invariants(tree):
+    """Structural oracle for `octree.build`, sharing no code with it: one level
+    per depth from the root cell, each sorted and unique within its cube, and
+    each non-leaf cell's symbol the OR of its children's octant bits."""
+    assert len(tree.levels) == tree.max_depth + 1
+    assert len(tree.symbols) == tree.max_depth
+    assert np.array_equal(tree.levels[0], [[0, 0, 0]])
+    for k, cells in enumerate(tree.levels):
+        assert cells.min() >= 0 and cells.max() < (1 << k), f"level {k} outside its cube"
+        rows = [tuple(c) for c in cells.tolist()]
+        assert rows == sorted(set(rows)), f"level {k} not sorted/unique"
+    for k, syms in enumerate(tree.symbols):
+        assert len(syms) == len(tree.levels[k])
+        expect = {}
+        for x, y, z in tree.levels[k + 1].tolist():
+            parent = (x >> 1, y >> 1, z >> 1)
+            expect[parent] = expect.get(parent, 0) | 1 << (4 * (x & 1) + 2 * (y & 1) + (z & 1))
+        got = {tuple(c): int(s) for c, s in zip(tree.levels[k].tolist(), syms)}
+        assert got == expect, f"level {k + 1} inconsistent with the depth-{k} symbols"
+
+
 def brute_force_nn(query, reference):
     d2 = ((reference - query) ** 2).sum(axis=1)
     idx = int(np.argmin(d2))

@@ -23,7 +23,7 @@ MALFORMED = malformed_model_files()
 
 
 def _write_cloud(path, cloud):
-    pointcloud.save(str(path), cloud)
+    Path(path).write_bytes(pointcloud.write_points(cloud, pointcloud.guess_format(path)))
 
 
 def _run(*argv):
@@ -308,6 +308,50 @@ class TestEvalBdbr:
         report = tmp_path / "bd.json"
         assert _run("bdbr", csv_uniform, csv_trained, "--report", report) == 0
         assert json.loads(report.read_text())["bdbr_percent"] < 0
+
+
+class TestOptions:
+    """Every option is read, and a bad value is a usage error (exit 1)."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        src = tmp_path / "in.xyz"
+        _write_cloud(src, structured_cloud(300, seed=2))
+        bitstream, rd = tmp_path / "c.vcnb", tmp_path / "rd.csv"
+        assert _run("encode", src, bitstream, "--depth", 5) == 0
+        assert _run("eval", src, rd, "--depth", 5, "--truncs", "2,3,4,5") == 0
+        return SimpleNamespace(src=src, bitstream=bitstream, rd=rd, dir=tmp_path)
+
+    @pytest.mark.parametrize("command,option", [
+        ("encode", "--seed"), ("decode", "--seed"), ("eval", "--seed"), ("bdbr", "--seed"),
+        ("eval", "--report"), ("train", "--context-bits")])
+    def test_unread_option_rejected(self, files, command, option):
+        argv = {
+            "encode": ("encode", files.src, files.dir / "o.vcnb", "--depth", 5),
+            "decode": ("decode", files.bitstream, files.dir / "o.xyz"),
+            "eval": ("eval", files.src, files.dir / "o.csv", "--depth", 5, "--truncs", "3,4"),
+            "bdbr": ("bdbr", files.rd, files.rd),
+            "train": ("train", files.src, "--depth", 3, "--model", files.dir / "m.vcnm",
+                      "--model-kind", "voxel-static", "--epochs", 1, "--crop-size", 5,
+                      "--channels", "2", "--hidden", 8),
+        }[command]
+        value = {"--seed": 5, "--report": files.dir / "r.json", "--context-bits": 4}[option]
+        assert _run(*argv) == 0
+        assert _run(*argv, option, value) == 1
+        assert not (files.dir / "r.json").exists()
+
+    @pytest.mark.parametrize("command,args", [
+        ("encode", ("--trunc", 5)),
+        ("encode", ("--trunc", 0)),
+        ("encode", ("--model-kind", "adaptive", "--context-bits", 0)),
+        ("eval", ("--truncs", "2,x")),
+        ("eval", ("--truncs", "2,5")),
+    ], ids=["trunc-past-depth", "trunc-zero", "context-bits-zero", "truncs-not-int",
+            "eval-trunc-past-depth"])
+    def test_bad_value_is_usage_error(self, files, command, args):
+        out = files.dir / ("o.vcnb" if command == "encode" else "o.csv")
+        assert _run(command, files.src, out, "--depth", 4, *args) == 1
+        assert not out.exists()
 
 
 def _declared_scripts():

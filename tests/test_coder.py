@@ -5,10 +5,11 @@ from hypothesis import strategies as st
 
 from voxelcodec import (AdaptiveContextModel, DecodeError, DynamicContextModel, PointCloud,
                         UniformModel, VoxelContextModel, build, coded_bpp, coder,
-                        cross_entropy_bpp, decode_cloud, decode_sequence, encode_cloud,
+                        decode_cloud, decode_sequence, encode_cloud,
                         encode_sequence, model_code_lengths, normalize, payload_size,
                         quantize_distribution, reconstruct_centers)
 from voxelcodec.coder import TOTAL_FREQ, RangeDecoder, RangeEncoder, quantize_level
+from voxelcodec.entropy import LOG2_ALPHABET
 
 from conftest import moving_sequence, random_cloud, structured_cloud
 
@@ -51,6 +52,45 @@ class TestQuantize:
             t = quantize_distribution(probs[i])
             assert np.array_equal(freq[i], t.freq)
             assert np.array_equal(cum[i], t.cum)
+
+
+    def test_zero_fix_matches_loop_oracle(self):
+        # peaky softmax rows, sparse Dirichlet rows and one-hot rows (254 zeros)
+        rng = np.random.default_rng(3)
+        logits = rng.normal(0, 1, (2000, 255)) * rng.uniform(0.5, 40, (2000, 1))
+        peaky = np.exp(logits - logits.max(axis=1, keepdims=True))
+        sparse = rng.dirichlet(np.full(255, 0.01), size=500)
+        one_hot = np.eye(255)[rng.integers(0, 255, 100)]
+        for probs in (peaky, sparse, one_hot):
+            expect, deficit_rows = _quantize_rows_loop(probs)
+            assert deficit_rows > 0
+            assert np.array_equal(coder._quantize_rows(probs), expect)
+
+
+def _quantize_rows_loop(p):
+    """The quantizer with its former per-row zero-fix loop, kept as an oracle:
+    -> (frequencies, number of rows that had zeros to fix)."""
+    p = p / p.sum(axis=1, keepdims=True)
+    scaled = p * float(TOTAL_FREQ)
+    base = np.floor(scaled).astype(np.int64)
+    rem = scaled - base
+    leftover = TOTAL_FREQ - base.sum(axis=1)
+    order = np.argsort(-rem, axis=1, kind="stable")
+    add = np.arange(p.shape[1])[None, :] < leftover[:, None]
+    bump = np.zeros_like(base)
+    np.put_along_axis(bump, order, add.astype(np.int64), axis=1)
+    base += bump
+    deficits = (base == 0).sum(axis=1)
+    for r in np.nonzero(deficits)[0]:
+        row = base[r]
+        row[row == 0] = 1
+        need = int(deficits[r])
+        while need > 0:
+            i = int(np.argmax(row))
+            take = min(need, int(row[i]) - 1)
+            row[i] -= take
+            need -= take
+    return base, int((deficits > 0).sum())
 
 
 def _uniform_table():
@@ -344,8 +384,9 @@ class TestCloudCodec:
         model = UniformModel()
         norm, _ = normalize(cloud)
         tree = build(norm, 5)
-        bpp, bps = cross_entropy_bpp(model, tree, len(cloud))
-        assert abs(bpp * len(cloud) - bps * tree.symbol_count()) < 1e-9
+        lengths = model_code_lengths(model, tree)
+        assert len(lengths) == tree.symbol_count()
+        assert abs(lengths.sum() - LOG2_ALPHABET * tree.symbol_count()) < 1e-9
 
     def test_model_hash_mismatch_refused(self):
         cloud = random_cloud(100, seed=1)

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from voxelcodec import (AdaptiveContextModel, DynamicContextModel, UniformModel,
-                        VoxelContextModel, build, build_node_dataset,
-                        cross_entropy_bpp, entropy, load_entropy_model,
+                        VoxelContextModel, build, build_node_dataset, entropy, load_entropy_model,
                         model_code_lengths, nn, normalize)
 from voxelcodec.entropy import ALPHABET, LOG2_ALPHABET, make_level_context
 
@@ -23,7 +22,8 @@ class TestUniform:
     def test_stream_entropy_log2_255(self):
         m = UniformModel()
         tree = build(random_cloud(400, 1), 5)
-        _, bps = cross_entropy_bpp(m, tree, 400)
+        lengths = model_code_lengths(m, tree)
+        bps = lengths.sum() / len(lengths)
         assert bps == pytest.approx(LOG2_ALPHABET, abs=1e-12)
         assert bps == pytest.approx(7.994, abs=1e-3)
 
@@ -137,7 +137,7 @@ class TestVoxelModel:
         dense = _dense_cloud()
         norm, _ = normalize(dense)
         tree = build(norm, 3)
-        assert set(np.unique(tree.symbol_stream())) == {255}
+        assert set(np.unique(np.concatenate(tree.symbols))) == {255}
         ds = build_node_dataset([tree], crop_size=5)
         m = VoxelContextModel(crop_size=5, channels=(2, 4), hidden=16, seed=0)
         m.train(ds, epochs=200, batch_size=32, lr=1e-2, seed=0)
@@ -308,8 +308,9 @@ class TestRateAccounting:
     def test_accounting_identity(self):
         tree = build(random_cloud(900, 4), 6)
         m = UniformModel()
-        bpp, bps = cross_entropy_bpp(m, tree, 900)
-        assert abs(bpp * 900 - bps * tree.symbol_count()) < 1e-9
+        lengths = model_code_lengths(m, tree)
+        assert len(lengths) == tree.symbol_count()
+        assert abs(lengths.sum() - LOG2_ALPHABET * tree.symbol_count()) < 1e-9
 
 
 def _tiny_dataset(seed, m=5, n=200):

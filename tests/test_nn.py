@@ -20,15 +20,15 @@ class TestForward:
         params = init_params((Conv3D(2),), (1, 5, 5, 5), seed=0)
         params.tensors[0][0][:] = 0
         params.tensors[0][1][:] = [1.5, -2.0]
-        out, _ = forward(params, np.random.default_rng(0).random((1, 5, 5, 5)))
-        assert np.allclose(out[0], 1.5) and np.allclose(out[1], -2.0)
+        out, _ = forward(params, np.random.default_rng(0).random((1, 1, 5, 5, 5)))
+        assert np.allclose(out[0, 0], 1.5) and np.allclose(out[0, 1], -2.0)
 
     def test_unit_kernel_sums_to_27(self):
         params = init_params((Conv3D(1),), (1, 3, 3, 3), seed=0)
         params.tensors[0][0][:] = 1.0
-        out, _ = forward(params, np.ones((1, 3, 3, 3)))
-        assert out.shape == (1, 1, 1, 1)
-        assert out[0, 0, 0, 0] == 27.0
+        out, _ = forward(params, np.ones((1, 1, 3, 3, 3)))
+        assert out.shape == (1, 1, 1, 1, 1)
+        assert out[0, 0, 0, 0, 0] == 27.0
 
     def test_shape_algebra(self):
         convs = (Conv3D(4), ReLU(), Conv3D(8), ReLU(), Conv3D(16), ReLU())
@@ -38,7 +38,9 @@ class TestForward:
     def test_shape_mismatch_rejected(self):
         params = init_params((Conv3D(2),), (1, 5, 5, 5), seed=0)
         with pytest.raises(ValueError):
-            forward(params, np.ones((2, 5, 5, 5)))
+            forward(params, np.ones((2, 5, 5, 5)))      # no batch axis
+        with pytest.raises(ValueError):
+            forward(params, np.ones((1, 2, 5, 5, 5)))   # two channels, the conv reads one
         with pytest.raises(ValueError):
             layer_shapes((Conv3D(2),), (1, 2, 2, 2))
 
@@ -47,13 +49,13 @@ class TestForward:
         params = init_params(layers, (1, 4, 4, 4), seed=5)
         x = np.random.default_rng(1).random((6, 1, 4, 4, 4))
         batch, _ = forward(params, x)
-        singles = np.stack([forward(params, xi)[0] for xi in x])
+        singles = np.concatenate([forward(params, xi[None])[0] for xi in x])
         assert np.array_equal(batch, singles)
 
     def test_determinism_100_runs(self):
         layers = (Conv3D(4), ReLU(), FullyConnected(9))
         params = init_params(layers, (1, 5, 5, 5), seed=3)
-        x = np.random.default_rng(2).random((1, 5, 5, 5))
+        x = np.random.default_rng(2).random((1, 1, 5, 5, 5))
         ref = hashlib.sha256(forward(params, x)[0].tobytes()).hexdigest()
         for _ in range(100):
             assert hashlib.sha256(forward(params, x)[0].tobytes()).hexdigest() == ref
@@ -102,7 +104,7 @@ class TestBackward:
     def test_zero_upstream_zero_grads(self):
         layers = (Conv3D(3), ReLU(), FullyConnected(5))
         params = init_params(layers, (1, 4, 4, 4), seed=0)
-        out, cache = forward(params, np.random.default_rng(0).random((1, 4, 4, 4)))
+        out, cache = forward(params, np.random.default_rng(0).random((1, 1, 4, 4, 4)))
         grads, gx = backward(params, cache, np.zeros_like(out))
         for group in grads:
             for g in group:
@@ -114,11 +116,11 @@ class TestBackward:
         params = init_params((FullyConnected(4),), (6,), seed=2)
         x = np.random.default_rng(1).random(6)
         up = np.random.default_rng(2).random(4)
-        _, cache = forward(params, x)
-        grads, gx = backward(params, cache, up)
+        _, cache = forward(params, x[None])
+        grads, gx = backward(params, cache, up[None])
         assert np.allclose(grads[0][0], np.outer(up, x))
         assert np.allclose(grads[0][1], up)
-        assert np.allclose(gx, params.tensors[0][0].astype(np.float64).T @ up)
+        assert np.allclose(gx[0], params.tensors[0][0].astype(np.float64).T @ up)
 
     @pytest.mark.parametrize("layers,in_shape", [
         ((Conv3D(2), ReLU(), Conv3D(3), ReLU(), FullyConnected(8), ReLU(), FullyConnected(5)),

@@ -1,17 +1,17 @@
 import numpy as np
 import pytest
 
-from voxelcodec import (NormalizationParams, PointCloud, build, normalize, octree,
-                        rebuild_from_symbols, reconstruct_centers)
+from voxelcodec import (NormalizationParams, PointCloud, UniformModel, build, decode_cloud,
+                        encode_cloud, normalize, octree, reconstruct_centers)
 
-from conftest import random_cloud, structured_cloud
+from conftest import assert_octree_invariants, random_cloud, structured_cloud
 
 
 class TestBuild:
     def test_toy_quantization_example(self):
         # a single point at (0.6, 0.7, 0.7) quantizes to cell center (0.625, 0.625, 0.625) at depth 2
         tree = build(PointCloud([[0.6, 0.7, 0.7]]), 2)
-        assert tree.node_count(2) == 1
+        assert len(tree.levels[2]) == 1
         centers = reconstruct_centers(tree, NormalizationParams.identity())
         assert np.allclose(centers.points, [[0.625, 0.625, 0.625]])
 
@@ -19,8 +19,8 @@ class TestBuild:
     def test_single_point_single_path(self, depth):
         tree = build(PointCloud([[0.31, 0.62, 0.93]]), depth)
         for k in range(depth + 1):
-            assert tree.node_count(k) == 1
-        for sym in tree.symbol_stream():
+            assert len(tree.levels[k]) == 1
+        for sym in np.concatenate(tree.symbols):
             assert bin(int(sym)).count("1") == 1
 
     def test_eight_corner_points_root_255(self):
@@ -42,7 +42,7 @@ class TestBuild:
 
     def test_duplicates_collapse(self):
         tree = build(PointCloud([[0.3, 0.3, 0.3]] * 50), 4)
-        assert tree.node_count(4) == 1
+        assert len(tree.levels[4]) == 1
 
     def test_errors(self):
         with pytest.raises(ValueError):
@@ -57,11 +57,11 @@ class TestBuild:
     def test_invariants_random(self):
         for seed in range(5):
             tree = build(random_cloud(700, seed), 6)
-            tree.validate()
+            assert_octree_invariants(tree)
 
     def test_monotone_node_counts(self):
         tree = build(random_cloud(2000, 3), 8)
-        counts = [tree.node_count(k) for k in range(9)]
+        counts = [len(tree.levels[k]) for k in range(9)]
         assert all(a <= b for a, b in zip(counts, counts[1:]))
         assert counts[-1] <= 2000
 
@@ -82,31 +82,24 @@ class TestLevelSymbols:
 
 class TestRebuild:
     def test_symbol_16_bit_arithmetic(self):
-        tree = rebuild_from_symbols([16], 1)
-        assert np.array_equal(tree.levels[1], [[1, 0, 0]])
-
-    def test_zero_symbol_rejected(self):
-        with pytest.raises(ValueError):
-            rebuild_from_symbols([16, 0], 2)
-
-    def test_exhausted_stream(self):
-        with pytest.raises(ValueError):
-            rebuild_from_symbols([255], 2)   # 8 children need symbols at depth 1
-
-    def test_trailing_symbols_rejected(self):
-        with pytest.raises(ValueError):
-            rebuild_from_symbols([16, 1, 1], 2)
+        root = np.zeros((1, 3), dtype=np.int64)
+        kids = octree._expand_children(root, np.array([16], dtype=np.uint8), 0)
+        assert np.array_equal(kids, [[1, 0, 0]])
 
     @pytest.mark.parametrize("seed", range(10))
     def test_roundtrip_100_random_octrees(self, seed):
-        # 10 seeds x 10 clouds of varying size/depth
+        # 10 seeds x 10 clouds of varying size/depth, through the decoder
         rng = np.random.default_rng(seed)
         for i in range(10):
             n = int(rng.integers(5, 400))
             d = int(rng.integers(1, 7))
-            tree = build(random_cloud(n, seed * 100 + i), d)
-            back = rebuild_from_symbols(tree.symbol_stream(), d)
+            cloud = random_cloud(n, seed * 100 + i)
+            tree = build(normalize(cloud)[0], d)
+            data = encode_cloud(cloud, d, d, UniformModel())
+            _, back, _ = decode_cloud(data, UniformModel(), return_tree=True)
             assert back.max_depth == tree.max_depth
+            assert len(back.levels) == len(tree.levels)
+            assert len(back.symbols) == len(tree.symbols)
             for a, b in zip(tree.levels, back.levels):
                 assert np.array_equal(a, b)
             for a, b in zip(tree.symbols, back.symbols):
@@ -173,8 +166,8 @@ class TestTruncate:
 def test_canonical_determinism_under_permutation():
     cloud = structured_cloud(1500, seed=6)
     rng = np.random.default_rng(0)
-    stream = build(cloud, 6).symbol_stream().tobytes()
+    stream = np.concatenate(build(cloud, 6).symbols).tobytes()
     for _ in range(3):
         perm = rng.permutation(len(cloud))
         shuffled = PointCloud(cloud.points[perm])
-        assert build(shuffled, 6).symbol_stream().tobytes() == stream
+        assert np.concatenate(build(shuffled, 6).symbols).tobytes() == stream

@@ -5,7 +5,7 @@ from voxelcodec import (PointCloud, RefineParams, UniformModel, build,
                         build_refine_dataset, chamfer, decode_cloud, encode_cloud,
                         normalize, reconstruct_centers, refine_apply, refine_offsets,
                         nn, train_refine)
-from voxelcodec.voxelgrid import grid_from_level, local_crops
+from voxelcodec.voxelgrid import VoxelGrid, local_crops
 
 from conftest import planar_cloud, random_cloud
 
@@ -94,7 +94,7 @@ class TestTraining:
         assert np.abs(ds["targets"] - 0.4).max() < 1e-9
         params = RefineParams(crop_size=5, channels=(2, 4), hidden=16, seed=0)
         train_refine(params, depth, ds, epochs=60, batch_size=64, lr=1e-2, seed=0)
-        grid = grid_from_level(ds["tree"], depth)
+        grid = VoxelGrid(depth, ds["tree"].levels[depth])
         crops = local_crops(grid, ds["tree"].levels[depth], 5)
         off = refine_offsets(params, depth, crops)
         assert np.abs(off - 0.4).max() < 0.05

@@ -6,8 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from voxelcodec import (PointCloud, VoxelGrid, build, child_region_crops, grid_from_level,
-                        local_crops, rebuild_from_symbols)
+from voxelcodec import PointCloud, VoxelGrid, build, child_region_crops, local_crops, octree
 from voxelcodec.entropy import make_level_context
 
 from conftest import crops_by_contains, random_cloud, structured_cloud, voxelize_directly
@@ -26,16 +25,20 @@ def _dense(cells, depth):
     return dense
 
 
+def _root_children(symbol):
+    """The depth-1 grid of a root with occupancy symbol `symbol`."""
+    root = np.zeros((1, 3), dtype=np.int64)
+    return VoxelGrid(1, octree._expand_children(root, np.array([symbol], dtype=np.uint8), 0))
+
+
 class TestGridFromLevel:
     def test_root_255_full_grid(self):
-        tree = rebuild_from_symbols([255], 1)
-        grid = grid_from_level(tree, 1)
+        grid = _root_children(255)
         assert len(grid.keys) == 8
         assert np.all(_whole(grid) == 1)
 
     def test_root_16_single_cell(self):
-        tree = rebuild_from_symbols([16], 1)
-        grid = grid_from_level(tree, 1)
+        grid = _root_children(16)
         expect = np.zeros((2, 2, 2), dtype=np.uint8)
         expect[1, 0, 0] = 1
         assert np.array_equal(_whole(grid), expect)
@@ -45,26 +48,21 @@ class TestGridFromLevel:
         cloud = structured_cloud(400, seed=2)
         tree = build(cloud, 4)
         for k in range(1, 5):
-            grid = grid_from_level(tree, k)
+            grid = VoxelGrid(k, tree.levels[k])
             assert np.array_equal(_whole(grid), voxelize_directly(cloud.points, k))
-
-    def test_level_not_available(self):
-        tree = build(random_cloud(20, 0), 2)
-        with pytest.raises(ValueError):
-            grid_from_level(tree, 3)
 
     def test_popcount_invariant(self):
         tree = build(random_cloud(300, 1), 5)
         for k in range(6):
-            grid = grid_from_level(tree, k)
-            assert len(grid.keys) == tree.node_count(k)
-            assert _whole(grid).sum() == tree.node_count(k)
+            grid = VoxelGrid(k, tree.levels[k])
+            assert len(grid.keys) == len(tree.levels[k])
+            assert _whole(grid).sum() == len(tree.levels[k])
 
     def test_pooling_consistency(self):
         tree = build(random_cloud(500, 4), 6)
         for k in range(1, 7):
-            fine = _whole(grid_from_level(tree, k))
-            coarse = _whole(grid_from_level(tree, k - 1))
+            fine = _whole(VoxelGrid(k, tree.levels[k]))
+            coarse = _whole(VoxelGrid(k - 1, tree.levels[k - 1]))
             s = len(coarse)
             assert np.array_equal(fine.reshape(s, 2, s, 2, s, 2).max(axis=(1, 3, 5)), coarse)
 
@@ -72,7 +70,7 @@ class TestGridFromLevel:
 class TestLocalCrop:
     def test_m1_single_occupied_entry(self):
         tree = build(PointCloud([[0.1, 0.1, 0.1]]), 3)
-        grid = grid_from_level(tree, 3)
+        grid = VoxelGrid(3, tree.levels[3])
         crop = local_crops(grid, np.array([[0, 0, 0]]), 1)[0]
         assert crop.shape == (1, 1, 1)
         assert crop[0, 0, 0] == 1
@@ -118,7 +116,7 @@ class TestLocalCrop:
     def test_batch_matches_single(self):
         # each row of the batch is one slice of the zero-padded dense grid
         tree = build(random_cloud(200, 5), 4)
-        grid = grid_from_level(tree, 4)
+        grid = VoxelGrid(4, tree.levels[4])
         cells = tree.levels[4][:17]
         batch = local_crops(grid, cells, 5)
         padded = np.pad(_dense(tree.levels[4], 4), 2)
@@ -145,7 +143,7 @@ class TestChildRegionCrop:
 
     def test_center_block_pools_to_node_bit(self):
         tree = build(random_cloud(300, 7), 5)
-        grid5 = grid_from_level(tree, 5)
+        grid5 = VoxelGrid(5, tree.levels[5])
         cells4 = tree.levels[4]
         crops = child_region_crops(grid5, cells4)
         center_pool = crops[:, 4:6, 4:6, 4:6].max(axis=(1, 2, 3))
@@ -173,7 +171,7 @@ class TestChildRegionCrop:
 class TestTemporalContext:
     def test_first_frame_zero_prev(self):
         tree = build(random_cloud(100, 2), 3)
-        g = grid_from_level(tree, 2)
+        g = VoxelGrid(2, tree.levels[2])
         ctx = make_level_context(2, 3, tree.levels[2][:1], grid=g)
         cur = ctx.crops(9)[0]
         prev, nxt, child = (c[0] for c in ctx.temporal_crops(9, 10))
@@ -182,7 +180,7 @@ class TestTemporalContext:
 
     def test_identical_frames_equal_crops(self):
         tree = build(structured_cloud(300, 3), 4)
-        g = grid_from_level(tree, 3)
+        g = VoxelGrid(3, tree.levels[3])
         ctx = make_level_context(3, 4, tree.levels[3][5:6], grid=g, grid_prev=g, grid_next=g)
         cur = ctx.crops(9)[0]
         prev, nxt, _ = (c[0] for c in ctx.temporal_crops(9, 10))
@@ -192,7 +190,8 @@ class TestTemporalContext:
     def test_two_frame_compositional_oracle(self):
         a = build(random_cloud(200, 8), 4)
         b = build(random_cloud(200, 9), 4)
-        ga3, gb3, gb4 = grid_from_level(a, 3), grid_from_level(b, 3), grid_from_level(b, 4)
+        ga3, gb3 = VoxelGrid(3, a.levels[3]), VoxelGrid(3, b.levels[3])
+        gb4 = VoxelGrid(4, b.levels[4])
         center = a.levels[3][:1]
         ctx = make_level_context(3, 4, center, grid=ga3, grid_prev=gb3, grid_prev_child=gb4)
         cur = ctx.crops(9)[0]
