@@ -16,6 +16,7 @@ import time
 import numpy as np
 
 from . import coder, dynamic, entropy, metrics, octree, pointcloud, refine
+from .octree import MAX_DEPTH
 
 EXIT_USAGE = 1
 EXIT_IO = 2
@@ -303,6 +304,17 @@ def cmd_bdbr(args):
     return 0
 
 
+def _depth(text):
+    """argparse type of --depth: an octree depth in [1, MAX_DEPTH]."""
+    try:
+        depth = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if not 1 <= depth <= MAX_DEPTH:
+        raise argparse.ArgumentTypeError(f"depth {depth} out of range [1, {MAX_DEPTH}]")
+    return depth
+
+
 def _int_list(text):
     """argparse type of a comma-separated integer list such as "16,32,64"."""
     try:
@@ -328,7 +340,7 @@ def build_parser():
     p = sub.add_parser("encode", help="compress a cloud or sequence into a bitstream")
     p.add_argument("input")
     p.add_argument("output")
-    p.add_argument("--depth", type=int, required=True)
+    p.add_argument("--depth", type=_depth, required=True)
     p.add_argument("--trunc", type=int, help="truncation depth (default: --depth)")
     p.add_argument("--sequence", action="store_true", help="input is a directory of frames")
     p.add_argument("--poses", help="pose file, one 3x4 row-major pose per line")
@@ -347,7 +359,7 @@ def build_parser():
 
     p = sub.add_parser("train", help="train an entropy or refinement model")
     p.add_argument("input", help="corpus: cloud file, directory of clouds, or frame directory")
-    p.add_argument("--depth", type=int, required=True)
+    p.add_argument("--depth", type=_depth, required=True)
     p.add_argument("--epochs", type=int, default=20)
     p.add_argument("--batch", type=int, default=32)
     p.add_argument("--lr", type=float, default=1e-4)
@@ -365,7 +377,7 @@ def build_parser():
     p = sub.add_parser("eval", help="rate-distortion sweep over truncation depths")
     p.add_argument("input")
     p.add_argument("output", help="RD CSV path")
-    p.add_argument("--depth", type=int, required=True)
+    p.add_argument("--depth", type=_depth, required=True)
     p.add_argument("--truncs", type=_int_list, default="3,4,5,6")
     p.add_argument("--refine")
     _add_model(p)

@@ -28,7 +28,7 @@ from .nn import fnv1a64
 from .pointcloud import NormalizationParams, PointCloud, normalize
 
 MAGIC = b"VCNB"
-VERSION = 2
+VERSION = 3
 MODE_STATIC = 0
 MODE_DYNAMIC = 1
 FLAG_POSES = 1

@@ -58,21 +58,22 @@ CURRENT = Branch("grid")
 TEMPORAL = (Branch("grid_prev"), Branch("grid_next"), Branch("grid_prev_child", child=True))
 
 
-def tower_rows(tower: nn.ModelParams, grid: VoxelGrid | None, anchors, m: int) -> np.ndarray:
-    """(n, width) tower outputs of the m^3 crops at `anchors` in `grid`, by the
-    level-wise pass (`nn.tower_windows`) tile by tile (`voxelgrid.anchor_tiles`),
-    rows in node order. An absent grid is an all-zero crop for every node: its
-    one output row is computed once and broadcast."""
-    n = len(anchors)
-    width = nn.tower_width(tower, m)
+def tower_rows(tower: nn.IntNet, grid: VoxelGrid | None, anchors, m: int,
+               out=None) -> np.ndarray:
+    """(n, width) integer tower outputs of the m^3 crops at `anchors` in `grid`,
+    by the level-wise pass (`nn.tower_windows`) tile by tile
+    (`voxelgrid.anchor_tiles`), rows in node order, written into `out` if
+    given. An absent grid is an all-zero crop for every node: its one output
+    row is computed once and broadcast."""
+    if out is None:
+        out = np.empty((len(anchors), tower.width(m)))
     if grid is None:
-        row = nn.tower_windows(tower, np.zeros((m,) * 3, dtype=np.uint8),
-                               np.zeros((1, 3), dtype=np.int64), m)
-        return np.broadcast_to(row, (n, width))
-    rows = np.empty((n, width))
+        out[...] = nn.tower_windows(tower, np.zeros((m,) * 3, dtype=np.uint8),
+                                    np.zeros((1, 3), dtype=np.int64), m)
+        return out
     for idx, box, local in anchor_tiles(grid, anchors, m):
-        rows[idx] = nn.tower_windows(tower, box, local, m)
-    return rows
+        out[idx] = nn.tower_windows(tower, box, local, m)
+    return out
 
 
 @dataclass
@@ -317,6 +318,7 @@ class AdaptiveContextModel(EntropyModel):
 
 
 FEATURE_DIM = 4
+FEATURE_BOUND = 1.0   # every node feature lies in [0, 1]
 
 
 class ContextNetModel(EntropyModel):
@@ -326,8 +328,10 @@ class ContextNetModel(EntropyModel):
 
     Subclasses declare their kind code, the VCNM group name, training-set key
     and `Branch` geometry of each branch, and the metadata that rebuilds them.
-    Training and `predict` take per-node crops; coding runs each tower once
-    per level (`level_probabilities`), with the same result.
+    Training and `logits` run the float network on per-node crops. Coding
+    runs its integer-exact copy (`nn.quantize_context_net`), each tower once
+    per level (`level_probabilities`); `predict` runs that copy on per-node
+    crops, with the same result.
     """
 
     branch_names: tuple   # VCNM group of each branch, in file order; the head follows
@@ -349,20 +353,29 @@ class ContextNetModel(EntropyModel):
     def logits(self, crop_sets, feats, caches=None):
         return nn.context_forward(self.branches, self.head, crop_sets, feats, caches)
 
+    def integer_net(self) -> nn.IntContextNet:
+        return nn.quantize_context_net(self.branches, self.head, FEATURE_BOUND)
+
     def predict(self, crop_sets, feats) -> np.ndarray:
-        """(n, 255) distributions; crop_sets holds one crop batch per branch."""
-        return nn._softmax(self.logits(crop_sets, feats))
+        """(n, 255) coding distributions; crop_sets holds one crop batch per branch."""
+        net = self.integer_net()
+        return nn.integer_softmax(net.forward(crop_sets, feats), net.head.out_exp)
 
     def level_probabilities(self, ctx):
         """(n, 255) distributions, equal bit for bit to predict() on each
         branch's `ctx.branch_crops` and `ctx.node_features()`."""
         if len(ctx) == 0:
             return np.zeros((0, ALPHABET))
-        rows = [tower_rows(tower, getattr(ctx, b.grid), b.anchors(ctx.cells, m), m)
-                for b, tower, m in zip(self.geometry, self.branches, self.crop_sizes)]
-        z, _ = nn.forward(self.head, np.concatenate(rows + [ctx.node_features()], axis=1),
-                          want_cache=False)
-        return nn._softmax(z)
+        net = self.integer_net()
+        widths = [tower.width(m) for tower, m in zip(net.towers, self.crop_sizes)]
+        x = np.empty((len(ctx), sum(widths) + FEATURE_DIM))   # the head's input, filled in place
+        lo = 0
+        for b, tower, m, width in zip(self.geometry, net.towers, self.crop_sizes, widths):
+            tower_rows(tower, getattr(ctx, b.grid), b.anchors(ctx.cells, m), m,
+                       out=x[:, lo:lo + width])
+            lo += width
+        x[:, lo:] = net.features(ctx.node_features())
+        return nn.integer_softmax(nn.infer(net.head, x), net.head.out_exp)
 
     def evaluate(self, dataset, batch_size=512) -> float:
         """Mean cross-entropy of the current parameters on a dataset, in nats."""

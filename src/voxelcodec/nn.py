@@ -1,20 +1,24 @@
 """Deterministic neural kernel: 3D valid convolution, fully connected layers,
 ReLU, reverse-mode gradients, Adam, Glorot init, the branch-generic context
-net with its training loop, the level-wise tower pass, and the "VCNM" model
-file.
+net with its training loop, integer-exact inference, the level-wise tower
+pass, and the "VCNM" model file.
 
-Every reduction goes through np.einsum with optimize=False so results are
-bit-identical regardless of BLAS threading; parameters are stored float32 and
-promoted to float64 for compute. Initialization draws from a Philox counter
-stream so seeds are portable.
+Training runs in float64 with every reduction through np.einsum with
+optimize=False, so its results are bit-identical regardless of BLAS
+threading; parameters are stored float32. Initialization draws from a Philox
+counter stream so seeds are portable.
 
-`forward` runs a stack on a batch of per-node crops; training and `predict`
-use it. Coding and refinement use `tower_windows` instead, which runs a conv
-tower once over a zero-padded occupancy box and gathers each node's window:
-each layer is evaluated only where some node's window needs it and an
-occupied cell is in reach (elsewhere its value on empty space is computed
-once), with the patch columns in im2col's order and the same einsum, so
-every output equals the per-crop one bit for bit.
+Coding and refinement never run the float kernel. They quantize the stored
+weights to a fixed-point copy of the network (`quantize_context_net`) whose
+every operand is an integer held in float64 and whose every partial sum stays
+below 2^53, so BLAS matrix products are exact in any summation order: on any
+thread count and any CPU kernel, results agree bit for bit. `infer` runs it
+on a batch of per-node crops (the oracle); `tower_windows` runs a conv tower
+once over a zero-padded occupancy box and gathers each node's window, each
+layer evaluated only where some node's window needs it and an occupied cell
+is in reach (elsewhere its value on empty space is computed once).
+`integer_softmax` maps the integer logits to distributions through a fixed
+table of powers of two, so no transcendental function decides a coded bit.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ import json
 import math
 import struct
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -134,12 +138,6 @@ def _im2col(x):
     win = np.lib.stride_tricks.as_strided(
         x, (n, c, do, ho, wo, 3, 3, 3), (s[0], s[1], s[2], s[3], s[4], s[2], s[3], s[4]))
     return np.ascontiguousarray(win.transpose(0, 2, 3, 4, 1, 5, 6, 7)).reshape(n, do * ho * wo, c * 27)
-
-
-def _softmax(z):
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
 
 
 def forward(params: ModelParams, x, want_cache=True):
@@ -356,16 +354,299 @@ def context_backward(branches, head, caches, grad_out):
 
 
 # ---------------------------------------------------------------------------
+# integer-exact inference (Balle, Johnston & Minnen, "Integer Networks for Data
+# Compression", ICLR 2019; Jacob et al., arXiv:1712.05877). Coding and
+# refinement run the stored float32 networks in fixed point, quantized from the
+# weights alone: no calibration data and nothing new in the model file. Each
+# weighted layer's weights become integers wq = rint(w * 2^e_w), |wq| <= 2^15,
+# one power-of-two scale per layer. Activations are integers a * 2^e_a, where
+# e_a is the largest exponent at which the layer's fan-in K times 2^15 times
+# the worst-case bound on its input stays within 2^52; the bound is carried
+# through the stack from the weights (behind a ReLU, the sum of max(wq, 0)
+# times the input bound, plus max(bq, 0)). Every product and partial sum of
+# `a @ wq.T` is then an integer below 2^53, exact in float64 in any summation
+# order, so BLAS returns the same bits on any thread count and any CPU kernel.
+# A layer's output moves to the next layer's exponent by a power-of-two
+# multiply and rint, which are exact or correctly rounded everywhere.
+
+WEIGHT_BITS = 15   # every quantized weight |wq| <= 2^WEIGHT_BITS
+ACC_BITS = 52      # every partial sum of a layer stays within 2^ACC_BITS
+
+
+@dataclass(frozen=True)
+class IntLayer:
+    """A weighted layer in fixed point with its ReLU folded in: integer inputs x
+    give rint((x @ w.T + b) * scale), clipped at zero if `relu`."""
+    w: np.ndarray      # (out, K) integers; a convolution's columns in im2col's order
+    b: np.ndarray      # (out,) integer bias at the accumulator exponent
+    scale: float       # 2^(output exponent - accumulator exponent)
+    relu: bool
+    conv: bool
+
+    @functools.cached_property
+    def taps(self):
+        """A convolution's w with its columns tap-major, k = (a*9 + b*3 + e)*C + c,
+        the order in which `_conv_at` gathers channel-last patches."""
+        return np.ascontiguousarray(
+            self.w.reshape(len(self.w), -1, 27).transpose(0, 2, 1).reshape(len(self.w), -1))
+
+    def requantize(self, acc):
+        """Accumulator (bias included) -> output integers, in place."""
+        if self.scale != 1.0:
+            acc *= self.scale
+            np.rint(acc, out=acc)
+        if self.relu:
+            np.maximum(acc, 0.0, out=acc)
+        return acc
+
+
+@dataclass(frozen=True)
+class IntNet:
+    """A layer stack in fixed point: its input holds integers x * 2^in_exp and
+    its output integers y * 2^out_exp with |y| <= bound (y >= 0 unless
+    `signed`)."""
+    layers: tuple
+    in_exp: int
+    out_exp: int
+    bound: float
+    signed: bool
+
+    def width(self, m) -> int:
+        """Flattened output width of a conv tower on one m^3 crop. Raises
+        ValueError unless every layer is a convolution that fits the crop."""
+        side = m - 2 * len(self.layers)
+        if side < 1 or not all(layer.conv for layer in self.layers):
+            raise ValueError(f"not a conv tower that fits a {m}^3 crop")
+        return (len(self.layers[-1].w) if self.layers else 1) * side ** 3
+
+    def delivering(self, exp):
+        """The same net with its output requantized to exponent `exp`."""
+        if not self.layers:
+            return replace(self, out_exp=exp)
+        last = self.layers[-1]
+        last = replace(last, scale=last.scale * 2.0 ** (exp - self.out_exp))
+        return replace(self, layers=self.layers[:-1] + (last,), out_exp=exp)
+
+
+def _quantized_weights(t):
+    """(wq (out, K), float64 bias, e_w) of one layer's stored tensors."""
+    w = t[0].astype(F64).reshape(len(t[0]), -1)
+    b = t[1].astype(F64)
+    if not (np.isfinite(w).all() and np.isfinite(b).all()):
+        raise ValueError("network weights are not all finite")
+    peak = float(np.abs(w).max(initial=0.0))
+    e_w = WEIGHT_BITS - math.frexp(peak)[1] if peak > 0 else 0
+    return np.rint(w * 2.0 ** e_w), b, e_w
+
+
+def _fits(bound, e, fan_in, b_peak, e_w) -> bool:
+    """Whether inputs rint(bound * 2^e) keep a fan_in-wide layer's partial sums,
+    and its bias rint(b * 2^(e_w + e)), within 2^ACC_BITS."""
+    return ((fan_in << WEIGHT_BITS) * round(math.ldexp(bound, e)) <= 1 << ACC_BITS
+            and round(math.ldexp(b_peak, e_w + e)) <= 1 << ACC_BITS)
+
+
+def _input_exponent(bound, fan_in, b_peak, e_w) -> int:
+    """The largest exponent at which a layer's inputs fit (`_fits`)."""
+    limits = []
+    if bound > 0:
+        limits.append(math.frexp(2.0 ** (ACC_BITS - WEIGHT_BITS) / max(fan_in, 1) / bound)[1])
+    if b_peak > 0:
+        limits.append(math.frexp(2.0 ** ACC_BITS / b_peak)[1] - e_w)
+    e = min(limits, default=0)
+    while not _fits(bound, e, fan_in, b_peak, e_w):
+        e -= 1
+    return e
+
+
+def _fixed_point(params: ModelParams, in_exp, bound, signed) -> IntNet:
+    """Quantize a stack whose input has magnitude at most `bound`, and is
+    nonnegative unless `signed`. The first layer reads integers at `in_exp`,
+    or at the largest exponent it allows if that is None; the output stays at
+    the last layer's accumulator exponent."""
+    specs = []   # [wq, bq, input exponent, accumulator exponent, relu, conv]
+    out_exp = in_exp if in_exp is not None else 0
+    for i, layer in enumerate(params.layers):
+        if not isinstance(layer, (Conv3D, FullyConnected)):
+            continue
+        wq, b, e_w = _quantized_weights(params.tensors[i])
+        b_peak = float(np.abs(b).max(initial=0.0))
+        if specs or in_exp is None:
+            exp = _input_exponent(bound, wq.shape[1], b_peak, e_w)
+        elif _fits(bound, in_exp, wq.shape[1], b_peak, e_w):
+            exp = in_exp
+        else:
+            raise ValueError(f"layer {i} is too wide for exact integer inference")
+        q = round(math.ldexp(bound, exp))
+        bq = np.rint(b * 2.0 ** (e_w + exp))
+        relu = i + 1 < len(params.layers) and isinstance(params.layers[i + 1], ReLU)
+        if signed:
+            hi = np.abs(wq).sum(axis=1) * q + bq
+            lo = bq - np.abs(wq).sum(axis=1) * q
+        else:
+            hi = np.maximum(wq, 0.0).sum(axis=1) * q + bq
+            lo = np.minimum(wq, 0.0).sum(axis=1) * q + bq
+        top = max(float(hi.max(initial=0.0)), 0.0 if relu else -float(lo.min(initial=0.0)))
+        out_exp = e_w + exp
+        bound, signed = math.ldexp(top, -out_exp), not relu
+        specs.append([wq, bq, exp, out_exp, relu, isinstance(layer, Conv3D)])
+    layers = []
+    for n, (wq, bq, _, acc_exp, relu, conv) in enumerate(specs):
+        next_exp = specs[n + 1][2] if n + 1 < len(specs) else acc_exp
+        layers.append(IntLayer(wq, bq, 2.0 ** (next_exp - acc_exp), relu, conv))
+    return IntNet(tuple(layers), specs[0][2] if specs else out_exp, out_exp, bound, signed)
+
+
+@dataclass(frozen=True)
+class IntContextNet:
+    """A context net (`init_context_net`) in fixed point: each tower reads the
+    raw occupancy and delivers its rows at the head's input exponent."""
+    towers: tuple
+    head: IntNet
+
+    def features(self, feats):
+        """Node features as integers at the head's input exponent."""
+        return np.rint(np.asarray(feats, dtype=F64) * 2.0 ** self.head.in_exp)
+
+    def forward(self, crop_sets, feats=None):
+        """Integer head outputs (at exponent head.out_exp) on per-node crops,
+        one (n, M, M, M) batch per tower: the oracle of the level-wise pass."""
+        flats = [infer(tower, np.asarray(crops)[:, None]).reshape(len(crops), -1)
+                 for tower, crops in zip(self.towers, crop_sets)]
+        if feats is not None:
+            flats.append(self.features(feats))
+        return infer(self.head, np.concatenate(flats, axis=1))
+
+
+def quantize_context_net(branches, head, feature_bound=0.0) -> IntContextNet:
+    """Fixed-point copy of a context net's stored weights. The head's input
+    exponent follows from its fan-in and the largest bound among the tower
+    outputs and the node features (`feature_bound`)."""
+    towers = [_fixed_point(tower, 0, 1.0, False) for tower in branches]
+    qhead = _fixed_point(head, None, max([t.bound for t in towers] + [feature_bound]),
+                         any(t.signed for t in towers))
+    return IntContextNet(tuple(t.delivering(qhead.in_exp) for t in towers), qhead)
+
+
+def infer(net: IntNet, x):
+    """Integer forward pass on a batch whose entries hold integers at
+    net.in_exp; returns integers at net.out_exp."""
+    x = np.asarray(x, dtype=F64)
+    if not net.layers:
+        return x * 2.0 ** (net.out_exp - net.in_exp)
+    for layer in net.layers:
+        n = len(x)
+        if layer.conv:
+            do, ho, wo = (s - 2 for s in x.shape[2:])
+            acc = _im2col(x).reshape(n * do * ho * wo, -1) @ layer.w.T
+        else:
+            acc = x.reshape(n, -1) @ layer.w.T
+        acc += layer.b
+        x = layer.requantize(acc)
+        if layer.conv:
+            x = x.reshape(n, do * ho * wo, -1).transpose(0, 2, 1).reshape(n, -1, do, ho, wo)
+    return x
+
+
+# 2^(-j/256) for j = 0..255, each the float64 nearest the exact value.
+_EXP2_FRACTIONS = np.array([float.fromhex(h) for h in """
+0x1.0000000000000p+0 0x1.fe9d96b2a23d9p-1 0x1.fd3c22b8f71f1p-1 0x1.fbdba3692d514p-1
+0x1.fa7c1819e90d8p-1 0x1.f91d802243c89p-1 0x1.f7bfdad9cbe14p-1 0x1.f6632798844f8p-1
+0x1.f50765b6e4540p-1 0x1.f3ac948dd7274p-1 0x1.f252b376bba97p-1 0x1.f0f9c1cb6412ap-1
+0x1.efa1bee615a27p-1 0x1.ee4aaa2188510p-1 0x1.ecf482d8e67f1p-1 0x1.eb9f4867cca6ep-1
+0x1.ea4afa2a490dap-1 0x1.e8f7977cdb740p-1 0x1.e7a51fbc74c83p-1 0x1.e653924676d76p-1
+0x1.e502ee78b3ff6p-1 0x1.e3b333b16ee12p-1 0x1.e264614f5a129p-1 0x1.e11676b197d17p-1
+0x1.dfc97337b9b5fp-1 0x1.de7d5641c0658p-1 0x1.dd321f301b460p-1 0x1.dbe7cd63a8315p-1
+0x1.da9e603db3285p-1 0x1.d955d71ff6075p-1 0x1.d80e316c98398p-1 0x1.d6c76e862e6d3p-1
+0x1.d5818dcfba487p-1 0x1.d43c8eacaa1d6p-1 0x1.d2f87080d89f2p-1 0x1.d1b532b08c968p-1
+0x1.d072d4a07897cp-1 0x1.cf3155b5bab74p-1 0x1.cdf0b555dc3fap-1 0x1.ccb0f2e6d1675p-1
+0x1.cb720dcef9069p-1 0x1.ca3405751c4dbp-1 0x1.c8f6d9406e7b5p-1 0x1.c7ba88988c933p-1
+0x1.c67f12e57d14bp-1 0x1.c544778fafb22p-1 0x1.c40ab5fffd07ap-1 0x1.c2d1cd9fa652cp-1
+0x1.c199bdd85529cp-1 0x1.c06286141b33dp-1 0x1.bf2c25bd71e09p-1 0x1.bdf69c3f3a207p-1
+0x1.bcc1e904bc1d2p-1 0x1.bb8e0b79a6f1fp-1 0x1.ba5b030a1064ap-1 0x1.b928cf22749e4p-1
+0x1.b7f76f2fb5e47p-1 0x1.b6c6e29f1c52ap-1 0x1.b59728de5593ap-1 0x1.b468415b749b1p-1
+0x1.b33a2b84f15fbp-1 0x1.b20ce6c9a8952p-1 0x1.b0e07298db666p-1 0x1.afb4ce622f2ffp-1
+0x1.ae89f995ad3adp-1 0x1.ad5ff3a3c2774p-1 0x1.ac36bbfd3f37ap-1 0x1.ab0e521356ebap-1
+0x1.a9e6b5579fdbfp-1 0x1.a8bfe53c12e59p-1 0x1.a799e1330b358p-1 0x1.a674a8af46052p-1
+0x1.a5503b23e255dp-1 0x1.a42c980460ad8p-1 0x1.a309bec4a2d33p-1 0x1.a1e7aed8eb8bbp-1
+0x1.a0c667b5de565p-1 0x1.9fa5e8d07f29ep-1 0x1.9e86319e32323p-1 0x1.9d674194bb8d5p-1
+0x1.9c49182a3f090p-1 0x1.9b2bb4d53fe0dp-1 0x1.9a0f170ca07bap-1 0x1.98f33e47a22a2p-1
+0x1.97d829fde4e50p-1 0x1.96bdd9a7670b3p-1 0x1.95a44cbc8520fp-1 0x1.948b82b5f98e5p-1
+0x1.93737b0cdc5e5p-1 0x1.925c353aa2fe2p-1 0x1.9145b0b91ffc6p-1 0x1.902fed0282c8ap-1
+0x1.8f1ae99157736p-1 0x1.8e06a5e0866d9p-1 0x1.8cf3216b5448cp-1 0x1.8be05bad61778p-1
+0x1.8ace5422aa0dbp-1 0x1.89bd0a478580fp-1 0x1.88ac7d98a6699p-1 0x1.879cad931a436p-1
+0x1.868d99b4492edp-1 0x1.857f4179f5b21p-1 0x1.8471a4623c7adp-1 0x1.8364c1eb941f7p-1
+0x1.82589994cce13p-1 0x1.814d2add106d9p-1 0x1.80427543e1a12p-1 0x1.7f3878491c491p-1
+0x1.7e2f336cf4e62p-1 0x1.7d26a62ff86f0p-1 0x1.7c1ed0130c132p-1 0x1.7b17b0976cfdbp-1
+0x1.7a11473eb0187p-1 0x1.790b938ac1cf6p-1 0x1.780694fde5d3fp-1 0x1.77024b1ab6e09p-1
+0x1.75feb564267c9p-1 0x1.74fbd35d7cbfdp-1 0x1.73f9a48a58174p-1 0x1.72f8286ead08ap-1
+0x1.71f75e8ec5f74p-1 0x1.70f7466f42e87p-1 0x1.6ff7df9519484p-1 0x1.6ef9298593ae5p-1
+0x1.6dfb23c651a2fp-1 0x1.6cfdcddd47645p-1 0x1.6c012750bdabfp-1 0x1.6b052fa75173ep-1
+0x1.6a09e667f3bcdp-1 0x1.690f4b19e9538p-1 0x1.68155d44ca973p-1 0x1.671c1c70833f6p-1
+0x1.6623882552225p-1 0x1.652b9febc8fb7p-1 0x1.6434634ccc320p-1 0x1.633dd1d1929fdp-1
+0x1.6247eb03a5585p-1 0x1.6152ae6cdf6f4p-1 0x1.605e1b976dc09p-1 0x1.5f6a320dceb71p-1
+0x1.5e76f15ad2148p-1 0x1.5d84590998b93p-1 0x1.5c9268a5946b7p-1 0x1.5ba11fba87a03p-1
+0x1.5ab07dd485429p-1 0x1.59c0827ff07ccp-1 0x1.58d12d497c7fdp-1 0x1.57e27dbe2c4cfp-1
+0x1.56f4736b527dap-1 0x1.56070dde910d2p-1 0x1.551a4ca5d920fp-1 0x1.542e2f4f6ad27p-1
+0x1.5342b569d4f82p-1 0x1.5257de83f4eefp-1 0x1.516daa2cf6642p-1 0x1.508417f4531eep-1
+0x1.4f9b2769d2ca7p-1 0x1.4eb2d81d8abffp-1 0x1.4dcb299fddd0dp-1 0x1.4ce41b817c114p-1
+0x1.4bfdad5362a27p-1 0x1.4b17dea6db7d7p-1 0x1.4a32af0d7d3dep-1 0x1.494e1e192aed2p-1
+0x1.486a2b5c13cd0p-1 0x1.4786d668b3237p-1 0x1.46a41ed1d0057p-1 0x1.45c2042a7d232p-1
+0x1.44e086061892dp-1 0x1.43ffa3f84b9d4p-1 0x1.431f5d950a897p-1 0x1.423fb2709468ap-1
+0x1.4160a21f72e2ap-1 0x1.40822c367a024p-1 0x1.3fa4504ac801cp-1 0x1.3ec70df1c5175p-1
+0x1.3dea64c123422p-1 0x1.3d0e544ede173p-1 0x1.3c32dc313a8e5p-1 0x1.3b57fbfec6cf4p-1
+0x1.3a7db34e59ff7p-1 0x1.39a401b7140efp-1 0x1.38cae6d05d866p-1 0x1.37f26231e754ap-1
+0x1.371a7373aa9cbp-1 0x1.36431a2de883bp-1 0x1.356c55f929ff1p-1 0x1.3496266e3fa2dp-1
+0x1.33c08b26416ffp-1 0x1.32eb83ba8ea32p-1 0x1.32170fc4cd831p-1 0x1.31432edeeb2fdp-1
+0x1.306fe0a31b715p-1 0x1.2f9d24abd886bp-1 0x1.2ecafa93e2f56p-1 0x1.2df961f641589p-1
+0x1.2d285a6e4030bp-1 0x1.2c57e39771b2fp-1 0x1.2b87fd0dad990p-1 0x1.2ab8a66d10f13p-1
+0x1.29e9df51fdee1p-1 0x1.291ba7591bb70p-1 0x1.284dfe1f56381p-1 0x1.2780e341ddf29p-1
+0x1.26b4565e27cddp-1 0x1.25e85711ece75p-1 0x1.251ce4fb2a63fp-1 0x1.2451ffb82140ap-1
+0x1.2387a6e756238p-1 0x1.22bdda27912d1p-1 0x1.21f49917ddc96p-1 0x1.212be3578a819p-1
+0x1.2063b88628cd6p-1 0x1.1f9c18438ce4dp-1 0x1.1ed5022fcd91dp-1 0x1.1e0e75eb44027p-1
+0x1.1d4873168b9aap-1 0x1.1c82f95281c6bp-1 0x1.1bbe084045cd4p-1 0x1.1af99f8138a1cp-1
+0x1.1a35beb6fcb75p-1 0x1.1972658375d2fp-1 0x1.18af9388c8deap-1 0x1.17ed48695bbc0p-1
+0x1.172b83c7d517bp-1 0x1.166a45471c3c2p-1 0x1.15a98c8a58e51p-1 0x1.14e95934f312ep-1
+0x1.1429aaea92de0p-1 0x1.136a814f204abp-1 0x1.12abdc06c31ccp-1 0x1.11edbab5e2ab6p-1
+0x1.11301d0125b51p-1 0x1.1073028d7233ep-1 0x1.0fb66affed31bp-1 0x1.0efa55fdfa9c5p-1
+0x1.0e3ec32d3d1a2p-1 0x1.0d83b23395decp-1 0x1.0cc922b7247f7p-1 0x1.0c0f145e46c85p-1
+0x1.0b5586cf9890fp-1 0x1.0a9c79b1f3919p-1 0x1.09e3ecac6f383p-1 0x1.092bdf66607e0p-1
+0x1.0874518759bc8p-1 0x1.07bd42b72a836p-1 0x1.0706b29ddf6dep-1 0x1.0650a0e3c1f89p-1
+0x1.059b0d3158574p-1 0x1.04e5f72f654b1p-1 0x1.04315e86e7f85p-1 0x1.037d42e11bbccp-1
+0x1.02c9a3e778061p-1 0x1.02168143b0281p-1 0x1.0163da9fb3335p-1 0x1.00b1afa5abcbfp-1""".split()])
+_LOG2E = float.fromhex("0x1.71547652b82fep+0")   # log2(e), rounded to nearest
+_EXP2_OCTAVES = 64   # logits more than 64 octaves below the row's largest are clipped there
+
+
+def integer_softmax(z, exp):
+    """Normalized distributions from integer logits z * 2^exp, rows on the last
+    axis, with no transcendental function: p ~ 2^(-j/256), where
+    j = rint((max z - z) * log2(e) * 256) read as a fixed table entry and a
+    power of two. Correctly rounded arithmetic only, so every machine agrees."""
+    z = np.asarray(z, dtype=F64)
+    d = z.max(axis=-1, keepdims=True) - z
+    d *= _LOG2E * 2.0 ** (8 - exp)
+    np.rint(d, out=d)
+    j = np.minimum(d, 256 * _EXP2_OCTAVES - 1, out=d).astype(np.int64)
+    del d
+    p = _EXP2_FRACTIONS[j & 255]
+    np.right_shift(j, 8, out=j)
+    np.ldexp(p, np.negative(j, out=j), out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    return p
+
+
+# ---------------------------------------------------------------------------
 # level-wise tower pass: a valid 3x3x3 convolution commutes with translation,
 # so the tower output of the crop box[a:a+m] is the window at a of one tower run
 # over the whole box. Each layer is computed once, at the union of positions
-# the nodes' windows need, with im2col's column order and the per-crop einsum,
-# so every output element is reduced exactly as in `forward`. A needed position
-# whose receptive field holds no occupied cell sees only empty space; its
-# output, the same at every such position, is computed once from a patch of
-# the previous layer's empty-space value, by the same einsum.
+# the nodes' windows need, by the integer kernel of `infer`, so every output
+# equals the per-crop one exactly. A needed position whose receptive field
+# holds no occupied cell sees only empty space; its output, the same at every
+# such position, is computed once from a patch of the previous layer's
+# empty-space value.
 
-_COLUMN_BUDGET = 1 << 16   # patch-matrix entries per einsum call; cache-sized
+_COLUMN_BUDGET = 1 << 17   # patch-matrix entries per BLAS call
 
 
 def _dilate(mask, w, step):
@@ -374,76 +655,77 @@ def _dilate(mask, w, step):
     step=+1 marks the union of the w^3 windows with lower corners in `mask`;
     step=-1 marks the positions whose w^3 window reaches into `mask`.
     """
+    mask = mask.copy()
     for axis in range(3):
-        grown = mask.copy()
-        for d in range(1, w):
+        span = 1   # mask holds the OR over shifts [0, span); doubling reaches w in log2(w) steps
+        while span < w:
+            d = min(span, w - span)
             near, far = [slice(None)] * 3, [slice(None)] * 3
             near[axis], far[axis] = slice(None, -d), slice(d, None)
             dst, src = (far, near) if step > 0 else (near, far)
-            np.logical_or(grown[tuple(dst)], mask[tuple(src)], out=grown[tuple(dst)])
-        mask = grown
+            np.logical_or(mask[tuple(dst)], mask[tuple(src)], out=mask[tuple(dst)])
+            span += d
     return mask
 
 
-def _conv_at(x, t, where, background):
-    """Conv3D of the (C, X, Y, Z) map x at the positions where `where` is set.
+def _conv_at(x, layer: IntLayer, where, background):
+    """Integer Conv3D of the channel-last (X, Y, Z, C) map x at the positions
+    where `where` is set, requantized and ReLU'd as `layer` says.
 
     Output position q reads input q..q+2 and is stored at q of a map of the
     same box shape, so every layer shares the box's flat indices. Every other
     position gets the output of a patch of `background` (x's value per
-    channel wherever its patch was not recomputed), run through the same
-    einsum. Returns (output map, its background).
+    channel wherever its patch was not recomputed). Returns (output map, its
+    background).
     """
-    c, sx, sy, sz = x.shape
-    w = t[0].astype(F64).reshape(t[0].shape[0], -1)
-    b = t[1].astype(F64)
-    patch = np.repeat(background, 27)[None, None]
-    background = (_mm(patch, w, "npk,ok->nop") + b[None, :, None])[0, :, 0]
-    pos = np.flatnonzero(where)
+    _, sy, sz, c = x.shape
+    background = layer.requantize(np.repeat(background, 27)[None] @ layer.w.T + layer.b)[0]
     ar = np.arange(3)
-    offsets = (np.arange(c)[:, None, None, None] * (sx * sy * sz) + ar[:, None, None] * (sy * sz)
-               + ar[:, None] * sz + ar).reshape(-1)        # k = c*27 + a*9 + b*3 + e
-    flat = x.reshape(-1)
-    out = np.repeat(background[:, None], where.size, axis=1)
-    step = max(1, _COLUMN_BUDGET // len(offsets))
+    taps = (ar[:, None, None] * (sy * sz) + ar[:, None] * sz + ar).reshape(-1)
+    flat = x.reshape(-1, c)
+    out = np.tile(background, (where.size, 1))
+    pos = np.flatnonzero(where)
+    step = max(1, _COLUMN_BUDGET // (27 * c))
     for lo in range(0, len(pos), step):
         idx = pos[lo:lo + step]
-        cols = flat[idx[:, None] + offsets]
-        out[:, idx] = (_mm(cols[None], w, "npk,ok->nop") + b[None, :, None])[0]
-    return out.reshape((len(w),) + where.shape), background
+        acc = np.take(flat, idx[:, None] + taps, axis=0).reshape(len(idx), -1) @ layer.taps.T
+        acc += layer.b
+        out[idx] = layer.requantize(acc)
+    return out.reshape(where.shape + (len(layer.w),)), background
 
 
-def tower_windows(params: ModelParams, box, anchors, m):
-    """Tower outputs of the m^3 crops box[a:a+m] for each anchor (crop corner) a.
+def tower_windows(net: IntNet, box, anchors, m):
+    """Integer tower outputs of the m^3 crops box[a:a+m] for each anchor (crop
+    corner) a.
 
     `box` is a zero-padded occupancy array containing every crop. Returns
-    (n, width) rows, each flattened in (channel, x, y, z) order, equal bit for
-    bit to forward(params, crops) reshaped the same way. A layer is computed
-    where some node's window needs it and its receptive field holds an
-    occupied cell; elsewhere in the windows it equals the output on empty
-    space, computed once.
+    (n, width) rows, each flattened in (channel, x, y, z) order, equal to
+    infer(net, crops) reshaped the same way. A layer is computed where some
+    node's window needs it and its receptive field holds an occupied cell;
+    elsewhere in the windows it equals the output on empty space, computed
+    once.
     """
-    tower_width(params, m)   # layer and shape check up front
+    net.width(m)   # layer and shape check up front
     anchors = np.asarray(anchors, dtype=np.int64).reshape(-1, 3)
-    x = np.asarray(box, dtype=F64)[None]
-    corners = np.zeros(x.shape[1:], dtype=bool)
+    x = np.asarray(box, dtype=F64)[..., None]
+    corners = np.zeros(x.shape[:3], dtype=bool)
     corners[anchors[:, 0], anchors[:, 1], anchors[:, 2]] = True
-    reached = x[0] != 0        # positions whose receptive field holds an occupied cell
+    reached = x[..., 0] != 0   # positions whose receptive field holds an occupied cell
     background = np.zeros(1)   # the map's value everywhere else
     w = m
-    for layer, t in zip(params.layers, params.tensors):
-        if isinstance(layer, Conv3D):
-            w -= 2
-            reached = _dilate(reached, 3, -1)
-            x, background = _conv_at(x, t, _dilate(corners, w, +1) & reached, background)
-        else:
-            x = np.maximum(x, 0.0)
-            background = np.maximum(background, 0.0)
+    for layer in net.layers:
+        w -= 2
+        reached = _dilate(reached, 3, -1)
+        x, background = _conv_at(x, layer, _dilate(corners, w, +1) & reached, background)
     s = x.strides
     win = np.lib.stride_tricks.as_strided(
-        x, tuple(d - w + 1 for d in x.shape[1:]) + (x.shape[0], w, w, w),
-        (s[1], s[2], s[3], s[0], s[1], s[2], s[3]), writeable=False)
-    return win[anchors[:, 0], anchors[:, 1], anchors[:, 2]].reshape(len(anchors), -1)
+        x, tuple(d - w + 1 for d in x.shape[:3]) + (w, w, w, x.shape[3]),
+        s[:3] + s, writeable=False)
+    rows = win[anchors[:, 0], anchors[:, 1], anchors[:, 2]].transpose(0, 4, 1, 2, 3)
+    rows = rows.reshape(len(anchors), -1)
+    if not net.layers:
+        rows *= 2.0 ** (net.out_exp - net.in_exp)
+    return rows
 
 
 def symbol_loss(logits, symbols):

@@ -73,27 +73,32 @@ def _network(params: RefineParams, depth: int):
     return params.entries[depth]
 
 
-def _bounded(y):
-    return np.clip(0.5 * np.tanh(y), -_HALF_OPEN, _HALF_OPEN)
+def _bounded(net: nn.IntContextNet, z):
+    """Offsets 0.5*tanh(y) of the integer head outputs z = y * 2^out_exp."""
+    return np.clip(0.5 * np.tanh(z * 2.0 ** -net.head.out_exp), -_HALF_OPEN, _HALF_OPEN)
 
 
 def refine_offsets(params: RefineParams, depth: int, crops) -> np.ndarray:
-    """(n, 3) offsets in leaf-cell-edge units, each component in (-0.5, 0.5)."""
+    """(n, 3) offsets in leaf-cell-edge units, each component in (-0.5, 0.5),
+    from the integer network on per-leaf crops."""
     tower, head = _network(params, depth)
-    return _bounded(nn.context_forward([tower], head, (crops,)))
+    net = nn.quantize_context_net([tower], head)
+    return _bounded(net, net.forward((crops,)))
 
 
 def refine_apply(tree: Octree, params: RefineParams, norm: NormalizationParams) -> PointCloud:
     """Shift each leaf center by its predicted offset and map it to input coordinates.
 
-    The tower runs once over the leaf grid (`entropy.tower_rows`), so the
-    offsets equal refine_offsets() on the leaves' crops bit for bit.
+    The integer tower runs once over the leaf grid (`entropy.tower_rows`), so
+    the offsets equal refine_offsets() on the leaves' crops bit for bit.
     """
     d = tree.max_depth
     tower, head = _network(params, d)
+    net = nn.quantize_context_net([tower], head)
     m = params.crop_size
-    rows = tower_rows(tower, VoxelGrid(d, tree.levels[d]), local_anchors(tree.levels[d], m), m)
-    offsets = _bounded(nn.forward(head, rows, want_cache=False)[0])
+    rows = tower_rows(net.towers[0], VoxelGrid(d, tree.levels[d]),
+                      local_anchors(tree.levels[d], m), m)
+    offsets = _bounded(net, nn.infer(net.head, rows))
     centers = tree.leaf_centers() + offsets * (2.0 ** -d)
     return PointCloud(norm.invert(centers))
 

@@ -353,6 +353,22 @@ class TestOptions:
         assert _run(command, files.src, out, "--depth", 4, *args) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["encode", "train", "eval"])
+    @pytest.mark.parametrize("depth", [0, 17])
+    def test_depth_out_of_range_is_usage_error(self, files, command, depth, capsys):
+        outputs = {"encode": files.dir / "o.vcnb", "train": files.dir / "m.vcnm",
+                   "eval": files.dir / "o.csv"}
+        argv = {
+            "encode": ("encode", files.src, outputs["encode"]),
+            "train": ("train", files.src, "--model", outputs["train"], "--model-kind",
+                      "voxel-static", "--epochs", 1, "--crop-size", 5, "--channels", "2",
+                      "--hidden", 8),
+            "eval": ("eval", files.src, outputs["eval"], "--truncs", "1"),
+        }[command]
+        assert _run(*argv, "--depth", depth) == 1
+        assert f"depth {depth} out of range [1, 16]" in capsys.readouterr().err
+        assert not outputs[command].exists()
+
 
 def _declared_scripts():
     """The ``[project.scripts]`` table of this repository's pyproject.toml."""

@@ -305,9 +305,22 @@ class TestPayloadEnd:
         monkeypatch.setattr(coder, "VERSION", 1)
         v1 = header.pack() + data[pos:]
         monkeypatch.undo()
-        assert coder.VERSION == 2 and v1[4] == 1
+        assert coder.VERSION == 3 and v1[4] == 1
         with pytest.raises(DecodeError, match="unsupported bitstream version 1"):
             decode_cloud(v1, model)
+
+    def test_version_2_stream_rejected(self, monkeypatch):
+        """Version 2 coded neural probabilities from the float network; decoding
+        one with the integer network would desync silently."""
+        model = VoxelContextModel(crop_size=5, channels=(2, 4), hidden=16, seed=3)
+        data = encode_cloud(structured_cloud(300, seed=3), 5, 5, model)
+        header, pos = coder.BitstreamHeader.unpack(data)
+        monkeypatch.setattr(coder, "VERSION", 2)
+        v2 = header.pack() + data[pos:]
+        monkeypatch.undo()
+        assert v2[4] == 2
+        with pytest.raises(DecodeError, match="unsupported bitstream version 2"):
+            decode_cloud(v2, model)
 
 
 class TestCloudCodec:

@@ -15,8 +15,10 @@ cloud whose levels 10 and 11 span 2^10 and 2^11 cells a side; their models
 are trained, since a fresh model's zeroed head predicts uniformly whatever
 its towers compute. A change to the shared context net, the training loop, the
 level schedule, the tower pass or the coder that alters a single bit of
-any of these fails here. The values were recorded with numpy 2.4 on
-x86-64 Linux; the bitstreams are of wire version 2.
+any of these fails here. Coding, code lengths and refinement run the
+integer-exact network, training and evaluation the float one. The values
+were recorded with numpy 2.4 on x86-64 Linux; the bitstreams are of wire
+version 3.
 """
 
 import hashlib
@@ -165,52 +167,52 @@ GOLDEN = {
         "model": "3e2657e17d3ac5e4b7a60311ac557ef0637bcc8f4bd0b146d8483b24c6e1e3cb",
         "curve": "8108e56757ce80c76fc25ce7caf5e0e021aec3ae6d52f06098f462e4c5250f99",
         "evaluate": "cdf12bacd3d21146fdc3e2f629cf823d1a38073cf263ee4eeb49e10d00d032cd",
-        "bitstream": "5813383fe4988913503fa75d2282e494bacf4a176eab198378f90eb291cd045f",
+        "bitstream": "db08cfb036cb7d8e60579eaf7fdbdfa28947e8f26d91f078856fada20f879215",
     },
     "static-crop1": {
         "model": "a96de24fd41f997b65c340509e3a79c79916c69d6cdadb0c7f00515c7ec45f57",
         "curve": "ea6e4b69cfe70523b462838fbd9fbda26ecd534f0e75690e252af8e20c6cbd0b",
         "evaluate": "a18166b6899b20d1adb9bd4f7027f61a346047f26dfd5a72f01f171afd7dbdef",
-        "bitstream": "7614b6d790cf29f6f568e75bcdce7b0e2c0825fdfca2820ab72dbb9ee720409f",
+        "bitstream": "6ac6ea646fd227ae771c36876c6ab95f2a0b06a13889c38829e0ea3bb51e064d",
     },
     "dynamic": {
         "model": "cc27c61362fc55aa87bf9954e45f08e55b7b156a0fba9cadf2239828df16a53e",
         "curve": "d0b15cffc20b15aa9ab35328e4758c9b62f53573db7c638a86a37751117d6c6e",
         "evaluate": "699e080d124d1d1b275b6e0de4203c3325ec2d698b13c1581a4eaf2540e40535",
-        "bitstream": "a5028f3578c991446c005be9f55b39b60c882f66e2ffdb2820a699ca126e5904",
+        "bitstream": "c886ffbc7d0a4f946b10915dfa773cb87f4fd7d143e8ed587d2b5594a6429759",
     },
     "refine": {
         "model": "1ce0e535091cb6363692d137e6adcdf592323dddfb6733a8f6a7c0d39d72d3f0",
         "curve": "4a25d53843bdc4b0e5a03af40c840269e6e83b1d73652c006c3e81709198ba2d",
-        "points": "917f2db71e6e81a1d7cf73b2c44182bace22464f089532c7736f60ee4408f24c",
+        "points": "c2f6622dad77f5c3f80ce9b54a78b105ea551594812ff5756e0057b9f367c4a0",
     },
     "uniform": {
-        "bitstream": "41d68b7c12cf132c066fa1b1f861532546c3564a19ab2b857d366be5545619cc",
+        "bitstream": "e8aba6f83b228f199b0bf0c6810cc3e037a62c267074c32c6e5e605976314292",
     },
     "adaptive": {
-        "static": "032e3af6203af41244e0b0db9ebc26025faab400a466525d451bc5eb587db7cb",
-        "sequence": "15fb60de01fdda1e5e0cd604983b98f239a68e6190ea33554ec39414862e30d1",
+        "static": "bdad2c224e36b2420635ec2d7130133b939ade9298416ba3df790c93f517875a",
+        "sequence": "b38084c873c567926697f845e5a4600d13cb361da7cd5f44c6c5ea1adb1ae3d9",
     },
     "sequence-decode": {
-        "points": "7bbf6dfd7a5683f9b85c4ee18a25d057940e646d0b16249d553b6c0978e901df",
+        "points": "c23a26b9242e0b8a481204dcc6d7d7f7121144c4f643d3280b5015259d0c9323",
     },
     "truncated-lengths": {
-        "static": "f87891c08be766bc66883877ef1bb4f0aeccd964629293fd439fbbd1054e93e4",
-        "static-bitstream": "7ed02eb20b36c1f9253685fb4e75100f06b274c47d0bb06d75341db2323fddd0",
+        "static": "97439437afabb5d79bec42de525ddadaa4cb92dc56e2c35e186567f117b58ab3",
+        "static-bitstream": "e68dbe99e9ded1689317ae7c406ba85710349f19c01e643f1ef82432bcd1a979",
         "dataset": "261e9f45888bbaf00c513bb1f5595c2b6b02c6c908f2792a3c981066643e123d",
-        "dynamic": "205c0393f31a8cffef0863d64f28876c8fd6db3380e70d329a3a8e728762ec00",
-        "dynamic-bitstream": "1d97ff3e832303077e27883745fdc2d530eea4e1a6f8e7b87dd456e33f7cb533",
+        "dynamic": "46ca5482db1abe4d14b21f87027ce1f39ab02fb69f3b1e1a78136e516ca6b810",
+        "dynamic-bitstream": "4cbf2e0993c232dc90392fc98b4db3dc9626c2617d06a4b857cca67dc1dab014",
     },
     "static-wide": {
         "model": "76f19572ddaf955053304327ea9c126cb02ee696bd6b234f3c1d4f9640eb78bd",
         "curve": "c877bb4fd6503762f83d02d4d60ab730f54c1584e4d49e30b02acea833345956",
-        "bitstream": "8d403279553d6d432f638b4f45bb147400bbb4a66253357cdb3fe2dfef854de8",
+        "bitstream": "857c83a3e0879f5e2cc6131c1b9c760f146367f1827f93bd0fa1d88362646dbb",
         "decoded": "f342a38f9094d7f32c1fbede3cc8c59e2ce3b97dd8f4aabc6f40608fe04603a2",
     },
     "dynamic-wide": {
         "model": "68e8caada12a73a213639b93b3cf3d6456e5dea40670e5302a2db6aae548fa97",
         "curve": "5f83c864a4957361b699df84bc7bac4119f24be656f9b34e17a3cfbf77cdd47f",
-        "bitstream": "e182fd8999443345ce670dbb9d739a7e6044055f702f9aeae2e3005e1bd4b457",
+        "bitstream": "6d9e42afbb7c22f6d42b76487c98d584c6c535488cf55a27868ad13c08c5ddb1",
         "decoded": "fdb45c5f6c8b5fbb7e8449c53d62bfe0a1fe9f0818994ba81734843b177b1401",
     },
     "refine-wide": {
@@ -221,8 +223,8 @@ GOLDEN = {
     "deep": {
         "model": "e98dcc165a123bed57722bd6bd50b9d17a36e0beb2eb7c0b58014699bd90bcc0",
         "curve": "f417d2ee15f4b2a9949c5c80b95b700673cd2a4543b4eac39bdef65a72e0c603",
-        "bitstream": "a7e00c4b66127ded79ca78ee585e86cdbac74a401cff4a68ae840ab811cef2c3",
-        "refined": "18729601a3ed9d36008796683bd8a2f470f8447913f0de34673ad04d7a3b192e",
+        "bitstream": "6aef84f361e14bfc2af3dfe6ca22ca2eef3762d130e5878b7b3acf7b4e6868ca",
+        "refined": "3a29503d75e5fbdf95f66817822e0266aa6f9e3fac08a28298ceb1012d50cdb0",
     },
 }
 

@@ -1,9 +1,10 @@
 """The level-wise tower pass equals the per-crop path bit for bit.
 
-Coding runs each tower once per level over tiles of the zero-padded grid
-(`entropy.tower_rows`, `nn.tower_windows`); training and `predict` run
-`nn.forward` on per-node crops. The two must agree on the float64 bit
-patterns, or encoder-side probabilities would depend on which path ran.
+Coding runs each integer tower once per level over tiles of the zero-padded
+grid (`entropy.tower_rows`, `nn.tower_windows`); `predict` runs the same
+fixed-point network on per-node crops (`nn.infer`). The two must agree on the
+float64 bit patterns, or encoder-side probabilities would depend on which
+path ran.
 """
 
 import numpy as np
@@ -25,9 +26,10 @@ def _randomize(params, rng):
 
 
 def _tower(m, channels, rng):
-    (tower,), _ = nn.init_context_net((m,), channels, 4, 3, 0)
+    """A random tower in fixed point, as the coding path quantizes it."""
+    (tower,), head = nn.init_context_net((m,), channels, 4, 3, 0)
     _randomize(tower, rng)
-    return tower
+    return nn.quantize_context_net([tower], head).towers[0]
 
 
 def _cells(rng, depth, n):
@@ -48,10 +50,7 @@ def _near(rng, occupied, depth, n):
 
 
 def _per_crop(tower, crops):
-    x = crops[:, None].astype(np.float64)
-    if tower.layers:
-        x = nn.forward(tower, x, want_cache=False)[0]
-    return x.reshape(len(crops), -1)
+    return nn.infer(tower, crops[:, None]).reshape(len(crops), -1)
 
 
 def _same_bits(a, b):
