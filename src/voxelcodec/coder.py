@@ -24,11 +24,11 @@ import numpy as np
 from . import entropy as em
 from . import octree as oct
 from .entropy import TOTAL_FREQ
-from .nn import fnv1a64
+from .nn import hash64
 from .pointcloud import NormalizationParams, PointCloud, normalize
 
 MAGIC = b"VCNB"
-VERSION = 3
+VERSION = 4
 MODE_STATIC = 0
 MODE_DYNAMIC = 1
 FLAG_POSES = 1
@@ -203,7 +203,7 @@ class BitstreamHeader:
                     raise ValueError("pose count must match frame count")
                 for pose in self.poses:
                     out += struct.pack("<12f", *np.asarray(pose, dtype=np.float32).reshape(12))
-        out += struct.pack("<Q", fnv1a64(bytes(out)))
+        out += struct.pack("<Q", hash64(out))
         return bytes(out)
 
     @classmethod
@@ -246,7 +246,7 @@ class BitstreamHeader:
                                           dtype=np.float64).reshape(3, 4))
                     pos += 48
         (stored,) = struct.unpack_from("<Q", data, pos)
-        if fnv1a64(data[:pos]) != stored:
+        if hash64(data[:pos]) != stored:
             raise DecodeError("header corrupt (hash mismatch)")
         pos += 8
         if not (1 <= trunc_depth <= max_depth <= oct.MAX_DEPTH):

@@ -412,8 +412,7 @@ class ContextNetModel(EntropyModel):
             branches = [named[n] for n in cls.branch_names]
             head = named["head"]
         model = cls(seed=seed, branches=branches, head=head, **config)
-        for tower, m in zip(model.branches, model.crop_sizes):
-            nn.tower_width(tower, m)
+        nn.check_context_net(model.branches, model.head, model.crop_sizes, FEATURE_DIM, ALPHABET)
         return model
 
 

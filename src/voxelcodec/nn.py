@@ -17,18 +17,21 @@ on a batch of per-node crops (the oracle); `tower_windows` runs a conv tower
 once over a zero-padded occupancy box and gathers each node's window, each
 layer evaluated only where some node's window needs it and an occupied cell
 is in reach (elsewhere its value on empty space is computed once).
-`integer_softmax` maps the integer logits to distributions through a fixed
-table of powers of two, so no transcendental function decides a coded bit.
+`integer_softmax` maps the integer logits to distributions through a table
+of powers of two, computed once at import to the float64 nearest each exact
+value, so no transcendental function of the platform decides a coded bit.
 """
 
 from __future__ import annotations
 
 import functools
+import hashlib
 import json
 import math
 import struct
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
+from decimal import Decimal, localcontext
 
 import numpy as np
 
@@ -88,6 +91,20 @@ def layer_shapes(layers, input_shape):
     return shapes
 
 
+def tensor_shapes(layers, input_shape):
+    """The [weight, bias] shapes of each weighted layer of the stack, [] for
+    the others: what `init_params` draws and a model file must hold."""
+    shapes = []
+    for layer, shape in zip(layers, layer_shapes(layers, input_shape)):
+        if isinstance(layer, Conv3D):
+            shapes.append([(layer.out_channels, shape[0], 3, 3, 3), (layer.out_channels,)])
+        elif isinstance(layer, FullyConnected):
+            shapes.append([(layer.out_dim, math.prod(shape)), (layer.out_dim,)])
+        else:
+            shapes.append([])
+    return shapes
+
+
 def init_params(layers, input_shape, seed, zero_final=False) -> ModelParams:
     """Glorot-uniform weights, zero biases, drawn from a Philox(seed) stream.
 
@@ -95,30 +112,19 @@ def init_params(layers, input_shape, seed, zero_final=False) -> ModelParams:
     network is the identity in logit/offset space.
     """
     rng = np.random.Generator(np.random.Philox(seed))
-    shapes = layer_shapes(layers, input_shape)
     tensors = []
     last_parametric = max((i for i, l in enumerate(layers) if isinstance(l, (Conv3D, FullyConnected))),
                           default=-1)
-    for i, layer in enumerate(layers):
-        if isinstance(layer, Conv3D):
-            c_in = shapes[i][0]
-            fan_in, fan_out = c_in * 27, layer.out_channels * 27
+    for i, group in enumerate(tensor_shapes(layers, input_shape)):
+        if group:
+            w_shape, b_shape = group   # fans: a conv's 27 taps count on both sides
+            fan_in, fan_out = math.prod(w_shape[1:]), w_shape[0] * math.prod(w_shape[2:])
             limit = math.sqrt(6.0 / (fan_in + fan_out))
-            w = rng.uniform(-limit, limit, size=(layer.out_channels, c_in, 3, 3, 3)).astype(F32)
-            b = np.zeros(layer.out_channels, dtype=F32)
+            w = rng.uniform(-limit, limit, size=w_shape).astype(F32)
             if zero_final and i == last_parametric:
                 w[:] = 0
-            tensors.append([w, b])
-        elif isinstance(layer, FullyConnected):
-            in_dim = int(np.prod(shapes[i]))
-            limit = math.sqrt(6.0 / (in_dim + layer.out_dim))
-            w = rng.uniform(-limit, limit, size=(layer.out_dim, in_dim)).astype(F32)
-            b = np.zeros(layer.out_dim, dtype=F32)
-            if zero_final and i == last_parametric:
-                w[:] = 0
-            tensors.append([w, b])
-        else:
-            tensors.append([])
+            group = [w, np.zeros(b_shape, dtype=F32)]
+        tensors.append(group)
     return ModelParams(tuple(layers), tensors, seed)
 
 
@@ -314,6 +320,25 @@ def tower_width(tower: ModelParams, m) -> int:
         if not isinstance(layer, (Conv3D, ReLU)):
             raise ValueError(f"a tower holds Conv3D and ReLU layers, not {layer}")
     return int(np.prod(layer_shapes(tower.layers, (1, m, m, m))[-1]))
+
+
+def check_context_net(branches, head, crop_sizes, feature_dim, out_dim):
+    """Raise ValueError unless each tower fits its crop (`tower_width`), the head
+    maps the tower rows and `feature_dim` features to `out_dim` outputs, and
+    every tensor has the shape its layer stack implies (`tensor_shapes`)."""
+    width, stacks = feature_dim, []
+    for i, (tower, m) in enumerate(zip(branches, crop_sizes)):
+        width += tower_width(tower, m)
+        stacks.append((f"tower {i}", tower, (1, m, m, m)))
+    for name, params, input_shape in stacks + [("head", head, (width,))]:
+        for j, (group, want) in enumerate(zip(params.tensors, tensor_shapes(params.layers, input_shape))):
+            got = [t.shape for t in group]
+            if got != want:
+                raise ValueError(f"{name} layer {j} holds tensors of shapes {got}; "
+                                 f"its layer stack implies {want}")
+    out = layer_shapes(head.layers, (width,))[-1]
+    if out != (out_dim,):
+        raise ValueError(f"head output shape {out}; {out_dim} values expected")
 
 
 def context_forward(branches, head, crop_sets, feats=None, caches=None):
@@ -548,73 +573,17 @@ def infer(net: IntNet, x):
     return x
 
 
-# 2^(-j/256) for j = 0..255, each the float64 nearest the exact value.
-_EXP2_FRACTIONS = np.array([float.fromhex(h) for h in """
-0x1.0000000000000p+0 0x1.fe9d96b2a23d9p-1 0x1.fd3c22b8f71f1p-1 0x1.fbdba3692d514p-1
-0x1.fa7c1819e90d8p-1 0x1.f91d802243c89p-1 0x1.f7bfdad9cbe14p-1 0x1.f6632798844f8p-1
-0x1.f50765b6e4540p-1 0x1.f3ac948dd7274p-1 0x1.f252b376bba97p-1 0x1.f0f9c1cb6412ap-1
-0x1.efa1bee615a27p-1 0x1.ee4aaa2188510p-1 0x1.ecf482d8e67f1p-1 0x1.eb9f4867cca6ep-1
-0x1.ea4afa2a490dap-1 0x1.e8f7977cdb740p-1 0x1.e7a51fbc74c83p-1 0x1.e653924676d76p-1
-0x1.e502ee78b3ff6p-1 0x1.e3b333b16ee12p-1 0x1.e264614f5a129p-1 0x1.e11676b197d17p-1
-0x1.dfc97337b9b5fp-1 0x1.de7d5641c0658p-1 0x1.dd321f301b460p-1 0x1.dbe7cd63a8315p-1
-0x1.da9e603db3285p-1 0x1.d955d71ff6075p-1 0x1.d80e316c98398p-1 0x1.d6c76e862e6d3p-1
-0x1.d5818dcfba487p-1 0x1.d43c8eacaa1d6p-1 0x1.d2f87080d89f2p-1 0x1.d1b532b08c968p-1
-0x1.d072d4a07897cp-1 0x1.cf3155b5bab74p-1 0x1.cdf0b555dc3fap-1 0x1.ccb0f2e6d1675p-1
-0x1.cb720dcef9069p-1 0x1.ca3405751c4dbp-1 0x1.c8f6d9406e7b5p-1 0x1.c7ba88988c933p-1
-0x1.c67f12e57d14bp-1 0x1.c544778fafb22p-1 0x1.c40ab5fffd07ap-1 0x1.c2d1cd9fa652cp-1
-0x1.c199bdd85529cp-1 0x1.c06286141b33dp-1 0x1.bf2c25bd71e09p-1 0x1.bdf69c3f3a207p-1
-0x1.bcc1e904bc1d2p-1 0x1.bb8e0b79a6f1fp-1 0x1.ba5b030a1064ap-1 0x1.b928cf22749e4p-1
-0x1.b7f76f2fb5e47p-1 0x1.b6c6e29f1c52ap-1 0x1.b59728de5593ap-1 0x1.b468415b749b1p-1
-0x1.b33a2b84f15fbp-1 0x1.b20ce6c9a8952p-1 0x1.b0e07298db666p-1 0x1.afb4ce622f2ffp-1
-0x1.ae89f995ad3adp-1 0x1.ad5ff3a3c2774p-1 0x1.ac36bbfd3f37ap-1 0x1.ab0e521356ebap-1
-0x1.a9e6b5579fdbfp-1 0x1.a8bfe53c12e59p-1 0x1.a799e1330b358p-1 0x1.a674a8af46052p-1
-0x1.a5503b23e255dp-1 0x1.a42c980460ad8p-1 0x1.a309bec4a2d33p-1 0x1.a1e7aed8eb8bbp-1
-0x1.a0c667b5de565p-1 0x1.9fa5e8d07f29ep-1 0x1.9e86319e32323p-1 0x1.9d674194bb8d5p-1
-0x1.9c49182a3f090p-1 0x1.9b2bb4d53fe0dp-1 0x1.9a0f170ca07bap-1 0x1.98f33e47a22a2p-1
-0x1.97d829fde4e50p-1 0x1.96bdd9a7670b3p-1 0x1.95a44cbc8520fp-1 0x1.948b82b5f98e5p-1
-0x1.93737b0cdc5e5p-1 0x1.925c353aa2fe2p-1 0x1.9145b0b91ffc6p-1 0x1.902fed0282c8ap-1
-0x1.8f1ae99157736p-1 0x1.8e06a5e0866d9p-1 0x1.8cf3216b5448cp-1 0x1.8be05bad61778p-1
-0x1.8ace5422aa0dbp-1 0x1.89bd0a478580fp-1 0x1.88ac7d98a6699p-1 0x1.879cad931a436p-1
-0x1.868d99b4492edp-1 0x1.857f4179f5b21p-1 0x1.8471a4623c7adp-1 0x1.8364c1eb941f7p-1
-0x1.82589994cce13p-1 0x1.814d2add106d9p-1 0x1.80427543e1a12p-1 0x1.7f3878491c491p-1
-0x1.7e2f336cf4e62p-1 0x1.7d26a62ff86f0p-1 0x1.7c1ed0130c132p-1 0x1.7b17b0976cfdbp-1
-0x1.7a11473eb0187p-1 0x1.790b938ac1cf6p-1 0x1.780694fde5d3fp-1 0x1.77024b1ab6e09p-1
-0x1.75feb564267c9p-1 0x1.74fbd35d7cbfdp-1 0x1.73f9a48a58174p-1 0x1.72f8286ead08ap-1
-0x1.71f75e8ec5f74p-1 0x1.70f7466f42e87p-1 0x1.6ff7df9519484p-1 0x1.6ef9298593ae5p-1
-0x1.6dfb23c651a2fp-1 0x1.6cfdcddd47645p-1 0x1.6c012750bdabfp-1 0x1.6b052fa75173ep-1
-0x1.6a09e667f3bcdp-1 0x1.690f4b19e9538p-1 0x1.68155d44ca973p-1 0x1.671c1c70833f6p-1
-0x1.6623882552225p-1 0x1.652b9febc8fb7p-1 0x1.6434634ccc320p-1 0x1.633dd1d1929fdp-1
-0x1.6247eb03a5585p-1 0x1.6152ae6cdf6f4p-1 0x1.605e1b976dc09p-1 0x1.5f6a320dceb71p-1
-0x1.5e76f15ad2148p-1 0x1.5d84590998b93p-1 0x1.5c9268a5946b7p-1 0x1.5ba11fba87a03p-1
-0x1.5ab07dd485429p-1 0x1.59c0827ff07ccp-1 0x1.58d12d497c7fdp-1 0x1.57e27dbe2c4cfp-1
-0x1.56f4736b527dap-1 0x1.56070dde910d2p-1 0x1.551a4ca5d920fp-1 0x1.542e2f4f6ad27p-1
-0x1.5342b569d4f82p-1 0x1.5257de83f4eefp-1 0x1.516daa2cf6642p-1 0x1.508417f4531eep-1
-0x1.4f9b2769d2ca7p-1 0x1.4eb2d81d8abffp-1 0x1.4dcb299fddd0dp-1 0x1.4ce41b817c114p-1
-0x1.4bfdad5362a27p-1 0x1.4b17dea6db7d7p-1 0x1.4a32af0d7d3dep-1 0x1.494e1e192aed2p-1
-0x1.486a2b5c13cd0p-1 0x1.4786d668b3237p-1 0x1.46a41ed1d0057p-1 0x1.45c2042a7d232p-1
-0x1.44e086061892dp-1 0x1.43ffa3f84b9d4p-1 0x1.431f5d950a897p-1 0x1.423fb2709468ap-1
-0x1.4160a21f72e2ap-1 0x1.40822c367a024p-1 0x1.3fa4504ac801cp-1 0x1.3ec70df1c5175p-1
-0x1.3dea64c123422p-1 0x1.3d0e544ede173p-1 0x1.3c32dc313a8e5p-1 0x1.3b57fbfec6cf4p-1
-0x1.3a7db34e59ff7p-1 0x1.39a401b7140efp-1 0x1.38cae6d05d866p-1 0x1.37f26231e754ap-1
-0x1.371a7373aa9cbp-1 0x1.36431a2de883bp-1 0x1.356c55f929ff1p-1 0x1.3496266e3fa2dp-1
-0x1.33c08b26416ffp-1 0x1.32eb83ba8ea32p-1 0x1.32170fc4cd831p-1 0x1.31432edeeb2fdp-1
-0x1.306fe0a31b715p-1 0x1.2f9d24abd886bp-1 0x1.2ecafa93e2f56p-1 0x1.2df961f641589p-1
-0x1.2d285a6e4030bp-1 0x1.2c57e39771b2fp-1 0x1.2b87fd0dad990p-1 0x1.2ab8a66d10f13p-1
-0x1.29e9df51fdee1p-1 0x1.291ba7591bb70p-1 0x1.284dfe1f56381p-1 0x1.2780e341ddf29p-1
-0x1.26b4565e27cddp-1 0x1.25e85711ece75p-1 0x1.251ce4fb2a63fp-1 0x1.2451ffb82140ap-1
-0x1.2387a6e756238p-1 0x1.22bdda27912d1p-1 0x1.21f49917ddc96p-1 0x1.212be3578a819p-1
-0x1.2063b88628cd6p-1 0x1.1f9c18438ce4dp-1 0x1.1ed5022fcd91dp-1 0x1.1e0e75eb44027p-1
-0x1.1d4873168b9aap-1 0x1.1c82f95281c6bp-1 0x1.1bbe084045cd4p-1 0x1.1af99f8138a1cp-1
-0x1.1a35beb6fcb75p-1 0x1.1972658375d2fp-1 0x1.18af9388c8deap-1 0x1.17ed48695bbc0p-1
-0x1.172b83c7d517bp-1 0x1.166a45471c3c2p-1 0x1.15a98c8a58e51p-1 0x1.14e95934f312ep-1
-0x1.1429aaea92de0p-1 0x1.136a814f204abp-1 0x1.12abdc06c31ccp-1 0x1.11edbab5e2ab6p-1
-0x1.11301d0125b51p-1 0x1.1073028d7233ep-1 0x1.0fb66affed31bp-1 0x1.0efa55fdfa9c5p-1
-0x1.0e3ec32d3d1a2p-1 0x1.0d83b23395decp-1 0x1.0cc922b7247f7p-1 0x1.0c0f145e46c85p-1
-0x1.0b5586cf9890fp-1 0x1.0a9c79b1f3919p-1 0x1.09e3ecac6f383p-1 0x1.092bdf66607e0p-1
-0x1.0874518759bc8p-1 0x1.07bd42b72a836p-1 0x1.0706b29ddf6dep-1 0x1.0650a0e3c1f89p-1
-0x1.059b0d3158574p-1 0x1.04e5f72f654b1p-1 0x1.04315e86e7f85p-1 0x1.037d42e11bbccp-1
-0x1.02c9a3e778061p-1 0x1.02168143b0281p-1 0x1.0163da9fb3335p-1 0x1.00b1afa5abcbfp-1""".split()])
-_LOG2E = float.fromhex("0x1.71547652b82fep+0")   # log2(e), rounded to nearest
+def _exp2_table():
+    """2^(-j/256) for j = 0..255 and log2(e), each the float64 nearest the
+    exact value: computed at 40 significant digits, then rounded once."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        ln2 = Decimal(2).ln()
+        return (np.array([float((ln2 * -j / 256).exp()) for j in range(256)]),
+                float(1 / ln2))
+
+
+_EXP2_FRACTIONS, _LOG2E = _exp2_table()
 _EXP2_OCTAVES = 64   # logits more than 64 octaves below the row's largest are clipped there
 
 
@@ -767,29 +736,16 @@ def fit(branches, head, crop_sets, feats, targets, loss, epochs, batch_size, lr,
 
 # ---------------------------------------------------------------------------
 # "VCNM" model container: magic, version, kind, seed, JSON metadata, then named
-# parameter groups, closed by an FNV-1a-64 hash of everything before it.
+# parameter groups, closed by the 64-bit hash (`hash64`) of everything before it.
 
 MODEL_MAGIC = b"VCNM"
-MODEL_VERSION = 1
-
-FNV_OFFSET = 0xCBF29CE484222325
-FNV_PRIME = 0x100000001B3
-_FNV_MASK = 0xFFFFFFFFFFFFFFFF
+MODEL_VERSION = 2
 
 
-def fnv1a64(data: bytes) -> int:
-    """FNV-1a-64 of `data`, memoized on the bytes themselves: the cache compares
-    whole keys, so hashing an unchanged model again costs one compare, and a
-    model whose weights changed in any byte is hashed afresh."""
-    return _fnv1a64(bytes(data))
-
-
-@functools.lru_cache(maxsize=8)
-def _fnv1a64(data: bytes) -> int:
-    h = FNV_OFFSET
-    for byte in data:
-        h = ((h ^ byte) * FNV_PRIME) & _FNV_MASK
-    return h
+def hash64(data: bytes) -> int:
+    """The first 8 bytes of SHA-256(data), read as a little-endian u64: the hash
+    that closes a model file and a bitstream header."""
+    return int.from_bytes(hashlib.sha256(data).digest()[:8], "little")
 
 
 def _pack_group(name: str, params: ModelParams) -> bytes:
@@ -813,19 +769,20 @@ def serialize_model(kind: int, seed: int, meta: dict, groups) -> bytes:
     """groups: iterable of (name, ModelParams)."""
     out = bytearray()
     out += MODEL_MAGIC
-    out += struct.pack("<BBQ", MODEL_VERSION, kind, seed & _FNV_MASK)
+    out += struct.pack("<BBQ", MODEL_VERSION, kind, seed & 0xFFFFFFFFFFFFFFFF)
     meta_bytes = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
     out += struct.pack("<I", len(meta_bytes)) + meta_bytes
     groups = list(groups)
     out += struct.pack("<H", len(groups))
     for name, params in groups:
         out += _pack_group(name, params)
-    out += struct.pack("<Q", fnv1a64(bytes(out)))
+    out += struct.pack("<Q", hash64(out))
     return bytes(out)
 
 
 def model_content_hash(blob: bytes) -> int:
-    """The trailing FNV hash of a serialized model."""
+    """The hash that closes a serialized model (`hash64` of the bytes before
+    it), read from its trailer: what a bitstream header pins its model by."""
     return struct.unpack("<Q", blob[-8:])[0]
 
 
@@ -837,8 +794,9 @@ def deserialize_model(blob: bytes):
     """
     if len(blob) < 26 or blob[:4] != MODEL_MAGIC:
         raise ValueError("not a model file (bad magic)")
-    stored = struct.unpack("<Q", blob[-8:])[0]
-    if fnv1a64(blob[:-8]) != stored:
+    if blob[4] != MODEL_VERSION:   # read first: older files close with another hash
+        raise ValueError(f"unsupported model version {blob[4]}")
+    if hash64(blob[:-8]) != model_content_hash(blob):
         raise ValueError("model file corrupt (content hash mismatch)")
     try:
         return _parse_model(blob[:-8])
@@ -847,43 +805,31 @@ def deserialize_model(blob: bytes):
 
 
 def _parse_model(blob: bytes):
-    version, kind, seed = struct.unpack_from("<BBQ", blob, 4)
-    if version != MODEL_VERSION:
-        raise ValueError(f"unsupported model version {version}")
-    pos = 14
-    (meta_len,) = struct.unpack_from("<I", blob, pos)
-    pos += 4
-    meta = json.loads(blob[pos:pos + meta_len].decode("utf-8"))
-    pos += meta_len
-    (n_groups,) = struct.unpack_from("<H", blob, pos)
-    pos += 2
+    pos = 5   # past the magic and the version
+
+    def take(fmt):
+        """Unpack `fmt` at the read position and move past it."""
+        nonlocal pos
+        values = struct.unpack_from(fmt, blob, pos)
+        pos += struct.calcsize(fmt)
+        return values
+
+    kind, seed, meta_len = take("<BQI")
+    meta = json.loads(take(f"<{meta_len}s")[0].decode("utf-8"))
     groups = []
-    for _ in range(n_groups):
-        (name_len,) = struct.unpack_from("<B", blob, pos)
-        pos += 1
-        name = blob[pos:pos + name_len].decode("utf-8")
-        pos += name_len
-        (n_layers,) = struct.unpack_from("<H", blob, pos)
-        pos += 2
+    for _ in range(take("<H")[0]):
+        name = take(f"<{take('<B')[0]}s")[0].decode("utf-8")
         layers = []
-        for _ in range(n_layers):
-            lk, arg = struct.unpack_from("<BI", blob, pos)
-            pos += 5
+        for _ in range(take("<H")[0]):
+            lk, arg = take("<BI")
             if lk not in _KIND_TO_LAYER:
                 raise ValueError(f"unknown layer kind {lk} in group {name!r}")
             layers.append(_KIND_TO_LAYER[lk](arg))
-        (n_tensors,) = struct.unpack_from("<H", blob, pos)
-        pos += 2
         flat = []
-        for _ in range(n_tensors):
-            (ndim,) = struct.unpack_from("<B", blob, pos)
-            pos += 1
-            shape = struct.unpack_from(f"<{ndim}I", blob, pos)
-            pos += 4 * ndim
-            size = int(np.prod(shape)) if ndim else 1
-            arr = np.frombuffer(blob, dtype="<f4", count=size, offset=pos).reshape(shape).copy()
-            pos += 4 * size
-            flat.append(arr)
+        for _ in range(take("<H")[0]):
+            shape = take(f"<{take('<B')[0]}I")
+            raw = take(f"<{4 * math.prod(shape)}s")[0]
+            flat.append(np.frombuffer(raw, dtype="<f4").reshape(shape).copy())
         weighted = [isinstance(layer, (Conv3D, FullyConnected)) for layer in layers]
         if len(flat) != 2 * sum(weighted):
             raise ValueError(f"group {name!r} has {len(flat)} tensors for "

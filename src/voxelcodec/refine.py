@@ -59,8 +59,8 @@ class RefineParams:
             params = cls(meta["crop_size"], tuple(meta["channels"]), meta["hidden"], seed)
             for depth in meta["depths"]:
                 params.entries[depth] = (named[f"tower-d{depth}"], named[f"head-d{depth}"])
-        for tower, _ in params.entries.values():
-            nn.tower_width(tower, params.crop_size)
+        for tower, head in params.entries.values():
+            nn.check_context_net([tower], head, (params.crop_size,), 0, 3)
         return params
 
 

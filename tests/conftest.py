@@ -5,7 +5,17 @@ import struct
 import numpy as np
 import pytest
 
-from voxelcodec import DynamicContextModel, PointCloud, RigidTransform, VoxelContextModel, nn
+from voxelcodec import (DynamicContextModel, PointCloud, RefineParams, RigidTransform,
+                        VoxelContextModel, nn)
+
+# Files of the previous formats, written by the library before the move to
+# SHA-256 hashes: a uniform model as VCNM version 1, and a one-point uniform
+# stream at depth 3 as VCNB version 3, each closed by an FNV-1a-64 hash.
+VCNM_V1_UNIFORM = bytes.fromhex(
+    "56434e4d01000000000000000000120000007b226b696e64223a22756e69666f726d227d0000009cec0d6e8cd936")
+VCNB_V3_UNIFORM = bytes.fromhex(
+    "56434e42030000cdcc4c3ecdcccc3ecdcc4c3f0000803f03030100000000009cec0d6e8cd93655dfc61782b7e3c9"
+    "00000000000000")
 
 
 def random_cloud(n, seed, lo=0.0, hi=1.0):
@@ -68,23 +78,30 @@ def unknown_layer_kind_model():
 
 def _rehash(blob):
     blob = bytearray(blob)
-    blob[-8:] = struct.pack("<Q", nn.fnv1a64(bytes(blob[:-8])))
+    blob[-8:] = struct.pack("<Q", nn.hash64(bytes(blob[:-8])))
     return bytes(blob)
 
 
-def _without_group(model, name):
+def _with_group(model, name, params=None):
+    """`model`'s file with group `name` replaced by `params`, or dropped if None."""
     kind, seed, meta, groups = nn.deserialize_model(model.serialize())
-    return nn.serialize_model(kind, seed, meta, [g for g in groups if g[0] != name])
+    groups = [(n, params if n == name else p) for n, p in groups]
+    return nn.serialize_model(kind, seed, meta, [(n, p) for n, p in groups if p is not None])
 
 
 def malformed_model_files():
-    """VCNM files with valid content hashes that are not well-formed models:
+    """VCNM files that are not well-formed models of this version, each with a
+    valid content hash but the version-1 file, whose hash is FNV-1a-64:
     name -> (blob, the decode option that loads it, expected error text)."""
     uniform = bytearray(nn.serialize_model(0, 2, {"kind": "uniform"}, []))
     (meta_len,) = struct.unpack_from("<I", uniform, 14)
     struct.pack_into("<H", uniform, 14 + 4 + meta_len, 1)   # one group, but no group data
     static = VoxelContextModel(crop_size=5, channels=(2,), hidden=8, seed=0)
     dynamic = DynamicContextModel(crop_size=5, child_crop_size=6, channels=(2,), hidden=8, seed=0)
+    refiner = RefineParams(crop_size=5, channels=(2,), hidden=8, seed=0)
+    refiner.add_depth(4)
+    hidden = nn.FullyConnected(8), nn.ReLU()   # the narrow models' hidden layer
+    # static's tower rows are 2 * 3^3 = 54 wide; its head reads them and 4 node features
     return {
         "static-no-crop-size": (nn.serialize_model(2, 0, {"kind": "voxel-static"}, []),
                                 "--model", "crop_size"),
@@ -92,8 +109,8 @@ def malformed_model_files():
                                 "--refine", "crop_size"),
         "adaptive-no-context-bits": (nn.serialize_model(1, 0, {"kind": "adaptive"}, []),
                                      "--model", "context_bits"),
-        "static-no-head": (_without_group(static, "head"), "--model", "head"),
-        "dynamic-no-current-tower": (_without_group(dynamic, "tower-current"), "--model",
+        "static-no-head": (_with_group(static, "head"), "--model", "head"),
+        "dynamic-no-current-tower": (_with_group(dynamic, "tower-current"), "--model",
                                      "tower-current"),
         "group-count-past-data": (_rehash(uniform), "--model", "truncated or corrupt"),
         "head-without-tensors": (nn.serialize_model(2, 0, {"kind": "voxel-static"}, [
@@ -101,6 +118,15 @@ def malformed_model_files():
         "channels-not-a-list": (nn.serialize_model(2, 0, {
             "kind": "voxel-static", "crop_size": 5, "channels": 2, "hidden": 8}, []),
             "--model", "malformed field"),
+        "conv-weight-wrong-shape": (_with_group(static, "tower", nn.init_params(
+            (nn.Conv3D(2), nn.ReLU()), (2, 5, 5, 5), 0)), "--model", "tower 0 layer 0"),
+        "head-input-width": (_with_group(static, "head", nn.init_params(
+            hidden + (nn.FullyConnected(255),), (57,), 0)), "--model", "head layer 0"),
+        "head-8-outputs": (_with_group(static, "head", nn.init_params(
+            hidden + (nn.FullyConnected(8),), (58,), 0)), "--model", "255 values expected"),
+        "refine-head-2-outputs": (_with_group(refiner, "head-d4", nn.init_params(
+            hidden + (nn.FullyConnected(2),), (54,), 0)), "--refine", "3 values expected"),
+        "model-version-1": (VCNM_V1_UNIFORM, "--model", "unsupported model version 1"),
     }
 
 

@@ -15,7 +15,7 @@ from voxelcodec import (PointCloud, UniformModel, cli, decode_cloud, encode_clou
                         pointcloud, psnr_point)
 from voxelcodec.cli import main
 
-from conftest import (malformed_model_files, random_cloud, structured_cloud,
+from conftest import (VCNB_V3_UNIFORM, malformed_model_files, random_cloud, structured_cloud,
                       unknown_layer_kind_model)
 
 _PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
@@ -106,6 +106,12 @@ class TestEncodeDecode:
         model.write_bytes(unknown_layer_kind_model())
         assert _run("decode", bitstream, tmp_path / "o.ply", "--model", model) == 3
         assert "unknown layer kind 9" in capsys.readouterr().err
+
+    def test_version_3_stream_exit_3(self, tmp_path, capsys):
+        bitstream = tmp_path / "v3.vcnb"
+        bitstream.write_bytes(VCNB_V3_UNIFORM)
+        assert _run("decode", bitstream, tmp_path / "o.ply") == 3
+        assert "unsupported bitstream version 3" in capsys.readouterr().err
 
     @pytest.mark.parametrize("case", sorted(MALFORMED))
     def test_malformed_model_file_exit_3(self, tmp_path, capsys, case):

@@ -11,7 +11,7 @@ from voxelcodec import (AdaptiveContextModel, DecodeError, DynamicContextModel, 
 from voxelcodec.coder import TOTAL_FREQ, RangeDecoder, RangeEncoder, quantize_level
 from voxelcodec.entropy import LOG2_ALPHABET
 
-from conftest import moving_sequence, random_cloud, structured_cloud
+from conftest import VCNB_V3_UNIFORM, moving_sequence, random_cloud, structured_cloud
 
 
 class TestQuantize:
@@ -305,7 +305,7 @@ class TestPayloadEnd:
         monkeypatch.setattr(coder, "VERSION", 1)
         v1 = header.pack() + data[pos:]
         monkeypatch.undo()
-        assert coder.VERSION == 3 and v1[4] == 1
+        assert coder.VERSION == 4 and v1[4] == 1
         with pytest.raises(DecodeError, match="unsupported bitstream version 1"):
             decode_cloud(v1, model)
 
@@ -321,6 +321,12 @@ class TestPayloadEnd:
         assert v2[4] == 2
         with pytest.raises(DecodeError, match="unsupported bitstream version 2"):
             decode_cloud(v2, model)
+
+    def test_version_3_stream_rejected(self):
+        """Version 3 closed its header with an FNV hash; the version is read first."""
+        assert VCNB_V3_UNIFORM[4] == 3
+        with pytest.raises(DecodeError, match="unsupported bitstream version 3"):
+            decode_cloud(VCNB_V3_UNIFORM, UniformModel())
 
 
 class TestCloudCodec:

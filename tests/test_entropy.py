@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -233,12 +234,13 @@ class TestTowerGeometry:
 
 
 class TestContentHash:
-    """content_hash() is memoized on the serialized bytes, so it must follow
-    every change of the weights, in place or by assignment."""
+    """content_hash() must follow every change of the weights, in place or by
+    assignment: nothing may cache it past a change."""
 
     @staticmethod
     def _uncached(model):
-        return nn._fnv1a64.__wrapped__(model.serialize()[:-8])
+        digest = hashlib.sha256(model.serialize()[:-8]).digest()
+        return int.from_bytes(digest[:8], "little")
 
     def test_hash_follows_in_place_training(self):
         m = VoxelContextModel(crop_size=5, channels=(2, 4), hidden=16, seed=5)

@@ -18,7 +18,7 @@ level schedule, the tower pass or the coder that alters a single bit of
 any of these fails here. Coding, code lengths and refinement run the
 integer-exact network, training and evaluation the float one. The values
 were recorded with numpy 2.4 on x86-64 Linux; the bitstreams are of wire
-version 3.
+version 4.
 """
 
 import hashlib
@@ -164,66 +164,66 @@ def deep_run():
 
 GOLDEN = {
     "static-crop5": {
-        "model": "3e2657e17d3ac5e4b7a60311ac557ef0637bcc8f4bd0b146d8483b24c6e1e3cb",
+        "model": "9251804fcd5026e01df4c23e9a38722a38daf29116924c58c59d04ddc507a7a7",
         "curve": "8108e56757ce80c76fc25ce7caf5e0e021aec3ae6d52f06098f462e4c5250f99",
         "evaluate": "cdf12bacd3d21146fdc3e2f629cf823d1a38073cf263ee4eeb49e10d00d032cd",
-        "bitstream": "db08cfb036cb7d8e60579eaf7fdbdfa28947e8f26d91f078856fada20f879215",
+        "bitstream": "2fd021bbc901a717aa00617899557b8f004d29efbd2525f60f279ea68a60170d",
     },
     "static-crop1": {
-        "model": "a96de24fd41f997b65c340509e3a79c79916c69d6cdadb0c7f00515c7ec45f57",
+        "model": "0417f051e941518dc6280f95f3fe61597174eadc6045bcca12a08fbb0795b0a6",
         "curve": "ea6e4b69cfe70523b462838fbd9fbda26ecd534f0e75690e252af8e20c6cbd0b",
         "evaluate": "a18166b6899b20d1adb9bd4f7027f61a346047f26dfd5a72f01f171afd7dbdef",
-        "bitstream": "6ac6ea646fd227ae771c36876c6ab95f2a0b06a13889c38829e0ea3bb51e064d",
+        "bitstream": "76b92943f304de3ccf4fcce8f9a7b3589513bb8fb1853df43f5664c5eb3f8a31",
     },
     "dynamic": {
-        "model": "cc27c61362fc55aa87bf9954e45f08e55b7b156a0fba9cadf2239828df16a53e",
+        "model": "6b42681d341a100b8c9d1fa80c06bd4bd00cd5bc9986f547509cd93455696f6f",
         "curve": "d0b15cffc20b15aa9ab35328e4758c9b62f53573db7c638a86a37751117d6c6e",
         "evaluate": "699e080d124d1d1b275b6e0de4203c3325ec2d698b13c1581a4eaf2540e40535",
-        "bitstream": "c886ffbc7d0a4f946b10915dfa773cb87f4fd7d143e8ed587d2b5594a6429759",
+        "bitstream": "8ab44fb308ba00c25b8199c79a3ef7e623de921876cf93f239a3e29ffc80d4a3",
     },
     "refine": {
-        "model": "1ce0e535091cb6363692d137e6adcdf592323dddfb6733a8f6a7c0d39d72d3f0",
+        "model": "e91b1850c53718d29f527c997e1815f0eb33da4dc2dff7af843c0d03ed398bc8",
         "curve": "4a25d53843bdc4b0e5a03af40c840269e6e83b1d73652c006c3e81709198ba2d",
         "points": "c2f6622dad77f5c3f80ce9b54a78b105ea551594812ff5756e0057b9f367c4a0",
     },
     "uniform": {
-        "bitstream": "e8aba6f83b228f199b0bf0c6810cc3e037a62c267074c32c6e5e605976314292",
+        "bitstream": "1fe07c71767c47392f4b9bcbeb7852d33d1c236354717210d49804b3d59eb078",
     },
     "adaptive": {
-        "static": "bdad2c224e36b2420635ec2d7130133b939ade9298416ba3df790c93f517875a",
-        "sequence": "b38084c873c567926697f845e5a4600d13cb361da7cd5f44c6c5ea1adb1ae3d9",
+        "static": "f10b28e7ef875381c4f13759c019ac50af31e8f0a8cda31af57a9261fb89372b",
+        "sequence": "574ed43340081a5549e732ebff8ebd7080112de626e2bbe03b96fff24815ae9a",
     },
     "sequence-decode": {
         "points": "c23a26b9242e0b8a481204dcc6d7d7f7121144c4f643d3280b5015259d0c9323",
     },
     "truncated-lengths": {
         "static": "97439437afabb5d79bec42de525ddadaa4cb92dc56e2c35e186567f117b58ab3",
-        "static-bitstream": "e68dbe99e9ded1689317ae7c406ba85710349f19c01e643f1ef82432bcd1a979",
+        "static-bitstream": "bf5bf690ae21c3a7084942248181edaccc5216910e0f1479ac1a0cc765ce2f84",
         "dataset": "261e9f45888bbaf00c513bb1f5595c2b6b02c6c908f2792a3c981066643e123d",
         "dynamic": "46ca5482db1abe4d14b21f87027ce1f39ab02fb69f3b1e1a78136e516ca6b810",
-        "dynamic-bitstream": "4cbf2e0993c232dc90392fc98b4db3dc9626c2617d06a4b857cca67dc1dab014",
+        "dynamic-bitstream": "8217a0d9520aa1d62dbe53d578b07ce254a80b17b79fef7ecf0e1244f5399104",
     },
     "static-wide": {
-        "model": "76f19572ddaf955053304327ea9c126cb02ee696bd6b234f3c1d4f9640eb78bd",
+        "model": "469f14f8b2906f35e8ab0ea544be97e77ebc544047faf9151600ee362aa9c2d1",
         "curve": "c877bb4fd6503762f83d02d4d60ab730f54c1584e4d49e30b02acea833345956",
-        "bitstream": "857c83a3e0879f5e2cc6131c1b9c760f146367f1827f93bd0fa1d88362646dbb",
+        "bitstream": "d5fe0ef119cbf541133ed7c695d00f936f155903b3fd5aceaf4ba97e7c58406e",
         "decoded": "f342a38f9094d7f32c1fbede3cc8c59e2ce3b97dd8f4aabc6f40608fe04603a2",
     },
     "dynamic-wide": {
-        "model": "68e8caada12a73a213639b93b3cf3d6456e5dea40670e5302a2db6aae548fa97",
+        "model": "0cf0c797c3f87ffacb8dd108b476cb84e58faf96bc08745c3b9e1afb5f9bf5c1",
         "curve": "5f83c864a4957361b699df84bc7bac4119f24be656f9b34e17a3cfbf77cdd47f",
-        "bitstream": "6d9e42afbb7c22f6d42b76487c98d584c6c535488cf55a27868ad13c08c5ddb1",
+        "bitstream": "d5410e546e3945b7d04b5c5a64b5d352c081cafa02c37b30afa5615135840806",
         "decoded": "fdb45c5f6c8b5fbb7e8449c53d62bfe0a1fe9f0818994ba81734843b177b1401",
     },
     "refine-wide": {
-        "model": "dfbb14baf5aa1df8f5ba5ef6e97e1f7f33cd1dcc2b2c49b01812ce4cb72a1498",
+        "model": "10b352f4535450e432698fffe94246e5c8c36926458652c958bcb25525052bca",
         "curve": "09483e0dcc900a62080e5daf298fd49e575ebff1410ab88f04875dd57bec8533",
         "points": "fab40b4e41a54c44f59e6759a3c3f4d863e1d9a12c961b0339ed245b2a022c06",
     },
     "deep": {
-        "model": "e98dcc165a123bed57722bd6bd50b9d17a36e0beb2eb7c0b58014699bd90bcc0",
+        "model": "d87ec3fc2ff6f16e55d3618ac25b2b8ef2b7cb09cbec125f193af61a9cc2e4cd",
         "curve": "f417d2ee15f4b2a9949c5c80b95b700673cd2a4543b4eac39bdef65a72e0c603",
-        "bitstream": "6aef84f361e14bfc2af3dfe6ca22ca2eef3762d130e5878b7b3acf7b4e6868ca",
+        "bitstream": "8417574395b9d9c40d892ec855f49e3fa4209dcbf8783563cec4c727958d7ea6",
         "refined": "3a29503d75e5fbdf95f66817822e0266aa6f9e3fac08a28298ceb1012d50cdb0",
     },
 }

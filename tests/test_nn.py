@@ -242,19 +242,20 @@ class TestModelFile:
     def test_unknown_layer_kind_rejected(self):
         # a well-formed file whose hash is valid but whose layer kind is not 0-2
         blob = unknown_layer_kind_model()
-        assert nn.fnv1a64(blob[:-8]) == nn.model_content_hash(blob)
+        assert nn.hash64(blob[:-8]) == nn.model_content_hash(blob)
         with pytest.raises(ValueError, match="unknown layer kind 9"):
             nn.deserialize_model(blob)
 
     @pytest.mark.parametrize("case", sorted(MALFORMED))
     def test_malformed_file_is_value_error(self, case):
-        # missing metadata, a missing group or a group count past the data
+        # missing metadata, a missing group, a group count past the data, tensor or
+        # head shapes that do not fit, or a version-1 file
         blob, option, message = MALFORMED[case]
         load = RefineParams.deserialize if option == "--refine" else load_entropy_model
         with pytest.raises(ValueError, match=message):
             load(blob)
 
-    def test_fnv_reference_value(self):
-        # FNV-1a 64 of empty input is the offset basis; of b"a" a known constant
-        assert nn.fnv1a64(b"") == 0xCBF29CE484222325
-        assert nn.fnv1a64(b"a") == 0xAF63DC4C8601EC8C
+    def test_hash64_known_answers(self):
+        # the first 8 bytes of SHA-256, little-endian: e3b0c442... and ca978112...
+        assert nn.hash64(b"") == 0x141CFC9842C4B0E3
+        assert nn.hash64(b"a") == 0xCABD1BCA128197CA
