@@ -8,16 +8,19 @@ the range register stays in [2^24, 2^32) and every table totals at most
 is coded from an integer cumulative table whose last entry is its total:
 batch models' probabilities are quantized to 16-bit frequencies (total
 2^16) on both sides from identical model outputs, and the adaptive model
-hands over its integer count tables as they are. Model determinism alone
-keeps encoder and decoder in sync; no tables travel in the stream, and the
+hands over its live integer count tables for the whole level, with the rule
+that updates them after each symbol. One symbol loop (`_code_level`) codes
+and decodes every level of every model. Model determinism alone keeps
+encoder and decoder in sync; no tables travel in the stream, and the
 decoder ends exactly at the end of the payload.
 """
 
 from __future__ import annotations
 
 import struct
+from bisect import bisect_right
 from dataclasses import dataclass
-from functools import partial
+from itertools import repeat
 
 import numpy as np
 
@@ -263,33 +266,44 @@ def _code_level(ctx, symbols, model, enc_or_dec, decoding):
     """Code or decode all symbols of one depth level in canonical order.
 
     Each node's table is an integer cumulative table whose last entry is its
-    total: a row of the quantized level batch (total TOTAL_FREQ), or the
-    model's own `node_table` on the sequential path. Returns the decoded
-    symbol array when decoding.
+    total, read as a memoryview of Python ints: a row of the quantized level
+    batch (total TOTAL_FREQ), or, on the sequential path, the model's live
+    table for the node (`level_tables`), updated by the model's rule after
+    each symbol. Returns the decoded symbol array when decoding.
     """
     n = len(ctx)
     probs = model.level_probabilities(ctx)
     if probs is None:
-        table = partial(model.node_table, ctx)
+        rows, update = model.level_tables(ctx)
     else:
-        # a shared (255,) row is quantized once and its table broadcast
         _, cum = quantize_level(np.atleast_2d(probs))
-        table = np.broadcast_to(cum, (n, em.ALPHABET + 1)).__getitem__
-    out = np.zeros(n, dtype=np.uint8) if decoding else None
-    for i in range(n):
-        c_row = table(i)
-        total = int(c_row[-1])
+        flat = memoryview(cum.reshape(-1))
+        if len(cum) == 1:
+            rows = repeat(flat, n)
+        else:
+            step = em.ALPHABET + 1
+            rows = (flat[lo:lo + step] for lo in range(0, n * step, step))
+        update = None
+    if decoding:
+        out = bytearray(n)
+        decode_target, consume = enc_or_dec.decode_target, enc_or_dec.consume
+    else:
+        syms = np.asarray(symbols).tolist()
+        encode = enc_or_dec.encode
+    for i, row in enumerate(rows):
+        total = row[em.ALPHABET]
         if decoding:
-            s = int(c_row.searchsorted(enc_or_dec.decode_target(total), side="right"))
-            lo = int(c_row[s - 1])
-            enc_or_dec.consume(lo, int(c_row[s]) - lo)
+            s = bisect_right(row, decode_target(total))
+            lo = row[s - 1]
+            consume(lo, row[s] - lo)
             out[i] = s
         else:
-            s = int(symbols[i])
-            lo = int(c_row[s - 1])
-            enc_or_dec.encode(lo, int(c_row[s]) - lo, total)
-        model.observe(ctx, i, s)
-    return out
+            s = syms[i]
+            lo = row[s - 1]
+            encode(lo, row[s] - lo, total)
+        if update is not None:
+            update(row, s)
+    return np.frombuffer(out, dtype=np.uint8) if decoding else None
 
 
 def encode_cloud(cloud: PointCloud, depth: int, trunc_depth: int,

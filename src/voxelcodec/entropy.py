@@ -4,12 +4,13 @@ Symbol values run 1..255 (a split node always has at least one occupied
 child), mapped to array indices 0..254. Four model kinds share one coding
 interface: per depth level the coder hands the model a LevelContext and gets
 either a batch of distributions (uniform / neural), which it quantizes, or
-per-node integer frequency tables (the adaptive baseline, whose counts evolve
-as symbols are coded).
+the adaptive baseline's live count tables for the whole level, one per node
+in node order, with the one rule that updates them as symbols are coded.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,8 +34,8 @@ KIND_NAMES = {KIND_UNIFORM: "uniform", KIND_ADAPTIVE: "adaptive",
               KIND_VOXEL_STATIC: "voxel-static", KIND_VOXEL_DYNAMIC: "voxel-dynamic"}
 KIND_CODES = {v: k for k, v in KIND_NAMES.items()}
 
-_NEIGHBOR_OFFSETS = np.array([[1, 0, 0], [-1, 0, 0], [0, 1, 0],
-                              [0, -1, 0], [0, 0, 1], [0, 0, -1]], dtype=np.int64)
+# (axis, step) of each face neighbour, in neighbour-bit order: +x, -x, +y, -y, +z, -z
+_NEIGHBOR_FACES = ((0, 1), (0, -1), (1, 1), (1, -1), (2, 1), (2, -1))
 
 
 @dataclass(frozen=True)
@@ -126,11 +127,23 @@ class LevelContext:
         return self._cache["psym"]
 
     def neighbor_bits(self) -> np.ndarray:
-        """6-bit mask of face-neighbour occupancy in the same-depth grid."""
+        """6-bit mask of face-neighbour occupancy in the same-depth grid.
+
+        A face neighbour's key is the cell's key plus or minus the axis's key
+        stride (2^(2d), 2^d or 1); cells on the grid's face in that direction
+        have no neighbour there.
+        """
         if "neigh" not in self._cache:
-            bits = np.zeros(len(self.cells), dtype=np.int64)
-            for b, off in enumerate(_NEIGHBOR_OFFSETS):
-                bits |= self.grid.contains(self.cells + off).astype(np.int64) << b
+            d, grid_keys = self.depth, self.grid.keys
+            keys = cell_keys(self.cells, d)
+            bits = np.zeros(len(keys), dtype=np.int64)
+            for b, (axis, step) in enumerate(_NEIGHBOR_FACES):
+                coord = self.cells[:, axis]
+                inside = coord < (1 << d) - 1 if step > 0 else coord > 0
+                near = keys[inside] + (step << (d * (2 - axis)))
+                pos = np.searchsorted(grid_keys, near)
+                hit = np.take(grid_keys, pos, mode="clip") == near
+                bits[inside] |= hit.astype(np.int64) << b
             self._cache["neigh"] = bits
         return self._cache["neigh"]
 
@@ -216,19 +229,25 @@ class EntropyModel:
         """Reset per-stream state. Called once per coded cloud/sequence on both sides."""
 
     def level_probabilities(self, ctx: LevelContext):
-        """(n, 255) batch, (255,) shared row, or None to force the sequential path."""
+        """(n, 255) batch, (255,) shared row, or None for `level_tables`."""
         return None
 
-    def node_table(self, ctx: LevelContext, i: int) -> np.ndarray:
-        """Sequential path: node i's (256,) integer cumulative frequencies,
-        cum[0] = 0, every frequency >= 1, total cum[-1] <= TOTAL_FREQ."""
+    def level_tables(self, ctx: LevelContext):
+        """Sequential path: (rows, update). rows yields each node's live
+        (256,) integer cumulative table in node order, as a memoryview:
+        cum[0] = 0, every frequency >= 1, total cum[-1] <= TOTAL_FREQ.
+        update(row, symbol) runs after the node's symbol is coded, before the
+        next row is read, and may change any later row."""
         raise NotImplementedError
 
     def node_probability(self, ctx: LevelContext, i: int) -> np.ndarray:
+        """Not called by the library; kept while the benchmark tracer wraps it
+        by name."""
         raise NotImplementedError
 
     def observe(self, ctx: LevelContext, i: int, symbol: int):
-        """Called after each coded symbol (1..255); only the adaptive model reacts."""
+        """Not called by the library, whose adaptive updates go through
+        `level_tables`; kept while the benchmark tracer wraps it by name."""
 
     def serialize(self) -> bytes:
         raise NotImplementedError
@@ -250,8 +269,8 @@ class UniformModel(EntropyModel):
 
 
 _M64 = np.uint64(0xFFFFFFFFFFFFFFFF)
-_FRESH_TABLE = np.arange(ALPHABET + 1, dtype=np.int64)
-_FRESH_TABLE.flags.writeable = False
+# _STEPS[s] adds one count to symbol s of a cumulative table: ones from index s on
+_STEPS = tuple(np.triu(np.ones((ALPHABET + 1, ALPHABET + 1), dtype=np.int64)))
 
 
 def _splitmix64(x: np.ndarray) -> np.ndarray:
@@ -259,6 +278,21 @@ def _splitmix64(x: np.ndarray) -> np.ndarray:
     x = ((x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)) & _M64
     x = ((x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)) & _M64
     return x ^ (x >> np.uint64(31))
+
+
+def _fresh_table() -> memoryview:
+    """A context's table before its first symbol: one count per symbol."""
+    return memoryview(np.arange(ALPHABET + 1, dtype=np.int64))
+
+
+def _add_count(row: memoryview, symbol: int):
+    """The adaptive count update: one more count for `symbol` (1..255) in the
+    table `row` views; when the total passes TOTAL_FREQ, every frequency f
+    becomes (f + 1) >> 1."""
+    cum = row.obj
+    np.add(cum, _STEPS[symbol], out=cum)
+    if row[ALPHABET] > TOTAL_FREQ:
+        np.cumsum((np.diff(cum) + 1) >> 1, out=cum[1:])
 
 
 class AdaptiveContextModel(EntropyModel):
@@ -279,10 +313,11 @@ class AdaptiveContextModel(EntropyModel):
         if not 1 <= context_bits <= 16:
             raise ValueError("context_bits must be in [1, 16]")
         self.context_bits = context_bits
-        self._tables: dict[int, np.ndarray] = {}
+        self.begin_stream()
 
     def begin_stream(self):
-        self._tables = {}
+        # context id -> memoryview of its int64 cumulative table, made on first use
+        self._tables = defaultdict(_fresh_table)
 
     def context_ids(self, ctx: LevelContext) -> np.ndarray:
         key = ("cid", self.context_bits)
@@ -294,23 +329,11 @@ class AdaptiveContextModel(EntropyModel):
             ctx._cache[key] = (_splitmix64(packed) & mask).astype(np.int64)
         return ctx._cache[key]
 
-    def table_for_id(self, cid: int) -> np.ndarray:
-        """The context's cumulative table; read-only, it changes on observe."""
-        return self._tables.get(cid, _FRESH_TABLE)
-
-    def observe_id(self, cid: int, symbol: int):
-        cum = self._tables.get(cid)
-        if cum is None:
-            cum = self._tables[cid] = np.arange(ALPHABET + 1, dtype=np.int64)
-        cum[symbol:] += 1
-        if cum[-1] > TOTAL_FREQ:
-            np.cumsum((np.diff(cum) + 1) >> 1, out=cum[1:])
-
-    def node_table(self, ctx, i):
-        return self.table_for_id(int(self.context_ids(ctx)[i]))
-
-    def observe(self, ctx, i, symbol):
-        self.observe_id(int(self.context_ids(ctx)[i]), symbol)
+    def level_tables(self, ctx):
+        """Each node's context table, in node order, and `_add_count`. Nodes
+        that share a context share its table, so an update is seen by the
+        later nodes of the level."""
+        return list(map(self._tables.__getitem__, self.context_ids(ctx).tolist())), _add_count
 
     def serialize(self):
         return nn.serialize_model(self.kind_code, 0,
@@ -502,18 +525,19 @@ def schedule_code_lengths(model: EntropyModel, trees, max_depth, trunc_depth) ->
 def level_code_lengths(model: EntropyModel, ctx: LevelContext, symbols) -> np.ndarray:
     """-log2 q of one level's symbols (1..255), in coding order.
 
-    A model without level probabilities is read node by node from the tables
-    the coder codes with (q = freq/total) and observes each symbol, as the
-    coder does; a shared row or an (n, 255) batch is indexed directly.
+    A model without level probabilities is read node by node from the live
+    tables the coder codes with (q = freq/total), updated after each symbol
+    by the model's own rule, as the coder does; a shared row or an (n, 255)
+    batch is indexed directly.
     """
     syms = np.asarray(symbols).astype(np.int64)
     probs = model.level_probabilities(ctx)
     if probs is None:
+        rows, update = model.level_tables(ctx)
         freq, total = np.empty(len(syms)), np.empty(len(syms))
-        for i, s in enumerate(syms.tolist()):
-            cum = model.node_table(ctx, i)
-            freq[i], total[i] = cum[s] - cum[s - 1], cum[-1]
-            model.observe(ctx, i, s)
+        for i, (row, s) in enumerate(zip(rows, syms.tolist())):
+            freq[i], total[i] = row[s] - row[s - 1], row[ALPHABET]
+            update(row, s)
         p = freq / total
     else:
         p = np.broadcast_to(probs, (len(syms), ALPHABET))[np.arange(len(syms)), syms - 1]

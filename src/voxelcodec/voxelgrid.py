@@ -26,16 +26,6 @@ class VoxelGrid:
             raise ValueError(f"cell index out of range for depth {depth}")
         self.keys = np.unique(cell_keys(cells, depth))
 
-    def contains(self, cells: np.ndarray) -> np.ndarray:
-        """Vectorized membership: (n, 3) int -> (n,) uint8, out-of-range counts as empty."""
-        cells = np.asarray(cells, dtype=np.int64).reshape(-1, 3)
-        inside = ((cells >= 0) & (cells < self.size)).all(axis=1)
-        keys = cell_keys(np.clip(cells, 0, self.size - 1), self.depth)
-        pos = np.searchsorted(self.keys, keys)
-        pos[pos >= len(self.keys)] = max(len(self.keys) - 1, 0)
-        hit = (self.keys[pos] == keys) if len(self.keys) else np.zeros(len(cells), dtype=bool)
-        return (hit & inside).astype(np.uint8)
-
     def box(self, lo, ext) -> np.ndarray:
         """Zero-padded uint8 occupancy of the cells [lo, lo + ext); the box may
         reach past any face of the grid.

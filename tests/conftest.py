@@ -5,8 +5,9 @@ import struct
 import numpy as np
 import pytest
 
-from voxelcodec import (DynamicContextModel, PointCloud, RefineParams, RigidTransform,
-                        VoxelContextModel, nn)
+from voxelcodec import (AdaptiveContextModel, DynamicContextModel, PointCloud, RefineParams,
+                        RigidTransform, VoxelContextModel, nn)
+from voxelcodec.octree import cell_keys
 
 # Files of the previous formats, written by the library before the move to
 # SHA-256 hashes: a uniform model as VCNM version 1, and a one-point uniform
@@ -174,12 +175,31 @@ def voxelize_directly(points, depth):
     return grid
 
 
+def contains(grid, cells):
+    """Membership of (n, 3) cells in a VoxelGrid -> (n,) uint8; a cell outside
+    the grid counts as empty."""
+    cells = np.asarray(cells, dtype=np.int64).reshape(-1, 3)
+    inside = ((cells >= 0) & (cells < grid.size)).all(axis=1)
+    keys = cell_keys(np.clip(cells, 0, grid.size - 1), grid.depth)
+    pos = np.searchsorted(grid.keys, keys)
+    pos[pos >= len(grid.keys)] = max(len(grid.keys) - 1, 0)
+    hit = (grid.keys[pos] == keys) if len(grid.keys) else np.zeros(len(cells), dtype=bool)
+    return (hit & inside).astype(np.uint8)
+
+
 def crops_by_contains(grid, anchors, m):
     """(n, m, m, m) crops with lower corners `anchors`, read cell by cell with
-    `grid.contains`, so they share no code with the box and window gathers."""
+    `contains`, so they share no code with the box and window gathers."""
     offsets = np.indices((m,) * 3).reshape(3, -1).T
     cells = (np.asarray(anchors, dtype=np.int64).reshape(-1, 1, 3) + offsets).reshape(-1, 3)
-    return grid.contains(cells).reshape((-1,) + (m,) * 3)
+    return contains(grid, cells).reshape((-1,) + (m,) * 3)
+
+
+class GivenContexts(AdaptiveContextModel):
+    """Adaptive model whose level context is the list of its nodes' context ids."""
+
+    def context_ids(self, ctx):
+        return np.asarray(ctx, dtype=np.int64)
 
 
 # --- finite-difference gradient harness -------------------------------------

@@ -9,9 +9,11 @@ from voxelcodec import (AdaptiveContextModel, DecodeError, DynamicContextModel, 
                         encode_sequence, model_code_lengths, normalize, payload_size,
                         quantize_distribution, reconstruct_centers)
 from voxelcodec.coder import TOTAL_FREQ, RangeDecoder, RangeEncoder, quantize_level
-from voxelcodec.entropy import LOG2_ALPHABET
+from voxelcodec.entropy import ALPHABET, LOG2_ALPHABET, level_code_lengths
+from voxelcodec.octree import Octree
 
-from conftest import VCNB_V3_UNIFORM, moving_sequence, random_cloud, structured_cloud
+from conftest import (VCNB_V3_UNIFORM, GivenContexts, moving_sequence, random_cloud,
+                      structured_cloud)
 
 
 class TestQuantize:
@@ -107,25 +109,15 @@ class _FixedModel:
     def level_probabilities(self, ctx):
         return self.probs
 
-    def observe(self, ctx, i, symbol):
-        pass
 
-
-class _OneContextAdaptive:
+class _OneContextAdaptive(AdaptiveContextModel):
     """Test-only model: every node reads and updates adaptive context 0."""
 
     def __init__(self):
-        self.counts = AdaptiveContextModel(8)
-        self.counts.begin_stream()
+        super().__init__(8)
 
-    def level_probabilities(self, ctx):
-        return None
-
-    def node_table(self, ctx, i):
-        return self.counts.table_for_id(0)
-
-    def observe(self, ctx, i, symbol):
-        self.counts.observe_id(0, symbol)
+    def context_ids(self, ctx):
+        return np.zeros(len(ctx), dtype=np.int64)
 
 
 def _encode(symbols, model) -> bytes:
@@ -185,11 +177,16 @@ class TestRangeCoder:
                 super().__init__()
                 self.totals = []
 
-            def node_table(self, ctx, i):
-                cum = super().node_table(ctx, i)
+            def level_tables(self, ctx):
+                rows, update = super().level_tables(ctx)
+                return map(self.check, rows), update
+
+            def check(self, row):
+                # called as the coder reaches the node, after the previous update
+                cum = np.asarray(row)
                 assert cum[-1] <= TOTAL_FREQ and np.diff(cum).min() >= 1
                 self.totals.append(int(cum[-1]))
-                return cum
+                return row
 
         encoder_model, decoder_model = Checked(), Checked()
         data = _encode(symbols, encoder_model)
@@ -197,7 +194,7 @@ class TestRangeCoder:
         assert encoder_model.totals == decoder_model.totals
         assert max(encoder_model.totals) == TOTAL_FREQ
         assert (np.diff(encoder_model.totals) < 0).sum() == 1
-        assert np.argmax(np.diff(encoder_model.counts.table_for_id(0))) == 8
+        assert np.argmax(np.diff(encoder_model._tables[0])) == 8
 
     def test_truncated_stream_raises(self):
         data = _encode(list(range(1, 101)), _FixedModel(UNIFORM))
@@ -232,6 +229,127 @@ class TestRangeCoder:
         dec = RangeDecoder(data)
         v = dec.decode_target()
         assert t.cum[10] <= v < t.cum[11]
+
+
+class _ReferenceCounts:
+    """The adaptive counts as the coder once read them, kept as the reference:
+    a node's table is looked up by its context id, and each coded symbol adds
+    one count with a slice add, halving every frequency past TOTAL_FREQ."""
+
+    def __init__(self):
+        self.tables = {}
+
+    def node_table(self, cid):
+        return self.tables.get(cid, np.arange(ALPHABET + 1, dtype=np.int64))
+
+    def observe(self, cid, symbol):
+        cum = self.tables.setdefault(cid, np.arange(ALPHABET + 1, dtype=np.int64))
+        cum[symbol:] += 1
+        if cum[-1] > TOTAL_FREQ:
+            np.cumsum((np.diff(cum) + 1) >> 1, out=cum[1:])
+
+
+def _reference_level(n, table, observe, symbols, enc_or_dec, decoding):
+    """The per-node symbol loop the coder once ran, kept as the reference:
+    node i's table from table(i), numpy element reads, `searchsorted`
+    decoding, then observe(i, symbol). -> (symbols, the tables coded with)."""
+    out, coded = [], []
+    for i in range(n):
+        c_row = table(i)
+        coded.append(c_row.copy())
+        total = int(c_row[-1])
+        if decoding:
+            s = int(c_row.searchsorted(enc_or_dec.decode_target(total), side="right"))
+            lo = int(c_row[s - 1])
+            enc_or_dec.consume(lo, int(c_row[s]) - lo)
+        else:
+            s = int(symbols[i])
+            lo = int(c_row[s - 1])
+            enc_or_dec.encode(lo, int(c_row[s]) - lo, total)
+        out.append(s)
+        observe(i, s)
+    return out, coded
+
+
+def _adaptive_stream(seed):
+    """Seeded levels of (context ids, symbols) over 40 contexts, each context
+    repeated within every level and skewed toward its own symbols. Context 0
+    takes most of the 70k-node second level, so its total passes TOTAL_FREQ
+    in the middle of that level."""
+    rng = np.random.default_rng(seed)
+    favourite = rng.integers(1, 256, 40)
+    levels = []
+    for n, share0 in ((3000, 0.05), (70_000, 0.95), (2000, 0.3)):
+        cids = np.where(rng.random(n) < share0, 0, rng.integers(1, 40, n))
+        syms = np.where(rng.random(n) < 0.7, favourite[cids], rng.integers(1, 256, n))
+        levels.append((cids.tolist(), syms.tolist()))
+    return levels
+
+
+class TestReferenceLoop:
+    """`_code_level` against the per-node reference loop: the same bytes, the
+    same decoded symbols and, for adaptive counts, code lengths that are
+    -log2(freq/total) of exactly the tables coded with."""
+
+    def test_adaptive_streams(self):
+        for seed in (0, 1):
+            levels = _adaptive_stream(seed)
+            ref, enc, ref_tables = _ReferenceCounts(), RangeEncoder(), []
+            for cids, syms in levels:
+                _, coded = _reference_level(len(cids), lambda i: ref.node_table(cids[i]),
+                                            lambda i, s: ref.observe(cids[i], s), syms, enc,
+                                            decoding=False)
+                ref_tables.append(np.array(coded))
+            data = enc.finish()
+            totals = ref_tables[1][np.array(levels[1][0]) == 0, -1]
+            halved = np.flatnonzero(np.diff(totals) < 0)
+            assert len(halved) == 1 and 1000 < halved[0] < len(totals) - 1000
+
+            model, enc = GivenContexts(16), RangeEncoder()
+            for cids, syms in levels:
+                coder._code_level(cids, syms, model, enc, decoding=False)
+            assert enc.finish() == data
+
+            model, dec = GivenContexts(16), RangeDecoder(data)
+            ref, ref_dec = _ReferenceCounts(), RangeDecoder(data)
+            for cids, syms in levels:
+                assert coder._code_level(cids, None, model, dec, decoding=True).tolist() == syms
+                got, _ = _reference_level(len(cids), lambda i: ref.node_table(cids[i]),
+                                          lambda i, s: ref.observe(cids[i], s), None, ref_dec,
+                                          decoding=True)
+                assert got == syms
+            dec.finish()
+            ref_dec.finish()
+
+            model = GivenContexts(16)
+            for (cids, syms), tables in zip(levels, ref_tables):
+                rows = np.arange(len(syms))
+                s = np.array(syms)
+                expected = -np.log2((tables[rows, s] - tables[rows, s - 1]) / tables[:, -1])
+                assert np.array_equal(level_code_lengths(model, cids, syms), expected)
+
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_batch_and_shared_row(self, shared):
+        rng = np.random.default_rng(7)
+        n = 4000
+        probs = UNIFORM if shared else rng.dirichlet(np.full(255, 0.2), size=n)
+        _, cum = quantize_level(np.atleast_2d(probs))
+        table = (lambda i: cum[0]) if shared else cum.__getitem__
+        levels = [[int(rng.choice(255, p=np.diff(table(i)) / TOTAL_FREQ)) + 1 for i in range(n)]
+                  for _ in range(3)]
+        ref_enc, enc = RangeEncoder(), RangeEncoder()
+        for syms in levels:
+            _reference_level(n, table, lambda i, s: None, syms, ref_enc, decoding=False)
+            coder._code_level(range(n), syms, _FixedModel(probs), enc, decoding=False)
+        data = enc.finish()
+        assert data == ref_enc.finish()
+        dec, ref_dec = RangeDecoder(data), RangeDecoder(data)
+        for syms in levels:
+            assert coder._code_level(range(n), None, _FixedModel(probs), dec,
+                                     decoding=True).tolist() == syms
+            assert _reference_level(n, table, lambda i, s: None, None, ref_dec,
+                                    decoding=True)[0] == syms
+        dec.finish()
 
 
 _TRIPLE = st.integers(1, TOTAL_FREQ).flatmap(
@@ -383,10 +501,14 @@ class TestCloudCodec:
         coded = []
 
         class Recording(AdaptiveContextModel):
-            def node_table(self, ctx, i):
-                cum = super().node_table(ctx, i)
-                coded.append(cum.copy())
-                return cum
+            def level_tables(self, ctx):
+                rows, update = super().level_tables(ctx)
+                return map(self.record, rows), update
+
+            def record(self, row):
+                # called as the coder reaches the node, after the previous update
+                coded.append(np.array(row))
+                return row
 
         encode_cloud(cloud, 7, 7, Recording(10))
         norm, _ = normalize(cloud)
@@ -465,6 +587,23 @@ class TestCloudCodec:
         header.point_count = 5
         with pytest.raises(DecodeError, match="more than its 5 points"):
             decode_cloud(header.pack() + data[pos:], model)
+
+    @pytest.mark.parametrize("model", [UniformModel(), AdaptiveContextModel(16)],
+                             ids=["uniform", "adaptive"])
+    def test_payload_bit_flip_decodes_or_raises(self, model):
+        # each of the 96 bits of the payload's last 12 bytes, flipped alone:
+        # decoding returns an octree (possibly a wrong one, which only a
+        # stream hash would catch) or raises DecodeError, never anything else
+        data = encode_cloud(structured_cloud(3000, seed=7), 8, 8, model)
+        for pos in range(len(data) - 12, len(data)):
+            for bit in range(8):
+                corrupt = bytearray(data)
+                corrupt[pos] ^= 1 << bit
+                try:
+                    _, tree, _ = decode_cloud(bytes(corrupt), model, return_tree=True)
+                except DecodeError:
+                    continue
+                assert isinstance(tree, Octree) and len(tree.levels) == 9
 
     def test_coded_bpp_helper(self):
         cloud = random_cloud(250, seed=4)

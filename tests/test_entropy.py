@@ -9,7 +9,7 @@ from voxelcodec import (AdaptiveContextModel, DynamicContextModel, UniformModel,
                         model_code_lengths, nn, normalize)
 from voxelcodec.entropy import ALPHABET, LOG2_ALPHABET, make_level_context
 
-from conftest import random_cloud, structured_cloud
+from conftest import GivenContexts, contains, random_cloud, structured_cloud
 
 
 class TestUniform:
@@ -40,19 +40,38 @@ def _q(cum):
     return np.diff(cum) / cum[-1]
 
 
+class TestLevelContext:
+    @pytest.mark.parametrize("cloud", [random_cloud(3000, 5), structured_cloud(5000, 6)],
+                             ids=["random", "structured"])
+    def test_neighbor_bits_match_membership(self, cloud):
+        # every level, faces of the grid included: bit b is the occupancy of
+        # the cell's face neighbour b, looked up cell by cell
+        norm, _ = normalize(cloud)
+        tree = build(norm, 7)
+        offsets = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
+        for k, cells in enumerate(tree.levels):
+            ctx = make_level_context(k, 7, cells)
+            expected = sum(contains(ctx.grid, cells + off).astype(np.int64) << b
+                           for b, off in enumerate(offsets))
+            assert np.array_equal(ctx.neighbor_bits(), expected)
+            on_face = ((cells == 0) | (cells == (1 << k) - 1)).any(axis=1)
+            assert on_face.any()
+
+
 class TestAdaptive:
     def test_fresh_context_uniform(self):
-        m = AdaptiveContextModel(12)
+        m = GivenContexts(12)
         m.begin_stream()
-        cum = m.table_for_id(7)
+        (cum,), _ = m.level_tables([7])
         assert cum[-1] == 255
         assert np.allclose(_q(cum), 1.0 / 255)
 
     def test_single_observation_count(self):
-        m = AdaptiveContextModel(12)
+        m = GivenContexts(12)
         m.begin_stream()
-        m.observe_id(3, 255)
-        p = _q(m.table_for_id(3))
+        (cum,), update = m.level_tables([3])
+        update(cum, 255)
+        p = _q(m.level_tables([3])[0][0])
         assert p[254] == pytest.approx(2.0 / 256)
         assert p[0] == pytest.approx(1.0 / 256)
 
@@ -63,12 +82,13 @@ class TestAdaptive:
         n, burn = 30_000, 10_000
         symbols = np.where(rng.random(n) < 0.9, 7,
                            rng.integers(1, 256, n)).astype(np.int64)
-        m = AdaptiveContextModel(8)
+        m = GivenContexts(8)
         m.begin_stream()
         bits = np.empty(n)
-        for i, s in enumerate(symbols):
-            bits[i] = -np.log2(_q(m.table_for_id(0))[s - 1])
-            m.observe_id(0, int(s))
+        rows, update = m.level_tables(np.zeros(n))
+        for i, (cum, s) in enumerate(zip(rows, symbols.tolist())):
+            bits[i] = -np.log2(_q(cum)[s - 1])
+            update(cum, s)
         tail = symbols[burn:]
         vals, counts = np.unique(tail, return_counts=True)
         freq = counts / len(tail)
@@ -80,13 +100,16 @@ class TestAdaptive:
         # replaying the same observation sequence yields identical tables
         rng = np.random.default_rng(1)
         seq = [(int(rng.integers(0, 50)), int(rng.integers(1, 256))) for _ in range(2000)]
-        a, b = AdaptiveContextModel(10), AdaptiveContextModel(10)
+        a, b = GivenContexts(10), GivenContexts(10)
         a.begin_stream()
         b.begin_stream()
-        for cid, s in seq:
-            assert np.array_equal(a.table_for_id(cid), b.table_for_id(cid))
-            a.observe_id(cid, s)
-            b.observe_id(cid, s)
+        cids = [cid for cid, _ in seq]
+        (rows_a, update_a), (rows_b, update_b) = a.level_tables(cids), b.level_tables(cids)
+        for row_a, row_b, (cid, s) in zip(rows_a, rows_b, seq):
+            assert np.array_equal(row_a, b.level_tables([cid])[0][0])
+            assert np.array_equal(row_a, row_b)
+            update_a(row_a, s)
+            update_b(row_b, s)
         assert set(a._tables) == set(b._tables)
         for cid in a._tables:
             assert np.array_equal(a._tables[cid], b._tables[cid])

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from voxelcodec import PointCloud, VoxelGrid, build, child_region_crops, local_crops, octree
 from voxelcodec.entropy import make_level_context
 
-from conftest import crops_by_contains, random_cloud, structured_cloud, voxelize_directly
+from conftest import (contains, crops_by_contains, random_cloud, structured_cloud,
+                      voxelize_directly)
 
 
 def _whole(grid):
@@ -203,8 +204,8 @@ class TestTemporalContext:
 
 
 def _box_by_contains(grid, lo, ext):
-    """The box [lo, lo + ext) read cell by cell with `grid.contains`."""
-    return grid.contains(np.indices(ext).reshape(3, -1).T + lo).reshape(ext)
+    """The box [lo, lo + ext) read cell by cell with `contains`."""
+    return contains(grid, np.indices(ext).reshape(3, -1).T + lo).reshape(ext)
 
 
 def _placement(rng, side, size):
