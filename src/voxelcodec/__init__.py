@@ -2,9 +2,8 @@
 entropy models, temporal context for sequences, and decoder-side coordinate
 refinement."""
 
-from .coder import (BitstreamHeader, DecodeError, FrequencyTable, RangeDecoder,
-                    RangeEncoder, coded_bpp, decode_cloud, encode_cloud, payload_size,
-                    quantize_distribution)
+from .coder import (BitstreamHeader, DecodeError, RangeDecoder, RangeEncoder, coded_bpp,
+                    decode_cloud, encode_cloud, payload_size)
 from .dynamic import (CloudSequence, align_sequence, build_sequence_dataset,
                       decode_sequence, encode_sequence, sequence_code_lengths)
 from .entropy import (AdaptiveContextModel, DynamicContextModel, EntropyModel,

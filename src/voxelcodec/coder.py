@@ -1,26 +1,24 @@
-"""Range coder, probability quantization, the "VCNB" bitstream container, and
-the one encode loop and one decode loop that code any bitstream along the
-level schedule (`entropy.level_contexts`; a static cloud is one frame).
+"""Range coder, the "VCNB" bitstream container, and the one encode loop and
+one decode loop that code any bitstream along the level schedule
+(`entropy.level_contexts`; a static cloud is one frame).
 
 The entropy coder is a 32-bit byte-oriented range coder with carry counting;
 the range register stays in [2^24, 2^32) and every table totals at most
 2^16, keeping the truncation loss under 0.006 bits per symbol. Every symbol
-is coded from an integer cumulative table whose last entry is its total:
-batch models' probabilities are quantized to 16-bit frequencies (total
-2^16) on both sides from identical model outputs, and the adaptive model
-hands over its live integer count tables for the whole level, with the rule
-that updates them after each symbol. One symbol loop (`_code_level`) codes
+is coded from an integer cumulative table, last entry its total, that the
+model's `level_tables` hands over for the whole level (see `entropy`); no
+float arithmetic or sort decides one. One symbol loop (`_code_level`) codes
 and decodes every level of every model. Model determinism alone keeps
-encoder and decoder in sync; no tables travel in the stream, and the
-decoder ends exactly at the end of the payload.
+encoder and decoder in sync; no tables travel in the stream, the decoder
+ends exactly at the end of the payload, and a hash of the coded symbols in
+the header rejects a corrupt payload that still decodes to some octree.
 """
 
 from __future__ import annotations
 
 import struct
 from bisect import bisect_right
-from dataclasses import dataclass
-from itertools import repeat
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -31,7 +29,7 @@ from .nn import hash64
 from .pointcloud import NormalizationParams, PointCloud, normalize
 
 MAGIC = b"VCNB"
-VERSION = 4
+VERSION = 5
 MODE_STATIC = 0
 MODE_DYNAMIC = 1
 FLAG_POSES = 1
@@ -44,59 +42,18 @@ class DecodeError(ValueError):
     pass
 
 
-# ---------------------------------------------------------------------------
-# probability -> 16-bit frequency table
+# Stubs of the float quantizer that no table passes through any more; kept
+# while the benchmark tracer wraps them by name (perfbench/spans.py).
+def quantize_distribution(p):
+    raise NotImplementedError
 
 
-@dataclass
-class FrequencyTable:
-    freq: np.ndarray   # (255,) int64, every entry >= 1, sums to 65536
-    cum: np.ndarray    # (256,) int64 prefix sums, cum[0] = 0
-
-    @property
-    def total(self):
-        return TOTAL_FREQ
+def quantize_level(probs):
+    raise NotImplementedError
 
 
-def quantize_distribution(p) -> FrequencyTable:
-    """Largest-remainder apportionment of 65536 units with a floor of 1.
-
-    Ties break toward the lower symbol index; the floor deficit is taken from
-    the largest entries. Re-quantizing freq/65536 reproduces freq exactly.
-    """
-    freq = _quantize_rows(np.asarray(p, dtype=np.float64)[None, :])[0]
-    cum = np.zeros(em.ALPHABET + 1, dtype=np.int64)
-    np.cumsum(freq, out=cum[1:])
-    return FrequencyTable(freq, cum)
-
-
-def _quantize_rows(p: np.ndarray) -> np.ndarray:
-    """Vectorized quantizer: (n, 255) probabilities -> (n, 255) integer frequencies."""
-    p = p / p.sum(axis=1, keepdims=True)
-    scaled = p * float(TOTAL_FREQ)
-    base = np.floor(scaled).astype(np.int64)
-    rem = scaled - base
-    leftover = TOTAL_FREQ - base.sum(axis=1)
-    order = np.argsort(-rem, axis=1, kind="stable")
-    add = np.arange(p.shape[1])[None, :] < leftover[:, None]
-    bump = np.zeros_like(base)
-    np.put_along_axis(bump, order, add.astype(np.int64), axis=1)
-    base += bump
-    # raise zeros to 1 and take the excess from each row's first largest entry:
-    # a row's d <= 254 zeros leave 255 - d entries summing to 2^16, so its largest
-    # is at least 258 and can give up all d while staying >= 1
-    zeros = base == 0
-    base[zeros] = 1
-    base[np.arange(len(base)), base.argmax(axis=1)] -= zeros.sum(axis=1)
-    return base
-
-
-def quantize_level(probs: np.ndarray):
-    """Batch tables for one depth level -> (freq (n,255), cum (n,256))."""
-    freq = _quantize_rows(probs)
-    cum = np.zeros((freq.shape[0], em.ALPHABET + 1), dtype=np.int64)
-    np.cumsum(freq, axis=1, out=cum[:, 1:])
-    return freq, cum
+def _quantize_rows(p):
+    raise NotImplementedError
 
 
 # ---------------------------------------------------------------------------
@@ -185,6 +142,7 @@ class BitstreamHeader:
     point_count: int
     model_kind: int
     model_hash: int
+    symbol_hash: int = 0                     # `hash64` of the coded symbols, set on encode
     frame_point_counts: list | None = None   # dynamic only
     poses: list | None = None                # dynamic only, 3x4 row-major each
 
@@ -195,8 +153,8 @@ class BitstreamHeader:
         out += struct.pack("<BBB", VERSION, self.mode, flags)
         out += struct.pack("<3f", *self.norm.origin.astype(np.float32))
         out += struct.pack("<f", np.float32(self.norm.edge))
-        out += struct.pack("<BBIBQ", self.max_depth, self.trunc_depth,
-                           self.point_count, self.model_kind, self.model_hash)
+        out += struct.pack("<BBIBQQ", self.max_depth, self.trunc_depth, self.point_count,
+                           self.model_kind, self.model_hash, self.symbol_hash)
         if self.mode == MODE_DYNAMIC:
             counts = self.frame_point_counts or []
             out += struct.pack("<H", len(counts))
@@ -222,70 +180,49 @@ class BitstreamHeader:
         if len(data) < 4 or data[:4] != MAGIC:
             raise DecodeError("bad magic: not a bitstream")
         pos = 4
-        version, mode, flags = struct.unpack_from("<BBB", data, pos)
-        pos += 3
+
+        def take(fmt):
+            """Unpack `fmt` at the read position and move past it."""
+            nonlocal pos
+            values = struct.unpack_from(fmt, data, pos)
+            pos += struct.calcsize(fmt)
+            return values
+
+        version, mode, flags = take("<BBB")
         if version != VERSION:
             raise DecodeError(f"unsupported bitstream version {version}")
         if mode not in (MODE_STATIC, MODE_DYNAMIC):
             raise DecodeError(f"unknown mode {mode}")
-        origin = struct.unpack_from("<3f", data, pos)
-        pos += 12
-        (edge,) = struct.unpack_from("<f", data, pos)
-        pos += 4
-        max_depth, trunc_depth, point_count, model_kind, model_hash = \
-            struct.unpack_from("<BBIBQ", data, pos)
-        pos += 15
-        frame_counts = None
-        poses = None
+        *origin, edge = take("<4f")
+        max_depth, trunc_depth, point_count, model_kind, model_hash, symbol_hash = \
+            take("<BBIBQQ")
+        frame_counts = poses = None
         if mode == MODE_DYNAMIC:
-            (n_frames,) = struct.unpack_from("<H", data, pos)
-            pos += 2
-            frame_counts = list(struct.unpack_from(f"<{n_frames}I", data, pos))
-            pos += 4 * n_frames
+            frame_counts = list(take(f"<{take('<H')[0]}I"))
             if flags & FLAG_POSES:
-                poses = []
-                for _ in range(n_frames):
-                    poses.append(np.array(struct.unpack_from("<12f", data, pos),
-                                          dtype=np.float64).reshape(3, 4))
-                    pos += 48
-        (stored,) = struct.unpack_from("<Q", data, pos)
-        if hash64(data[:pos]) != stored:
+                poses = [np.array(take("<12f"), dtype=np.float64).reshape(3, 4)
+                         for _ in frame_counts]
+        end = pos
+        if hash64(data[:end]) != take("<Q")[0]:
             raise DecodeError("header corrupt (hash mismatch)")
-        pos += 8
         if not (1 <= trunc_depth <= max_depth <= oct.MAX_DEPTH):
             raise DecodeError(f"bad depths in header: trunc {trunc_depth}, max {max_depth}")
         if mode == MODE_DYNAMIC and not frame_counts:
             raise DecodeError("sequence header has no frames")
         header = cls(mode, NormalizationParams(np.array(origin, dtype=np.float64), float(edge)),
                      max_depth, trunc_depth, point_count, model_kind, model_hash,
-                     frame_counts, poses)
+                     symbol_hash, frame_counts, poses)
         return header, pos
 
 
 def _code_level(ctx, symbols, model, enc_or_dec, decoding):
-    """Code or decode all symbols of one depth level in canonical order.
-
-    Each node's table is an integer cumulative table whose last entry is its
-    total, read as a memoryview of Python ints: a row of the quantized level
-    batch (total TOTAL_FREQ), or, on the sequential path, the model's live
-    table for the node (`level_tables`), updated by the model's rule after
-    each symbol. Returns the decoded symbol array when decoding.
-    """
-    n = len(ctx)
-    probs = model.level_probabilities(ctx)
-    if probs is None:
-        rows, update = model.level_tables(ctx)
-    else:
-        _, cum = quantize_level(np.atleast_2d(probs))
-        flat = memoryview(cum.reshape(-1))
-        if len(cum) == 1:
-            rows = repeat(flat, n)
-        else:
-            step = em.ALPHABET + 1
-            rows = (flat[lo:lo + step] for lo in range(0, n * step, step))
-        update = None
+    """Code or decode all symbols of one depth level in canonical order, each
+    from the table (a memoryview of Python ints) that `level_tables` yields
+    for its node, then the model's update rule, if any. Returns the decoded
+    symbol array when decoding."""
+    rows, update = model.level_tables(ctx)
     if decoding:
-        out = bytearray(n)
+        out = bytearray(len(ctx))
         decode_target, consume = enc_or_dec.decode_target, enc_or_dec.consume
     else:
         syms = np.asarray(symbols).tolist()
@@ -332,12 +269,20 @@ def decode_cloud(data: bytes, model: em.EntropyModel, refine_params=None,
 
 
 def encode_frames(header: BitstreamHeader, trees, model: em.EntropyModel) -> bytes:
-    """Code the (truncated) octrees of every frame along the level schedule."""
+    """Code the (truncated) octrees of every frame along the level schedule;
+    the header gets the hash of the coded symbols."""
     enc = RangeEncoder()
     model.begin_stream()
     for t, k, ctx in em.level_contexts(trees, header.max_depth, header.trunc_depth):
         _code_level(ctx, trees[t].symbols[k], model, enc, decoding=False)
-    return header.pack() + enc.finish()
+    return replace(header, symbol_hash=_symbol_hash(trees)).pack() + enc.finish()
+
+
+def _symbol_hash(trees) -> int:
+    """`hash64` of the coded symbols in coding order: depth by depth, frames
+    in order within a depth."""
+    return hash64(b"".join(tree.symbols[k].tobytes()
+                           for k in range(len(trees[0].symbols)) for tree in trees))
 
 
 _WRONG_MODE = {MODE_STATIC: "not a static bitstream; use decode_sequence",
@@ -373,6 +318,8 @@ def decode_frames(data: bytes, model: em.EntropyModel, mode: int, refine_params=
         trees[t].symbols.append(sym)
         trees[t].levels.append(level)
     dec.finish()
+    if _symbol_hash(trees) != header.symbol_hash:
+        raise DecodeError("symbol stream hash mismatch: the payload is corrupt")
     if refine_params is not None:
         from .refine import refine_apply
         clouds = [refine_apply(tree, refine_params, header.norm) for tree in trees]

@@ -2,16 +2,18 @@
 
 Symbol values run 1..255 (a split node always has at least one occupied
 child), mapped to array indices 0..254. Four model kinds share one coding
-interface: per depth level the coder hands the model a LevelContext and gets
-either a batch of distributions (uniform / neural), which it quantizes, or
-the adaptive baseline's live count tables for the whole level, one per node
-in node order, with the one rule that updates them as symbols are coded.
+interface: per depth level the coder hands the model a LevelContext and
+gets integer cumulative tables (`level_tables`), one per node in node order,
+with the rule, if any, that updates them as symbols are coded: one shared
+uniform row, the neural models' `nn.integer_tables`, or the adaptive
+baseline's live counts. Float distributions serve rate accounting only.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -22,7 +24,7 @@ from .voxelgrid import (CHILD_CROP_SIZE, VoxelGrid, anchor_tiles, child_anchors,
 
 ALPHABET = 255
 LOG2_ALPHABET = float(np.log2(ALPHABET))
-TOTAL_FREQ = 1 << 16   # largest total of any table the coder codes with
+TOTAL_FREQ = nn.TABLE_TOTAL   # largest total of any table the coder codes with
 
 KIND_UNIFORM = 0
 KIND_ADAPTIVE = 1
@@ -42,7 +44,7 @@ _NEIGHBOR_FACES = ((0, 1), (0, -1), (1, 1), (1, -1), (2, 1), (2, -1))
 class Branch:
     """Where one tower's crop comes from, declared once per model and read both
     by the training crops (`LevelContext.branch_crops`) and by the level-wise
-    coding pass (`ContextNetModel.level_probabilities`): the LevelContext grid
+    coding pass (`ContextNetModel._level_logits`): the LevelContext grid
     it reads (None there means an absent neighbour frame) and whether the crop
     is the depth-(k+1) region around the node's children (`child_region_crops`)
     rather than the same-depth neighbourhood (`local_crops`)."""
@@ -229,15 +231,16 @@ class EntropyModel:
         """Reset per-stream state. Called once per coded cloud/sequence on both sides."""
 
     def level_probabilities(self, ctx: LevelContext):
-        """(n, 255) batch, (255,) shared row, or None for `level_tables`."""
+        """For rate accounting: (n, 255) or shared (255,) float distributions,
+        or None to read q = freq/total from `level_tables`."""
         return None
 
     def level_tables(self, ctx: LevelContext):
-        """Sequential path: (rows, update). rows yields each node's live
-        (256,) integer cumulative table in node order, as a memoryview:
-        cum[0] = 0, every frequency >= 1, total cum[-1] <= TOTAL_FREQ.
-        update(row, symbol) runs after the node's symbol is coded, before the
-        next row is read, and may change any later row."""
+        """The coder's tables: (rows, update). rows yields each node's (256,)
+        integer cumulative table in node order, as a memoryview: cum[0] = 0,
+        every frequency >= 1, total cum[-1] <= TOTAL_FREQ. update is None,
+        or update(row, symbol) runs after the node's symbol is coded, before
+        the next row is read, and may change any later row."""
         raise NotImplementedError
 
     def node_probability(self, ctx: LevelContext, i: int) -> np.ndarray:
@@ -256,6 +259,18 @@ class EntropyModel:
         return nn.model_content_hash(self.serialize())
 
 
+def table_rows(freq: np.ndarray, n: int):
+    """`level_tables` of fixed frequencies, (255,) shared by n nodes or an
+    (n, 255) batch: cumulative rows as memoryviews, no update rule."""
+    cum = np.zeros(freq.shape[:-1] + (ALPHABET + 1,), dtype=np.int64)
+    np.cumsum(freq, axis=-1, out=cum[..., 1:])
+    flat = memoryview(cum.reshape(-1))
+    if cum.ndim == 1:
+        return repeat(flat, n), None
+    step = ALPHABET + 1
+    return (flat[lo:lo + step] for lo in range(0, cum.size, step)), None
+
+
 class UniformModel(EntropyModel):
     """Every symbol equally likely; the coder sanity baseline."""
 
@@ -263,6 +278,9 @@ class UniformModel(EntropyModel):
 
     def level_probabilities(self, ctx):
         return np.full(ALPHABET, 1.0 / ALPHABET)
+
+    def level_tables(self, ctx):
+        return table_rows(nn.integer_tables(np.zeros((1, ALPHABET)), 0)[0], len(ctx))
 
     def serialize(self):
         return nn.serialize_model(self.kind_code, 0, {"kind": self.kind}, [])
@@ -353,8 +371,8 @@ class ContextNetModel(EntropyModel):
     and `Branch` geometry of each branch, and the metadata that rebuilds them.
     Training and `logits` run the float network on per-node crops. Coding
     runs its integer-exact copy (`nn.quantize_context_net`), each tower once
-    per level (`level_probabilities`); `predict` runs that copy on per-node
-    crops, with the same result.
+    per level (`_level_logits`), and codes with `nn.integer_tables` of its
+    logits; `predict` runs that copy on per-node crops, with the same logits.
     """
 
     branch_names: tuple   # VCNM group of each branch, in file order; the head follows
@@ -384,11 +402,11 @@ class ContextNetModel(EntropyModel):
         net = self.integer_net()
         return nn.integer_softmax(net.forward(crop_sets, feats), net.head.out_exp)
 
-    def level_probabilities(self, ctx):
-        """(n, 255) distributions, equal bit for bit to predict() on each
-        branch's `ctx.branch_crops` and `ctx.node_features()`."""
+    def _level_logits(self, ctx):
+        """(integer logits (n, 255), exponent) of one level, each tower run
+        once; bit for bit the integer net's forward on `ctx.branch_crops`."""
         if len(ctx) == 0:
-            return np.zeros((0, ALPHABET))
+            return np.zeros((0, ALPHABET)), 0
         net = self.integer_net()
         widths = [tower.width(m) for tower, m in zip(net.towers, self.crop_sizes)]
         x = np.empty((len(ctx), sum(widths) + FEATURE_DIM))   # the head's input, filled in place
@@ -398,7 +416,14 @@ class ContextNetModel(EntropyModel):
                        out=x[:, lo:lo + width])
             lo += width
         x[:, lo:] = net.features(ctx.node_features())
-        return nn.integer_softmax(nn.infer(net.head, x), net.head.out_exp)
+        return nn.infer(net.head, x), net.head.out_exp
+
+    def level_probabilities(self, ctx):
+        """(n, 255) distributions, equal bit for bit to predict()."""
+        return nn.integer_softmax(*self._level_logits(ctx))
+
+    def level_tables(self, ctx):
+        return table_rows(nn.integer_tables(*self._level_logits(ctx)), len(ctx))
 
     def evaluate(self, dataset, batch_size=512) -> float:
         """Mean cross-entropy of the current parameters on a dataset, in nats."""
@@ -528,7 +553,7 @@ def level_code_lengths(model: EntropyModel, ctx: LevelContext, symbols) -> np.nd
     A model without level probabilities is read node by node from the live
     tables the coder codes with (q = freq/total), updated after each symbol
     by the model's own rule, as the coder does; a shared row or an (n, 255)
-    batch is indexed directly.
+    batch of float distributions is indexed directly.
     """
     syms = np.asarray(symbols).astype(np.int64)
     probs = model.level_probabilities(ctx)

@@ -17,9 +17,10 @@ on a batch of per-node crops (the oracle); `tower_windows` runs a conv tower
 once over a zero-padded occupancy box and gathers each node's window, each
 layer evaluated only where some node's window needs it and an occupied cell
 is in reach (elsewhere its value on empty space is computed once).
-`integer_softmax` maps the integer logits to distributions through a table
-of powers of two, computed once at import to the float64 nearest each exact
-value, so no transcendental function of the platform decides a coded bit.
+`integer_tables` maps the integer logits to the coder's 16-bit frequency
+tables in integer arithmetic through a table of 2^(-j/256), and
+`integer_softmax` to float distributions for rate accounting, so no
+transcendental function of the platform decides a coded bit.
 """
 
 from __future__ import annotations
@@ -584,25 +585,52 @@ def _exp2_table():
 
 
 _EXP2_FRACTIONS, _LOG2E = _exp2_table()
+_EXP2_UNITS = np.rint(_EXP2_FRACTIONS * 2.0 ** 16).astype(np.int64)   # nearest 2^16 * 2^(-j/256)
+TABLE_TOTAL = 1 << 16   # every row of `integer_tables` sums to this
 _EXP2_OCTAVES = 64   # logits more than 64 octaves below the row's largest are clipped there
 
 
-def integer_softmax(z, exp):
-    """Normalized distributions from integer logits z * 2^exp, rows on the last
-    axis, with no transcendental function: p ~ 2^(-j/256), where
-    j = rint((max z - z) * log2(e) * 256) read as a fixed table entry and a
-    power of two. Correctly rounded arithmetic only, so every machine agrees."""
+def _exp2_index(z, exp):
+    """Table index j = rint((max z - z) * log2(e) * 256), clipped, of integer
+    logits z * 2^exp on the last axis: a correctly rounded multiply and rint."""
     z = np.asarray(z, dtype=F64)
     d = z.max(axis=-1, keepdims=True) - z
     d *= _LOG2E * 2.0 ** (8 - exp)
     np.rint(d, out=d)
-    j = np.minimum(d, 256 * _EXP2_OCTAVES - 1, out=d).astype(np.int64)
-    del d
+    return np.minimum(d, 256 * _EXP2_OCTAVES - 1, out=d).astype(np.int64)
+
+
+def integer_softmax(z, exp):
+    """Distributions for rate accounting and `predict` from integer logits
+    z * 2^exp, with no transcendental function: p ~ 2^(-j/256) (`_exp2_index`),
+    a fixed table entry and a power of two, so every machine agrees."""
+    j = _exp2_index(z, exp)
     p = _EXP2_FRACTIONS[j & 255]
     np.right_shift(j, 8, out=j)
     np.ldexp(p, np.negative(j, out=j), out=p)
     p /= p.sum(axis=-1, keepdims=True)
     return p
+
+
+def integer_tables(z, exp):
+    """(n, k) int64 coding frequencies, each >= 1 and each row totalling
+    TABLE_TOTAL, from integer logits z * 2^exp, in integers from the index j
+    of `integer_softmax` on: t = 2^16 * 2^(-j/256) by table and shift, and
+    1 + ((t * M) >> 32) with one M = ((TABLE_TOTAL - k) << 32) // sum(t) per
+    row (t * M < 2^48 in int64); the rest of the total goes to the row's
+    largest logit (first of equals, j = 0). No float division or sort."""
+    top = np.argmax(z, axis=1)
+    j = _exp2_index(z, exp)
+    n, k = j.shape
+    t = _EXP2_UNITS[j & 255]
+    np.right_shift(j, 8, out=j)
+    np.right_shift(t, j, out=t)
+    del j
+    t *= ((TABLE_TOTAL - k) << 32) // t.sum(axis=1, keepdims=True)
+    t >>= 32
+    t += 1
+    t[np.arange(n), top] += TABLE_TOTAL - t.sum(axis=1)
+    return t
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,10 @@ ORACLES = {
     "refine_offsets": "per-crop refinement offsets, the oracle of refine_apply's level pass",
 }
 
+# Public names kept only because the benchmark tracer wraps them by name; they
+# go when the tracer stops patching the library (ROADMAP item 1).
+TRACER_ONLY = ("quantize_level", "quantize_distribution")
+
 
 def _public_definitions():
     """(module file name, name) of every module-level public def and class."""
@@ -68,3 +72,13 @@ def test_oracles_are_still_defined_and_unused():
     used = set().union(*map(_referenced, _users()))
     assert set(ORACLES) <= defined
     assert not set(ORACLES) & used, "an allowlisted oracle now has a caller; drop it from ORACLES"
+
+
+def test_tracer_only_names_have_no_library_caller():
+    spans = _referenced(ast.parse((ROOT / "perfbench" / "spans.py").read_text()))
+    library = set().union(*(_referenced(ast.parse(p.read_text()))
+                            for p in sorted(PACKAGE.glob("*.py"))))
+    defined = {name for _, name in _public_definitions()}
+    for name in TRACER_ONLY:
+        assert name in defined and name in spans, name
+        assert name not in library, f"{name} has a caller in src/; drop it from TRACER_ONLY"

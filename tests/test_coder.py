@@ -6,72 +6,90 @@ from hypothesis import strategies as st
 from voxelcodec import (AdaptiveContextModel, DecodeError, DynamicContextModel, PointCloud,
                         UniformModel, VoxelContextModel, build, coded_bpp, coder,
                         decode_cloud, decode_sequence, encode_cloud,
-                        encode_sequence, model_code_lengths, normalize, payload_size,
-                        quantize_distribution, reconstruct_centers)
-from voxelcodec.coder import TOTAL_FREQ, RangeDecoder, RangeEncoder, quantize_level
-from voxelcodec.entropy import ALPHABET, LOG2_ALPHABET, level_code_lengths
+                        encode_sequence, model_code_lengths, nn, normalize, payload_size,
+                        reconstruct_centers)
+from voxelcodec.coder import TOTAL_FREQ, RangeDecoder, RangeEncoder
+from voxelcodec.entropy import ALPHABET, LOG2_ALPHABET, level_code_lengths, table_rows
 from voxelcodec.octree import Octree
 
 from conftest import (VCNB_V3_UNIFORM, GivenContexts, moving_sequence, random_cloud,
                       structured_cloud)
 
 
+def _logit_rows(rng, exp):
+    """Integer logits at exponent exp: peaky normal rows at scales 0.5-40,
+    sparse rows (logs of Dirichlet(0.01) draws) and one-hot rows."""
+    peaky = rng.normal(0, 1, (2000, 255)) * rng.uniform(0.5, 40, (2000, 1))
+    sparse = np.log(np.maximum(rng.dirichlet(np.full(255, 0.01), size=500), 1e-300))
+    one_hot = np.where(np.eye(255)[rng.integers(0, 255, 100)] > 0, 0.0, -1000.0)
+    return [np.rint(z * 2.0 ** exp) for z in (peaky, sparse, one_hot)]
+
+
 class TestQuantize:
+    """`nn.integer_tables`: integer logits -> the coder's integer frequencies."""
+
     def test_uniform_apportionment(self):
-        table = quantize_distribution(np.full(255, 1.0 / 255))
-        # 65536 = 255*257 + 1; the remainder tie-break hands the spare unit to symbol 1
-        assert table.freq[0] == 258
-        assert np.all(table.freq[1:] == 257)
-        assert table.freq.sum() == 65536
+        # 65536 = 255*257 + 1; the spare unit goes to the first of the equal
+        # largest logits, symbol 1
+        for exp in (-3, 0, 20):
+            freq = nn.integer_tables(np.full((3, 255), 7.0), exp)
+            assert np.all(freq[:, 0] == 258) and np.all(freq[:, 1:] == 257)
+        (row,), update = UniformModel().level_tables(range(1))
+        assert np.array_equal(np.diff(row), freq[0]) and update is None
 
     def test_point_mass_floor(self):
-        p = np.zeros(255)
-        p[0] = 1.0
-        table = quantize_distribution(p)
-        assert table.freq[0] == 65536 - 254
-        assert np.all(table.freq[1:] == 1)
+        z = np.zeros((1, 255))
+        z[0, 0] = 100 * 2.0 ** 10
+        freq = nn.integer_tables(z, 10)[0]
+        assert freq[0] == 65536 - 254
+        assert np.all(freq[1:] == 1)
 
-    def test_idempotent(self):
+    def test_shift_invariant(self):
+        # adding a constant to a row's integer logits leaves its table unchanged
         rng = np.random.default_rng(0)
-        for _ in range(200):
-            p = rng.dirichlet(np.full(255, rng.uniform(0.02, 5.0)))
-            t1 = quantize_distribution(p)
-            t2 = quantize_distribution(t1.freq / 65536.0)
-            assert np.array_equal(t1.freq, t2.freq)
+        for z in _logit_rows(rng, 12):
+            shift = np.rint(rng.normal(0, 2.0 ** 20, (len(z), 1)))
+            assert np.array_equal(nn.integer_tables(z + shift, 12), nn.integer_tables(z, 12))
 
     def test_every_freq_positive(self):
         rng = np.random.default_rng(1)
-        for _ in range(50):
-            p = rng.dirichlet(np.full(255, 0.01))
-            t = quantize_distribution(p)
-            assert t.freq.min() >= 1 and t.freq.sum() == 65536
+        for exp in (0, 12, 30):
+            for z in _logit_rows(rng, exp):
+                freq = nn.integer_tables(z, exp)
+                assert freq.dtype == np.int64 and freq.min() >= 1
+                assert np.all(freq.sum(axis=1) == TOTAL_FREQ)
+
+    def test_higher_logit_never_smaller_frequency(self):
+        rng = np.random.default_rng(4)
+        for z in _logit_rows(rng, 16):
+            freq = nn.integer_tables(z, 16)
+            order = np.argsort(z, axis=1, kind="stable")
+            zs, fs = np.take_along_axis(z, order, 1), np.take_along_axis(freq, order, 1)
+            assert not ((np.diff(zs, axis=1) > 0) & (np.diff(fs, axis=1) < 0)).any()
 
     def test_batch_matches_single(self):
         rng = np.random.default_rng(2)
-        probs = rng.dirichlet(np.full(255, 0.3), size=20)
-        freq, cum = quantize_level(probs)
+        z = np.rint(rng.normal(0, 3, (20, 255)) * 2.0 ** 14)
+        freq = nn.integer_tables(z, 14)
         for i in range(20):
-            t = quantize_distribution(probs[i])
-            assert np.array_equal(freq[i], t.freq)
-            assert np.array_equal(cum[i], t.cum)
+            assert np.array_equal(freq[i], nn.integer_tables(z[i:i + 1], 14)[0])
 
-
-    def test_zero_fix_matches_loop_oracle(self):
-        # peaky softmax rows, sparse Dirichlet rows and one-hot rows (254 zeros)
+    def test_code_length_near_loop_oracle(self):
+        # expected code length under the model's distribution within +0.05% of
+        # the float largest-remainder tables the coder read before
         rng = np.random.default_rng(3)
-        logits = rng.normal(0, 1, (2000, 255)) * rng.uniform(0.5, 40, (2000, 1))
-        peaky = np.exp(logits - logits.max(axis=1, keepdims=True))
-        sparse = rng.dirichlet(np.full(255, 0.01), size=500)
-        one_hot = np.eye(255)[rng.integers(0, 255, 100)]
-        for probs in (peaky, sparse, one_hot):
-            expect, deficit_rows = _quantize_rows_loop(probs)
-            assert deficit_rows > 0
-            assert np.array_equal(coder._quantize_rows(probs), expect)
+        for z in _logit_rows(rng, 20):
+            p = nn.integer_softmax(z, 20)
+            expect = _quantize_rows_loop(p)
+            tables = -(p * np.log2(nn.integer_tables(z, 20) / TOTAL_FREQ)).sum()
+            oracle = -(p * np.log2(expect / TOTAL_FREQ)).sum()
+            assert tables <= oracle * 1.0005
 
 
 def _quantize_rows_loop(p):
-    """The quantizer with its former per-row zero-fix loop, kept as an oracle:
-    -> (frequencies, number of rows that had zeros to fix)."""
+    """The float largest-remainder quantizer the coder once ran on
+    probabilities, with its per-row zero-fix loop, kept as an oracle and as
+    a source of test tables: (n, 255) probabilities -> frequencies."""
     p = p / p.sum(axis=1, keepdims=True)
     scaled = p * float(TOTAL_FREQ)
     base = np.floor(scaled).astype(np.int64)
@@ -92,22 +110,24 @@ def _quantize_rows_loop(p):
             take = min(need, int(row[i]) - 1)
             row[i] -= take
             need -= take
-    return base, int((deficits > 0).sum())
+    return base
 
 
-def _uniform_table():
-    return quantize_distribution(np.full(255, 1.0 / 255))
+def _tables(probs):
+    """Frequencies of (255,) or (n, 255) probabilities by the oracle quantizer."""
+    freq = _quantize_rows_loop(np.atleast_2d(probs))
+    return freq if np.ndim(probs) == 2 else freq[0]
 
 
 class _FixedModel:
-    """Test-only model: hands coder._code_level the same probabilities for
+    """Test-only model: hands coder._code_level the same frequencies for
     every level, either one shared (255,) row or an (n, 255) batch."""
 
-    def __init__(self, probs):
-        self.probs = probs
+    def __init__(self, freq):
+        self.freq = freq
 
-    def level_probabilities(self, ctx):
-        return self.probs
+    def level_tables(self, ctx):
+        return table_rows(self.freq, len(ctx))
 
 
 class _OneContextAdaptive(AdaptiveContextModel):
@@ -130,7 +150,8 @@ def _decode(data, count, model) -> list:
     return coder._code_level(range(count), None, model, RangeDecoder(data), decoding=True).tolist()
 
 
-UNIFORM = np.full(255, 1.0 / 255)
+UNIFORM = _tables(np.full(255, 1.0 / 255))   # [258, 257 x 254]
+ONE_HOT = _tables(np.where(np.arange(255) == 0, 1.0, 0.0))   # [65282, 1 x 254]
 
 
 class TestRangeCoder:
@@ -146,9 +167,7 @@ class TestRangeCoder:
         assert abs(bits - 100_000 * 7.994) / (100_000 * 7.994) < 0.01
 
     def test_skewed_under_600_bytes(self):
-        p = np.zeros(255)
-        p[0] = 1.0
-        data = _encode(np.ones(100_000, dtype=int), _FixedModel(p))
+        data = _encode(np.ones(100_000, dtype=int), _FixedModel(ONE_HOT))
         assert len(data) < 600
 
     def test_roundtrip_uniform_tables(self):
@@ -206,29 +225,27 @@ class TestRangeCoder:
         rng = np.random.default_rng(5)
         streams = [
             (rng.integers(1, 256, 100_000), UNIFORM),
-            (np.ones(100_000, dtype=int), np.where(np.arange(255) == 0, 1.0, 0.0)),
+            (np.ones(100_000, dtype=int), ONE_HOT),
         ]
-        for symbols, p in streams:
-            table = quantize_distribution(p)
-            data = _encode(symbols, _FixedModel(p))
-            ideal = float((-np.log2(table.freq[np.asarray(symbols) - 1] / 65536.0)).sum())
+        for symbols, table in streams:
+            data = _encode(symbols, _FixedModel(table))
+            ideal = float((-np.log2(table[np.asarray(symbols) - 1] / 65536.0)).sum())
             assert 8 * len(data) <= ideal + 128
         # mixed random tables
-        probs = rng.dirichlet(np.full(255, 0.2), size=20_000)
-        freq, cum = quantize_level(probs)
+        freq = _tables(rng.dirichlet(np.full(255, 0.2), size=20_000))
         symbols = [int(rng.choice(255, p=f / 65536.0)) + 1 for f in freq]
-        data = _encode(symbols, _FixedModel(probs))
+        data = _encode(symbols, _FixedModel(freq))
         ideal = float(sum(-np.log2(freq[i, s - 1] / 65536.0) for i, s in enumerate(symbols)))
         assert 8 * len(data) <= ideal + 128
 
     def test_decoder_rejects_internal_desync(self):
         enc = RangeEncoder()
-        t = _uniform_table()
-        enc.encode(int(t.cum[10]), int(t.freq[10]))
+        cum = np.concatenate([[0], np.cumsum(UNIFORM)])
+        enc.encode(int(cum[10]), int(UNIFORM[10]))
         data = enc.finish()
         dec = RangeDecoder(data)
         v = dec.decode_target()
-        assert t.cum[10] <= v < t.cum[11]
+        assert cum[10] <= v < cum[11]
 
 
 class _ReferenceCounts:
@@ -332,20 +349,21 @@ class TestReferenceLoop:
     def test_batch_and_shared_row(self, shared):
         rng = np.random.default_rng(7)
         n = 4000
-        probs = UNIFORM if shared else rng.dirichlet(np.full(255, 0.2), size=n)
-        _, cum = quantize_level(np.atleast_2d(probs))
+        freq = UNIFORM if shared else _tables(rng.dirichlet(np.full(255, 0.2), size=n))
+        cum = np.zeros((len(np.atleast_2d(freq)), ALPHABET + 1), dtype=np.int64)
+        np.cumsum(np.atleast_2d(freq), axis=1, out=cum[:, 1:])
         table = (lambda i: cum[0]) if shared else cum.__getitem__
         levels = [[int(rng.choice(255, p=np.diff(table(i)) / TOTAL_FREQ)) + 1 for i in range(n)]
                   for _ in range(3)]
         ref_enc, enc = RangeEncoder(), RangeEncoder()
         for syms in levels:
             _reference_level(n, table, lambda i, s: None, syms, ref_enc, decoding=False)
-            coder._code_level(range(n), syms, _FixedModel(probs), enc, decoding=False)
+            coder._code_level(range(n), syms, _FixedModel(freq), enc, decoding=False)
         data = enc.finish()
         assert data == ref_enc.finish()
         dec, ref_dec = RangeDecoder(data), RangeDecoder(data)
         for syms in levels:
-            assert coder._code_level(range(n), None, _FixedModel(probs), dec,
+            assert coder._code_level(range(n), None, _FixedModel(freq), dec,
                                      decoding=True).tolist() == syms
             assert _reference_level(n, table, lambda i, s: None, None, ref_dec,
                                     decoding=True)[0] == syms
@@ -423,7 +441,7 @@ class TestPayloadEnd:
         monkeypatch.setattr(coder, "VERSION", 1)
         v1 = header.pack() + data[pos:]
         monkeypatch.undo()
-        assert coder.VERSION == 4 and v1[4] == 1
+        assert coder.VERSION == 5 and v1[4] == 1
         with pytest.raises(DecodeError, match="unsupported bitstream version 1"):
             decode_cloud(v1, model)
 
@@ -439,6 +457,17 @@ class TestPayloadEnd:
         assert v2[4] == 2
         with pytest.raises(DecodeError, match="unsupported bitstream version 2"):
             decode_cloud(v2, model)
+
+    def test_version_4_stream_rejected(self, monkeypatch):
+        """Version 4 carried no symbol-stream hash; the version is read first."""
+        model = UniformModel()
+        data = encode_cloud(structured_cloud(300, seed=3), 6, 6, model)
+        header, pos = coder.BitstreamHeader.unpack(data)
+        monkeypatch.setattr(coder, "VERSION", 4)
+        v4 = header.pack() + data[pos:]
+        monkeypatch.undo()
+        with pytest.raises(DecodeError, match="unsupported bitstream version 4"):
+            decode_cloud(v4, model)
 
     def test_version_3_stream_rejected(self):
         """Version 3 closed its header with an FNV hash; the version is read first."""
@@ -588,13 +617,18 @@ class TestCloudCodec:
         with pytest.raises(DecodeError, match="more than its 5 points"):
             decode_cloud(header.pack() + data[pos:], model)
 
-    @pytest.mark.parametrize("model", [UniformModel(), AdaptiveContextModel(16)],
-                             ids=["uniform", "adaptive"])
+    @pytest.mark.parametrize("model", [
+        UniformModel(), AdaptiveContextModel(16),
+        VoxelContextModel(crop_size=5, channels=(2,), hidden=8, seed=0),
+    ], ids=["uniform", "adaptive", "voxel-static"])
     def test_payload_bit_flip_decodes_or_raises(self, model):
         # each of the 96 bits of the payload's last 12 bytes, flipped alone:
-        # decoding returns an octree (possibly a wrong one, which only a
-        # stream hash would catch) or raises DecodeError, never anything else
-        data = encode_cloud(structured_cloud(3000, seed=7), 8, 8, model)
+        # decoding returns exactly the encoded octree (the flip hit slack in
+        # the final bytes) or raises DecodeError, never a wrong octree or
+        # another exception; the untrained network predicts uniformly
+        cloud = structured_cloud(3000, seed=7)
+        data = encode_cloud(cloud, 8, 8, model)
+        ref = build(normalize(cloud)[0], 8)
         for pos in range(len(data) - 12, len(data)):
             for bit in range(8):
                 corrupt = bytearray(data)
@@ -604,6 +638,8 @@ class TestCloudCodec:
                 except DecodeError:
                     continue
                 assert isinstance(tree, Octree) and len(tree.levels) == 9
+                assert all(np.array_equal(a, b) for a, b in zip(tree.levels, ref.levels))
+                assert all(np.array_equal(a, b) for a, b in zip(tree.symbols, ref.symbols))
 
     def test_coded_bpp_helper(self):
         cloud = random_cloud(250, seed=4)

@@ -18,7 +18,8 @@ level schedule, the tower pass or the coder that alters a single bit of
 any of these fails here. Coding, code lengths and refinement run the
 integer-exact network, training and evaluation the float one. The values
 were recorded with numpy 2.4 on x86-64 Linux; the bitstreams are of wire
-version 4.
+version 5, coded from integer tables (`nn.integer_tables` for the networks)
+and closed by the symbol-stream hash in their headers.
 """
 
 import hashlib
@@ -167,19 +168,19 @@ GOLDEN = {
         "model": "9251804fcd5026e01df4c23e9a38722a38daf29116924c58c59d04ddc507a7a7",
         "curve": "8108e56757ce80c76fc25ce7caf5e0e021aec3ae6d52f06098f462e4c5250f99",
         "evaluate": "cdf12bacd3d21146fdc3e2f629cf823d1a38073cf263ee4eeb49e10d00d032cd",
-        "bitstream": "2fd021bbc901a717aa00617899557b8f004d29efbd2525f60f279ea68a60170d",
+        "bitstream": "37f0c976d0ed61a9dc723a81f08c12dfded19c1d613f344b99a5f2c71b8f0ebe",
     },
     "static-crop1": {
         "model": "0417f051e941518dc6280f95f3fe61597174eadc6045bcca12a08fbb0795b0a6",
         "curve": "ea6e4b69cfe70523b462838fbd9fbda26ecd534f0e75690e252af8e20c6cbd0b",
         "evaluate": "a18166b6899b20d1adb9bd4f7027f61a346047f26dfd5a72f01f171afd7dbdef",
-        "bitstream": "76b92943f304de3ccf4fcce8f9a7b3589513bb8fb1853df43f5664c5eb3f8a31",
+        "bitstream": "c0a73edce17d8d345f2e1bef6ed6fdb056eb03fa8592c30f396a8115e0069b69",
     },
     "dynamic": {
         "model": "6b42681d341a100b8c9d1fa80c06bd4bd00cd5bc9986f547509cd93455696f6f",
         "curve": "d0b15cffc20b15aa9ab35328e4758c9b62f53573db7c638a86a37751117d6c6e",
         "evaluate": "699e080d124d1d1b275b6e0de4203c3325ec2d698b13c1581a4eaf2540e40535",
-        "bitstream": "8ab44fb308ba00c25b8199c79a3ef7e623de921876cf93f239a3e29ffc80d4a3",
+        "bitstream": "175551a8e2b95ca7789b20568a9e9ee52e74ad5611020f16349e351525b05488",
     },
     "refine": {
         "model": "e91b1850c53718d29f527c997e1815f0eb33da4dc2dff7af843c0d03ed398bc8",
@@ -187,32 +188,32 @@ GOLDEN = {
         "points": "c2f6622dad77f5c3f80ce9b54a78b105ea551594812ff5756e0057b9f367c4a0",
     },
     "uniform": {
-        "bitstream": "1fe07c71767c47392f4b9bcbeb7852d33d1c236354717210d49804b3d59eb078",
+        "bitstream": "efb3690e77c7d6fe2bb83f785b99749ff595eda4b2e9cf0b01d32038b9784b09",
     },
     "adaptive": {
-        "static": "f10b28e7ef875381c4f13759c019ac50af31e8f0a8cda31af57a9261fb89372b",
-        "sequence": "574ed43340081a5549e732ebff8ebd7080112de626e2bbe03b96fff24815ae9a",
+        "static": "d81fe764dbcd6aa0bafb27850602a9de9d55a22c4b18057fb56f7619aa7fc170",
+        "sequence": "239e227cc46deaaf5f74ba9780933deb80644ce58fa225059a2146846fa9d95d",
     },
     "sequence-decode": {
         "points": "c23a26b9242e0b8a481204dcc6d7d7f7121144c4f643d3280b5015259d0c9323",
     },
     "truncated-lengths": {
         "static": "97439437afabb5d79bec42de525ddadaa4cb92dc56e2c35e186567f117b58ab3",
-        "static-bitstream": "bf5bf690ae21c3a7084942248181edaccc5216910e0f1479ac1a0cc765ce2f84",
+        "static-bitstream": "92e9aa798d86882afde3c84cd976a0842fc325a2f82f0206dd95df87c52a166a",
         "dataset": "261e9f45888bbaf00c513bb1f5595c2b6b02c6c908f2792a3c981066643e123d",
         "dynamic": "46ca5482db1abe4d14b21f87027ce1f39ab02fb69f3b1e1a78136e516ca6b810",
-        "dynamic-bitstream": "8217a0d9520aa1d62dbe53d578b07ce254a80b17b79fef7ecf0e1244f5399104",
+        "dynamic-bitstream": "789a3a266b34e1e26110a6c95675a6cce95c08a51f2bd1d766e496e6441a66ba",
     },
     "static-wide": {
         "model": "469f14f8b2906f35e8ab0ea544be97e77ebc544047faf9151600ee362aa9c2d1",
         "curve": "c877bb4fd6503762f83d02d4d60ab730f54c1584e4d49e30b02acea833345956",
-        "bitstream": "d5fe0ef119cbf541133ed7c695d00f936f155903b3fd5aceaf4ba97e7c58406e",
+        "bitstream": "530bbc3afcd7531805b10615ab0cc66a4da47e03bda0f145094ffade95f11671",
         "decoded": "f342a38f9094d7f32c1fbede3cc8c59e2ce3b97dd8f4aabc6f40608fe04603a2",
     },
     "dynamic-wide": {
         "model": "0cf0c797c3f87ffacb8dd108b476cb84e58faf96bc08745c3b9e1afb5f9bf5c1",
         "curve": "5f83c864a4957361b699df84bc7bac4119f24be656f9b34e17a3cfbf77cdd47f",
-        "bitstream": "d5410e546e3945b7d04b5c5a64b5d352c081cafa02c37b30afa5615135840806",
+        "bitstream": "e4029d613e048a6a833d9b9789d50dd20f451392c52a261c4ec1ab869dd01e84",
         "decoded": "fdb45c5f6c8b5fbb7e8449c53d62bfe0a1fe9f0818994ba81734843b177b1401",
     },
     "refine-wide": {
@@ -223,7 +224,7 @@ GOLDEN = {
     "deep": {
         "model": "d87ec3fc2ff6f16e55d3618ac25b2b8ef2b7cb09cbec125f193af61a9cc2e4cd",
         "curve": "f417d2ee15f4b2a9949c5c80b95b700673cd2a4543b4eac39bdef65a72e0c603",
-        "bitstream": "8417574395b9d9c40d892ec855f49e3fa4209dcbf8783563cec4c727958d7ea6",
+        "bitstream": "f2d691b83faf649b8f4dd6c085ee631df6b04b0010b6d0d9966fce47bc1adac6",
         "refined": "3a29503d75e5fbdf95f66817822e0266aa6f9e3fac08a28298ceb1012d50cdb0",
     },
 }

@@ -139,6 +139,17 @@ def test_exp2_table_is_correctly_rounded():
     assert nn._LOG2E == float(1 / mpmath.log(2))
 
 
+def test_integer_exp2_table_is_correctly_rounded():
+    """Each entry of the integer 2^(-j/256) table is the integer nearest
+    2^16 * 2^(-j/256)."""
+    mpmath.mp.prec = 200
+    table = nn._EXP2_UNITS
+    assert table.shape == (256,) and table.dtype == np.int64 and table[0] == 1 << 16
+    for j, value in enumerate(table):
+        exact = mpmath.power(2, 16 - mpmath.mpf(j) / 256)
+        assert abs(int(value) - exact) < mpmath.mpf(1) / 2, j
+
+
 def test_integer_softmax_tracks_softmax():
     rng = np.random.default_rng(0)
     exp = 20

@@ -3,15 +3,17 @@
 Coding runs each integer tower once per level over tiles of the zero-padded
 grid (`entropy.tower_rows`, `nn.tower_windows`); `predict` runs the same
 fixed-point network on per-node crops (`nn.infer`). The two must agree on the
-float64 bit patterns, or encoder-side probabilities would depend on which
-path ran.
+float64 bit patterns, and the coder's integer tables with those of the
+per-crop logits, or encoder-side tables would depend on which path ran.
 """
+
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from voxelcodec import DynamicContextModel, VoxelGrid, nn
+from voxelcodec import DynamicContextModel, VoxelGrid, entropy, nn
 from voxelcodec.entropy import CURRENT, TEMPORAL, make_level_context, tower_rows
 from voxelcodec.voxelgrid import TILE, anchor_tiles
 
@@ -97,13 +99,10 @@ def test_level_spanning_many_tiles():
     assert _same_bits(tower_rows(tower, grid, anchors, 9), expected)
 
 
-@settings(max_examples=15, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), depth=st.sampled_from([2, 5, 10, 12]),
-       present=st.tuples(st.booleans(), st.booleans()),
-       channels=st.lists(st.integers(1, 4), min_size=1, max_size=3))
-def test_level_probabilities_equal_predict(seed, depth, present, channels):
-    """The dynamic model's coding pass against predict() on the same level's
-    crops, with either neighbour frame missing (end frames of a sequence)."""
+def _random_level(seed, depth, present, channels):
+    """A dynamic model with random weights and one random level context, with
+    either neighbour frame missing (end frames of a sequence) -> (model, ctx,
+    each branch's per-node crops)."""
     rng = np.random.default_rng(seed)
     model = DynamicContextModel(crop_size=5, child_crop_size=6, channels=tuple(channels),
                                 hidden=8, seed=1)
@@ -118,5 +117,34 @@ def test_level_probabilities_equal_predict(seed, depth, present, channels):
         grid_prev_child=VoxelGrid(depth + 1, _near(rng, 2 * cells, depth + 1, 200))
         if has_prev else None)
     crops = [ctx.branch_crops(b, m) for b, m in zip(model.geometry, model.crop_sizes)]
+    return model, ctx, crops
+
+
+_LEVELS = dict(seed=st.integers(0, 2**32 - 1), depth=st.sampled_from([2, 5, 10, 12]),
+               present=st.tuples(st.booleans(), st.booleans()),
+               channels=st.lists(st.integers(1, 4), min_size=1, max_size=3))
+
+
+@settings(max_examples=15, deadline=None)
+@given(**_LEVELS)
+def test_level_probabilities_equal_predict(seed, depth, present, channels):
+    """The dynamic model's coding pass against predict() on the same level's
+    crops."""
+    model, ctx, crops = _random_level(seed, depth, present, channels)
     expected = model.predict(crops, ctx.node_features())
     assert _same_bits(model.level_probabilities(ctx), expected)
+
+
+@settings(max_examples=15, deadline=None)
+@given(**_LEVELS)
+def test_level_tables_equal_integer_tables_of_forward(seed, depth, present, channels):
+    """The coder's tables against `nn.integer_tables` of the per-crop oracle's
+    logits, bit for bit, with each tower run once per call."""
+    model, ctx, crops = _random_level(seed, depth, present, channels)
+    net = model.integer_net()
+    freq = nn.integer_tables(net.forward(crops, ctx.node_features()), net.head.out_exp)
+    with mock.patch.object(entropy, "tower_rows", wraps=entropy.tower_rows) as towers:
+        rows, update = model.level_tables(ctx)
+    assert towers.call_count == len(model.branches) and update is None
+    cum = np.array([np.asarray(row) for row in rows])
+    assert np.all(cum[:, 0] == 0) and np.array_equal(np.diff(cum, axis=1), freq)
