@@ -6,7 +6,8 @@ interface: per depth level the coder hands the model a LevelContext and
 gets integer cumulative tables (`level_tables`), one per node in node order,
 with the rule, if any, that updates them as symbols are coded: one shared
 uniform row, the neural models' `nn.integer_tables`, or the adaptive
-baseline's live counts. Float distributions serve rate accounting only.
+baseline's live counts. Those tables are each model's only distribution: rate
+accounting reads q = freq/total from them (`level_code_lengths`).
 """
 
 from __future__ import annotations
@@ -231,8 +232,8 @@ class EntropyModel:
         """Reset per-stream state. Called once per coded cloud/sequence on both sides."""
 
     def level_probabilities(self, ctx: LevelContext):
-        """For rate accounting: (n, 255) or shared (255,) float distributions,
-        or None to read q = freq/total from `level_tables`."""
+        """Not called by the library, whose rate accounting reads
+        `level_tables`; kept while the benchmark tracer wraps it by name."""
         return None
 
     def level_tables(self, ctx: LevelContext):
@@ -275,9 +276,6 @@ class UniformModel(EntropyModel):
     """Every symbol equally likely; the coder sanity baseline."""
 
     kind_code = KIND_UNIFORM
-
-    def level_probabilities(self, ctx):
-        return np.full(ALPHABET, 1.0 / ALPHABET)
 
     def level_tables(self, ctx):
         return table_rows(nn.integer_tables(np.zeros((1, ALPHABET)), 0)[0], len(ctx))
@@ -370,9 +368,9 @@ class ContextNetModel(EntropyModel):
     Subclasses declare their kind code, the VCNM group name, training-set key
     and `Branch` geometry of each branch, and the metadata that rebuilds them.
     Training and `logits` run the float network on per-node crops. Coding
-    runs its integer-exact copy (`nn.quantize_context_net`), each tower once
-    per level (`_level_logits`), and codes with `nn.integer_tables` of its
-    logits; `predict` runs that copy on per-node crops, with the same logits.
+    and rate accounting run its integer-exact copy (`nn.quantize_context_net`),
+    each tower once per level (`_level_logits`), and read `nn.integer_tables`
+    of its logits.
     """
 
     branch_names: tuple   # VCNM group of each branch, in file order; the head follows
@@ -397,11 +395,6 @@ class ContextNetModel(EntropyModel):
     def integer_net(self) -> nn.IntContextNet:
         return nn.quantize_context_net(self.branches, self.head, FEATURE_BOUND)
 
-    def predict(self, crop_sets, feats) -> np.ndarray:
-        """(n, 255) coding distributions; crop_sets holds one crop batch per branch."""
-        net = self.integer_net()
-        return nn.integer_softmax(net.forward(crop_sets, feats), net.head.out_exp)
-
     def _level_logits(self, ctx):
         """(integer logits (n, 255), exponent) of one level, each tower run
         once; bit for bit the integer net's forward on `ctx.branch_crops`."""
@@ -417,10 +410,6 @@ class ContextNetModel(EntropyModel):
             lo += width
         x[:, lo:] = net.features(ctx.node_features())
         return nn.infer(net.head, x), net.head.out_exp
-
-    def level_probabilities(self, ctx):
-        """(n, 255) distributions, equal bit for bit to predict()."""
-        return nn.integer_softmax(*self._level_logits(ctx))
 
     def level_tables(self, ctx):
         return table_rows(nn.integer_tables(*self._level_logits(ctx)), len(ctx))
@@ -550,21 +539,16 @@ def schedule_code_lengths(model: EntropyModel, trees, max_depth, trunc_depth) ->
 def level_code_lengths(model: EntropyModel, ctx: LevelContext, symbols) -> np.ndarray:
     """-log2 q of one level's symbols (1..255), in coding order.
 
-    A model without level probabilities is read node by node from the live
-    tables the coder codes with (q = freq/total), updated after each symbol
-    by the model's own rule, as the coder does; a shared row or an (n, 255)
-    batch of float distributions is indexed directly.
+    q = freq/total is read node by node from the tables the coder codes with
+    (`level_tables`), updated after each symbol by the model's own rule, if
+    it has one, as the coder does.
     """
-    syms = np.asarray(symbols).astype(np.int64)
-    probs = model.level_probabilities(ctx)
-    if probs is None:
-        rows, update = model.level_tables(ctx)
-        freq, total = np.empty(len(syms)), np.empty(len(syms))
-        for i, (row, s) in enumerate(zip(rows, syms.tolist())):
-            freq[i], total[i] = row[s] - row[s - 1], row[ALPHABET]
+    syms = np.asarray(symbols).astype(np.int64).tolist()
+    rows, update = model.level_tables(ctx)
+    freq, total = np.empty(len(syms)), np.empty(len(syms))
+    for i, (row, s) in enumerate(zip(rows, syms)):
+        freq[i], total[i] = row[s] - row[s - 1], row[ALPHABET]
+        if update is not None:
             update(row, s)
-        p = freq / total
-    else:
-        p = np.broadcast_to(probs, (len(syms), ALPHABET))[np.arange(len(syms)), syms - 1]
-    return -np.log2(p)
+    return -np.log2(freq / total)
 

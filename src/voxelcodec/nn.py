@@ -18,9 +18,9 @@ once over a zero-padded occupancy box and gathers each node's window, each
 layer evaluated only where some node's window needs it and an occupied cell
 is in reach (elsewhere its value on empty space is computed once).
 `integer_tables` maps the integer logits to the coder's 16-bit frequency
-tables in integer arithmetic through a table of 2^(-j/256), and
-`integer_softmax` to float distributions for rate accounting, so no
-transcendental function of the platform decides a coded bit.
+tables in integer arithmetic through a table of 2^(-j/256), so no
+transcendental function of the platform decides a coded bit; those tables are
+the networks' only distribution, for coding and rate accounting alike.
 """
 
 from __future__ import annotations
@@ -575,17 +575,17 @@ def infer(net: IntNet, x):
 
 
 def _exp2_table():
-    """2^(-j/256) for j = 0..255 and log2(e), each the float64 nearest the
-    exact value: computed at 40 significant digits, then rounded once."""
+    """The integers nearest 2^16 * 2^(-j/256) for j = 0..255, and the float64
+    nearest log2(e): computed at 40 significant digits, then rounded once."""
     with localcontext() as ctx:
         ctx.prec = 40
         ln2 = Decimal(2).ln()
-        return (np.array([float((ln2 * -j / 256).exp()) for j in range(256)]),
-                float(1 / ln2))
+        units = [int(((16 - Decimal(j) / 256) * ln2).exp().to_integral_value())
+                 for j in range(256)]
+        return np.array(units, dtype=np.int64), float(1 / ln2)
 
 
-_EXP2_FRACTIONS, _LOG2E = _exp2_table()
-_EXP2_UNITS = np.rint(_EXP2_FRACTIONS * 2.0 ** 16).astype(np.int64)   # nearest 2^16 * 2^(-j/256)
+_EXP2_UNITS, _LOG2E = _exp2_table()
 TABLE_TOTAL = 1 << 16   # every row of `integer_tables` sums to this
 _EXP2_OCTAVES = 64   # logits more than 64 octaves below the row's largest are clipped there
 
@@ -600,22 +600,10 @@ def _exp2_index(z, exp):
     return np.minimum(d, 256 * _EXP2_OCTAVES - 1, out=d).astype(np.int64)
 
 
-def integer_softmax(z, exp):
-    """Distributions for rate accounting and `predict` from integer logits
-    z * 2^exp, with no transcendental function: p ~ 2^(-j/256) (`_exp2_index`),
-    a fixed table entry and a power of two, so every machine agrees."""
-    j = _exp2_index(z, exp)
-    p = _EXP2_FRACTIONS[j & 255]
-    np.right_shift(j, 8, out=j)
-    np.ldexp(p, np.negative(j, out=j), out=p)
-    p /= p.sum(axis=-1, keepdims=True)
-    return p
-
-
 def integer_tables(z, exp):
     """(n, k) int64 coding frequencies, each >= 1 and each row totalling
     TABLE_TOTAL, from integer logits z * 2^exp, in integers from the index j
-    of `integer_softmax` on: t = 2^16 * 2^(-j/256) by table and shift, and
+    of `_exp2_index` on: t = 2^16 * 2^(-j/256) by table and shift, and
     1 + ((t * M) >> 32) with one M = ((TABLE_TOTAL - k) << 32) // sum(t) per
     row (t * M < 2^48 in int64); the rest of the total goes to the row's
     largest logit (first of equals, j = 0). No float division or sort."""

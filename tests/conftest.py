@@ -202,6 +202,28 @@ class GivenContexts(AdaptiveContextModel):
         return np.asarray(ctx, dtype=np.int64)
 
 
+def uniform_code_lengths(symbols):
+    """-log2 q of symbols (1..255) under the uniform model's one coded row,
+    [258, 257 x 254] out of 2^16."""
+    return np.where(np.asarray(symbols) == 1, -np.log2(258 / 2**16), -np.log2(257 / 2**16))
+
+
+def coder_bound_bits(lengths):
+    """The range coder's payload bound, in bits, over the code lengths -log2 q
+    of the tables it codes with: each symbol narrows the range by
+    r = range // total, and range >= 2^24 with total <= 2^16 gives r >= 2^8,
+    so at most log2(1 + 2^-8) bits above -log2 q per symbol; plus the
+    leading byte and the 5-byte flush."""
+    return float(np.sum(lengths)) + len(lengths) * np.log2(1 + 2.0 ** -8) + 48
+
+
+def crop_tables(model, crop_sets, feats):
+    """(n, 255) coding frequencies of a context-net model on per-node crops
+    (one batch per branch): the integer net's forward, then its tables."""
+    net = model.integer_net()
+    return nn.integer_tables(net.forward(crop_sets, feats), net.head.out_exp)
+
+
 # --- finite-difference gradient harness -------------------------------------
 
 

@@ -1,11 +1,12 @@
 """The library holds no code that only tests call.
 
-Every module-level public function or class in `src/voxelcodec/` must be
-referenced, as a name, an attribute, an import or a string constant, by the
-library itself (outside `__init__.py`, whose exports do not count), the
-demos, the benchmark, the acceptance suite or the README's Python examples.
-String constants count because the benchmark tracer wraps library functions
-by name.
+Every module-level public function or class in `src/voxelcodec/`, and every
+public method of those classes, must be referenced, as a name, an attribute,
+an import or a string constant, by the library itself (outside
+`__init__.py`, whose exports do not count), the demos, the benchmark, the
+acceptance suite or the README's Python examples. String constants count
+because the benchmark tracer wraps library functions and methods by name. A
+method counts as referenced when its name is, whatever the object.
 """
 
 import ast
@@ -22,16 +23,29 @@ ORACLES = {
 
 # Public names kept only because the benchmark tracer wraps them by name; they
 # go when the tracer stops patching the library (ROADMAP item 1).
-TRACER_ONLY = ("quantize_level", "quantize_distribution")
+TRACER_ONLY = ("quantize_level", "quantize_distribution", "level_probabilities",
+               "node_probability", "observe")
+
+
+def _public(nodes, kinds):
+    return [node for node in nodes if isinstance(node, kinds) and not node.name.startswith("_")]
+
+
+def _bare(name):
+    """A definition's name as a reference reads it: a method without its class."""
+    return name.rsplit(".", 1)[-1]
 
 
 def _public_definitions():
-    """(module file name, name) of every module-level public def and class."""
+    """(module file name, name) of every module-level public def and class,
+    and (module file name, Class.method) of every public method of those
+    classes."""
     for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.parse(path.read_text()).body:
-            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    and not node.name.startswith("_")):
-                yield path.name, node.name
+        for node in _public(ast.parse(path.read_text()).body, (ast.FunctionDef, ast.ClassDef)):
+            yield path.name, node.name
+            if isinstance(node, ast.ClassDef):
+                for method in _public(node.body, ast.FunctionDef):
+                    yield path.name, f"{node.name}.{method.name}"
 
 
 def _referenced(tree):
@@ -63,7 +77,7 @@ def _users():
 def test_every_public_definition_has_a_caller():
     used = set().union(*map(_referenced, _users()))
     unused = sorted(f"{module}:{name}" for module, name in _public_definitions()
-                    if name not in used and name not in ORACLES)
+                    if _bare(name) not in used and name not in ORACLES)
     assert not unused, f"public definitions nothing outside the tests calls: {unused}"
 
 
@@ -78,7 +92,7 @@ def test_tracer_only_names_have_no_library_caller():
     spans = _referenced(ast.parse((ROOT / "perfbench" / "spans.py").read_text()))
     library = set().union(*(_referenced(ast.parse(p.read_text()))
                             for p in sorted(PACKAGE.glob("*.py"))))
-    defined = {name for _, name in _public_definitions()}
+    defined = {_bare(name) for _, name in _public_definitions()}
     for name in TRACER_ONLY:
         assert name in defined and name in spans, name
         assert name not in library, f"{name} has a caller in src/; drop it from TRACER_ONLY"

@@ -4,16 +4,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from voxelcodec import (AdaptiveContextModel, DecodeError, DynamicContextModel, PointCloud,
-                        UniformModel, VoxelContextModel, build, coded_bpp, coder,
-                        decode_cloud, decode_sequence, encode_cloud,
+                        UniformModel, VoxelContextModel, build, build_node_dataset, coded_bpp,
+                        coder, decode_cloud, decode_sequence, encode_cloud,
                         encode_sequence, model_code_lengths, nn, normalize, payload_size,
                         reconstruct_centers)
 from voxelcodec.coder import TOTAL_FREQ, RangeDecoder, RangeEncoder
-from voxelcodec.entropy import ALPHABET, LOG2_ALPHABET, level_code_lengths, table_rows
+from voxelcodec.entropy import ALPHABET, level_code_lengths, table_rows
 from voxelcodec.octree import Octree
 
-from conftest import (VCNB_V3_UNIFORM, GivenContexts, moving_sequence, random_cloud,
-                      structured_cloud)
+from conftest import (VCNB_V3_UNIFORM, GivenContexts, coder_bound_bits, moving_sequence,
+                      random_cloud, structured_cloud, uniform_code_lengths)
 
 
 def _logit_rows(rng, exp):
@@ -75,11 +75,13 @@ class TestQuantize:
             assert np.array_equal(freq[i], nn.integer_tables(z[i:i + 1], 14)[0])
 
     def test_code_length_near_loop_oracle(self):
-        # expected code length under the model's distribution within +0.05% of
-        # the float largest-remainder tables the coder read before
+        # expected code length under the softmax of the real logits within
+        # +0.05% of the float largest-remainder tables the coder read before
         rng = np.random.default_rng(3)
         for z in _logit_rows(rng, 20):
-            p = nn.integer_softmax(z, 20)
+            real = z * 2.0 ** -20
+            p = np.exp(real - real.max(axis=1, keepdims=True))
+            p /= p.sum(axis=1, keepdims=True)
             expect = _quantize_rows_loop(p)
             tables = -(p * np.log2(nn.integer_tables(z, 20) / TOTAL_FREQ)).sum()
             oracle = -(p * np.log2(expect / TOTAL_FREQ)).sum()
@@ -513,16 +515,22 @@ class TestCloudCodec:
         assert np.allclose(decoded.points, ref.points)
 
     def test_coded_size_tracks_cross_entropy(self):
-        # payload within 1% + 64 bytes of the model's own code lengths
+        # payload within 1% + 64 bytes of the model's own code lengths, and
+        # within the coder's own bound over them (`coder_bound_bits`)
         cloud = structured_cloud(20_000, seed=21)
-        for model in (UniformModel(), AdaptiveContextModel(12)):
+        voxel = VoxelContextModel(crop_size=5, channels=(2, 4), hidden=16, seed=0)
+        voxel.train(build_node_dataset([build(normalize(structured_cloud(3000, seed=22))[0], 6)],
+                                       crop_size=5), epochs=1, batch_size=64, lr=1e-3, seed=0)
+        norm, _ = normalize(cloud)
+        tree = build(norm, 7)
+        assert tree.symbol_count() >= 10_000
+        for model in (UniformModel(), AdaptiveContextModel(12), voxel):
             data = encode_cloud(cloud, 7, 7, model)
-            norm, _ = normalize(cloud)
-            tree = build(norm, 7)
-            bits = float(model_code_lengths(model, tree).sum())
-            assert tree.symbol_count() >= 10_000
+            lengths = model_code_lengths(model, tree)
+            bits = float(lengths.sum())
             assert 8 * payload_size(data) <= bits * 1.01 + 64 * 8
             assert 8 * payload_size(data) >= bits * 0.99 - 64 * 8
+            assert 8 * payload_size(data) <= coder_bound_bits(lengths)
 
     def test_adaptive_code_lengths_are_coded_tables(self):
         # model bits are -log2(freq/total) of exactly the tables the coder coded with
@@ -556,7 +564,7 @@ class TestCloudCodec:
         tree = build(norm, 5)
         lengths = model_code_lengths(model, tree)
         assert len(lengths) == tree.symbol_count()
-        assert abs(lengths.sum() - LOG2_ALPHABET * tree.symbol_count()) < 1e-9
+        assert np.array_equal(lengths, uniform_code_lengths(np.concatenate(tree.symbols)))
 
     def test_model_hash_mismatch_refused(self):
         cloud = random_cloud(100, seed=1)

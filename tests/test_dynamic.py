@@ -9,7 +9,7 @@ from voxelcodec import (AdaptiveContextModel, DecodeError, DynamicContextModel,
                         sequence_code_lengths)
 from voxelcodec.coder import BitstreamHeader
 
-from conftest import moving_sequence, random_cloud, structured_cloud
+from conftest import coder_bound_bits, moving_sequence, random_cloud, structured_cloud
 
 
 def _tiny_dynamic(seed=0):
@@ -167,6 +167,7 @@ class TestScheduleProperties:
         data = encode_sequence(frames, 5, 5, model)
         assert 8 * payload_size(data) <= total_bits * 1.01 + 64 * 8
         assert 8 * payload_size(data) >= total_bits * 0.99 - 64 * 8
+        assert 8 * payload_size(data) <= coder_bound_bits(np.concatenate(lengths))
 
 
 class TestPairedModels:

@@ -7,25 +7,31 @@ import pytest
 from voxelcodec import (AdaptiveContextModel, DynamicContextModel, UniformModel,
                         VoxelContextModel, build, build_node_dataset, entropy, load_entropy_model,
                         model_code_lengths, nn, normalize)
-from voxelcodec.entropy import ALPHABET, LOG2_ALPHABET, make_level_context
+from voxelcodec.entropy import ALPHABET, make_level_context
 
-from conftest import GivenContexts, contains, random_cloud, structured_cloud
+from conftest import (GivenContexts, contains, crop_tables, random_cloud, structured_cloud,
+                      uniform_code_lengths)
+
+# the uniform model's one coded row, cumulative: [258, 257 x 254] out of 2^16
+UNIFORM_CUM = np.concatenate([[0], np.cumsum([258] + [257] * 254)])
 
 
 class TestUniform:
     def test_always_uniform(self):
         m = UniformModel()
         tree = build(random_cloud(100, 0), 3)
-        ctx = make_level_context(0, 3, tree.levels[0])
-        p = m.level_probabilities(ctx)
-        assert np.allclose(p, 1.0 / 255)
+        ctx = make_level_context(2, 3, tree.levels[2])
+        rows, update = m.level_tables(ctx)
+        rows = [np.asarray(row) for row in rows]
+        assert update is None and len(rows) == len(ctx) > 1
+        assert all(np.array_equal(row, UNIFORM_CUM) for row in rows)
 
     def test_stream_entropy_log2_255(self):
         m = UniformModel()
         tree = build(random_cloud(400, 1), 5)
         lengths = model_code_lengths(m, tree)
+        assert np.array_equal(lengths, uniform_code_lengths(np.concatenate(tree.symbols)))
         bps = lengths.sum() / len(lengths)
-        assert bps == pytest.approx(LOG2_ALPHABET, abs=1e-12)
         assert bps == pytest.approx(7.994, abs=1e-3)
 
     def test_serialization_roundtrip(self):
@@ -134,17 +140,17 @@ class TestVoxelModel:
         rng = np.random.default_rng(0)
         crops = (rng.random((10, 5, 5, 5)) < 0.5).astype(np.uint8)
         feats = rng.random((10, 4))
-        p = m.predict((crops,), feats)
-        assert np.allclose(p, 1.0 / ALPHABET, atol=1e-15)
+        freq = crop_tables(m, (crops,), feats)
+        assert np.all(freq == np.diff(UNIFORM_CUM))
 
     def test_distribution_valid(self):
         m = VoxelContextModel(crop_size=9, channels=(2, 4), hidden=16, seed=1)
         m.train(_tiny_dataset(seed=0, m=9), epochs=1, batch_size=16, lr=1e-3)
         rng = np.random.default_rng(5)
         crops = (rng.random((20, 9, 9, 9)) < 0.3).astype(np.uint8)
-        p = m.predict((crops,), rng.random((20, 4)))
-        assert np.all(p >= 0)
-        assert np.abs(p.sum(axis=1) - 1).max() < 1e-9
+        freq = crop_tables(m, (crops,), rng.random((20, 4)))
+        assert freq.shape == (20, ALPHABET) and freq.min() >= 1
+        assert np.all(freq.sum(axis=1) == entropy.TOTAL_FREQ)
 
     def test_prediction_reproducible(self):
         m = VoxelContextModel(crop_size=5, channels=(2, 4), hidden=16, seed=2)
@@ -153,7 +159,7 @@ class TestVoxelModel:
         rng = np.random.default_rng(1)
         crops = (rng.random((8, 5, 5, 5)) < 0.4).astype(np.uint8)
         feats = rng.random((8, 4))
-        assert np.array_equal(m.predict((crops,), feats), m2.predict((crops,), feats))
+        assert np.array_equal(crop_tables(m, (crops,), feats), crop_tables(m2, (crops,), feats))
         assert m.content_hash() == m2.content_hash()
 
     def test_all_children_corpus_learns_255(self):
@@ -165,8 +171,9 @@ class TestVoxelModel:
         ds = build_node_dataset([tree], crop_size=5)
         m = VoxelContextModel(crop_size=5, channels=(2, 4), hidden=16, seed=0)
         m.train(ds, epochs=200, batch_size=32, lr=1e-2, seed=0)
-        p = m.level_probabilities(make_level_context(1, 3, tree.levels[1]))
-        assert np.all(p[:, 254] > 0.99)
+        rows, _ = m.level_tables(make_level_context(1, 3, tree.levels[1]))
+        q = np.array([np.diff(row) / row[ALPHABET] for row in rows])
+        assert len(q) == 8 and np.all(q[:, 254] > 0.99)
 
     def test_epoch0_loss_exactly_ln255(self):
         ds = _tiny_dataset(seed=3, m=5, n=64)
@@ -183,7 +190,7 @@ class TestVoxelModel:
     def test_crop_size_mismatch(self):
         m = VoxelContextModel(crop_size=9, channels=(2,), hidden=8, seed=0)
         with pytest.raises(ValueError):
-            m.predict((np.zeros((2, 5, 5, 5), dtype=np.uint8),), np.zeros((2, 4)))
+            crop_tables(m, (np.zeros((2, 5, 5, 5), dtype=np.uint8),), np.zeros((2, 4)))
 
     def test_empty_dataset_rejected(self):
         m = VoxelContextModel(crop_size=5, channels=(2,), hidden=8, seed=0)
@@ -208,8 +215,8 @@ class TestDynamicModel:
         zeros6 = np.zeros((6, 6, 6, 6), dtype=np.uint8)
         rand5 = (rng.random((6, 5, 5, 5)) < 0.5).astype(np.uint8)
         rand6 = (rng.random((6, 6, 6, 6)) < 0.5).astype(np.uint8)
-        a = m.predict((cur, zeros5, zeros5, zeros6), feats)
-        b = m.predict((cur, rand5, rand5, rand6), feats)
+        a = crop_tables(m, (cur, zeros5, zeros5, zeros6), feats)
+        b = crop_tables(m, (cur, rand5, rand5, rand6), feats)
         assert np.array_equal(a, b)
 
     def test_distribution_sums_to_one(self):
@@ -221,8 +228,8 @@ class TestDynamicModel:
         rng = np.random.default_rng(1)
         crops = tuple((rng.random((7, s, s, s)) < 0.4).astype(np.uint8)
                       for s in (5, 5, 5, 6))
-        p = m.predict(crops, rng.random((7, 4)))
-        assert np.abs(p.sum(axis=1) - 1).max() < 1e-9
+        freq = crop_tables(m, crops, rng.random((7, 4)))
+        assert freq.min() >= 1 and np.all(freq.sum(axis=1) == entropy.TOTAL_FREQ)
 
     def test_serialization_roundtrip(self):
         m = DynamicContextModel(crop_size=5, child_crop_size=6, channels=(2, 4),
@@ -234,7 +241,7 @@ class TestDynamicModel:
         crops = tuple((rng.random((4, s, s, s)) < 0.4).astype(np.uint8)
                       for s in (5, 5, 5, 6))
         feats = rng.random((4, 4))
-        assert np.array_equal(m.predict(crops, feats), back.predict(crops, feats))
+        assert np.array_equal(crop_tables(m, crops, feats), crop_tables(back, crops, feats))
 
 
 class TestTowerGeometry:
@@ -313,29 +320,34 @@ class TestTraining:
 
 
 class TestRateAccounting:
-    def test_perfect_model_zero_bits(self):
+    def test_perfect_model_costs_only_the_floor(self):
+        # one-hot tables: every other symbol keeps its floor of 1, so each
+        # symbol costs exactly log2(2^16 / (2^16 - 254)) bits
         class Oracle(entropy.EntropyModel):
             kind_code = entropy.KIND_UNIFORM
 
             def __init__(self, tree):
                 self.tree = tree
 
-            def level_probabilities(self, ctx):
+            def level_tables(self, ctx):
                 syms = self.tree.symbols[ctx.depth].astype(np.int64)
-                p = np.zeros((len(syms), ALPHABET))
-                p[np.arange(len(syms)), syms - 1] = 1.0
-                return p
+                freq = np.ones((len(syms), ALPHABET), dtype=np.int64)
+                freq[np.arange(len(syms)), syms - 1] = 2**16 - 254
+                return entropy.table_rows(freq, len(syms))
 
         tree = build(random_cloud(200, 3), 4)
-        bits = model_code_lengths(Oracle(tree), tree).sum()
-        assert bits == 0.0
+        lengths = model_code_lengths(Oracle(tree), tree)
+        floor = -np.log2((2**16 - 254) / 2**16)
+        assert len(lengths) == tree.symbol_count()
+        assert np.all(lengths == floor)
+        assert lengths.sum() == pytest.approx(tree.symbol_count() * floor, rel=1e-12)
 
     def test_accounting_identity(self):
         tree = build(random_cloud(900, 4), 6)
         m = UniformModel()
         lengths = model_code_lengths(m, tree)
         assert len(lengths) == tree.symbol_count()
-        assert abs(lengths.sum() - LOG2_ALPHABET * tree.symbol_count()) < 1e-9
+        assert np.array_equal(lengths, uniform_code_lengths(np.concatenate(tree.symbols)))
 
 
 def _tiny_dataset(seed, m=5, n=200):

@@ -2,10 +2,11 @@
 
 Every operand of its matrix products is an integer held in float64 and every
 partial sum stays within 2^52, so BLAS must equal an int64 oracle at the
-worst-case magnitudes of every fan-in the models use; the logit table must be
-correctly rounded; the integer model must code within 1% of the float model's
-cross-entropy; and bitstreams and refined points must not change when numpy's
-AVX-512 kernels and OpenBLAS's AVX-512 dgemm are switched off.
+worst-case magnitudes of every fan-in the models use; the table of
+2^(-j/256) must be correctly rounded; the integer model must code within 1% of
+the float model's cross-entropy; and bitstreams and refined points must not
+change when numpy's AVX-512 kernels and OpenBLAS's AVX-512 dgemm are switched
+off.
 """
 
 import hashlib
@@ -128,47 +129,38 @@ def test_quantization_rejects_non_finite_weights():
         nn.quantize_context_net([], head, 1.0)
 
 
-def test_exp2_table_is_correctly_rounded():
-    """Each entry of the 2^(-j/256) table is within half an ulp of the exact value."""
-    mpmath.mp.prec = 200
-    table = nn._EXP2_FRACTIONS
-    assert table.shape == (256,) and table[0] == 1.0
-    for j, value in enumerate(table):
-        exact = mpmath.power(2, mpmath.mpf(-j) / 256)
-        assert abs(mpmath.mpf(float(value)) - exact) <= mpmath.mpf(math.ulp(value)) / 2, j
-    assert nn._LOG2E == float(1 / mpmath.log(2))
-
-
 def test_integer_exp2_table_is_correctly_rounded():
     """Each entry of the integer 2^(-j/256) table is the integer nearest
-    2^16 * 2^(-j/256)."""
+    2^16 * 2^(-j/256), and log2(e) is the float64 nearest it."""
     mpmath.mp.prec = 200
     table = nn._EXP2_UNITS
     assert table.shape == (256,) and table.dtype == np.int64 and table[0] == 1 << 16
     for j, value in enumerate(table):
         exact = mpmath.power(2, 16 - mpmath.mpf(j) / 256)
         assert abs(int(value) - exact) < mpmath.mpf(1) / 2, j
+    assert nn._LOG2E == float(1 / mpmath.log(2))
 
 
-def test_integer_softmax_tracks_softmax():
+def test_integer_tables_track_softmax():
+    # the coded tables cost little against the softmax of the real logits:
+    # KL(softmax || freq / 2^16) at most 0.006 bits on every row
     rng = np.random.default_rng(0)
     exp = 20
     z = np.rint(rng.normal(0, 4, (200, 255)) * 2.0 ** exp)
-    p = nn.integer_softmax(z, exp)
+    q = nn.integer_tables(z, exp) / nn.TABLE_TOTAL
     real = z * 2.0 ** -exp
     ref = np.exp(real - real.max(axis=1, keepdims=True))
     ref /= ref.sum(axis=1, keepdims=True)
-    assert np.abs(p.sum(axis=1) - 1.0).max() < 1e-12
-    # a 1/256-octave grid: each probability within 2^(1/512) of softmax, before
-    # and after normalization
-    assert np.abs(np.log2(p / ref)).max() < 2 / 512
-    assert np.array_equal(nn.integer_softmax(np.zeros((3, 255)), exp),
-                          np.full((3, 255), 1.0 / 255))
+    kl = (ref * np.log2(ref / q)).sum(axis=1)
+    assert kl.max() <= 0.006
+    uniform = nn.integer_tables(np.zeros((3, 255)), exp)
+    assert np.all(uniform[:, 0] == 258) and np.all(uniform[:, 1:] == 257)
 
 
 def test_integer_rate_within_one_percent_of_float():
     """Rate gate on the acceptance-5 corpus: the coding path's cross-entropy
-    (integer network, table softmax) against the float logits and softmax."""
+    (integer network, coded integer tables) against the float logits and
+    softmax."""
     trees, total, seed = [], 0, 300
     while total < 10_000:
         norm, _ = normalize(structured_cloud(2600, seed=seed))
