@@ -151,27 +151,27 @@ def cmd_encode(args):
         frames = _load_sequence(args.input, args.poses)
         data = dynamic.encode_sequence(frames, args.depth, trunc, model,
                                        store_poses=bool(args.poses))
-        wall = time.perf_counter() - t0
-        seq = dynamic.align_sequence(frames)
-        trees = [octree.build(f, args.depth).truncate(trunc) for f in seq.frames]
-        n_symbols = sum(t.symbol_count() for t in trees)
-        n_points = sum(len(f) for f in frames)
     else:
-        cloud = _load_cloud(args.input)
-        if len(cloud) == 0:
+        frames = [_load_cloud(args.input)]
+        if len(frames[0]) == 0:
             raise CliError(f"{args.input}: empty cloud", EXIT_FORMAT)
-        data = coder.encode_cloud(cloud, args.depth, trunc, model)
-        wall = time.perf_counter() - t0
-        norm_cloud, _ = pointcloud.normalize(cloud)
-        tree = octree.build(norm_cloud, args.depth).truncate(trunc)
-        n_symbols = tree.symbol_count()
-        n_points = len(cloud)
+        data = coder.encode_cloud(frames[0], args.depth, trunc, model)
+    wall = time.perf_counter() - t0
     _atomic_write(args.output, data)
-    payload_bits = 8 * coder.payload_size(data)
-    _write_report(args.report, {
-        "bpp": payload_bits / n_points, "symbols": n_symbols,
-        "payload_bytes": payload_bits // 8, "total_bytes": len(data),
-        "points": n_points, "wall_time_s": round(wall, 4)})
+    if args.report:
+        # the symbol count rebuilds each frame's octree, outside the timed encode
+        if args.sequence:
+            coded = dynamic.align_sequence(frames).frames
+        else:
+            coded = [pointcloud.normalize(frames[0])[0]]
+        n_symbols = sum(octree.build(c, args.depth).truncate(trunc).symbol_count()
+                        for c in coded)
+        n_points = sum(len(f) for f in frames)
+        payload_bits = 8 * coder.payload_size(data)
+        _write_report(args.report, {
+            "bpp": payload_bits / n_points, "symbols": n_symbols,
+            "payload_bytes": payload_bits // 8, "total_bytes": len(data),
+            "points": n_points, "wall_time_s": round(wall, 4)})
     return 0
 
 

@@ -275,6 +275,7 @@ def encode_frames(header: BitstreamHeader, trees, model: em.EntropyModel) -> byt
     model.begin_stream()
     for t, k, ctx in em.level_contexts(trees, header.max_depth, header.trunc_depth):
         _code_level(ctx, trees[t].symbols[k], model, enc, decoding=False)
+    model.end_stream()
     return replace(header, symbol_hash=_symbol_hash(trees)).pack() + enc.finish()
 
 
@@ -318,6 +319,7 @@ def decode_frames(data: bytes, model: em.EntropyModel, mode: int, refine_params=
         trees[t].symbols.append(sym)
         trees[t].levels.append(level)
     dec.finish()
+    model.end_stream()
     if _symbol_hash(trees) != header.symbol_hash:
         raise DecodeError("symbol stream hash mismatch: the payload is corrupt")
     if refine_params is not None:

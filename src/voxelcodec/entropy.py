@@ -7,12 +7,19 @@ gets integer cumulative tables (`level_tables`), one per node in node order,
 with the rule, if any, that updates them as symbols are coded: one shared
 uniform row, the neural models' `nn.integer_tables`, or the adaptive
 baseline's live counts. Those tables are each model's only distribution: rate
-accounting reads q = freq/total from them (`level_code_lengths`).
+accounting reads q = freq/total from them (`level_code_lengths`). Each stream
+is bracketed by `begin_stream` and `end_stream`.
+
+The neural models' level pass (`ContextNetModel._level_logits`, `tower_rows`)
+computes what is fixed per stream once per stream, the integer net, and what
+is fixed per anchor set once per level: a `TilePlan` of the tiles
+(`voxelgrid.anchor_tiles`, which takes no grid) and their window masks, read
+by every branch whose crops have the same corners.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from itertools import repeat
 
@@ -62,21 +69,54 @@ CURRENT = Branch("grid")
 TEMPORAL = (Branch("grid_prev"), Branch("grid_next"), Branch("grid_prev_child", child=True))
 
 
-def tower_rows(tower: nn.IntNet, grid: VoxelGrid | None, anchors, m: int,
+class TilePlan:
+    """The tiles of one anchor set (`voxelgrid.anchor_tiles`), each with its
+    `nn.window_masks` for an m^3 crop tower of `depth` convs: what the level
+    pass computes once for all the branches that read the same anchors.
+
+    A `shared` plan computes its tiles on the first read and keeps them for
+    the next branch; any other computes each tile as it is read and keeps
+    none, so its masks never take more than one tile's memory."""
+
+    def __init__(self, anchors, m: int, depth: int, shared=False):
+        self.anchors = np.asarray(anchors, dtype=np.int64).reshape(-1, 3)
+        self.m = m
+        self.depth = depth
+        self.shared = shared
+        self._kept = None
+
+    def __len__(self):
+        return len(self.anchors)
+
+    def tiles(self):
+        """(node indices, box corner, box extent, crop corners in the box,
+        window masks) per tile."""
+        if self._kept is not None:
+            return self._kept
+        tiles = ((idx, lo, ext, local, nn.window_masks(ext, local, self.m, self.depth))
+                 for idx, lo, ext, local in anchor_tiles(self.anchors, self.m))
+        if self.shared:
+            self._kept = list(tiles)
+            return self._kept
+        return tiles
+
+
+def tower_rows(tower: nn.IntNet, grid: VoxelGrid | None, plan: TilePlan,
                out=None) -> np.ndarray:
-    """(n, width) integer tower outputs of the m^3 crops at `anchors` in `grid`,
-    by the level-wise pass (`nn.tower_windows`) tile by tile
-    (`voxelgrid.anchor_tiles`), rows in node order, written into `out` if
-    given. An absent grid is an all-zero crop for every node: its one output
-    row is computed once and broadcast."""
+    """(n, width) integer tower outputs of the m^3 crops at the plan's anchors
+    in `grid`, by the level-wise pass (`nn.tower_windows`) tile by tile, rows
+    in node order, written into `out` if given. An absent grid is an all-zero
+    crop for every node: its one output row is computed once and broadcast."""
+    m = plan.m
     if out is None:
-        out = np.empty((len(anchors), tower.width(m)))
+        out = np.empty((len(plan), tower.width(m)))
     if grid is None:
-        out[...] = nn.tower_windows(tower, np.zeros((m,) * 3, dtype=np.uint8),
-                                    np.zeros((1, 3), dtype=np.int64), m)
+        corner = np.zeros((1, 3), dtype=np.int64)
+        out[...] = nn.tower_windows(tower, np.zeros((m,) * 3, dtype=np.uint8), corner, m,
+                                    nn.window_masks((m,) * 3, corner, m, len(tower.layers)))
         return out
-    for idx, box, local in anchor_tiles(grid, anchors, m):
-        out[idx] = nn.tower_windows(tower, box, local, m)
+    for idx, lo, ext, local, needed in plan.tiles():
+        out[idx] = nn.tower_windows(tower, grid.box(lo, ext), local, m, needed)
     return out
 
 
@@ -231,6 +271,10 @@ class EntropyModel:
     def begin_stream(self):
         """Reset per-stream state. Called once per coded cloud/sequence on both sides."""
 
+    def end_stream(self):
+        """Release what only the stream needed; called after every coded or
+        decoded stream that ends without an error."""
+
     def level_probabilities(self, ctx: LevelContext):
         """Not called by the library, whose rate accounting reads
         `level_tables`; kept while the benchmark tracer wraps it by name."""
@@ -369,8 +413,9 @@ class ContextNetModel(EntropyModel):
     and `Branch` geometry of each branch, and the metadata that rebuilds them.
     Training and `logits` run the float network on per-node crops. Coding
     and rate accounting run its integer-exact copy (`nn.quantize_context_net`),
-    each tower once per level (`_level_logits`), and read `nn.integer_tables`
-    of its logits.
+    built on the first level that needs it and dropped by `begin_stream` and
+    `end_stream`, each tower once per level (`_level_logits`), and read
+    `nn.integer_tables` of its logits.
     """
 
     branch_names: tuple   # VCNM group of each branch, in file order; the head follows
@@ -388,6 +433,7 @@ class ContextNetModel(EntropyModel):
                                                  seed, FEATURE_DIM)
         self.branches = list(branches)
         self.head = head
+        self.begin_stream()
 
     def logits(self, crop_sets, feats, caches=None):
         return nn.context_forward(self.branches, self.head, crop_sets, feats, caches)
@@ -395,18 +441,36 @@ class ContextNetModel(EntropyModel):
     def integer_net(self) -> nn.IntContextNet:
         return nn.quantize_context_net(self.branches, self.head, FEATURE_BOUND)
 
+    def begin_stream(self):
+        """Drop the stream's integer net: the next coded level quantizes the
+        weights as they are then, so training between streams takes effect."""
+        self._stream_net = None
+
+    end_stream = begin_stream   # the integer net, 4.4 MB at default width, is not kept
+
     def _level_logits(self, ctx):
         """(integer logits (n, 255), exponent) of one level, each tower run
-        once; bit for bit the integer net's forward on `ctx.branch_crops`."""
+        once and each anchor set's `TilePlan` built once; bit for bit the
+        integer net's forward on `ctx.branch_crops`. The integer net is built
+        on the stream's first level and kept until the stream ends."""
         if len(ctx) == 0:
             return np.zeros((0, ALPHABET)), 0
-        net = self.integer_net()
-        widths = [tower.width(m) for tower, m in zip(net.towers, self.crop_sizes)]
+        if self._stream_net is None:
+            self._stream_net = self.integer_net()
+        net = self._stream_net
+        branches = list(zip(self.geometry, net.towers, self.crop_sizes))
+        grids = [getattr(ctx, b.grid) for b in self.geometry]
+        # branches with the same anchors and tower depth share one plan
+        keys = [(b.child, m, len(tower.layers)) for b, tower, m in branches]
+        readers = Counter(key for key, grid in zip(keys, grids) if grid is not None)
+        widths = [tower.width(m) for _, tower, m in branches]
         x = np.empty((len(ctx), sum(widths) + FEATURE_DIM))   # the head's input, filled in place
-        lo = 0
-        for b, tower, m, width in zip(self.geometry, net.towers, self.crop_sizes, widths):
-            tower_rows(tower, getattr(ctx, b.grid), b.anchors(ctx.cells, m), m,
-                       out=x[:, lo:lo + width])
+        plans, lo = {}, 0
+        for (b, tower, m), grid, key, width in zip(branches, grids, keys, widths):
+            if key not in plans:
+                plans[key] = TilePlan(b.anchors(ctx.cells, m), m, len(tower.layers),
+                                      shared=readers[key] > 1)
+            tower_rows(tower, grid, plans[key], out=x[:, lo:lo + width])
             lo += width
         x[:, lo:] = net.features(ctx.node_features())
         return nn.infer(net.head, x), net.head.out_exp
@@ -528,11 +592,13 @@ def model_code_lengths(model: EntropyModel, tree: Octree, trunc_depth=None) -> n
 
 
 def schedule_code_lengths(model: EntropyModel, trees, max_depth, trunc_depth) -> list:
-    """Per-frame -log2 q of every symbol the schedule codes, after begin_stream."""
+    """Per-frame -log2 q of every symbol the schedule codes, between
+    begin_stream and end_stream."""
     model.begin_stream()
     lengths = [[] for _ in trees]
     for t, k, ctx in level_contexts(trees, max_depth, trunc_depth):
         lengths[t].append(level_code_lengths(model, ctx, trees[t].symbols[k]))
+    model.end_stream()
     return [np.concatenate(parts) if parts else np.empty(0) for parts in lengths]
 
 

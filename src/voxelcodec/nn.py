@@ -15,8 +15,11 @@ below 2^53, so BLAS matrix products are exact in any summation order: on any
 thread count and any CPU kernel, results agree bit for bit. `infer` runs it
 on a batch of per-node crops (the oracle); `tower_windows` runs a conv tower
 once over a zero-padded occupancy box and gathers each node's window, each
-layer evaluated only where some node's window needs it and an occupied cell
-is in reach (elsewhere its value on empty space is computed once).
+layer evaluated only where some node's window needs it (`window_masks`,
+which depend on the crop corners alone, so towers reading different grids at
+the same corners share them) and an occupied cell is in reach (elsewhere its
+value on empty space is computed once). The box and its tiling are the
+caller's (`voxelgrid.anchor_tiles`, `entropy.TilePlan`).
 `integer_tables` maps the integer logits to the coder's 16-bit frequency
 tables in integer arithmetic through a table of 2^(-j/256), so no
 transcendental function of the platform decides a coded bit; those tables are
@@ -679,11 +682,24 @@ def _conv_at(x, layer: IntLayer, where, background):
     return out.reshape(where.shape + (len(layer.w),)), background
 
 
-def tower_windows(net: IntNet, box, anchors, m):
+def window_masks(shape, anchors, m, depth):
+    """Per layer of a `depth`-conv tower on m^3 crops, the positions of a box
+    of `shape` that some node's window needs: the union of the windows, edge
+    m - 2 after the first layer and 2 less after each next one, with lower
+    corners at `anchors`. They depend on the anchors alone, so every grid
+    read at the same anchors shares them."""
+    anchors = np.asarray(anchors, dtype=np.int64).reshape(-1, 3)
+    corners = np.zeros(tuple(shape), dtype=bool)
+    corners[anchors[:, 0], anchors[:, 1], anchors[:, 2]] = True
+    return tuple(_dilate(corners, m - 2 * i, +1) for i in range(1, depth + 1))
+
+
+def tower_windows(net: IntNet, box, anchors, m, needed):
     """Integer tower outputs of the m^3 crops box[a:a+m] for each anchor (crop
     corner) a.
 
-    `box` is a zero-padded occupancy array containing every crop. Returns
+    `box` is a zero-padded occupancy array containing every crop, and
+    `needed` the anchors' `window_masks` over it, one per layer. Returns
     (n, width) rows, each flattened in (channel, x, y, z) order, equal to
     infer(net, crops) reshaped the same way. A layer is computed where some
     node's window needs it and its receptive field holds an occupied cell;
@@ -693,15 +709,12 @@ def tower_windows(net: IntNet, box, anchors, m):
     net.width(m)   # layer and shape check up front
     anchors = np.asarray(anchors, dtype=np.int64).reshape(-1, 3)
     x = np.asarray(box, dtype=F64)[..., None]
-    corners = np.zeros(x.shape[:3], dtype=bool)
-    corners[anchors[:, 0], anchors[:, 1], anchors[:, 2]] = True
     reached = x[..., 0] != 0   # positions whose receptive field holds an occupied cell
     background = np.zeros(1)   # the map's value everywhere else
-    w = m
-    for layer in net.layers:
-        w -= 2
+    for layer, want in zip(net.layers, needed, strict=True):
         reached = _dilate(reached, 3, -1)
-        x, background = _conv_at(x, layer, _dilate(corners, w, +1) & reached, background)
+        x, background = _conv_at(x, layer, want & reached, background)
+    w = m - 2 * len(net.layers)
     s = x.strides
     win = np.lib.stride_tricks.as_strided(
         x, tuple(d - w + 1 for d in x.shape[:3]) + (w, w, w, x.shape[3]),

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import nn
-from .entropy import KIND_REFINE, tower_rows
+from .entropy import KIND_REFINE, TilePlan, tower_rows
 from .octree import Octree, build, cell_keys
 from .pointcloud import NormalizationParams, PointCloud
 from .voxelgrid import VoxelGrid, local_anchors, local_crops
@@ -92,12 +92,12 @@ def refine_apply(tree: Octree, params: RefineParams, norm: NormalizationParams) 
     The integer tower runs once over the leaf grid (`entropy.tower_rows`), so
     the offsets equal refine_offsets() on the leaves' crops bit for bit.
     """
-    d = tree.max_depth
+    d, m = tree.max_depth, params.crop_size
     tower, head = _network(params, d)
     net = nn.quantize_context_net([tower], head)
-    m = params.crop_size
-    rows = tower_rows(net.towers[0], VoxelGrid(d, tree.levels[d]),
-                      local_anchors(tree.levels[d], m), m)
+    cells = tree.levels[d]
+    plan = TilePlan(local_anchors(cells, m), m, len(net.towers[0].layers))
+    rows = tower_rows(net.towers[0], VoxelGrid(d, cells), plan)
     offsets = _bounded(net, nn.infer(net.head, rows))
     centers = tree.leaf_centers() + offsets * (2.0 ** -d)
     return PointCloud(norm.invert(centers))

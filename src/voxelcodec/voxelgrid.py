@@ -1,11 +1,14 @@
-"""Per-depth binary occupancy grids, the tiles of zero-padded occupancy the
-level-wise tower pass reads, and the local voxel crops cut from those tiles.
+"""Per-depth binary occupancy grids, the tiles the level-wise tower pass
+splits a level's crops into, and the local voxel crops cut from the tiles'
+zero-padded occupancy boxes.
 
 A grid at depth k covers [0, 2^k)^3 and is stored at every depth as the
 sorted keys of its occupied cells, since a crop or tile only ever touches a
 bounded box of cells. A box is gathered from key ranges (`VoxelGrid.box`),
 the coordinate-map idea of sparse convolution (Choy et al., MinkowskiEngine,
-arXiv:1904.08755), and every crop is a cube window of a tile's box.
+arXiv:1904.08755), and every crop is a cube window of a tile's box. The
+tiling (`anchor_tiles`) is geometry only and takes no grid, so every grid
+read at the same crop corners shares it.
 """
 
 from __future__ import annotations
@@ -56,8 +59,8 @@ def _extract_windows(grid: VoxelGrid, anchors: np.ndarray, m: int) -> np.ndarray
     cut as cube windows of the tile boxes of `anchor_tiles`."""
     anchors = np.asarray(anchors, dtype=np.int64).reshape(-1, 3)
     out = np.empty((len(anchors),) + (m,) * 3, dtype=np.uint8)
-    for idx, box, local in anchor_tiles(grid, anchors, m):
-        windows = np.lib.stride_tricks.sliding_window_view(box, (m,) * 3)
+    for idx, lo, ext, local in anchor_tiles(anchors, m):
+        windows = np.lib.stride_tricks.sliding_window_view(grid.box(lo, ext), (m,) * 3)
         out[idx] = windows[local[:, 0], local[:, 1], local[:, 2]]
     return out
 
@@ -97,12 +100,14 @@ def child_region_crops(grid: VoxelGrid, cells: np.ndarray, m: int = CHILD_CROP_S
 TILE = 32   # edge, in cells of the cropped grid, of the tiles of the level-wise tower pass
 
 
-def anchor_tiles(grid: VoxelGrid, anchors: np.ndarray, m: int):
+def anchor_tiles(anchors: np.ndarray, m: int):
     """Split M^3 crops with lower corners `anchors` into TILE^3 tiles by crop center.
 
-    Yields, per tile, (node indices, the zero-padded occupancy box that holds
-    the tile's crops, the crop corners relative to that box). The box spans
-    only the tile's crops, so its size is bounded whatever the level's extent.
+    Geometry only: yields, per tile, (node indices, lower corner and extent of
+    the box that holds the tile's crops, the crop corners relative to that
+    box). Any grid's occupancy of the box is `VoxelGrid.box(lo, ext)`, so
+    grids that share the anchors share the tiles. The box spans only the
+    tile's crops, so its size is bounded whatever the level's extent.
     """
     anchors = np.asarray(anchors, dtype=np.int64).reshape(-1, 3)
     if not len(anchors):
@@ -114,4 +119,4 @@ def anchor_tiles(grid: VoxelGrid, anchors: np.ndarray, m: int):
     for idx in np.split(order, cuts):
         a = anchors[idx]
         lo = a.min(axis=0)
-        yield idx, grid.box(lo, a.max(axis=0) - lo + m), a - lo
+        yield idx, lo, a.max(axis=0) - lo + m, a - lo

@@ -64,6 +64,28 @@ class TestEncodeDecode:
         assert rep["wall_time_s"] < 1.0
         assert rep["symbols"] > 0
 
+    @pytest.mark.parametrize("sequence", [False, True])
+    def test_no_octree_rebuild_without_report(self, tmp_path, monkeypatch, sequence):
+        """Without --report the encode builds each frame's octree once, to code it."""
+        frames_dir = tmp_path / "frames"
+        frames_dir.mkdir()
+        n_frames = 3 if sequence else 1
+        for t in range(n_frames):
+            _write_cloud(frames_dir / f"f{t}.xyz", structured_cloud(200, seed=t))
+        real_build = cli.octree.build
+        calls = []
+
+        def counted_build(*args, **kwargs):
+            calls.append(args)
+            return real_build(*args, **kwargs)
+
+        monkeypatch.setattr(cli.octree, "build", counted_build)
+        source = frames_dir if sequence else frames_dir / "f0.xyz"
+        flags = ["--sequence"] if sequence else []
+        assert _run("encode", source, tmp_path / "c.vcnb", "--depth", 4, *flags) == 0
+        assert (tmp_path / "c.vcnb").exists()
+        assert len(calls) == n_frames
+
     def test_end_to_end_matches_library(self, tmp_path):
         cloud = structured_cloud(800, seed=1)
         src = tmp_path / "in.ply"

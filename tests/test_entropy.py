@@ -1,16 +1,19 @@
 import hashlib
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from voxelcodec import (AdaptiveContextModel, DynamicContextModel, UniformModel,
-                        VoxelContextModel, build, build_node_dataset, entropy, load_entropy_model,
-                        model_code_lengths, nn, normalize)
+                        VoxelContextModel, align_sequence, build, build_node_dataset,
+                        build_sequence_dataset, decode_cloud, decode_sequence, encode_cloud,
+                        encode_sequence, entropy, load_entropy_model, model_code_lengths, nn,
+                        normalize, payload_size)
 from voxelcodec.entropy import ALPHABET, make_level_context
 
-from conftest import (GivenContexts, contains, crop_tables, random_cloud, structured_cloud,
-                      uniform_code_lengths)
+from conftest import (GivenContexts, contains, crop_tables, moving_sequence, random_cloud,
+                      structured_cloud, uniform_code_lengths)
 
 # the uniform model's one coded row, cumulative: [258, 257 x 254] out of 2^16
 UNIFORM_CUM = np.concatenate([[0], np.cumsum([258] + [257] * 254)])
@@ -288,6 +291,75 @@ class TestContentHash:
                                          hidden=8, seed=1).branches
         assert m.content_hash() != before
         assert m.content_hash() == self._uncached(m)
+
+
+class TestStreamNet:
+    """A context-net model quantizes its weights once per coded stream, and
+    its integer net never outlives the stream: weights trained in place
+    between two streams code exactly as a freshly loaded copy of them."""
+
+    DEPTH, TRUNC = 5, 4
+
+    @staticmethod
+    def _static():
+        return VoxelContextModel(crop_size=5, channels=(2, 4), hidden=16, seed=0)
+
+    @staticmethod
+    def _dynamic():
+        return DynamicContextModel(crop_size=5, child_crop_size=6, channels=(2, 4), hidden=16,
+                                   seed=0)
+
+    @staticmethod
+    def _payload(data):
+        return data[-payload_size(data):]
+
+    def test_one_quantization_per_stream(self):
+        d, trunc = self.DEPTH, self.TRUNC
+        cloud, frames = structured_cloud(400, seed=11), moving_sequence(3, 300, seed=12)
+        static, dynamic = self._static(), self._dynamic()
+        cloud_data = encode_cloud(cloud, d, trunc, static)
+        seq_data = encode_sequence(frames, d, trunc, dynamic)
+        tree = build(normalize(cloud)[0], d)
+        streams = {
+            "encode_cloud": lambda: encode_cloud(cloud, d, trunc, static),
+            "decode_cloud": lambda: decode_cloud(cloud_data, static),
+            "model_code_lengths": lambda: model_code_lengths(static, tree, trunc),
+            "encode_sequence": lambda: encode_sequence(frames, d, trunc, dynamic),
+            "decode_sequence": lambda: decode_sequence(seq_data, dynamic),
+        }
+        calls = {}
+        for name, stream in streams.items():
+            with mock.patch.object(nn, "quantize_context_net",
+                                   wraps=nn.quantize_context_net) as quantize:
+                stream()
+            calls[name] = quantize.call_count
+        # each stream codes TRUNC levels per frame, one frame or three
+        assert calls == dict.fromkeys(streams, 1)
+
+    def test_static_training_between_streams_takes_effect(self):
+        d, trunc = self.DEPTH, self.TRUNC
+        cloud = structured_cloud(400, seed=13)
+        model = self._static()
+        first = encode_cloud(cloud, d, trunc, model)
+        model.train(build_node_dataset([build(normalize(cloud)[0], d)], crop_size=5),
+                    epochs=2, batch_size=32, lr=1e-2, seed=0)
+        second = encode_cloud(cloud, d, trunc, model)
+        fresh = VoxelContextModel.deserialize(model.serialize())
+        assert second == encode_cloud(cloud, d, trunc, fresh)
+        assert self._payload(second) != self._payload(first)
+
+    def test_dynamic_training_between_streams_takes_effect(self):
+        d, trunc = self.DEPTH, self.TRUNC
+        frames = moving_sequence(3, 300, seed=14)
+        model = self._dynamic()
+        first = encode_sequence(frames, d, trunc, model)
+        model.train(build_sequence_dataset(align_sequence(frames), d, crop_size=5,
+                                           child_crop_size=6),
+                    epochs=2, batch_size=32, lr=1e-2, seed=0)
+        second = encode_sequence(frames, d, trunc, model)
+        fresh = DynamicContextModel.deserialize(model.serialize())
+        assert second == encode_sequence(frames, d, trunc, fresh)
+        assert self._payload(second) != self._payload(first)
 
 
 class TestTraining:

@@ -1,21 +1,23 @@
 """The level-wise tower pass equals the per-crop path bit for bit.
 
 Coding runs each integer tower once per level over tiles of the zero-padded
-grid (`entropy.tower_rows`, `nn.tower_windows`); the oracle runs the same
-fixed-point network on per-node crops (`nn.infer`, `IntContextNet.forward`).
-The two must agree on the float64 bit patterns, and the coder's integer
-tables with those of the per-crop logits, or encoder-side tables would depend
-on which path ran.
+grid (`entropy.tower_rows`, `nn.tower_windows`), and branches whose crops
+have the same corners share one tile plan (`entropy.TilePlan`); the oracle
+runs the same fixed-point network on per-node crops (`nn.infer`,
+`IntContextNet.forward`). The two must agree on the float64 bit patterns,
+and the coder's integer tables with those of the per-crop logits, or
+encoder-side tables would depend on which path ran.
 """
 
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from voxelcodec import DynamicContextModel, VoxelGrid, entropy, nn
-from voxelcodec.entropy import CURRENT, TEMPORAL, make_level_context, tower_rows
+from voxelcodec.entropy import CURRENT, TEMPORAL, TilePlan, make_level_context, tower_rows
 from voxelcodec.voxelgrid import TILE, anchor_tiles
 
 from conftest import crops_by_contains
@@ -52,6 +54,10 @@ def _near(rng, occupied, depth, n):
                     _cells(rng, depth, n))
 
 
+def _plan(tower, anchors, m):
+    return TilePlan(anchors, m, len(tower.layers))
+
+
 def _per_crop(tower, crops):
     return nn.infer(tower, crops[:, None]).reshape(len(crops), -1)
 
@@ -76,7 +82,7 @@ def test_tower_rows_equal_per_crop_forward(seed, depth, m, channels, n):
     cells = _near(rng, occupied >> child, depth, n)
     anchors = (TEMPORAL[2] if child else CURRENT).anchors(cells, m)
     expected = _per_crop(tower, crops_by_contains(grid, anchors, m))
-    assert _same_bits(tower_rows(tower, grid, anchors, m), expected)
+    assert _same_bits(tower_rows(tower, grid, _plan(tower, anchors, m)), expected)
 
 
 @settings(max_examples=20, deadline=None)
@@ -85,7 +91,7 @@ def test_tower_rows_equal_per_crop_forward(seed, depth, m, channels, n):
 def test_absent_frame_row_equals_zero_crops(seed, m, channels):
     rng = np.random.default_rng(seed)
     tower = _tower(m, tuple(channels), rng)
-    got = tower_rows(tower, None, np.zeros((5, 3), dtype=np.int64), m)
+    got = tower_rows(tower, None, _plan(tower, np.zeros((5, 3), dtype=np.int64), m))
     assert _same_bits(np.ascontiguousarray(got), _per_crop(tower, np.zeros((5,) + (m,) * 3)))
 
 
@@ -95,27 +101,27 @@ def test_level_spanning_many_tiles():
     tower = _tower(9, (2, 3, 4), rng)
     grid = VoxelGrid(7, _cells(rng, 7, 3000))
     anchors = CURRENT.anchors(_cells(rng, 7, 300), 9)
-    assert len(list(anchor_tiles(grid, anchors, 9))) > (128 // TILE) ** 3 // 2
+    assert len(list(anchor_tiles(anchors, 9))) > (128 // TILE) ** 3 // 2
     expected = _per_crop(tower, crops_by_contains(grid, anchors, 9))
-    assert _same_bits(tower_rows(tower, grid, anchors, 9), expected)
+    assert _same_bits(tower_rows(tower, grid, _plan(tower, anchors, 9)), expected)
 
 
-def _random_level(seed, depth, present, channels):
-    """A dynamic model with random weights and one random level context, with
-    either neighbour frame missing (end frames of a sequence) -> (model, ctx,
-    each branch's per-node crops)."""
+def _random_level(seed, depth, present, channels, n=40):
+    """A dynamic model with random weights and one random level context of
+    about n nodes, with either neighbour frame missing (end frames of a
+    sequence) -> (model, ctx, each branch's per-node crops)."""
     rng = np.random.default_rng(seed)
     model = DynamicContextModel(crop_size=5, child_crop_size=6, channels=tuple(channels),
                                 hidden=8, seed=1)
     for params in model.branches + [model.head]:
         _randomize(params, rng)
-    cells = np.unique(_cells(rng, depth, 40), axis=0)
+    cells = np.unique(_cells(rng, depth, n), axis=0)
     has_prev, has_next = present
     ctx = make_level_context(
         depth, depth + 1, cells,
-        grid_prev=VoxelGrid(depth, _near(rng, cells, depth, 50)) if has_prev else None,
-        grid_next=VoxelGrid(depth, _near(rng, cells, depth, 50)) if has_next else None,
-        grid_prev_child=VoxelGrid(depth + 1, _near(rng, 2 * cells, depth + 1, 200))
+        grid_prev=VoxelGrid(depth, _near(rng, cells, depth, n + 10)) if has_prev else None,
+        grid_next=VoxelGrid(depth, _near(rng, cells, depth, n + 10)) if has_next else None,
+        grid_prev_child=VoxelGrid(depth + 1, _near(rng, 2 * cells, depth + 1, 5 * n))
         if has_prev else None)
     crops = [ctx.branch_crops(b, m) for b, m in zip(model.geometry, model.crop_sizes)]
     return model, ctx, crops
@@ -138,4 +144,28 @@ def test_level_tables_equal_integer_tables_of_forward(seed, depth, present, chan
         rows, update = model.level_tables(ctx)
     assert towers.call_count == len(model.branches) and update is None
     cum = np.array([np.asarray(row) for row in rows])
+    assert np.all(cum[:, 0] == 0) and np.array_equal(np.diff(cum, axis=1), freq)
+
+
+@pytest.mark.parametrize("present", [(True, True), (False, True), (True, False)])
+def test_dynamic_level_spanning_many_tiles_shares_plans(present):
+    """A dynamic level whose anchors fall into many tiles of several nodes
+    each, with all four branches present or either end frame's three: the
+    same-depth branches share one tile plan, read through one tiling, and the
+    coder's tables equal `nn.integer_tables` of the per-crop oracle bit for
+    bit."""
+    model, ctx, crops = _random_level(7, 7, present, (2, 3), n=400)
+    tiles = len(list(anchor_tiles(CURRENT.anchors(ctx.cells, 5), 5)))
+    assert 8 < tiles < len(ctx) // 4
+    net = model.integer_net()
+    freq = nn.integer_tables(net.forward(crops, ctx.node_features()), net.head.out_exp)
+    with mock.patch.object(entropy, "tower_rows", wraps=entropy.tower_rows) as towers, \
+            mock.patch.object(entropy, "anchor_tiles", wraps=anchor_tiles) as tilings:
+        rows, update = model.level_tables(ctx)
+        cum = np.array([np.asarray(row) for row in rows])
+    assert towers.call_count == len(model.branches) and update is None
+    # one tiling of the same-depth anchors, and one of the child anchors if
+    # the previous frame's child grid is there to read them
+    has_prev, _ = present
+    assert tilings.call_count == 1 + has_prev
     assert np.all(cum[:, 0] == 0) and np.array_equal(np.diff(cum, axis=1), freq)
