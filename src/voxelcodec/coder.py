@@ -324,7 +324,11 @@ def decode_frames(data: bytes, model: em.EntropyModel, mode: int, refine_params=
         raise DecodeError("symbol stream hash mismatch: the payload is corrupt")
     if refine_params is not None:
         from .refine import refine_apply
-        clouds = [refine_apply(tree, refine_params, header.norm) for tree in trees]
+        refine_params.begin_stream()
+        try:
+            clouds = [refine_apply(tree, refine_params, header.norm) for tree in trees]
+        finally:
+            refine_params.end_stream()
     else:
         clouds = [oct.reconstruct_centers(tree, header.norm) for tree in trees]
     return header, trees, clouds

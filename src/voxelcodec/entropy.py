@@ -10,11 +10,10 @@ baseline's live counts. Those tables are each model's only distribution: rate
 accounting reads q = freq/total from them (`level_code_lengths`). Each stream
 is bracketed by `begin_stream` and `end_stream`.
 
-The neural models' level pass (`ContextNetModel._level_logits`, `tower_rows`)
-computes what is fixed per stream once per stream, the integer net, and what
-is fixed per anchor set once per level: a `TilePlan` of the tiles
-(`voxelgrid.anchor_tiles`, which takes no grid) and their window masks, read
-by every branch whose crops have the same corners.
+The neural models and the refiner share one level pass (`level_outputs`):
+each tower runs once per level, tile by tile (`tower_rows`), over one
+`TilePlan` per anchor set, and the head's first layer is applied per tile, so
+no level-wide head input is built. The integer net is built once per stream.
 """
 
 from __future__ import annotations
@@ -52,7 +51,7 @@ _NEIGHBOR_FACES = ((0, 1), (0, -1), (1, 1), (1, -1), (2, 1), (2, -1))
 class Branch:
     """Where one tower's crop comes from, declared once per model and read both
     by the training crops (`LevelContext.branch_crops`) and by the level-wise
-    coding pass (`ContextNetModel._level_logits`): the LevelContext grid
+    coding pass (`level_outputs`): the LevelContext grid
     it reads (None there means an absent neighbour frame) and whether the crop
     is the depth-(k+1) region around the node's children (`child_region_crops`)
     rather than the same-depth neighbourhood (`local_crops`)."""
@@ -102,22 +101,51 @@ class TilePlan:
 
 
 def tower_rows(tower: nn.IntNet, grid: VoxelGrid | None, plan: TilePlan,
-               out=None) -> np.ndarray:
+               weights=None) -> np.ndarray:
     """(n, width) integer tower outputs of the m^3 crops at the plan's anchors
-    in `grid`, by the level-wise pass (`nn.tower_windows`) tile by tile, rows
-    in node order, written into `out` if given. An absent grid is an all-zero
-    crop for every node: its one output row is computed once and broadcast."""
+    in `grid`, by the level-wise pass (`nn.tower_windows`) tile by tile, rows in
+    node order; or, given `weights` (k, width), each tile's rows @ weights.T.
+    An absent grid is an all-zero crop for every node: one row, broadcast."""
     m = plan.m
-    if out is None:
-        out = np.empty((len(plan), tower.width(m)))
     if grid is None:
         corner = np.zeros((1, 3), dtype=np.int64)
-        out[...] = nn.tower_windows(tower, np.zeros((m,) * 3, dtype=np.uint8), corner, m,
-                                    nn.window_masks((m,) * 3, corner, m, len(tower.layers)))
-        return out
+        row = nn.tower_windows(tower, np.zeros((m,) * 3, dtype=np.uint8), corner, m,
+                               nn.window_masks((m,) * 3, corner, m, len(tower.layers)))
+        row = row if weights is None else row @ weights.T
+        return np.broadcast_to(row, (len(plan), row.shape[1]))
+    out = np.empty((len(plan), tower.width(m) if weights is None else len(weights)))
     for idx, lo, ext, local, needed in plan.tiles():
-        out[idx] = nn.tower_windows(tower, grid.box(lo, ext), local, m, needed)
+        rows = nn.tower_windows(tower, grid.box(lo, ext), local, m, needed)
+        out[idx] = rows if weights is None else rows @ weights.T
     return out
+
+
+def level_outputs(net: nn.IntContextNet, geometry, crop_sizes, ctx, feats=None) -> np.ndarray:
+    """Integer head outputs (n, out) at net.head.out_exp of one level, bit for
+    bit `net.forward` on `ctx.branch_crops` and `feats`. Each tower runs once
+    (`tower_rows`) over its anchor set's one `TilePlan`. The head's first layer,
+    split by input columns (a slice per branch, then the features'), is summed
+    tile by tile from the bias: integers within `nn.ACC_BITS`, so exactly."""
+    first, *rest = net.head.layers
+    towers = list(zip(geometry, net.towers, crop_sizes))
+    *slices, w_feat = np.split(first.w, np.cumsum([t.width(m) for _, t, m in towers]), axis=1)
+    acc = np.tile(first.b, (len(ctx), 1))
+    if feats is not None:
+        acc += net.features(feats) @ w_feat.T
+    grids = [getattr(ctx, b.grid) for b in geometry]
+    # branches with the same anchors and tower depth share one plan
+    keys = [(b.child, m, len(tower.layers)) for b, tower, m in towers]
+    readers = Counter(key for key, grid in zip(keys, grids) if grid is not None)
+    plans = {}
+    for (b, tower, m), grid, key, w in zip(towers, grids, keys, slices):
+        if key not in plans:
+            plans[key] = TilePlan(b.anchors(ctx.cells, m), m, len(tower.layers),
+                                  shared=readers[key] > 1)
+        acc += tower_rows(tower, grid, plans[key], w)
+    x = first.requantize(acc)
+    for layer in rest:   # the head's other layers, all fully connected
+        x = layer.apply(x)
+    return x
 
 
 @dataclass
@@ -414,7 +442,7 @@ class ContextNetModel(EntropyModel):
     Training and `logits` run the float network on per-node crops. Coding
     and rate accounting run its integer-exact copy (`nn.quantize_context_net`),
     built on the first level that needs it and dropped by `begin_stream` and
-    `end_stream`, each tower once per level (`_level_logits`), and read
+    `end_stream`, each tower once per level (`level_outputs`), and read
     `nn.integer_tables` of its logits.
     """
 
@@ -448,35 +476,14 @@ class ContextNetModel(EntropyModel):
 
     end_stream = begin_stream   # the integer net, 4.4 MB at default width, is not kept
 
-    def _level_logits(self, ctx):
-        """(integer logits (n, 255), exponent) of one level, each tower run
-        once and each anchor set's `TilePlan` built once; bit for bit the
-        integer net's forward on `ctx.branch_crops`. The integer net is built
-        on the stream's first level and kept until the stream ends."""
-        if len(ctx) == 0:
-            return np.zeros((0, ALPHABET)), 0
+    def level_tables(self, ctx):
+        """`nn.integer_tables` of the level's logits (`level_outputs`), by the
+        integer net built on the stream's first level."""
         if self._stream_net is None:
             self._stream_net = self.integer_net()
-        net = self._stream_net
-        branches = list(zip(self.geometry, net.towers, self.crop_sizes))
-        grids = [getattr(ctx, b.grid) for b in self.geometry]
-        # branches with the same anchors and tower depth share one plan
-        keys = [(b.child, m, len(tower.layers)) for b, tower, m in branches]
-        readers = Counter(key for key, grid in zip(keys, grids) if grid is not None)
-        widths = [tower.width(m) for _, tower, m in branches]
-        x = np.empty((len(ctx), sum(widths) + FEATURE_DIM))   # the head's input, filled in place
-        plans, lo = {}, 0
-        for (b, tower, m), grid, key, width in zip(branches, grids, keys, widths):
-            if key not in plans:
-                plans[key] = TilePlan(b.anchors(ctx.cells, m), m, len(tower.layers),
-                                      shared=readers[key] > 1)
-            tower_rows(tower, grid, plans[key], out=x[:, lo:lo + width])
-            lo += width
-        x[:, lo:] = net.features(ctx.node_features())
-        return nn.infer(net.head, x), net.head.out_exp
-
-    def level_tables(self, ctx):
-        return table_rows(nn.integer_tables(*self._level_logits(ctx)), len(ctx))
+        z = level_outputs(self._stream_net, self.geometry, self.crop_sizes, ctx,
+                          ctx.node_features())
+        return table_rows(nn.integer_tables(z, self._stream_net.head.out_exp), len(ctx))
 
     def evaluate(self, dataset, batch_size=512) -> float:
         """Mean cross-entropy of the current parameters on a dataset, in nats."""

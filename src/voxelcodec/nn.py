@@ -18,8 +18,8 @@ once over a zero-padded occupancy box and gathers each node's window, each
 layer evaluated only where some node's window needs it (`window_masks`,
 which depend on the crop corners alone, so towers reading different grids at
 the same corners share them) and an occupied cell is in reach (elsewhere its
-value on empty space is computed once). The box and its tiling are the
-caller's (`voxelgrid.anchor_tiles`, `entropy.TilePlan`).
+value on empty space is computed once). The tiling and the head are the
+caller's: `entropy.level_outputs` applies the head's first layer tile by tile.
 `integer_tables` maps the integer logits to the coder's 16-bit frequency
 tables in integer arithmetic through a table of 2^(-j/256), so no
 transcendental function of the platform decides a coded bit; those tables are
@@ -143,11 +143,9 @@ def _mm(a, b, sig):
 def _im2col(x):
     """(N, C, D, H, W) -> (N, P, C*27) patch matrix for a 3x3x3 valid conv."""
     n, c, d, h, w = x.shape
-    do, ho, wo = d - 2, h - 2, w - 2
-    s = x.strides
-    win = np.lib.stride_tricks.as_strided(
-        x, (n, c, do, ho, wo, 3, 3, 3), (s[0], s[1], s[2], s[3], s[4], s[2], s[3], s[4]))
-    return np.ascontiguousarray(win.transpose(0, 2, 3, 4, 1, 5, 6, 7)).reshape(n, do * ho * wo, c * 27)
+    win = np.lib.stride_tricks.sliding_window_view(x, (3, 3, 3), axis=(2, 3, 4))
+    return np.ascontiguousarray(win.transpose(0, 2, 3, 4, 1, 5, 6, 7)).reshape(
+        n, (d - 2) * (h - 2) * (w - 2), c * 27)
 
 
 def forward(params: ModelParams, x, want_cache=True):
@@ -419,6 +417,12 @@ class IntLayer:
         return np.ascontiguousarray(
             self.w.reshape(len(self.w), -1, 27).transpose(0, 2, 1).reshape(len(self.w), -1))
 
+    def apply(self, x):
+        """Integer rows x (n, K) -> the layer's output integers (n, out)."""
+        acc = x @ self.w.T
+        acc += self.b
+        return self.requantize(acc)
+
     def requantize(self, acc):
         """Accumulator (bias included) -> output integers, in place."""
         if self.scale != 1.0:
@@ -567,13 +571,10 @@ def infer(net: IntNet, x):
         n = len(x)
         if layer.conv:
             do, ho, wo = (s - 2 for s in x.shape[2:])
-            acc = _im2col(x).reshape(n * do * ho * wo, -1) @ layer.w.T
-        else:
-            acc = x.reshape(n, -1) @ layer.w.T
-        acc += layer.b
-        x = layer.requantize(acc)
-        if layer.conv:
+            x = layer.apply(_im2col(x).reshape(n * do * ho * wo, -1))
             x = x.reshape(n, do * ho * wo, -1).transpose(0, 2, 1).reshape(n, -1, do, ho, wo)
+        else:
+            x = layer.apply(x.reshape(n, -1))
     return x
 
 
@@ -667,7 +668,7 @@ def _conv_at(x, layer: IntLayer, where, background):
     background).
     """
     _, sy, sz, c = x.shape
-    background = layer.requantize(np.repeat(background, 27)[None] @ layer.w.T + layer.b)[0]
+    background = layer.apply(np.repeat(background, 27)[None])[0]
     ar = np.arange(3)
     taps = (ar[:, None, None] * (sy * sz) + ar[:, None] * sz + ar).reshape(-1)
     flat = x.reshape(-1, c)
@@ -688,7 +689,6 @@ def window_masks(shape, anchors, m, depth):
     m - 2 after the first layer and 2 less after each next one, with lower
     corners at `anchors`. They depend on the anchors alone, so every grid
     read at the same anchors shares them."""
-    anchors = np.asarray(anchors, dtype=np.int64).reshape(-1, 3)
     corners = np.zeros(tuple(shape), dtype=bool)
     corners[anchors[:, 0], anchors[:, 1], anchors[:, 2]] = True
     return tuple(_dilate(corners, m - 2 * i, +1) for i in range(1, depth + 1))
@@ -707,7 +707,6 @@ def tower_windows(net: IntNet, box, anchors, m, needed):
     once.
     """
     net.width(m)   # layer and shape check up front
-    anchors = np.asarray(anchors, dtype=np.int64).reshape(-1, 3)
     x = np.asarray(box, dtype=F64)[..., None]
     reached = x[..., 0] != 0   # positions whose receptive field holds an occupied cell
     background = np.zeros(1)   # the map's value everywhere else
@@ -715,12 +714,8 @@ def tower_windows(net: IntNet, box, anchors, m, needed):
         reached = _dilate(reached, 3, -1)
         x, background = _conv_at(x, layer, want & reached, background)
     w = m - 2 * len(net.layers)
-    s = x.strides
-    win = np.lib.stride_tricks.as_strided(
-        x, tuple(d - w + 1 for d in x.shape[:3]) + (w, w, w, x.shape[3]),
-        s[:3] + s, writeable=False)
-    rows = win[anchors[:, 0], anchors[:, 1], anchors[:, 2]].transpose(0, 4, 1, 2, 3)
-    rows = rows.reshape(len(anchors), -1)
+    win = np.lib.stride_tricks.sliding_window_view(x, (w, w, w), axis=(0, 1, 2))
+    rows = win[anchors[:, 0], anchors[:, 1], anchors[:, 2]].reshape(len(anchors), -1)
     if not net.layers:
         rows *= 2.0 ** (net.out_exp - net.in_exp)
     return rows

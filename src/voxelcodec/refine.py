@@ -12,10 +12,10 @@ from __future__ import annotations
 import numpy as np
 
 from . import nn
-from .entropy import KIND_REFINE, TilePlan, tower_rows
+from .entropy import CURRENT, KIND_REFINE, level_outputs, make_level_context
 from .octree import Octree, build, cell_keys
 from .pointcloud import NormalizationParams, PointCloud
-from .voxelgrid import VoxelGrid, local_anchors, local_crops
+from .voxelgrid import VoxelGrid, local_crops
 
 
 class RefineParams:
@@ -28,6 +28,27 @@ class RefineParams:
         self.hidden = hidden
         self.seed = seed
         self.entries: dict[int, tuple] = {}
+        self.end_stream()
+
+    def begin_stream(self):
+        """Keep each depth's integer net from its first use until `end_stream`,
+        so a decoded stream quantizes each network once, however many frames."""
+        self._stream_nets = {}
+
+    def end_stream(self):
+        """Drop the stream's integer nets: training in place then takes effect."""
+        self._stream_nets = None
+
+    def integer_net(self, depth: int) -> nn.IntContextNet:
+        """The depth's network in fixed point: the stream's, or a fresh one
+        outside a stream."""
+        if depth not in self.entries:
+            raise ValueError(f"no refinement network for depth {depth}")
+        nets = {} if self._stream_nets is None else self._stream_nets
+        if depth not in nets:
+            tower, head = self.entries[depth]
+            nets[depth] = nn.quantize_context_net([tower], head)
+        return nets[depth]
 
     def add_depth(self, depth: int):
         (tower,), head = nn.init_context_net((self.crop_size,), self.channels, self.hidden, 3,
@@ -67,12 +88,6 @@ class RefineParams:
 _HALF_OPEN = np.nextafter(0.5, 0.0)   # tanh saturates to exactly 1.0 in float64
 
 
-def _network(params: RefineParams, depth: int):
-    if depth not in params.entries:
-        raise ValueError(f"no refinement network for depth {depth}")
-    return params.entries[depth]
-
-
 def _bounded(net: nn.IntContextNet, z):
     """Offsets 0.5*tanh(y) of the integer head outputs z = y * 2^out_exp."""
     return np.clip(0.5 * np.tanh(z * 2.0 ** -net.head.out_exp), -_HALF_OPEN, _HALF_OPEN)
@@ -81,24 +96,20 @@ def _bounded(net: nn.IntContextNet, z):
 def refine_offsets(params: RefineParams, depth: int, crops) -> np.ndarray:
     """(n, 3) offsets in leaf-cell-edge units, each component in (-0.5, 0.5),
     from the integer network on per-leaf crops."""
-    tower, head = _network(params, depth)
-    net = nn.quantize_context_net([tower], head)
+    net = params.integer_net(depth)
     return _bounded(net, net.forward((crops,)))
 
 
 def refine_apply(tree: Octree, params: RefineParams, norm: NormalizationParams) -> PointCloud:
     """Shift each leaf center by its predicted offset and map it to input coordinates.
 
-    The integer tower runs once over the leaf grid (`entropy.tower_rows`), so
-    the offsets equal refine_offsets() on the leaves' crops bit for bit.
+    The integer net runs once over the leaf grid (`entropy.level_outputs`),
+    so the offsets equal refine_offsets() on the leaves' crops bit for bit.
     """
-    d, m = tree.max_depth, params.crop_size
-    tower, head = _network(params, d)
-    net = nn.quantize_context_net([tower], head)
-    cells = tree.levels[d]
-    plan = TilePlan(local_anchors(cells, m), m, len(net.towers[0].layers))
-    rows = tower_rows(net.towers[0], VoxelGrid(d, cells), plan)
-    offsets = _bounded(net, nn.infer(net.head, rows))
+    d = tree.max_depth
+    net = params.integer_net(d)
+    ctx = make_level_context(d, d, tree.levels[d])
+    offsets = _bounded(net, level_outputs(net, (CURRENT,), (params.crop_size,), ctx))
     centers = tree.leaf_centers() + offsets * (2.0 ** -d)
     return PointCloud(norm.invert(centers))
 

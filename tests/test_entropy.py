@@ -5,11 +5,12 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from voxelcodec import (AdaptiveContextModel, DynamicContextModel, UniformModel,
+from voxelcodec import (AdaptiveContextModel, DynamicContextModel, RefineParams, UniformModel,
                         VoxelContextModel, align_sequence, build, build_node_dataset,
-                        build_sequence_dataset, decode_cloud, decode_sequence, encode_cloud,
-                        encode_sequence, entropy, load_entropy_model, model_code_lengths, nn,
-                        normalize, payload_size)
+                        build_refine_dataset, build_sequence_dataset, decode_cloud,
+                        decode_sequence, encode_cloud, encode_sequence, entropy,
+                        load_entropy_model, model_code_lengths, nn, normalize, payload_size,
+                        train_refine)
 from voxelcodec.entropy import ALPHABET, make_level_context
 
 from conftest import (GivenContexts, contains, crop_tables, moving_sequence, random_cloud,
@@ -294,9 +295,10 @@ class TestContentHash:
 
 
 class TestStreamNet:
-    """A context-net model quantizes its weights once per coded stream, and
-    its integer net never outlives the stream: weights trained in place
-    between two streams code exactly as a freshly loaded copy of them."""
+    """A context-net model, and a refiner, quantizes its weights once per
+    coded or decoded stream, and its integer net never outlives the stream:
+    weights trained in place between two streams code, or refine, exactly as
+    a freshly loaded copy of them."""
 
     DEPTH, TRUNC = 5, 4
 
@@ -309,6 +311,15 @@ class TestStreamNet:
         return DynamicContextModel(crop_size=5, child_crop_size=6, channels=(2, 4), hidden=16,
                                    seed=0)
 
+    def _refiner(self):
+        """A refiner for the decoded trees' depth, with a nonzero head, so
+        refined points are not cell centers."""
+        refiner = RefineParams(crop_size=5, channels=(2, 4), hidden=16, seed=0)
+        _, head = refiner.add_depth(self.TRUNC)
+        w = head.tensors[-1][0]
+        w[...] = np.random.default_rng(0).normal(0.0, 0.2, w.shape)
+        return refiner
+
     @staticmethod
     def _payload(data):
         return data[-payload_size(data):]
@@ -316,9 +327,10 @@ class TestStreamNet:
     def test_one_quantization_per_stream(self):
         d, trunc = self.DEPTH, self.TRUNC
         cloud, frames = structured_cloud(400, seed=11), moving_sequence(3, 300, seed=12)
-        static, dynamic = self._static(), self._dynamic()
+        static, dynamic, refiner = self._static(), self._dynamic(), self._refiner()
         cloud_data = encode_cloud(cloud, d, trunc, static)
         seq_data = encode_sequence(frames, d, trunc, dynamic)
+        five_data = encode_sequence(moving_sequence(5, 300, seed=12), d, trunc, dynamic)
         tree = build(normalize(cloud)[0], d)
         streams = {
             "encode_cloud": lambda: encode_cloud(cloud, d, trunc, static),
@@ -326,6 +338,7 @@ class TestStreamNet:
             "model_code_lengths": lambda: model_code_lengths(static, tree, trunc),
             "encode_sequence": lambda: encode_sequence(frames, d, trunc, dynamic),
             "decode_sequence": lambda: decode_sequence(seq_data, dynamic),
+            "decode_sequence refined": lambda: decode_sequence(five_data, dynamic, refiner),
         }
         calls = {}
         for name, stream in streams.items():
@@ -333,8 +346,9 @@ class TestStreamNet:
                                    wraps=nn.quantize_context_net) as quantize:
                 stream()
             calls[name] = quantize.call_count
-        # each stream codes TRUNC levels per frame, one frame or three
-        assert calls == dict.fromkeys(streams, 1)
+        # each stream codes TRUNC levels per frame, one frame or three; the
+        # refined decode quantizes the refiner once for its five frames
+        assert calls == {**dict.fromkeys(streams, 1), "decode_sequence refined": 2}
 
     def test_static_training_between_streams_takes_effect(self):
         d, trunc = self.DEPTH, self.TRUNC
@@ -360,6 +374,19 @@ class TestStreamNet:
         fresh = DynamicContextModel.deserialize(model.serialize())
         assert second == encode_sequence(frames, d, trunc, fresh)
         assert self._payload(second) != self._payload(first)
+
+    def test_refine_training_between_streams_takes_effect(self):
+        d, trunc = self.DEPTH, self.TRUNC
+        frames = moving_sequence(3, 300, seed=15)
+        model, refiner = self._dynamic(), self._refiner()
+        data = encode_sequence(frames, d, trunc, model)
+        first = decode_sequence(data, model, refiner)
+        train_refine(refiner, trunc, build_refine_dataset(normalize(frames[0])[0], trunc, 5),
+                     epochs=2, batch_size=32, lr=1e-2, seed=0)
+        second = decode_sequence(data, model, refiner)
+        fresh = decode_sequence(data, model, RefineParams.deserialize(refiner.serialize()))
+        assert all(np.array_equal(a.points, b.points) for a, b in zip(second, fresh))
+        assert not all(np.array_equal(a.points, b.points) for a, b in zip(first, second))
 
 
 class TestTraining:
