@@ -12,8 +12,10 @@ is bracketed by `begin_stream` and `end_stream`.
 
 The neural models and the refiner share one level pass (`level_outputs`):
 each tower runs once per level, tile by tile (`tower_rows`), over one
-`TilePlan` per anchor set, and the head's first layer is applied per tile, so
-no level-wide head input is built. The integer net is built once per stream.
+`TilePlan` per anchor set, whose tiles carry the compact layer layouts
+(`nn.tile_layout`) every branch at those anchors reads, and the head's first
+layer is applied per tile, so no level-wide head input is built. The integer
+net is built once per stream.
 """
 
 from __future__ import annotations
@@ -70,12 +72,12 @@ TEMPORAL = (Branch("grid_prev"), Branch("grid_next"), Branch("grid_prev_child", 
 
 class TilePlan:
     """The tiles of one anchor set (`voxelgrid.anchor_tiles`), each with its
-    `nn.window_masks` for an m^3 crop tower of `depth` convs: what the level
+    `nn.tile_layout` for an m^3 crop tower of `depth` convs: what the level
     pass computes once for all the branches that read the same anchors.
 
     A `shared` plan computes its tiles on the first read and keeps them for
     the next branch; any other computes each tile as it is read and keeps
-    none, so its masks never take more than one tile's memory."""
+    none, so its layouts never take more than one tile's memory."""
 
     def __init__(self, anchors, m: int, depth: int, shared=False):
         self.anchors = np.asarray(anchors, dtype=np.int64).reshape(-1, 3)
@@ -88,11 +90,10 @@ class TilePlan:
         return len(self.anchors)
 
     def tiles(self):
-        """(node indices, box corner, box extent, crop corners in the box,
-        window masks) per tile."""
+        """(node indices, box corner, box extent, layout) per tile."""
         if self._kept is not None:
             return self._kept
-        tiles = ((idx, lo, ext, local, nn.window_masks(ext, local, self.m, self.depth))
+        tiles = ((idx, lo, ext, nn.tile_layout(ext, local, self.m, self.depth))
                  for idx, lo, ext, local in anchor_tiles(self.anchors, self.m))
         if self.shared:
             self._kept = list(tiles)
@@ -103,19 +104,19 @@ class TilePlan:
 def tower_rows(tower: nn.IntNet, grid: VoxelGrid | None, plan: TilePlan,
                weights=None) -> np.ndarray:
     """(n, width) integer tower outputs of the m^3 crops at the plan's anchors
-    in `grid`, by the level-wise pass (`nn.tower_windows`) tile by tile, rows in
-    node order; or, given `weights` (k, width), each tile's rows @ weights.T.
-    An absent grid is an all-zero crop for every node: one row, broadcast."""
-    m = plan.m
+    in `grid`, window-major, by the level-wise pass (`nn.tower_windows`) tile
+    by tile, rows in node order; or, given `weights` (k, width), each tile's
+    rows @ weights.T. An absent grid is an all-zero crop for every node: one
+    row, the tower's empty-space output at every window position, broadcast."""
+    width = tower.width(plan.m)
     if grid is None:
-        corner = np.zeros((1, 3), dtype=np.int64)
-        row = nn.tower_windows(tower, np.zeros((m,) * 3, dtype=np.uint8), corner, m,
-                               nn.window_masks((m,) * 3, corner, m, len(tower.layers)))
+        background = tower.backgrounds[-1]
+        row = np.tile(background, width // len(background))[None]
         row = row if weights is None else row @ weights.T
         return np.broadcast_to(row, (len(plan), row.shape[1]))
-    out = np.empty((len(plan), tower.width(m) if weights is None else len(weights)))
-    for idx, lo, ext, local, needed in plan.tiles():
-        rows = nn.tower_windows(tower, grid.box(lo, ext), local, m, needed)
+    out = np.empty((len(plan), width if weights is None else len(weights)))
+    for idx, lo, ext, layout in plan.tiles():
+        rows = nn.tower_windows(tower, grid.box(lo, ext), layout)
         out[idx] = rows if weights is None else rows @ weights.T
     return out
 
@@ -467,7 +468,7 @@ class ContextNetModel(EntropyModel):
         return nn.context_forward(self.branches, self.head, crop_sets, feats, caches)
 
     def integer_net(self) -> nn.IntContextNet:
-        return nn.quantize_context_net(self.branches, self.head, FEATURE_BOUND)
+        return nn.quantize_context_net(self.branches, self.head, self.crop_sizes, FEATURE_BOUND)
 
     def begin_stream(self):
         """Drop the stream's integer net: the next coded level quantizes the

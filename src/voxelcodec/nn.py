@@ -14,11 +14,14 @@ every operand is an integer held in float64 and whose every partial sum stays
 below 2^53, so BLAS matrix products are exact in any summation order: on any
 thread count and any CPU kernel, results agree bit for bit. `infer` runs it
 on a batch of per-node crops (the oracle); `tower_windows` runs a conv tower
-once over a zero-padded occupancy box and gathers each node's window, each
-layer evaluated only where some node's window needs it (`window_masks`,
-which depend on the crop corners alone, so towers reading different grids at
-the same corners share them) and an occupied cell is in reach (elsewhere its
-value on empty space is computed once). The tiling and the head are the
+once over a zero-padded occupancy box and gathers each node's window. Each
+layer is kept as compact rows, one per position some node's window needs,
+and read through row indices (`tile_layout`, which depends on the crop
+corners alone, so towers reading different grids at the same corners share
+it); the first layer is computed only where an occupied cell is in reach
+(elsewhere its value on empty space, `IntNet.backgrounds`, is computed once
+per net). Tower rows are window-major, and `quantize_context_net` orders the
+head's first-layer columns to match. The tiling and the head are the
 caller's: `entropy.level_outputs` applies the head's first layer tile by tile.
 `integer_tables` maps the integer logits to the coder's 16-bit frequency
 tables in integer arithmetic through a table of 2^(-j/256), so no
@@ -413,7 +416,7 @@ class IntLayer:
     @functools.cached_property
     def taps(self):
         """A convolution's w with its columns tap-major, k = (a*9 + b*3 + e)*C + c,
-        the order in which `_conv_at` gathers channel-last patches."""
+        the order in which `tower_windows` gathers a patch of compact rows."""
         return np.ascontiguousarray(
             self.w.reshape(len(self.w), -1, 27).transpose(0, 2, 1).reshape(len(self.w), -1))
 
@@ -451,6 +454,16 @@ class IntNet:
         if side < 1 or not all(layer.conv for layer in self.layers):
             raise ValueError(f"not a conv tower that fits a {m}^3 crop")
         return (len(self.layers[-1].w) if self.layers else 1) * side ** 3
+
+    @functools.cached_property
+    def backgrounds(self):
+        """A conv tower's output per channel on empty space, the all-zero
+        input first and then after each layer: every position of a layer
+        whose receptive field holds no occupied cell takes that value."""
+        chain = [np.zeros(1)]
+        for layer in self.layers:
+            chain.append(layer.apply(np.repeat(chain[-1], 27)[None])[0])
+        return tuple(chain)
 
     def delivering(self, exp):
         """The same net with its output requantized to exponent `exp`."""
@@ -543,21 +556,35 @@ class IntContextNet:
 
     def forward(self, crop_sets, feats=None):
         """Integer head outputs (at exponent head.out_exp) on per-node crops,
-        one (n, M, M, M) batch per tower: the oracle of the level-wise pass."""
-        flats = [infer(tower, np.asarray(crops)[:, None]).reshape(len(crops), -1)
-                 for tower, crops in zip(self.towers, crop_sets)]
+        one (n, M, M, M) batch per tower: the oracle of the level-wise pass.
+        Tower rows are flattened window-major, as `tower_windows` gives them
+        and the head's first layer reads them (`quantize_context_net`)."""
+        flats = [np.moveaxis(infer(tower, np.asarray(crops)[:, None]), 1, -1)
+                 .reshape(len(crops), -1) for tower, crops in zip(self.towers, crop_sets)]
         if feats is not None:
             flats.append(self.features(feats))
         return infer(self.head, np.concatenate(flats, axis=1))
 
 
-def quantize_context_net(branches, head, feature_bound=0.0) -> IntContextNet:
-    """Fixed-point copy of a context net's stored weights. The head's input
-    exponent follows from its fan-in and the largest bound among the tower
-    outputs and the node features (`feature_bound`)."""
+def quantize_context_net(branches, head, crop_sizes, feature_bound=0.0) -> IntContextNet:
+    """Fixed-point copy of a context net's stored weights, tower i on crops of
+    edge crop_sizes[i]. The head's input exponent follows from its fan-in and
+    the largest bound among the tower outputs and the node features
+    (`feature_bound`). The head's first layer reads each tower's rows
+    window-major: its columns are permuted here, once, from the float net's
+    (channel, x, y, z) order."""
     towers = [_fixed_point(tower, 0, 1.0, False) for tower in branches]
     qhead = _fixed_point(head, None, max([t.bound for t in towers] + [feature_bound]),
                          any(t.signed for t in towers))
+    first = qhead.layers[0]
+    order, lo = [], 0
+    for tower, m in zip(towers, crop_sizes, strict=True):
+        width, side = tower.width(m), m - 2 * len(tower.layers)
+        order.append(lo + np.arange(width).reshape(-1, side ** 3).T.reshape(-1))
+        lo += width
+    order.append(np.arange(lo, first.w.shape[1]))
+    first = replace(first, w=first.w[:, np.concatenate(order)])
+    qhead = replace(qhead, layers=(first,) + qhead.layers[1:])
     return IntContextNet(tuple(t.delivering(qhead.in_exp) for t in towers), qhead)
 
 
@@ -601,7 +628,7 @@ def _exp2_index(z, exp):
     d = z.max(axis=-1, keepdims=True) - z
     d *= _LOG2E * 2.0 ** (8 - exp)
     np.rint(d, out=d)
-    return np.minimum(d, 256 * _EXP2_OCTAVES - 1, out=d).astype(np.int64)
+    return np.minimum(d, 256 * _EXP2_OCTAVES - 1, out=d).astype(np.int16)   # j < 2^14
 
 
 def integer_tables(z, exp):
@@ -630,95 +657,121 @@ def integer_tables(z, exp):
 # so the tower output of the crop box[a:a+m] is the window at a of one tower run
 # over the whole box. Each layer is computed once, at the union of positions
 # the nodes' windows need, by the integer kernel of `infer`, so every output
-# equals the per-crop one exactly. A needed position whose receptive field
-# holds no occupied cell sees only empty space; its output, the same at every
-# such position, is computed once from a patch of the previous layer's
-# empty-space value.
+# equals the per-crop one exactly. A layer's output is kept as compact rows,
+# one per needed position, and the next layer gathers its patches from them
+# through row indices (the coordinate maps of sparse convolution: Choy et al.,
+# MinkowskiEngine, arXiv:1904.08755; Graham & van der Maaten,
+# arXiv:1706.01307). A first-layer position whose patch holds no occupied cell
+# sees only empty space and takes the empty-space output (`IntNet.backgrounds`);
+# every later needed position is computed, which is exact, because one whose
+# taps are all background evaluates to the background.
 
 _COLUMN_BUDGET = 1 << 17   # patch-matrix entries per BLAS call
 
 
-def _dilate(mask, w, step):
-    """OR of `mask` shifted by step*d, d in [0, w), along each axis.
-
-    step=+1 marks the union of the w^3 windows with lower corners in `mask`;
-    step=-1 marks the positions whose w^3 window reaches into `mask`.
-    """
+def _dilate(mask, w, strides):
+    """OR of the flat box mask `mask` shifted by d*stride, d in [0, w), for each
+    axis's stride: the union of the w^3 windows with lower corners in `mask`,
+    given that every window lies in the box, so no shift crosses its faces."""
     mask = mask.copy()
-    for axis in range(3):
+    for stride in strides:
         span = 1   # mask holds the OR over shifts [0, span); doubling reaches w in log2(w) steps
         while span < w:
-            d = min(span, w - span)
-            near, far = [slice(None)] * 3, [slice(None)] * 3
-            near[axis], far[axis] = slice(None, -d), slice(d, None)
-            dst, src = (far, near) if step > 0 else (near, far)
-            np.logical_or(mask[tuple(dst)], mask[tuple(src)], out=mask[tuple(dst)])
-            span += d
+            d = min(span, w - span) * stride
+            np.logical_or(mask[d:], mask[:-d], out=mask[d:])
+            span += d // stride
     return mask
 
 
-def _conv_at(x, layer: IntLayer, where, background):
-    """Integer Conv3D of the channel-last (X, Y, Z, C) map x at the positions
-    where `where` is set, requantized and ReLU'd as `layer` says.
-
-    Output position q reads input q..q+2 and is stored at q of a map of the
-    same box shape, so every layer shares the box's flat indices. Every other
-    position gets the output of a patch of `background` (x's value per
-    channel wherever its patch was not recomputed). Returns (output map, its
-    background).
-    """
-    _, sy, sz, c = x.shape
-    background = layer.apply(np.repeat(background, 27)[None])[0]
-    ar = np.arange(3)
-    taps = (ar[:, None, None] * (sy * sz) + ar[:, None] * sz + ar).reshape(-1)
-    flat = x.reshape(-1, c)
-    out = np.tile(background, (where.size, 1))
-    pos = np.flatnonzero(where)
-    step = max(1, _COLUMN_BUDGET // (27 * c))
-    for lo in range(0, len(pos), step):
-        idx = pos[lo:lo + step]
-        acc = np.take(flat, idx[:, None] + taps, axis=0).reshape(len(idx), -1) @ layer.taps.T
-        acc += layer.b
-        out[idx] = layer.requantize(acc)
-    return out.reshape(where.shape + (len(layer.w),)), background
+def _cube_offsets(shape, w):
+    """Flat offsets, x-major, of the w^3 cube's cells in a box of `shape`."""
+    ar = np.arange(w)
+    return (ar[:, None, None] * (shape[1] * shape[2]) + ar[:, None] * shape[2] + ar).reshape(-1)
 
 
-def window_masks(shape, anchors, m, depth):
-    """Per layer of a `depth`-conv tower on m^3 crops, the positions of a box
-    of `shape` that some node's window needs: the union of the windows, edge
-    m - 2 after the first layer and 2 less after each next one, with lower
-    corners at `anchors`. They depend on the anchors alone, so every grid
-    read at the same anchors shares them."""
-    corners = np.zeros(tuple(shape), dtype=bool)
-    corners[anchors[:, 0], anchors[:, 1], anchors[:, 2]] = True
-    return tuple(_dilate(corners, m - 2 * i, +1) for i in range(1, depth + 1))
+@dataclass(frozen=True)
+class TileLayout:
+    """Where each layer of a conv tower is computed over one tile's box, as
+    compact rows: row r of a layer's output is its r-th needed position in
+    the box's flat order. `first` (P_1,) holds the first layer's needed
+    positions as flat box indices (None if the tower has no layer); taps[i]
+    (P_i, 27), for each later layer,
+    each needed position's 3x3x3 patch as rows of the layer before it; and
+    windows (k, w^3) each anchor's last-layer window, x-major, as rows of
+    the last layer (as flat box indices if the tower has no layer)."""
+    first: np.ndarray
+    taps: tuple
+    windows: np.ndarray
 
 
-def tower_windows(net: IntNet, box, anchors, m, needed):
-    """Integer tower outputs of the m^3 crops box[a:a+m] for each anchor (crop
-    corner) a.
+def tile_layout(shape, anchors, m, depth) -> TileLayout:
+    """The `TileLayout` of a `depth`-conv tower on the m^3 crops of a box of
+    `shape` with lower corners `anchors`: a layer is needed at the union of
+    the windows, edge m - 2 after the first layer and 2 less after each next
+    one. It depends on the anchors alone, so every grid read at the same
+    anchors shares it."""
+    shape = tuple(int(s) for s in shape)
+    strides = (shape[1] * shape[2], shape[2], 1)
+    corners = anchors @ strides
+    mask = np.zeros(math.prod(shape), dtype=bool)
+    mask[corners] = True
+    wanted, edge = [], m - 2 * depth   # last layer first
+    for _ in range(depth):
+        mask, edge = _dilate(mask, edge, strides), 3
+        wanted.append(np.flatnonzero(mask))
+    wanted.reverse()
+    windows = corners[:, None] + _cube_offsets(shape, m - 2 * depth)
+    if not depth:
+        return TileLayout(None, (), windows)
+    rank = np.empty(len(mask), dtype=np.intp)   # a needed position's row, layer by layer
 
-    `box` is a zero-padded occupancy array containing every crop, and
-    `needed` the anchors' `window_masks` over it, one per layer. Returns
-    (n, width) rows, each flattened in (channel, x, y, z) order, equal to
-    infer(net, crops) reshaped the same way. A layer is computed where some
-    node's window needs it and its receptive field holds an occupied cell;
-    elsewhere in the windows it equals the output on empty space, computed
-    once.
-    """
-    net.width(m)   # layer and shape check up front
-    x = np.asarray(box, dtype=F64)[..., None]
-    reached = x[..., 0] != 0   # positions whose receptive field holds an occupied cell
-    background = np.zeros(1)   # the map's value everywhere else
-    for layer, want in zip(net.layers, needed, strict=True):
-        reached = _dilate(reached, 3, -1)
-        x, background = _conv_at(x, layer, want & reached, background)
-    w = m - 2 * len(net.layers)
-    win = np.lib.stride_tricks.sliding_window_view(x, (w, w, w), axis=(0, 1, 2))
-    rows = win[anchors[:, 0], anchors[:, 1], anchors[:, 2]].reshape(len(anchors), -1)
+    def rows(pos, idx):
+        rank[pos] = np.arange(len(pos))
+        return np.take(rank, idx, out=idx, mode="clip")   # in place: every idx is a needed position
+
+    patch = _cube_offsets(shape, 3)
+    taps = tuple(rows(prev, want[:, None] + patch) for prev, want in zip(wanted, wanted[1:]))
+    return TileLayout(wanted[0], taps, rows(wanted[-1], windows))
+
+
+def tower_windows(net: IntNet, box, layout: TileLayout):
+    """Integer tower outputs of the crops whose compact `layout` over the
+    zero-padded occupancy array `box` is given (`tile_layout`), one row per
+    anchor, each flattened window-major, column o*C + c for window position
+    o (x-major) and channel c: infer(net, crops) with its channel axis moved
+    last. Each layer runs as a row gather, a BLAS product and a requantize,
+    every later layer at all its needed positions and the first only where
+    its patch may hold an occupied cell. "May": the reach test shifts flat
+    indices, which can wrap across the box's rows and mark a position whose
+    patch is empty; computing that position gives the background, exactly."""
+    box = np.asarray(box)
     if not net.layers:
-        rows *= 2.0 ** (net.out_exp - net.in_exp)
-    return rows
+        return np.take(box, layout.windows) * 2.0 ** (net.out_exp - net.in_exp)
+    first, *rest = net.layers
+    patch = _cube_offsets(box.shape, 3)
+    reach = np.zeros(box.size, dtype=bool)
+    near = (np.flatnonzero(box)[:, None] - patch).reshape(-1)
+    reach[near[near >= 0]] = True
+    hit = np.flatnonzero(reach[layout.first])
+    x = np.empty((len(layout.first), len(first.w)))
+    x[:] = net.backgrounds[1]
+    step = _COLUMN_BUDGET // 27
+    for lo in range(0, len(hit), step):
+        sel = hit[lo:lo + step]
+        acc = np.take(box, layout.first[sel][:, None] + patch) @ first.taps.T
+        acc += first.b
+        x[sel] = first.requantize(acc)
+    for layer, taps in zip(rest, layout.taps, strict=True):
+        step = max(1, _COLUMN_BUDGET // layer.taps.shape[1])
+        out = np.empty((len(taps), len(layer.w)))
+        for lo in range(0, len(taps), step):
+            patches = np.take(x, taps[lo:lo + step].reshape(-1), axis=0)
+            acc = np.matmul(patches.reshape(-1, layer.taps.shape[1]), layer.taps.T,
+                            out=out[lo:lo + step])
+            acc += layer.b
+            layer.requantize(acc)
+        x = out
+    return np.take(x, layout.windows.reshape(-1), axis=0).reshape(len(layout.windows), -1)
 
 
 def symbol_loss(logits, symbols):

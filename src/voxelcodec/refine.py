@@ -47,7 +47,7 @@ class RefineParams:
         nets = {} if self._stream_nets is None else self._stream_nets
         if depth not in nets:
             tower, head = self.entries[depth]
-            nets[depth] = nn.quantize_context_net([tower], head)
+            nets[depth] = nn.quantize_context_net([tower], head, (self.crop_size,))
         return nets[depth]
 
     def add_depth(self, depth: int):

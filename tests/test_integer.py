@@ -14,6 +14,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -21,9 +22,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from voxelcodec import (RefineParams, VoxelContextModel, build, build_node_dataset,
-                        build_refine_dataset, encode_cloud, model_code_lengths, nn, normalize,
-                        train_refine)
+from voxelcodec import (DynamicContextModel, RefineParams, VoxelContextModel, build,
+                        build_node_dataset, build_refine_dataset, encode_cloud,
+                        model_code_lengths, nn, normalize, train_refine)
 
 from conftest import structured_cloud
 
@@ -74,7 +75,7 @@ def test_quantized_head_fits_its_fan_in(fan_in, peak, bias, bound, seed):
     w = (rng.uniform(-peak, peak, (3, fan_in))).astype(np.float32)
     b = rng.uniform(-bias, bias, 3).astype(np.float32)
     head = nn.ModelParams((nn.FullyConnected(3),), [[w, b]])
-    net = nn.quantize_context_net([], head, feature_bound=bound).head
+    net = nn.quantize_context_net([], head, (), feature_bound=bound).head
     layer = net.layers[0]
     assert np.abs(layer.w).max() <= 2 ** nn.WEIGHT_BITS
     assert layer.scale == 1.0 and net.out_exp >= net.in_exp
@@ -99,7 +100,7 @@ def test_outputs_within_carried_bounds(seed, tower_relu):
     for group in tower.tensors + head.tensors:
         for t in group:
             t[...] = rng.normal(0.0, 0.5, t.shape).astype(np.float32)
-    net = nn.quantize_context_net([tower], head)
+    net = nn.quantize_context_net([tower], head, (5,))
     assert net.towers[0].signed == (not tower_relu)
     crops = rng.random((40, 5, 5, 5)) < rng.random((40, 1, 1, 1))
     crops[0], crops[1] = True, False
@@ -113,7 +114,7 @@ def test_outputs_within_carried_bounds(seed, tower_relu):
     fc = nn.init_params((nn.FullyConnected(4),), (2,), 3)
     for t in fc.tensors[0]:
         t[...] = rng.normal(0.0, 0.5, t.shape).astype(np.float32)
-    net = nn.quantize_context_net([tower], fc)
+    net = nn.quantize_context_net([tower], fc, (5,))
     q = np.rint(net.towers[0].bound * 2.0 ** net.head.in_exp)
     w = net.head.layers[0].w
     worst = q * ((w > 0) if tower_relu else np.sign(w))
@@ -121,12 +122,42 @@ def test_outputs_within_carried_bounds(seed, tower_relu):
     assert np.abs(z).max() <= net.head.bound * 2.0 ** net.head.out_exp
 
 
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), crop_size=st.sampled_from([7, 9]),
+       child_crop_size=st.sampled_from([4, 6]),
+       channels=st.lists(st.integers(2, 3), min_size=1, max_size=2))
+def test_integer_net_tracks_float_forward(seed, crop_size, child_crop_size, channels):
+    """The integer net's outputs times 2^-out_exp track the float net
+    (`nn.context_forward`) element by element, within a thousandth of the
+    largest output, on a random four-branch dynamic model with crops of two
+    sizes, tower windows wider than one cell, and node features. This guards
+    the window-major column order of the head's first layer
+    (`quantize_context_net`), which the level pass and its bit-equality
+    oracle `IntContextNet.forward` share, so their agreement cannot see it."""
+    rng = np.random.default_rng(seed)
+    model = DynamicContextModel(crop_size=crop_size, child_crop_size=child_crop_size,
+                                channels=tuple(channels), hidden=8, seed=1)
+    for params in model.branches + [model.head]:
+        for group in params.tensors:
+            for t in group:
+                t[...] = rng.normal(0.0, 0.5, t.shape).astype(np.float32)
+    assert all(nn.tower_width(t, m) > t.layers[-2].out_channels
+               for t, m in zip(model.branches, model.crop_sizes))
+    n = 30
+    crops = [rng.random((n,) + (m,) * 3) < rng.random((n, 1, 1, 1)) for m in model.crop_sizes]
+    feats = rng.random((n, 4))
+    expected = nn.context_forward(model.branches, model.head, crops, feats)
+    net = model.integer_net()
+    got = net.forward(crops, feats) * 2.0 ** -net.head.out_exp
+    np.testing.assert_allclose(got, expected, rtol=0, atol=1e-3 * np.abs(expected).max())
+
+
 def test_quantization_rejects_non_finite_weights():
     head = nn.ModelParams((nn.FullyConnected(2),),
                           [[np.array([[1.0, np.inf]], dtype=np.float32).repeat(2, 0),
                             np.zeros(2, dtype=np.float32)]])
     with pytest.raises(ValueError, match="finite"):
-        nn.quantize_context_net([], head, 1.0)
+        nn.quantize_context_net([], head, (), 1.0)
 
 
 def test_integer_exp2_table_is_correctly_rounded():
@@ -155,6 +186,21 @@ def test_integer_tables_track_softmax():
     assert kl.max() <= 0.006
     uniform = nn.integer_tables(np.zeros((3, 255)), exp)
     assert np.all(uniform[:, 0] == 258) and np.all(uniform[:, 1:] == 257)
+
+
+def test_integer_tables_peak_memory_per_row():
+    """`integer_tables` holds its table index j in int16: on 2,000 rows of 255
+    logits its traced peak above entry stays under 3,500 bytes per row
+    (3,085 measured; with an int64 index it was 6,128)."""
+    z = np.rint(np.random.default_rng(0).normal(0, 4, (2000, 255)) * 2.0 ** 20)
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        nn.integer_tables(z, 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - entry) / len(z) < 3_500
 
 
 def test_integer_rate_within_one_percent_of_float():

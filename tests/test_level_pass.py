@@ -39,7 +39,7 @@ def _tower(m, channels, rng):
     """A random tower in fixed point, as the coding path quantizes it."""
     (tower,), head = nn.init_context_net((m,), channels, 4, 3, 0)
     _randomize(tower, rng)
-    return nn.quantize_context_net([tower], head).towers[0]
+    return nn.quantize_context_net([tower], head, (m,)).towers[0]
 
 
 def _cells(rng, depth, n):
@@ -64,7 +64,8 @@ def _plan(tower, anchors, m):
 
 
 def _per_crop(tower, crops):
-    return nn.infer(tower, crops[:, None]).reshape(len(crops), -1)
+    """The per-crop rows, window-major as the level pass gives them."""
+    return np.moveaxis(nn.infer(tower, crops[:, None]), 1, -1).reshape(len(crops), -1)
 
 
 def _same_bits(a, b):
@@ -215,11 +216,12 @@ def test_refine_apply_spanning_many_tiles():
 
 
 def test_level_tables_peak_memory_per_node():
-    """The level pass builds no level-wide head input: at default width, the
-    traced peak of `level_tables` on the 10,265-node depth-6 level of a
-    20k-point cloud stays under 19,000 bytes per node. With the (n, 1,732)
-    float64 head input staged before the head it was 23,368; without it,
-    15,554."""
+    """The level pass builds no level-wide head input and keeps each tile's
+    layer outputs as compact rows: at default width, the traced peak of
+    `level_tables` on the 10,265-node depth-6 level of a 20k-point cloud
+    stays under 13,000 bytes per node. With the (n, 1,732) float64 head input
+    staged before the head it was 23,368; without it, 15,554; with compact
+    rows and an int16 table index (`nn.integer_tables`), 10,934."""
     tree = build(normalize(structured_cloud(20_000, 201))[0], 7)
     ctx = next(ctx for _, k, ctx in level_contexts([tree], 7, 7) if k == 6)
     assert len(ctx) == 10_265
@@ -231,4 +233,4 @@ def test_level_tables_peak_memory_per_node():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / len(ctx) < 19_000
+    assert peak / len(ctx) < 13_000
