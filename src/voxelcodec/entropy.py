@@ -11,16 +11,16 @@ accounting reads q = freq/total from them (`level_code_lengths`). Each stream
 is bracketed by `begin_stream` and `end_stream`.
 
 The neural models and the refiner share one level pass (`level_outputs`):
-each tower runs once per level, tile by tile (`tower_rows`), over one
-`TilePlan` per anchor set, whose tiles carry the compact layer layouts
-(`nn.tile_layout`) every branch at those anchors reads, and the head's first
-layer is applied per tile, so no level-wide head input is built. The integer
-net is built once per stream.
+one tile loop per anchor set (`voxelgrid.anchor_tiles`) builds each tile's
+compact layer layouts (`nn.tile_layout`) once, every branch at those anchors
+runs its tower on them (`nn.tower_windows`), and the head's first layer is
+applied per tile, so no level-wide head input or tower output is built. The
+integer net is built once per stream.
 """
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import repeat
 
@@ -70,79 +70,35 @@ CURRENT = Branch("grid")
 TEMPORAL = (Branch("grid_prev"), Branch("grid_next"), Branch("grid_prev_child", child=True))
 
 
-class TilePlan:
-    """The tiles of one anchor set (`voxelgrid.anchor_tiles`), each with its
-    `nn.tile_layout` for an m^3 crop tower of `depth` convs: what the level
-    pass computes once for all the branches that read the same anchors.
-
-    A `shared` plan computes its tiles on the first read and keeps them for
-    the next branch; any other computes each tile as it is read and keeps
-    none, so its layouts never take more than one tile's memory."""
-
-    def __init__(self, anchors, m: int, depth: int, shared=False):
-        self.anchors = np.asarray(anchors, dtype=np.int64).reshape(-1, 3)
-        self.m = m
-        self.depth = depth
-        self.shared = shared
-        self._kept = None
-
-    def __len__(self):
-        return len(self.anchors)
-
-    def tiles(self):
-        """(node indices, box corner, box extent, layout) per tile."""
-        if self._kept is not None:
-            return self._kept
-        tiles = ((idx, lo, ext, nn.tile_layout(ext, local, self.m, self.depth))
-                 for idx, lo, ext, local in anchor_tiles(self.anchors, self.m))
-        if self.shared:
-            self._kept = list(tiles)
-            return self._kept
-        return tiles
-
-
-def tower_rows(tower: nn.IntNet, grid: VoxelGrid | None, plan: TilePlan,
-               weights=None) -> np.ndarray:
-    """(n, width) integer tower outputs of the m^3 crops at the plan's anchors
-    in `grid`, window-major, by the level-wise pass (`nn.tower_windows`) tile
-    by tile, rows in node order; or, given `weights` (k, width), each tile's
-    rows @ weights.T. An absent grid is an all-zero crop for every node: one
-    row, the tower's empty-space output at every window position, broadcast."""
-    width = tower.width(plan.m)
-    if grid is None:
-        background = tower.backgrounds[-1]
-        row = np.tile(background, width // len(background))[None]
-        row = row if weights is None else row @ weights.T
-        return np.broadcast_to(row, (len(plan), row.shape[1]))
-    out = np.empty((len(plan), width if weights is None else len(weights)))
-    for idx, lo, ext, layout in plan.tiles():
-        rows = nn.tower_windows(tower, grid.box(lo, ext), layout)
-        out[idx] = rows if weights is None else rows @ weights.T
-    return out
-
-
 def level_outputs(net: nn.IntContextNet, geometry, crop_sizes, ctx, feats=None) -> np.ndarray:
     """Integer head outputs (n, out) at net.head.out_exp of one level, bit for
-    bit `net.forward` on `ctx.branch_crops` and `feats`. Each tower runs once
-    (`tower_rows`) over its anchor set's one `TilePlan`. The head's first layer,
-    split by input columns (a slice per branch, then the features'), is summed
-    tile by tile from the bias: integers within `nn.ACC_BITS`, so exactly."""
+    bit `net.forward` on `ctx.branch_crops` and `feats`. The head's first
+    layer, split by input columns (a slice per branch, then the features'),
+    is summed from the bias: integers within `nn.ACC_BITS`, so exactly. An
+    absent branch's crops are all zero, so it adds the tower's empty-space
+    output at every window to every row. The present branches run tile by
+    tile over their anchors, one tiling and one `nn.tile_layout` per tile for
+    all the branches with the same anchors and tower depth, each tile's tower
+    rows (`nn.tower_windows`) going straight into the head's first layer."""
     first, *rest = net.head.layers
     towers = list(zip(geometry, net.towers, crop_sizes))
     *slices, w_feat = np.split(first.w, np.cumsum([t.width(m) for _, t, m in towers]), axis=1)
     acc = np.tile(first.b, (len(ctx), 1))
     if feats is not None:
         acc += net.features(feats) @ w_feat.T
-    grids = [getattr(ctx, b.grid) for b in geometry]
-    # branches with the same anchors and tower depth share one plan
-    keys = [(b.child, m, len(tower.layers)) for b, tower, m in towers]
-    readers = Counter(key for key, grid in zip(keys, grids) if grid is not None)
-    plans = {}
-    for (b, tower, m), grid, key, w in zip(towers, grids, keys, slices):
-        if key not in plans:
-            plans[key] = TilePlan(b.anchors(ctx.cells, m), m, len(tower.layers),
-                                  shared=readers[key] > 1)
-        acc += tower_rows(tower, grid, plans[key], w)
+    groups = defaultdict(list)
+    for (b, tower, m), w in zip(towers, slices):
+        grid = getattr(ctx, b.grid)
+        if grid is None:
+            background = tower.backgrounds[-1]
+            acc += np.tile(background, tower.width(m) // len(background)) @ w.T
+        else:
+            groups[b.child, m, len(tower.layers)].append((b, tower, grid, w))
+    for (_, m, depth), group in groups.items():
+        for idx, lo, ext, local in anchor_tiles(group[0][0].anchors(ctx.cells, m), m):
+            layout = nn.tile_layout(ext, local, m, depth)
+            for _, tower, grid, w in group:
+                acc[idx] += nn.tower_windows(tower, grid.box(lo, ext), layout) @ w.T
     x = first.requantize(acc)
     for layer in rest:   # the head's other layers, all fully connected
         x = layer.apply(x)

@@ -1,10 +1,10 @@
 """The level-wise tower pass equals the per-crop path bit for bit.
 
-Coding and refinement run one level pass (`entropy.level_outputs`): each
-integer tower once per level over tiles of the zero-padded grid
-(`entropy.tower_rows`, `nn.tower_windows`), branches whose crops have the
-same corners sharing one tile plan (`entropy.TilePlan`), and the head's
-first layer applied tile by tile. The oracle runs the same fixed-point
+Coding and refinement run one level pass (`entropy.level_outputs`): one
+tile loop per anchor set (`voxelgrid.anchor_tiles`) over the zero-padded
+grids, each tile's layer layouts (`nn.tile_layout`) built once and read by
+every branch at those anchors (`nn.tower_windows`), and the head's first
+layer applied tile by tile. The oracle runs the same fixed-point
 network on per-node crops (`nn.infer`, `IntContextNet.forward`,
 `refine_offsets`). The two must agree on the float64 bit patterns, and the
 coder's integer tables with those of the per-crop logits, or encoder-side
@@ -19,13 +19,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from voxelcodec import (DynamicContextModel, RefineParams, VoxelContextModel,
-                        VoxelGrid, build, entropy, nn, normalize, refine_apply, refine_offsets)
-from voxelcodec.entropy import (ALPHABET, CURRENT, FEATURE_DIM, TEMPORAL, TilePlan,
-                                level_contexts, level_outputs, make_level_context, tower_rows)
+from voxelcodec import (DynamicContextModel, RefineParams, VoxelContextModel, VoxelGrid,
+                        align_sequence, build, entropy, nn, normalize, refine_apply,
+                        refine_offsets)
+from voxelcodec.entropy import (ALPHABET, CURRENT, FEATURE_DIM, TEMPORAL, level_contexts,
+                                level_outputs, make_level_context)
 from voxelcodec.voxelgrid import TILE, anchor_tiles
 
-from conftest import crops_by_contains, structured_cloud
+from conftest import crops_by_contains, moving_sequence, structured_cloud
 
 
 def _randomize(params, rng):
@@ -40,6 +41,14 @@ def _tower(m, channels, rng):
     (tower,), head = nn.init_context_net((m,), channels, 4, 3, 0)
     _randomize(tower, rng)
     return nn.quantize_context_net([tower], head, (m,)).towers[0]
+
+
+def _net(m, channels, rng):
+    """A random one-tower context net, head too, in fixed point."""
+    (tower,), head = nn.init_context_net((m,), channels, 4, 3, 0)
+    _randomize(tower, rng)
+    _randomize(head, rng)
+    return nn.quantize_context_net([tower], head, (m,))
 
 
 def _cells(rng, depth, n):
@@ -59,8 +68,28 @@ def _near(rng, occupied, depth, n):
                     _cells(rng, depth, n))
 
 
-def _plan(tower, anchors, m):
-    return TilePlan(anchors, m, len(tower.layers))
+def _tower_rows(tower, grid, anchors, m):
+    """(n, width) tower rows at the anchors, window-major, in node order, as
+    the level pass computes them: `anchor_tiles`, then each tile's
+    `nn.tile_layout` and `nn.tower_windows`."""
+    out = np.empty((len(anchors), tower.width(m)))
+    for idx, lo, ext, local in anchor_tiles(anchors, m):
+        layout = nn.tile_layout(ext, local, m, len(tower.layers))
+        out[idx] = nn.tower_windows(tower, grid.box(lo, ext), layout)
+    return out
+
+
+def _tile_counts(model, ctx):
+    """(`nn.tile_layout` calls, `nn.tower_windows` calls) of one level pass:
+    one layout per tile of each anchor set that some present branch reads,
+    one tower run per present branch and tile."""
+    tiles, runs = {}, 0
+    for b, m in zip(model.geometry, model.crop_sizes):
+        if getattr(ctx, b.grid) is not None:
+            if (b.child, m) not in tiles:
+                tiles[b.child, m] = len(list(anchor_tiles(b.anchors(ctx.cells, m), m)))
+            runs += tiles[b.child, m]
+    return sum(tiles.values()), runs
 
 
 def _per_crop(tower, crops):
@@ -88,17 +117,22 @@ def test_tower_rows_equal_per_crop_forward(seed, depth, m, channels, n):
     cells = _near(rng, occupied >> child, depth, n)
     anchors = (TEMPORAL[2] if child else CURRENT).anchors(cells, m)
     expected = _per_crop(tower, crops_by_contains(grid, anchors, m))
-    assert _same_bits(tower_rows(tower, grid, _plan(tower, anchors, m)), expected)
+    assert _same_bits(_tower_rows(tower, grid, anchors, m), expected)
 
 
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), m=st.sampled_from([1, 3, 5, 9, 6, 10]),
        channels=st.lists(st.integers(1, 5), min_size=1, max_size=3))
 def test_absent_frame_row_equals_zero_crops(seed, m, channels):
+    """A branch whose frame is missing reads all-zero crops: the level pass's
+    outputs are the per-crop oracle's on zeros, bit for bit."""
     rng = np.random.default_rng(seed)
-    tower = _tower(m, tuple(channels), rng)
-    got = tower_rows(tower, None, _plan(tower, np.zeros((5, 3), dtype=np.int64), m))
-    assert _same_bits(np.ascontiguousarray(got), _per_crop(tower, np.zeros((5,) + (m,) * 3)))
+    net = _net(m, tuple(channels), rng)
+    branch = TEMPORAL[2] if m % 2 == 0 else TEMPORAL[0]
+    ctx = make_level_context(4, 5, _cells(rng, 4, 5))
+    assert getattr(ctx, branch.grid) is None
+    got = level_outputs(net, (branch,), (m,), ctx)
+    assert _same_bits(got, net.forward([np.zeros((len(ctx),) + (m,) * 3)]))
 
 
 def test_level_spanning_many_tiles():
@@ -109,7 +143,7 @@ def test_level_spanning_many_tiles():
     anchors = CURRENT.anchors(_cells(rng, 7, 300), 9)
     assert len(list(anchor_tiles(anchors, 9))) > (128 // TILE) ** 3 // 2
     expected = _per_crop(tower, crops_by_contains(grid, anchors, 9))
-    assert _same_bits(tower_rows(tower, grid, _plan(tower, anchors, 9)), expected)
+    assert _same_bits(_tower_rows(tower, grid, anchors, 9), expected)
 
 
 def _random_level(seed, depth, present, channels, n=40):
@@ -142,13 +176,16 @@ _LEVELS = dict(seed=st.integers(0, 2**32 - 1), depth=st.sampled_from([2, 5, 10, 
 @given(**_LEVELS)
 def test_level_tables_equal_integer_tables_of_forward(seed, depth, present, channels):
     """The coder's tables against `nn.integer_tables` of the per-crop oracle's
-    logits, bit for bit, with each tower run once per call."""
+    logits, bit for bit, with one layout per tile of each anchor set read and
+    each present tower run once per tile."""
     model, ctx, crops = _random_level(seed, depth, present, channels)
     net = model.integer_net()
     freq = nn.integer_tables(net.forward(crops, ctx.node_features()), net.head.out_exp)
-    with mock.patch.object(entropy, "tower_rows", wraps=entropy.tower_rows) as towers:
+    with mock.patch.object(nn, "tile_layout", wraps=nn.tile_layout) as layouts, \
+            mock.patch.object(nn, "tower_windows", wraps=nn.tower_windows) as towers:
         rows, update = model.level_tables(ctx)
-    assert towers.call_count == len(model.branches) and update is None
+    assert (layouts.call_count, towers.call_count) == _tile_counts(model, ctx)
+    assert update is None
     cum = np.array([np.asarray(row) for row in rows])
     assert np.all(cum[:, 0] == 0) and np.array_equal(np.diff(cum, axis=1), freq)
 
@@ -157,7 +194,7 @@ def test_level_tables_equal_integer_tables_of_forward(seed, depth, present, chan
 def test_dynamic_level_spanning_many_tiles_shares_plans(present):
     """A dynamic level whose anchors fall into many tiles of several nodes
     each, with all four branches present or either end frame's three: the
-    same-depth branches share one tile plan, read through one tiling, and the
+    same-depth branches share one tiling and one layout per tile, and the
     coder's tables equal `nn.integer_tables` of the per-crop oracle bit for
     bit."""
     model, ctx, crops = _random_level(7, 7, present, (2, 3), n=400)
@@ -165,11 +202,13 @@ def test_dynamic_level_spanning_many_tiles_shares_plans(present):
     assert 8 < tiles < len(ctx) // 4
     net = model.integer_net()
     freq = nn.integer_tables(net.forward(crops, ctx.node_features()), net.head.out_exp)
-    with mock.patch.object(entropy, "tower_rows", wraps=entropy.tower_rows) as towers, \
+    with mock.patch.object(nn, "tile_layout", wraps=nn.tile_layout) as layouts, \
+            mock.patch.object(nn, "tower_windows", wraps=nn.tower_windows) as towers, \
             mock.patch.object(entropy, "anchor_tiles", wraps=anchor_tiles) as tilings:
         rows, update = model.level_tables(ctx)
         cum = np.array([np.asarray(row) for row in rows])
-    assert towers.call_count == len(model.branches) and update is None
+    assert (layouts.call_count, towers.call_count) == _tile_counts(model, ctx)
+    assert update is None
     # one tiling of the same-depth anchors, and one of the child anchors if
     # the previous frame's child grid is there to read them
     has_prev, _ = present
@@ -215,17 +254,8 @@ def test_refine_apply_spanning_many_tiles():
     assert _same_bits(refine_apply(tree, params, norm).points, expected)
 
 
-def test_level_tables_peak_memory_per_node():
-    """The level pass builds no level-wide head input and keeps each tile's
-    layer outputs as compact rows: at default width, the traced peak of
-    `level_tables` on the 10,265-node depth-6 level of a 20k-point cloud
-    stays under 13,000 bytes per node. With the (n, 1,732) float64 head input
-    staged before the head it was 23,368; without it, 15,554; with compact
-    rows and an int16 table index (`nn.integer_tables`), 10,934."""
-    tree = build(normalize(structured_cloud(20_000, 201))[0], 7)
-    ctx = next(ctx for _, k, ctx in level_contexts([tree], 7, 7) if k == 6)
-    assert len(ctx) == 10_265
-    model = VoxelContextModel()
+def _traced_peak_per_node(model, ctx):
+    """Traced peak bytes of one `level_tables` call per node of the level."""
     ctx.node_features()
     tracemalloc.start()
     try:
@@ -233,4 +263,34 @@ def test_level_tables_peak_memory_per_node():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / len(ctx) < 13_000
+    return peak / len(ctx)
+
+
+def test_level_tables_peak_memory_per_node():
+    """The level pass builds no level-wide head input or tower output and
+    keeps each tile's layer outputs as compact rows: at default width, the
+    traced peak of `level_tables` on the 10,265-node depth-6 level of a
+    20k-point cloud stays under 9,000 bytes per node. With the (n, 1,732)
+    float64 head input staged before the head it was 23,368; without it,
+    15,554; with compact rows and an int16 table index
+    (`nn.integer_tables`), 10,934; without the level-wide (n, 256) tower
+    products, 7,361."""
+    tree = build(normalize(structured_cloud(20_000, 201))[0], 7)
+    ctx = next(ctx for _, k, ctx in level_contexts([tree], 7, 7) if k == 6)
+    assert len(ctx) == 10_265
+    assert _traced_peak_per_node(VoxelContextModel(), ctx) < 9_000
+
+
+def test_dynamic_level_tables_peak_memory_per_node():
+    """The dynamic model's four branches keep one tile's layouts at a time and
+    add each tile's tower products into the head's first layer: at default
+    width, the traced peak of `level_tables` on the depth-6 level of the
+    middle frame of a 3-frame sequence, all four branches present, stays
+    under 12,000 bytes per node. With every tile's layouts kept for the
+    branches sharing them and an (n, 256) product array per branch, it was
+    15,534; now 9,139."""
+    seq = align_sequence(moving_sequence(3, 20_000, 201))
+    trees = [build(frame, 7) for frame in seq.frames]
+    ctx = next(ctx for t, k, ctx in level_contexts(trees, 7, 7) if t == 1 and k == 6)
+    assert len(ctx) == 10_265 and ctx.grid_prev is not None and ctx.grid_next is not None
+    assert _traced_peak_per_node(DynamicContextModel(), ctx) < 12_000
