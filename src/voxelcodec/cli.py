@@ -143,6 +143,8 @@ def _check_truncs(depth, truncs):
 
 
 def cmd_encode(args):
+    if args.poses and not args.sequence:
+        raise CliError("--poses needs --sequence", EXIT_USAGE)
     trunc = args.depth if args.trunc is None else args.trunc
     _check_truncs(args.depth, [trunc])
     model = _make_model(args)
@@ -213,8 +215,12 @@ def _corpus_clouds(path):
 
 
 def cmd_train(args):
-    if args.epochs < 1:
-        raise CliError("--epochs must be at least 1", EXIT_USAGE)
+    if args.refine and args.model_kind:
+        raise CliError("--refine trains the refiner and takes no --model-kind", EXIT_USAGE)
+    if args.poses and args.model_kind != "voxel-dynamic":
+        raise CliError("--poses needs --model-kind voxel-dynamic", EXIT_USAGE)
+    if args.crop_size % 2 == 0:
+        raise CliError(f"--crop-size {args.crop_size} is not odd", EXIT_USAGE)
     if not args.model:
         raise CliError("train needs --model OUTPUT_PATH", EXIT_USAGE)
     try:
@@ -315,12 +321,28 @@ def _depth(text):
     return depth
 
 
+def _positive(text):
+    """argparse type of a count such as --epochs: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{value} is not at least 1")
+    return value
+
+
 def _int_list(text):
     """argparse type of a comma-separated integer list such as "16,32,64"."""
     try:
         return tuple(int(v) for v in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a comma-separated integer list: {text!r}") from None
+
+
+def _channels(text):
+    """argparse type of --channels: comma-separated conv widths, each at least 1."""
+    return tuple(_positive(v) for v in text.split(","))
 
 
 def _add_model(p, context_bits=True):
@@ -360,12 +382,12 @@ def build_parser():
     p = sub.add_parser("train", help="train an entropy or refinement model")
     p.add_argument("input", help="corpus: cloud file, directory of clouds, or frame directory")
     p.add_argument("--depth", type=_depth, required=True)
-    p.add_argument("--epochs", type=int, default=20)
-    p.add_argument("--batch", type=int, default=32)
+    p.add_argument("--epochs", type=_positive, default=20)
+    p.add_argument("--batch", type=_positive, default=32)
     p.add_argument("--lr", type=float, default=1e-4)
-    p.add_argument("--crop-size", type=int, default=9)
-    p.add_argument("--channels", type=_int_list, default="16,32,64")
-    p.add_argument("--hidden", type=int, default=256)
+    p.add_argument("--crop-size", type=_positive, default=9)
+    p.add_argument("--channels", type=_channels, default="16,32,64")
+    p.add_argument("--hidden", type=_positive, default=256)
     p.add_argument("--refine", action="store_true", help="train the coordinate refiner")
     p.add_argument("--poses")
     p.add_argument("--loss-csv", help="loss curve path (default: MODEL.loss.csv)")

@@ -2,10 +2,11 @@
 
 Symbol values run 1..255 (a split node always has at least one occupied
 child), mapped to array indices 0..254. Four model kinds share one coding
-interface: per depth level the coder hands the model a LevelContext and
-gets integer cumulative tables (`level_tables`), one per node in node order,
-with the rule, if any, that updates them as symbols are coded: one shared
-uniform row, the neural models' `nn.integer_tables`, or the adaptive
+interface: per depth level the coder hands the model a LevelContext (a plain
+record of the level's decoded data, whose feature methods compute on call)
+and gets integer cumulative tables (`level_tables`), one per node in node
+order, with the rule, if any, that updates them as symbols are coded: one
+shared uniform row, the neural models' `nn.integer_tables`, or the adaptive
 baseline's live counts. Those tables are each model's only distribution: rate
 accounting reads q = freq/total from them (`level_code_lengths`). Each stream
 is bracketed by `begin_stream` and `end_stream`.
@@ -21,7 +22,7 @@ integer net is built once per stream.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import repeat
 
 import numpy as np
@@ -43,7 +44,6 @@ KIND_REFINE = 4
 
 KIND_NAMES = {KIND_UNIFORM: "uniform", KIND_ADAPTIVE: "adaptive",
               KIND_VOXEL_STATIC: "voxel-static", KIND_VOXEL_DYNAMIC: "voxel-dynamic"}
-KIND_CODES = {v: k for k, v in KIND_NAMES.items()}
 
 # (axis, step) of each face neighbour, in neighbour-bit order: +x, -x, +y, -y, +z, -z
 _NEIGHBOR_FACES = ((0, 1), (0, -1), (1, 1), (1, -1), (2, 1), (2, -1))
@@ -122,37 +122,26 @@ class LevelContext:
     grid_prev: VoxelGrid | None = None        # same depth, frame t-1
     grid_next: VoxelGrid | None = None        # same depth, frame t+1
     grid_prev_child: VoxelGrid | None = None  # depth k+1, frame t-1
-    _cache: dict = field(default_factory=dict)
 
     def __len__(self):
         return len(self.cells)
 
     def node_features(self) -> np.ndarray:
         """(n, 4): normalized cube center plus fractional depth."""
-        if "feat" not in self._cache:
-            centers = (self.cells.astype(np.float64) + 0.5) / (1 << self.depth)
-            depth_frac = np.full((len(self.cells), 1), self.depth / self.max_depth)
-            self._cache["feat"] = np.concatenate([centers, depth_frac], axis=1)
-        return self._cache["feat"]
+        centers = (self.cells.astype(np.float64) + 0.5) / (1 << self.depth)
+        depth_frac = np.full((len(self.cells), 1), self.depth / self.max_depth)
+        return np.concatenate([centers, depth_frac], axis=1)
 
     def child_indices(self) -> np.ndarray:
-        if "child" not in self._cache:
-            if self.depth == 0:
-                self._cache["child"] = np.zeros(len(self.cells), dtype=np.int64)
-            else:
-                c = self.cells
-                self._cache["child"] = 4 * (c[:, 0] & 1) + 2 * (c[:, 1] & 1) + (c[:, 2] & 1)
-        return self._cache["child"]
+        c = self.cells
+        return 4 * (c[:, 0] & 1) + 2 * (c[:, 1] & 1) + (c[:, 2] & 1)
 
     def parent_symbols(self) -> np.ndarray:
-        if "psym" not in self._cache:
-            if self.depth == 0 or self.prev_cells is None:
-                self._cache["psym"] = np.zeros(len(self.cells), dtype=np.int64)
-            else:
-                pkeys = cell_keys(self.cells >> 1, self.depth - 1)
-                pos = np.searchsorted(cell_keys(self.prev_cells, self.depth - 1), pkeys)
-                self._cache["psym"] = self.prev_symbols[pos].astype(np.int64)
-        return self._cache["psym"]
+        if self.depth == 0 or self.prev_cells is None:
+            return np.zeros(len(self.cells), dtype=np.int64)
+        pkeys = cell_keys(self.cells >> 1, self.depth - 1)
+        pos = np.searchsorted(cell_keys(self.prev_cells, self.depth - 1), pkeys)
+        return self.prev_symbols[pos].astype(np.int64)
 
     def neighbor_bits(self) -> np.ndarray:
         """6-bit mask of face-neighbour occupancy in the same-depth grid.
@@ -161,31 +150,24 @@ class LevelContext:
         stride (2^(2d), 2^d or 1); cells on the grid's face in that direction
         have no neighbour there.
         """
-        if "neigh" not in self._cache:
-            d, grid_keys = self.depth, self.grid.keys
-            keys = cell_keys(self.cells, d)
-            bits = np.zeros(len(keys), dtype=np.int64)
-            for b, (axis, step) in enumerate(_NEIGHBOR_FACES):
-                coord = self.cells[:, axis]
-                inside = coord < (1 << d) - 1 if step > 0 else coord > 0
-                near = keys[inside] + (step << (d * (2 - axis)))
-                pos = np.searchsorted(grid_keys, near)
-                hit = np.take(grid_keys, pos, mode="clip") == near
-                bits[inside] |= hit.astype(np.int64) << b
-            self._cache["neigh"] = bits
-        return self._cache["neigh"]
+        d, grid_keys = self.depth, self.grid.keys
+        keys = cell_keys(self.cells, d)
+        bits = np.zeros(len(keys), dtype=np.int64)
+        for b, (axis, step) in enumerate(_NEIGHBOR_FACES):
+            coord = self.cells[:, axis]
+            inside = coord < (1 << d) - 1 if step > 0 else coord > 0
+            near = keys[inside] + (step << (d * (2 - axis)))
+            pos = np.searchsorted(grid_keys, near)
+            hit = np.take(grid_keys, pos, mode="clip") == near
+            bits[inside] |= hit.astype(np.int64) << b
+        return bits
 
     def branch_crops(self, branch: Branch, m: int) -> np.ndarray:
         """(n, m, m, m) crops of one branch; zeros where its frame is absent."""
-        key = ("crop", branch, m)
-        if key not in self._cache:
-            grid = getattr(self, branch.grid)
-            if grid is None:
-                crops = np.zeros((len(self.cells),) + (m,) * 3, dtype=np.uint8)
-            else:
-                crops = (child_region_crops if branch.child else local_crops)(grid, self.cells, m)
-            self._cache[key] = crops
-        return self._cache[key]
+        grid = getattr(self, branch.grid)
+        if grid is None:
+            return np.zeros((len(self.cells),) + (m,) * 3, dtype=np.uint8)
+        return (child_region_crops if branch.child else local_crops)(grid, self.cells, m)
 
     def crops(self, m: int) -> np.ndarray:
         return self.branch_crops(CURRENT, m)
@@ -365,14 +347,11 @@ class AdaptiveContextModel(EntropyModel):
         self._tables = defaultdict(_fresh_table)
 
     def context_ids(self, ctx: LevelContext) -> np.ndarray:
-        key = ("cid", self.context_bits)
-        if key not in ctx._cache:
-            packed = (ctx.parent_symbols()
-                      | (ctx.child_indices() << 8)
-                      | (ctx.neighbor_bits() << 11)).astype(np.uint64)
-            mask = np.uint64((1 << self.context_bits) - 1)
-            ctx._cache[key] = (_splitmix64(packed) & mask).astype(np.int64)
-        return ctx._cache[key]
+        packed = (ctx.parent_symbols()
+                  | (ctx.child_indices() << 8)
+                  | (ctx.neighbor_bits() << 11)).astype(np.uint64)
+        mask = np.uint64((1 << self.context_bits) - 1)
+        return (_splitmix64(packed) & mask).astype(np.int64)
 
     def level_tables(self, ctx):
         """Each node's context table, in node order, and `_add_count`. Nodes

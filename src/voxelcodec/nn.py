@@ -20,9 +20,11 @@ and read through row indices (`tile_layout`, which depends on the crop
 corners alone, so towers reading different grids at the same corners share
 it); the first layer is computed only where an occupied cell is in reach
 (elsewhere its value on empty space, `IntNet.backgrounds`, is computed once
-per net). Tower rows are window-major, and `quantize_context_net` orders the
-head's first-layer columns to match. The tiling and the head are the
-caller's: `entropy.level_outputs` applies the head's first layer tile by tile.
+per net). A convolution's weights are quantized once, columns tap-major, the
+order in which both passes gather a patch. Tower rows are window-major, and
+`quantize_context_net` orders the head's first-layer columns to match. The
+tiling and the head are the caller's: `entropy.level_outputs` applies the
+head's first layer tile by tile.
 `integer_tables` maps the integer logits to the coder's 16-bit frequency
 tables in integer arithmetic through a table of 2^(-j/256), so no
 transcendental function of the platform decides a coded bit; those tables are
@@ -407,18 +409,11 @@ ACC_BITS = 52      # every partial sum of a layer stays within 2^ACC_BITS
 class IntLayer:
     """A weighted layer in fixed point with its ReLU folded in: integer inputs x
     give rint((x @ w.T + b) * scale), clipped at zero if `relu`."""
-    w: np.ndarray      # (out, K) integers; a convolution's columns in im2col's order
+    w: np.ndarray      # (out, K) integers; a convolution's columns tap-major, k = tap*C + c
     b: np.ndarray      # (out,) integer bias at the accumulator exponent
     scale: float       # 2^(output exponent - accumulator exponent)
     relu: bool
     conv: bool
-
-    @functools.cached_property
-    def taps(self):
-        """A convolution's w with its columns tap-major, k = (a*9 + b*3 + e)*C + c,
-        the order in which `tower_windows` gathers a patch of compact rows."""
-        return np.ascontiguousarray(
-            self.w.reshape(len(self.w), -1, 27).transpose(0, 2, 1).reshape(len(self.w), -1))
 
     def apply(self, x):
         """Integer rows x (n, K) -> the layer's output integers (n, out)."""
@@ -462,7 +457,7 @@ class IntNet:
         whose receptive field holds no occupied cell takes that value."""
         chain = [np.zeros(1)]
         for layer in self.layers:
-            chain.append(layer.apply(np.repeat(chain[-1], 27)[None])[0])
+            chain.append(layer.apply(np.tile(chain[-1], 27)[None])[0])
         return tuple(chain)
 
     def delivering(self, exp):
@@ -475,8 +470,9 @@ class IntNet:
 
 
 def _quantized_weights(t):
-    """(wq (out, K), float64 bias, e_w) of one layer's stored tensors."""
-    w = t[0].astype(F64).reshape(len(t[0]), -1)
+    """(wq (out, K), float64 bias, e_w) of one layer's stored tensors; a
+    convolution's columns tap-major, k = (a*9 + b*3 + e)*C + c."""
+    w = np.moveaxis(t[0].astype(F64), 1, -1).reshape(len(t[0]), -1)
     b = t[1].astype(F64)
     if not (np.isfinite(w).all() and np.isfinite(b).all()):
         raise ValueError("network weights are not all finite")
@@ -598,7 +594,8 @@ def infer(net: IntNet, x):
         n = len(x)
         if layer.conv:
             do, ho, wo = (s - 2 for s in x.shape[2:])
-            x = layer.apply(_im2col(x).reshape(n * do * ho * wo, -1))
+            cols = _im2col(x).reshape(n * do * ho * wo, x.shape[1], 27).swapaxes(1, 2)
+            x = layer.apply(cols.reshape(n * do * ho * wo, -1))   # tap-major, as layer.w
             x = x.reshape(n, do * ho * wo, -1).transpose(0, 2, 1).reshape(n, -1, do, ho, wo)
         else:
             x = layer.apply(x.reshape(n, -1))
@@ -758,15 +755,15 @@ def tower_windows(net: IntNet, box, layout: TileLayout):
     step = _COLUMN_BUDGET // 27
     for lo in range(0, len(hit), step):
         sel = hit[lo:lo + step]
-        acc = np.take(box, layout.first[sel][:, None] + patch) @ first.taps.T
+        acc = np.take(box, layout.first[sel][:, None] + patch) @ first.w.T
         acc += first.b
         x[sel] = first.requantize(acc)
     for layer, taps in zip(rest, layout.taps, strict=True):
-        step = max(1, _COLUMN_BUDGET // layer.taps.shape[1])
+        step = max(1, _COLUMN_BUDGET // layer.w.shape[1])
         out = np.empty((len(taps), len(layer.w)))
         for lo in range(0, len(taps), step):
             patches = np.take(x, taps[lo:lo + step].reshape(-1), axis=0)
-            acc = np.matmul(patches.reshape(-1, layer.taps.shape[1]), layer.taps.T,
+            acc = np.matmul(patches.reshape(-1, layer.w.shape[1]), layer.w.T,
                             out=out[lo:lo + step])
             acc += layer.b
             layer.requantize(acc)
@@ -789,6 +786,8 @@ def fit(branches, head, crop_sets, feats, targets, loss, epochs, batch_size, lr,
     n = len(targets)
     if n == 0:
         raise ValueError("empty training dataset")
+    if batch_size < 1:
+        raise ValueError(f"batch size {batch_size} is not at least 1")
     groups = list(branches) + [head]
     states = [AdamState.for_params(p) for p in groups]
     rng = np.random.Generator(np.random.Philox(seed))

@@ -115,7 +115,6 @@ def normalize(cloud: PointCloud) -> tuple[PointCloud, NormalizationParams]:
 PLY_ASCII = "ply-ascii"
 PLY_BINARY = "ply-binary"
 XYZ = "xyz"
-FORMATS = (PLY_ASCII, PLY_BINARY, XYZ)
 
 _PLY_TYPES = {
     "char": "b", "int8": "b", "uchar": "B", "uint8": "B",
@@ -242,10 +241,10 @@ def _read_xyz(data: bytes) -> PointCloud:
 
 
 def read_points(data: bytes, fmt: str) -> PointCloud:
-    """Parse a point cloud from raw bytes in one of FORMATS."""
+    """Parse a point cloud from raw bytes in one of PLY_ASCII, PLY_BINARY and
+    XYZ; a PLY file's own header says whether it is ASCII or binary."""
     if fmt in (PLY_ASCII, PLY_BINARY):
-        cloud = _read_ply(data)
-        return cloud
+        return _read_ply(data)
     if fmt == XYZ:
         return _read_xyz(data)
     raise ValueError(f"unknown format {fmt!r}")
@@ -282,8 +281,5 @@ def guess_format(path: str) -> str:
 def load(path: str) -> PointCloud:
     with open(path, "rb") as fh:
         data = fh.read()
-    if str(path).lower().endswith(".xyz"):
-        return read_points(data, XYZ)
-    fmt, _, _, _ = _parse_ply_header(data)
-    return read_points(data, fmt)
+    return read_points(data, guess_format(path))
 

@@ -1,12 +1,14 @@
 """The library holds no code that only tests call.
 
-Every module-level public function or class in `src/voxelcodec/`, and every
-public method of those classes, must be referenced, as a name, an attribute,
-an import or a string constant, by the library itself (outside
-`__init__.py`, whose exports do not count), the demos, the benchmark, the
-acceptance suite or the README's Python examples. String constants count
-because the benchmark tracer wraps library functions and methods by name. A
-method counts as referenced when its name is, whatever the object.
+Every module-level public function, class or constant in `src/voxelcodec/`,
+and every public method of those classes, must be referenced, as a name or
+an attribute that is read, an import or a string constant, by the library
+itself (outside `__init__.py`, whose exports do not count), the demos, the
+benchmark, the acceptance suite or the README's Python examples. Only reads
+(`ast.Load`) count, so a constant's assignment is not its own reference.
+String constants count because the benchmark tracer wraps library functions
+and methods by name. A method counts as referenced when its name is,
+whatever the object.
 """
 
 import ast
@@ -36,25 +38,38 @@ def _bare(name):
     return name.rsplit(".", 1)[-1]
 
 
+def _constants(body):
+    """The public names a module's top-level assignments bind."""
+    for node in body:
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, ast.AnnAssign) else [])
+        for target in targets:
+            if isinstance(target, ast.Name) and not target.id.startswith("_"):
+                yield target.id
+
+
 def _public_definitions():
-    """(module file name, name) of every module-level public def and class,
-    and (module file name, Class.method) of every public method of those
-    classes."""
+    """(module file name, name) of every module-level public def, class and
+    constant, and (module file name, Class.method) of every public method of
+    those classes."""
     for path in sorted(PACKAGE.glob("*.py")):
-        for node in _public(ast.parse(path.read_text()).body, (ast.FunctionDef, ast.ClassDef)):
+        body = ast.parse(path.read_text()).body
+        for node in _public(body, (ast.FunctionDef, ast.ClassDef)):
             yield path.name, node.name
             if isinstance(node, ast.ClassDef):
                 for method in _public(node.body, ast.FunctionDef):
                     yield path.name, f"{node.name}.{method.name}"
+        for name in _constants(body):
+            yield path.name, name
 
 
 def _referenced(tree):
-    """Every identifier a module refers to, and every string constant in it."""
+    """Every identifier a module reads, and every string constant in it."""
     names = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             names.add(node.id)
-        elif isinstance(node, ast.Attribute):
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             names.add(node.attr)
         elif isinstance(node, ast.alias):
             names.add(node.name.rsplit(".", 1)[-1])

@@ -348,12 +348,18 @@ class TestOptions:
         bitstream, rd = tmp_path / "c.vcnb", tmp_path / "rd.csv"
         assert _run("encode", src, bitstream, "--depth", 5) == 0
         assert _run("eval", src, rd, "--depth", 5, "--truncs", "2,3,4,5") == 0
-        return SimpleNamespace(src=src, bitstream=bitstream, rd=rd, dir=tmp_path)
+        poses = tmp_path / "poses.txt"
+        poses.write_text("1 0 0 0 0 1 0 0 0 0 1 0\n")
+        return SimpleNamespace(src=src, bitstream=bitstream, rd=rd, poses=poses, dir=tmp_path)
 
     @pytest.mark.parametrize("command,option", [
         ("encode", "--seed"), ("decode", "--seed"), ("eval", "--seed"), ("bdbr", "--seed"),
-        ("eval", "--report"), ("train", "--context-bits")])
+        ("eval", "--report"), ("train", "--context-bits"), ("encode", "--poses"),
+        ("train", "--poses"), ("train", "--refine")])
     def test_unread_option_rejected(self, files, command, option):
+        """Also options that the mode chosen never reads: --poses outside a
+        sequence or dynamic training, and --model-kind when training the
+        refiner."""
         argv = {
             "encode": ("encode", files.src, files.dir / "o.vcnb", "--depth", 5),
             "decode": ("decode", files.bitstream, files.dir / "o.xyz"),
@@ -363,10 +369,28 @@ class TestOptions:
                       "--model-kind", "voxel-static", "--epochs", 1, "--crop-size", 5,
                       "--channels", "2", "--hidden", 8),
         }[command]
-        value = {"--seed": 5, "--report": files.dir / "r.json", "--context-bits": 4}[option]
+        values = {"--seed": (5,), "--report": (files.dir / "r.json",), "--context-bits": (4,),
+                  "--poses": (files.poses,), "--refine": ()}[option]
         assert _run(*argv) == 0
-        assert _run(*argv, option, value) == 1
+        assert _run(*argv, option, *values) == 1
         assert not (files.dir / "r.json").exists()
+
+    @pytest.mark.parametrize("option,value", [
+        ("--batch", 0), ("--batch", -4), ("--hidden", 0), ("--epochs", 0), ("--epochs", "x"),
+        ("--channels", "2,0"), ("--channels", "-1"), ("--crop-size", 4), ("--crop-size", 0),
+        ("--crop-size", -3)])
+    def test_bad_training_value_is_usage_error(self, files, option, value, capsys):
+        """Rejected before the corpus is read: that corpus is missing, which
+        with good values exits 2 (I/O)."""
+        model = files.dir / "m.vcnm"
+        argv = ("train", files.dir / "missing", "--depth", 3, "--model", model,
+                "--model-kind", "voxel-static", "--epochs", 1, "--crop-size", 5,
+                "--channels", "2", "--hidden", 8)
+        assert _run(*argv) == 2
+        capsys.readouterr()
+        assert _run(*argv, option, value) == 1
+        assert option in capsys.readouterr().err
+        assert not model.exists()
 
     @pytest.mark.parametrize("command,args", [
         ("encode", ("--trunc", 5)),

@@ -55,7 +55,8 @@ def test_blas_equals_int64_at_worst_case_magnitudes(fan_in, out, rows, conv, see
     x = np.full((rows, fan_in), float(q))
     b = np.zeros(out)
     net = nn.IntNet((nn.IntLayer(w, b, 1.0, False, conv),), 0, 0, float(q), True)
-    if conv:   # a 3^3 crop of c channels: its one patch is the crop, in im2col's order
+    if conv:   # a 3^3 crop of c channels: its one patch is the crop, read tap-major;
+        # every input is q, so that order leaves the product as the oracle's
         got = nn.infer(net, x.reshape(rows, fan_in // 27, 3, 3, 3)).reshape(rows, out)
     else:
         got = nn.infer(net, x)

@@ -188,6 +188,16 @@ class TestAdam:
             adam_step(p, [[np.zeros((3, 3)), np.zeros(2)]], state, lr=0.1)
 
 
+class TestFit:
+    @pytest.mark.parametrize("batch_size", [0, -4])
+    def test_batch_size_below_one_rejected(self, batch_size):
+        """A batch size below 1 would take no step and report a loss of 0."""
+        head = init_params((FullyConnected(3),), (2,), 0)
+        with pytest.raises(ValueError, match="batch size"):
+            nn.fit([], head, [], np.zeros((4, 2)), np.ones(4, dtype=np.int64), nn.symbol_loss,
+                   1, batch_size, 1e-3, 0)
+
+
 class TestInit:
     def test_same_seed_identical(self):
         layers = (Conv3D(4), ReLU(), FullyConnected(16))

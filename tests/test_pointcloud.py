@@ -44,6 +44,16 @@ class TestReadWrite:
             back = read_points(write_points(cloud, fmt), fmt)
             assert np.allclose(back.points, cloud.points, atol=1e-7)
 
+    @pytest.mark.parametrize("fmt,name", [(pointcloud.PLY_ASCII, "c.ply"),
+                                          (pointcloud.PLY_BINARY, "c.PLY"),
+                                          (pointcloud.XYZ, "c.xyz")])
+    def test_load_reads_the_file_format(self, tmp_path, fmt, name):
+        """`load` picks XYZ by suffix; a PLY file's header says ASCII or binary."""
+        cloud = random_cloud(50, seed=5)
+        path = tmp_path / name
+        path.write_bytes(write_points(cloud, fmt))
+        assert np.abs(pointcloud.load(str(path)).points - cloud.points).max() < 1e-6
+
     def test_ignores_extra_properties(self):
         data = (b"ply\nformat ascii 1.0\nelement vertex 1\n"
                 b"property float x\nproperty float y\nproperty float z\n"
