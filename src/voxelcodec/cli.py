@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -332,6 +333,17 @@ def _positive(text):
     return value
 
 
+def _learning_rate(text):
+    """argparse type of --lr: a finite float above 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"{value} is not a finite number above 0")
+    return value
+
+
 def _int_list(text):
     """argparse type of a comma-separated integer list such as "16,32,64"."""
     try:
@@ -384,7 +396,7 @@ def build_parser():
     p.add_argument("--depth", type=_depth, required=True)
     p.add_argument("--epochs", type=_positive, default=20)
     p.add_argument("--batch", type=_positive, default=32)
-    p.add_argument("--lr", type=float, default=1e-4)
+    p.add_argument("--lr", type=_learning_rate, default=1e-4)
     p.add_argument("--crop-size", type=_positive, default=9)
     p.add_argument("--channels", type=_channels, default="16,32,64")
     p.add_argument("--hidden", type=_positive, default=256)

@@ -7,8 +7,11 @@ the range register stays in [2^24, 2^32) and every table totals at most
 2^16, keeping the truncation loss under 0.006 bits per symbol. Every symbol
 is coded from an integer cumulative table, last entry its total, that the
 model's `level_tables` hands over for the whole level (see `entropy`); no
-float arithmetic or sort decides one. One symbol loop (`_code_level`) codes
-and decodes every level of every model. Model determinism alone keeps
+float arithmetic or sort decides one. `_code_level` codes or decodes every
+level of every model in one call of the coder's level method,
+`RangeEncoder.encode_level` or `RangeDecoder.decode_level`, which keeps the
+registers in local variables for the whole level; the coder has no
+per-symbol methods. Model determinism alone keeps
 encoder and decoder in sync; no tables travel in the stream, the decoder
 ends exactly at the end of the payload, and a hash of the coded symbols in
 the header rejects a corrupt payload that still decodes to some octree.
@@ -24,7 +27,7 @@ import numpy as np
 
 from . import entropy as em
 from . import octree as oct
-from .entropy import TOTAL_FREQ
+from .entropy import ALPHABET, TOTAL_FREQ  # noqa: F401  (the tracer reads coder.TOTAL_FREQ)
 from .nn import hash64
 from .pointcloud import NormalizationParams, PointCloud, normalize
 
@@ -61,6 +64,10 @@ def _quantize_rows(p):
 
 
 class RangeEncoder:
+    """Encoder registers: `low` (with its carry bit 32), `range`, the held-back
+    byte `cache` and the count `pending` of it plus the 0xFF bytes after it,
+    which a carry may still change."""
+
     def __init__(self):
         self._low = 0
         self._range = _MASK32
@@ -68,59 +75,82 @@ class RangeEncoder:
         self._pending = 1
         self._out = bytearray()
 
-    def _shift_low(self):
-        if self._low < 0xFF000000 or self._low > _MASK32:
-            carry = self._low >> 32
-            self._out.append((self._cache + carry) & 0xFF)
-            for _ in range(self._pending - 1):
-                self._out.append((0xFF + carry) & 0xFF)
-            self._pending = 0
-            self._cache = (self._low >> 24) & 0xFF
-        self._pending += 1
-        self._low = (self._low << 8) & _MASK32
-
-    def encode(self, cum: int, freq: int, total: int = TOTAL_FREQ):
-        r = self._range // total
-        self._low += r * cum
-        self._range = r * freq
-        while self._range < _RC_TOP:
-            self._range = (self._range << 8) & _MASK32
-            self._shift_low()
+    def encode_level(self, rows, symbols, update):
+        """Code symbols[i] from the cumulative table rows[i], calling
+        update(row, symbol) after each when update is not None. The registers
+        live in locals for the whole level."""
+        low, rng, cache, pending, out = (self._low, self._range, self._cache,
+                                         self._pending, self._out)
+        for row, s in zip(rows, symbols):
+            lo = row[s - 1]
+            r = rng // row[ALPHABET]
+            low += r * lo
+            rng = r * (row[s] - lo)
+            while rng < _RC_TOP:
+                rng <<= 8
+                # shift the top byte of low out, or hold it back while a carry
+                # could still reach it
+                if low < 0xFF000000 or low > _MASK32:
+                    carry = low >> 32
+                    out.append((cache + carry) & 0xFF)
+                    if pending > 1:
+                        out += bytes(((0xFF + carry) & 0xFF,)) * (pending - 1)
+                    pending = 0
+                    cache = (low >> 24) & 0xFF
+                pending += 1
+                low = (low << 8) & _MASK32
+            if update is not None:
+                update(row, s)
+        self._low, self._range, self._cache, self._pending = low, rng, cache, pending
 
     def finish(self) -> bytes:
-        for _ in range(5):
-            self._shift_low()
+        """Flush: the held-back bytes with the last carry, then the four bytes
+        of low."""
+        carry = self._low >> 32
+        self._out.append((self._cache + carry) & 0xFF)
+        self._out += bytes(((0xFF + carry) & 0xFF,)) * (self._pending - 1)
+        self._out += (self._low & _MASK32).to_bytes(4, "big")
         return bytes(self._out)
 
 
 class RangeDecoder:
     def __init__(self, data: bytes):
-        self._data = data
-        self._pos = 0
-        self._range = _MASK32
-        self._code = 0
-        self._byte()          # leading cache byte, always zero
-        for _ in range(4):
-            self._code = ((self._code << 8) | self._byte()) & _MASK32
-        self._r = 0
-
-    def _byte(self) -> int:
-        if self._pos >= len(self._data):
+        if len(data) < 5:
             raise DecodeError("range-coded payload exhausted")
-        b = self._data[self._pos]
-        self._pos += 1
-        return b
+        self._data = data
+        # the leading byte is the encoder's first cache byte, always zero
+        self._code = int.from_bytes(data[1:5], "big")
+        self._pos = 5
+        self._range = _MASK32
 
-    def decode_target(self, total: int = TOTAL_FREQ) -> int:
-        self._r = self._range // total
-        return min(self._code // self._r, total - 1)
-
-    def consume(self, cum: int, freq: int):
-        self._code -= self._r * cum
-        self._range = self._r * freq
-        while self._range < _RC_TOP:
-            self._code = ((self._code << 8) | self._byte()) & _MASK32
-            self._range = (self._range << 8) & _MASK32
+    def decode_level(self, rows, n: int, update) -> bytearray:
+        """Decode n symbols, symbol i from the cumulative table rows[i] by
+        bisection, calling update(row, symbol) after each when update is not
+        None. The registers live in locals for the whole level."""
+        data, pos, rng, code = self._data, self._pos, self._range, self._code
+        end = len(data)
+        out = bytearray(n)
+        for i, row in enumerate(rows):
+            total = row[ALPHABET]
+            r = rng // total
+            target = code // r
+            if target >= total:   # code past the last symbol's slice: only a corrupt payload
+                target = total - 1
+            s = bisect_right(row, target)
+            lo = row[s - 1]
+            code -= r * lo
+            rng = r * (row[s] - lo)
+            while rng < _RC_TOP:
+                if pos >= end:
+                    raise DecodeError("range-coded payload exhausted")
+                code = ((code << 8) | data[pos]) & _MASK32
+                pos += 1
+                rng <<= 8
+            out[i] = s
+            if update is not None:
+                update(row, s)
+        self._pos, self._range, self._code = pos, rng, code
+        return out
 
     def finish(self):
         """The encoder's flush ends the payload: a valid stream is read to its
@@ -218,29 +248,13 @@ class BitstreamHeader:
 def _code_level(ctx, symbols, model, enc_or_dec, decoding):
     """Code or decode all symbols of one depth level in canonical order, each
     from the table (a memoryview of Python ints) that `level_tables` yields
-    for its node, then the model's update rule, if any. Returns the decoded
-    symbol array when decoding."""
+    for its node, then the model's update rule, if any, in one call of the
+    range coder's level method. Returns the decoded symbol array when
+    decoding."""
     rows, update = model.level_tables(ctx)
     if decoding:
-        out = bytearray(len(ctx))
-        decode_target, consume = enc_or_dec.decode_target, enc_or_dec.consume
-    else:
-        syms = np.asarray(symbols).tolist()
-        encode = enc_or_dec.encode
-    for i, row in enumerate(rows):
-        total = row[em.ALPHABET]
-        if decoding:
-            s = bisect_right(row, decode_target(total))
-            lo = row[s - 1]
-            consume(lo, row[s] - lo)
-            out[i] = s
-        else:
-            s = syms[i]
-            lo = row[s - 1]
-            encode(lo, row[s] - lo, total)
-        if update is not None:
-            update(row, s)
-    return np.frombuffer(out, dtype=np.uint8) if decoding else None
+        return np.frombuffer(enc_or_dec.decode_level(rows, len(ctx), update), dtype=np.uint8)
+    enc_or_dec.encode_level(rows, np.asarray(symbols).tolist(), update)
 
 
 def encode_cloud(cloud: PointCloud, depth: int, trunc_depth: int,

@@ -307,9 +307,12 @@ def _splitmix64(x: np.ndarray) -> np.ndarray:
     return x ^ (x >> np.uint64(31))
 
 
+_FRESH = np.arange(ALPHABET + 1, dtype=np.int64)
+
+
 def _fresh_table() -> memoryview:
     """A context's table before its first symbol: one count per symbol."""
-    return memoryview(np.arange(ALPHABET + 1, dtype=np.int64))
+    return memoryview(_FRESH.copy())
 
 
 def _add_count(row: memoryview, symbol: int):
@@ -317,7 +320,7 @@ def _add_count(row: memoryview, symbol: int):
     table `row` views; when the total passes TOTAL_FREQ, every frequency f
     becomes (f + 1) >> 1."""
     cum = row.obj
-    np.add(cum, _STEPS[symbol], out=cum)
+    np.add(cum, _STEPS[symbol], cum)
     if row[ALPHABET] > TOTAL_FREQ:
         np.cumsum((np.diff(cum) + 1) >> 1, out=cum[1:])
 

@@ -27,7 +27,9 @@ class VoxelGrid:
         cells = np.asarray(cells, dtype=np.int64).reshape(-1, 3)
         if len(cells) and (cells.min() < 0 or cells.max() >= self.size):
             raise ValueError(f"cell index out of range for depth {depth}")
-        self.keys = np.unique(cell_keys(cells, depth))
+        keys = cell_keys(cells, depth)
+        # an octree level's cells are already strictly increasing in key order
+        self.keys = keys if (keys[1:] > keys[:-1]).all() else np.unique(keys)
 
     def box(self, lo, ext) -> np.ndarray:
         """Zero-padded uint8 occupancy of the cells [lo, lo + ext); the box may

@@ -251,7 +251,11 @@ class TestTrain:
                     "--hidden", 16) == 1   # zero epochs is a usage error
         assert _run("train", corpus, "--depth", 4, "--model", model, "--refine",
                     "--epochs", 1, "--crop-size", 5, "--channels", "2,4",
-                    "--hidden", 16, "--lr", 0.0) == 0
+                    "--hidden", 16, "--lr", 0.0) == 1   # so is a zero learning rate
+        assert not model.exists()
+        assert _run("train", corpus, "--depth", 4, "--model", model, "--refine",
+                    "--epochs", 1, "--crop-size", 5, "--channels", "2,4",
+                    "--hidden", 16, "--lr", 1e-12) == 0
         src = corpus / "c0.ply"
         bitstream = tmp_path / "c.vcnb"
         assert _run("encode", src, bitstream, "--depth", 4) == 0
@@ -260,7 +264,7 @@ class TestTrain:
         assert _run("decode", bitstream, refined, "--refine", model) == 0
         a = pointcloud.load(str(plain)).points
         b = pointcloud.load(str(refined)).points
-        assert np.allclose(a, b)   # lr 0 keeps the zero-initialized head
+        assert np.allclose(a, b)   # lr 1e-12 keeps the zero-initialized head near zero
 
     def test_empty_corpus_fails(self, tmp_path):
         empty = tmp_path / "none"
@@ -378,7 +382,7 @@ class TestOptions:
     @pytest.mark.parametrize("option,value", [
         ("--batch", 0), ("--batch", -4), ("--hidden", 0), ("--epochs", 0), ("--epochs", "x"),
         ("--channels", "2,0"), ("--channels", "-1"), ("--crop-size", 4), ("--crop-size", 0),
-        ("--crop-size", -3)])
+        ("--crop-size", -3), ("--lr", "nan"), ("--lr", "inf"), ("--lr", 0), ("--lr", -1)])
     def test_bad_training_value_is_usage_error(self, files, option, value, capsys):
         """Rejected before the corpus is read: that corpus is missing, which
         with good values exits 2 (I/O)."""

@@ -142,6 +142,84 @@ class _OneContextAdaptive(AdaptiveContextModel):
         return np.zeros(len(ctx), dtype=np.int64)
 
 
+_MASK32 = 0xFFFFFFFF
+_RC_TOP = 1 << 24
+
+
+class _RefEncoder:
+    """The per-symbol range encoder the coder once ran, kept as the oracle of
+    `RangeEncoder.encode_level` and `finish`: one `encode` call per symbol,
+    and `_shift_low` for every byte, the flush included."""
+
+    def __init__(self):
+        self._low = 0
+        self._range = _MASK32
+        self._cache = 0
+        self._pending = 1
+        self._out = bytearray()
+
+    def _shift_low(self):
+        if self._low < 0xFF000000 or self._low > _MASK32:
+            carry = self._low >> 32
+            self._out.append((self._cache + carry) & 0xFF)
+            for _ in range(self._pending - 1):
+                self._out.append((0xFF + carry) & 0xFF)
+            self._pending = 0
+            self._cache = (self._low >> 24) & 0xFF
+        self._pending += 1
+        self._low = (self._low << 8) & _MASK32
+
+    def encode(self, cum: int, freq: int, total: int = TOTAL_FREQ):
+        r = self._range // total
+        self._low += r * cum
+        self._range = r * freq
+        while self._range < _RC_TOP:
+            self._range = (self._range << 8) & _MASK32
+            self._shift_low()
+
+    def finish(self) -> bytes:
+        for _ in range(5):
+            self._shift_low()
+        return bytes(self._out)
+
+
+class _RefDecoder:
+    """The per-symbol range decoder the coder once ran, kept as the oracle of
+    `RangeDecoder.decode_level` and `finish`."""
+
+    def __init__(self, data: bytes):
+        self._data = data
+        self._pos = 0
+        self._range = _MASK32
+        self._code = 0
+        self._byte()          # leading cache byte, always zero
+        for _ in range(4):
+            self._code = ((self._code << 8) | self._byte()) & _MASK32
+        self._r = 0
+
+    def _byte(self) -> int:
+        if self._pos >= len(self._data):
+            raise DecodeError("range-coded payload exhausted")
+        b = self._data[self._pos]
+        self._pos += 1
+        return b
+
+    def decode_target(self, total: int = TOTAL_FREQ) -> int:
+        self._r = self._range // total
+        return min(self._code // self._r, total - 1)
+
+    def consume(self, cum: int, freq: int):
+        self._code -= self._r * cum
+        self._range = self._r * freq
+        while self._range < _RC_TOP:
+            self._code = ((self._code << 8) | self._byte()) & _MASK32
+            self._range = (self._range << 8) & _MASK32
+
+    def finish(self):
+        if self._pos != len(self._data):
+            raise DecodeError(f"{len(self._data) - self._pos} bytes after the coded payload")
+
+
 def _encode(symbols, model) -> bytes:
     enc = RangeEncoder()
     coder._code_level(range(len(symbols)), symbols, model, enc, decoding=False)
@@ -241,13 +319,16 @@ class TestRangeCoder:
         assert 8 * len(data) <= ideal + 128
 
     def test_decoder_rejects_internal_desync(self):
-        enc = RangeEncoder()
+        enc = _RefEncoder()
         cum = np.concatenate([[0], np.cumsum(UNIFORM)])
         enc.encode(int(cum[10]), int(UNIFORM[10]))
         data = enc.finish()
-        dec = RangeDecoder(data)
+        dec = _RefDecoder(data)
         v = dec.decode_target()
         assert cum[10] <= v < cum[11]
+        # the level methods code and decode symbol 11 to and from the same bytes
+        assert _encode([11], _FixedModel(UNIFORM)) == data
+        assert _decode(data, 1, _FixedModel(UNIFORM)) == [11]
 
 
 class _ReferenceCounts:
@@ -305,6 +386,86 @@ def _adaptive_stream(seed):
     return levels
 
 
+def _frozen(cum):
+    """A read-only memoryview of a cumulative table: a fixed row that no
+    update touches."""
+    cum = np.asarray(cum, dtype=np.int64)
+    cum.flags.writeable = False
+    return memoryview(cum)
+
+
+def _random_row(rng):
+    """A cumulative table with a total in [256, 2^16], every frequency >= 1."""
+    total = int(rng.integers(256, TOTAL_FREQ + 1))
+    cuts = np.sort(rng.choice(np.arange(1, total), ALPHABET - 1, replace=False))
+    return _frozen(np.concatenate([[0], cuts, [total]]))
+
+
+# 2^16 tables whose symbol 255 is a sliver of f counts at the top
+_SLIVERS = {f: _frozen(np.concatenate([[0], np.arange(TOTAL_FREQ - f - ALPHABET + 2,
+                                                      TOTAL_FREQ - f + 1), [TOTAL_FREQ]]))
+            for f in range(1, 17)}
+
+
+def _straddle_symbol(enc, row):
+    """The symbol of `row` whose slice of the oracle encoder's interval holds
+    the point past its start with the most trailing zero bits. Coding it
+    keeps that byte boundary inside the interval, so the encoder holds back
+    0xFF bytes until a later symbol settles on one side of it."""
+    total = int(row[ALPHABET])
+    r = enc._range // total
+    hi = enc._low + r * total - 1
+    k = hi.bit_length()
+    while (hi >> k) << k <= enc._low:
+        k -= 1
+    return int(np.searchsorted(row, (((hi >> k) << k) - enc._low) // r, side="right"))
+
+
+class _MixedRows(GivenContexts):
+    """Test-only model: each node is ("ctx", id), an adaptive context table
+    updated after its symbol, or ("row", view), a fixed read-only table."""
+
+    def level_tables(self, ctx):
+        tables, add_count = super().level_tables([ref for kind, ref in ctx if kind == "ctx"])
+        tables = iter(tables)
+        rows = [next(tables) if kind == "ctx" else ref for kind, ref in ctx]
+        return rows, lambda row, s: row.readonly or add_count(row, s)
+
+
+def _mixed_stream(seed, segments):
+    """Nodes (ref, symbol) coded by the oracle encoder as they are drawn, and
+    the oracle's bytes and longest held-back run. A segment (choice, kind, n)
+    draws n nodes whose rows are one of four random fixed rows, a top-sliver
+    row or one of three adaptive contexts, and whose symbols are random, the
+    straddling symbol, the top symbol 255 or the bottom symbol 1."""
+    rng = np.random.default_rng(seed)
+    fixed = [_random_row(rng) for _ in range(4)]
+    enc, counts, nodes, longest = _RefEncoder(), _ReferenceCounts(), [], 0
+    for choice, kind, n in segments:
+        for _ in range(n):
+            if kind == "ctx":
+                ref = ("ctx", int(rng.integers(0, 3)))
+                row = counts.node_table(ref[1])
+            else:
+                ref = ("row", _SLIVERS[int(rng.integers(1, 17))] if kind == "sliver"
+                       else fixed[int(rng.integers(0, 4))])
+                row = np.asarray(ref[1])
+            s = {"random": lambda: int(rng.integers(1, ALPHABET + 1)),
+                 "straddle": lambda: _straddle_symbol(enc, row),
+                 "top": lambda: ALPHABET, "bottom": lambda: 1}[choice]()
+            lo = int(row[s - 1])
+            enc.encode(lo, int(row[s]) - lo, int(row[ALPHABET]))
+            if kind == "ctx":
+                counts.observe(ref[1], s)
+            nodes.append((ref, s))
+            longest = max(longest, enc._pending)
+    return nodes, enc.finish(), longest
+
+
+_SEGMENT = st.tuples(st.sampled_from(["random", "straddle", "top", "bottom"]),
+                     st.sampled_from(["row", "sliver", "ctx"]), st.integers(1, 300))
+
+
 class TestReferenceLoop:
     """`_code_level` against the per-node reference loop: the same bytes, the
     same decoded symbols and, for adaptive counts, code lengths that are
@@ -313,7 +474,7 @@ class TestReferenceLoop:
     def test_adaptive_streams(self):
         for seed in (0, 1):
             levels = _adaptive_stream(seed)
-            ref, enc, ref_tables = _ReferenceCounts(), RangeEncoder(), []
+            ref, enc, ref_tables = _ReferenceCounts(), _RefEncoder(), []
             for cids, syms in levels:
                 _, coded = _reference_level(len(cids), lambda i: ref.node_table(cids[i]),
                                             lambda i, s: ref.observe(cids[i], s), syms, enc,
@@ -330,7 +491,7 @@ class TestReferenceLoop:
             assert enc.finish() == data
 
             model, dec = GivenContexts(16), RangeDecoder(data)
-            ref, ref_dec = _ReferenceCounts(), RangeDecoder(data)
+            ref, ref_dec = _ReferenceCounts(), _RefDecoder(data)
             for cids, syms in levels:
                 assert coder._code_level(cids, None, model, dec, decoding=True).tolist() == syms
                 got, _ = _reference_level(len(cids), lambda i: ref.node_table(cids[i]),
@@ -347,6 +508,55 @@ class TestReferenceLoop:
                 expected = -np.log2((tables[rows, s] - tables[rows, s - 1]) / tables[:, -1])
                 assert np.array_equal(level_code_lengths(model, cids, syms), expected)
 
+    @settings(max_examples=120, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.lists(_SEGMENT, max_size=6),
+           st.lists(st.integers(0, 1800), max_size=3), st.integers(0, 255))
+    @example(0, [("straddle", "row", 1000), ("top", "sliver", 30)], [500], 0)
+    @example(1, [("straddle", "ctx", 600), ("bottom", "row", 20), ("straddle", "sliver", 600)],
+             [300, 900], 255)
+    @example(2, [], [], 0)
+    def test_level_methods_match_oracle(self, seed, segments, cuts, extra):
+        """Levels of random rows (totals 2^8 to 2^16), top slivers and adaptive
+        contexts updated in between, with runs of straddling symbols that hold
+        back long 0xFF runs: the level methods give the oracle's bytes and
+        symbols, and reject a payload cut short or with a byte appended."""
+        nodes, data, _ = _mixed_stream(seed, segments)
+        bounds = [0] + sorted(min(c, len(nodes)) for c in cuts) + [len(nodes)]
+        levels = [nodes[a:b] for a, b in zip(bounds, bounds[1:])]
+
+        enc, model = RangeEncoder(), _MixedRows(16)
+        for level in levels:
+            coder._code_level([ref for ref, _ in level], [s for _, s in level], model, enc,
+                              decoding=False)
+        assert enc.finish() == data
+
+        def decode(payload):
+            dec, model = RangeDecoder(payload), _MixedRows(16)
+            for level in levels:
+                got = coder._code_level([ref for ref, _ in level], None, model, dec,
+                                        decoding=True)
+                assert got.tolist() == [s for _, s in level]
+            dec.finish()
+
+        decode(data)
+        if len(data) > 5:   # past the decoder's first five bytes: a level reads the last
+            with pytest.raises(DecodeError, match="payload exhausted"):
+                decode(data[:-1])
+        with pytest.raises(DecodeError, match="1 bytes after"):
+            decode(data + bytes([extra]))
+
+    def test_straddling_runs_hold_back_and_carry(self):
+        # the property test's inputs reach what they are there for: a run of
+        # straddling symbols holds back hundreds of 0xFF bytes; top symbols
+        # then carry into it, turning the run into zeros, and bottom symbols
+        # release it as 0xFF bytes
+        _, data, longest = _mixed_stream(0, [("straddle", "row", 1000), ("top", "sliver", 30)])
+        assert longest > 500
+        assert b"\x00" * 500 in data and b"\xff" * 50 not in data
+        _, data, longest = _mixed_stream(0, [("straddle", "ctx", 600), ("bottom", "row", 20)])
+        assert longest > 500
+        assert b"\xff" * 500 in data and b"\x00" * 50 not in data
+
     @pytest.mark.parametrize("shared", [True, False])
     def test_batch_and_shared_row(self, shared):
         rng = np.random.default_rng(7)
@@ -357,13 +567,13 @@ class TestReferenceLoop:
         table = (lambda i: cum[0]) if shared else cum.__getitem__
         levels = [[int(rng.choice(255, p=np.diff(table(i)) / TOTAL_FREQ)) + 1 for i in range(n)]
                   for _ in range(3)]
-        ref_enc, enc = RangeEncoder(), RangeEncoder()
+        ref_enc, enc = _RefEncoder(), RangeEncoder()
         for syms in levels:
             _reference_level(n, table, lambda i, s: None, syms, ref_enc, decoding=False)
             coder._code_level(range(n), syms, _FixedModel(freq), enc, decoding=False)
         data = enc.finish()
         assert data == ref_enc.finish()
-        dec, ref_dec = RangeDecoder(data), RangeDecoder(data)
+        dec, ref_dec = RangeDecoder(data), _RefDecoder(data)
         for syms in levels:
             assert coder._code_level(range(n), None, _FixedModel(freq), dec,
                                      decoding=True).tolist() == syms
@@ -386,13 +596,20 @@ def _carry_run(n):
     encoder holds back a run of n/8 0xFF bytes; upper halves then lift `low`
     past the boundary and the carry turns the whole run into zeros."""
     half = TOTAL_FREQ // 2
-    enc, triples = RangeEncoder(), []
+    enc, triples = _RefEncoder(), []
     for _ in range(n):
         boundary = 1 << (32 if enc._out else 31)
         mid = enc._low + (enc._range // TOTAL_FREQ) * half
         triples.append((half, half, TOTAL_FREQ) if mid <= boundary else (0, half, TOTAL_FREQ))
         enc.encode(*triples[-1])
     return triples + [(half, half, TOTAL_FREQ)] * 40
+
+
+def _triple_row(cum, freq, total):
+    """A cumulative table whose symbol 2 takes [cum, cum + freq) of total;
+    symbol 1 takes [0, cum), and symbols 3-255 are empty at the top."""
+    return memoryview(np.array([0, cum] + [cum + freq] + [total] * (ALPHABET - 2),
+                               dtype=np.int64))
 
 
 class TestPayloadEnd:
@@ -403,21 +620,57 @@ class TestPayloadEnd:
     @example([(0, 1, TOTAL_FREQ)] * 400)
     @example([])
     def test_decoder_ends_exactly_at_payload_end(self, triples):
-        enc = RangeEncoder()
+        enc = _RefEncoder()
         for cum, freq, total in triples:
             enc.encode(cum, freq, total)
         data = enc.finish()
-        dec = RangeDecoder(data)
+        dec = _RefDecoder(data)
         for cum, freq, total in triples:
             assert cum <= dec.decode_target(total) < cum + freq
             dec.consume(cum, freq)
         dec.finish()
-        padded = RangeDecoder(data + b"\x00")
+        padded = _RefDecoder(data + b"\x00")
         for cum, freq, total in triples:
             padded.decode_target(total)
             padded.consume(cum, freq)
         with pytest.raises(DecodeError, match="1 bytes after"):
             padded.finish()
+        # the level methods, on rows whose symbol 2 is each triple's slice
+        rows = [_triple_row(*triple) for triple in triples]
+        enc = RangeEncoder()
+        enc.encode_level(rows, [2] * len(rows), None)
+        assert enc.finish() == data
+        dec = RangeDecoder(data)
+        assert dec.decode_level(rows, len(rows), None) == bytes([2] * len(rows))
+        dec.finish()
+        padded = RangeDecoder(data + b"\x00")
+        padded.decode_level(rows, len(rows), None)
+        with pytest.raises(DecodeError, match="1 bytes after"):
+            padded.finish()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(st.binary(max_size=70), st.binary(min_size=70, max_size=160)),
+           st.booleans())
+    @example(b"\x00" + b"\xff" * 8, False)   # the first code is past the last slice
+    @example(b"\x00" + b"\xff" * 8, True)
+    def test_any_payload_decodes_as_the_oracle(self, data, adaptive):
+        """Random bytes, corrupt payloads included: the level method decodes
+        the oracle's symbols, or both raise DecodeError."""
+        n = 60
+        if adaptive:
+            ref, model = _ReferenceCounts(), _OneContextAdaptive()
+            table, observe = (lambda i: ref.node_table(0)), (lambda i, s: ref.observe(0, s))
+        else:
+            cum = np.concatenate([[0], np.cumsum(UNIFORM)])
+            model, table, observe = _FixedModel(UNIFORM), (lambda i: cum), (lambda i, s: None)
+        try:
+            expected = _reference_level(n, table, observe, None, _RefDecoder(data),
+                                        decoding=True)[0]
+        except DecodeError:
+            with pytest.raises(DecodeError):
+                _decode(data, n, model)
+        else:
+            assert _decode(data, n, model) == expected
 
     @pytest.mark.parametrize("kind", ["uniform", "adaptive", "voxel-static", "sequence"])
     def test_appended_byte_rejected(self, kind):

@@ -59,6 +59,23 @@ class TestGridFromLevel:
             assert len(grid.keys) == len(tree.levels[k])
             assert _whole(grid).sum() == len(tree.levels[k])
 
+    def test_unsorted_and_duplicate_cells_give_the_level_keys(self):
+        # a level's cells come sorted and unique; any other order, with
+        # repeats, must give the same sorted unique keys and occupancy
+        tree = build(random_cloud(500, 6), 6)
+        rng = np.random.default_rng(0)
+        for k in range(1, 7):
+            cells = tree.levels[k]
+            level = VoxelGrid(k, cells)
+            assert np.array_equal(level.keys, octree.cell_keys(cells, k))
+            shuffled = rng.permutation(np.concatenate([cells, cells[rng.integers(0, len(cells),
+                                                                                  len(cells))]]))
+            for mixed in (shuffled, cells[::-1], np.concatenate([cells, cells[-1:]])):
+                grid = VoxelGrid(k, mixed)
+                assert grid.keys.dtype == level.keys.dtype
+                assert np.array_equal(grid.keys, level.keys)
+                assert np.array_equal(_whole(grid), _whole(level))
+
     def test_pooling_consistency(self):
         tree = build(random_cloud(500, 4), 6)
         for k in range(1, 7):
