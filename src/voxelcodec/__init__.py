@@ -14,8 +14,7 @@ from .metrics import (RDPoint, bdbr, chamfer, estimate_normals, nearest_neighbor
 from .octree import Octree, build, reconstruct_centers
 from .pointcloud import (NormalizationParams, ParseError, PointCloud, RigidTransform,
                          apply_pose, normalize, read_points, write_points)
-from .refine import (RefineParams, build_refine_dataset, refine_apply, refine_offsets,
-                     train_refine)
+from .refine import RefineParams, build_refine_dataset, refine_apply, train_refine
 from .voxelgrid import VoxelGrid, child_region_crops, local_crops
 
 __version__ = "0.1.0"

@@ -185,6 +185,8 @@ def cmd_decode(args):
     t0 = time.perf_counter()
     try:
         header, _ = coder.BitstreamHeader.unpack(data)
+        if args.restore_poses and header.mode != coder.MODE_DYNAMIC:
+            raise CliError("--restore-poses needs a sequence bitstream", EXIT_USAGE)
         if header.mode == coder.MODE_DYNAMIC:
             clouds = dynamic.decode_sequence(data, model, refine_params,
                                              restore_poses=args.restore_poses)
@@ -197,7 +199,10 @@ def cmd_decode(args):
         _atomic_write(args.output, pointcloud.write_points(
             clouds[0], pointcloud.guess_format(args.output)))
     else:
-        os.makedirs(args.output, exist_ok=True)
+        try:
+            os.makedirs(args.output, exist_ok=True)
+        except OSError as exc:
+            raise CliError(f"cannot create directory {args.output}: {exc}", EXIT_IO) from exc
         for i, cloud in enumerate(clouds):
             _atomic_write(os.path.join(args.output, f"frame_{i:04d}.ply"),
                           pointcloud.write_points(cloud, pointcloud.PLY_BINARY))
@@ -208,11 +213,11 @@ def cmd_decode(args):
 
 
 def _corpus_clouds(path):
-    if os.path.isdir(path):
-        files = _sequence_files(path)
-    else:
-        files = [path]
-    return [_load_cloud(f) for f in files]
+    """The normalized clouds of a corpus, one file or a directory of them,
+    all read before any is normalized."""
+    files = _sequence_files(path) if os.path.isdir(path) else [path]
+    clouds = [_load_cloud(f) for f in files]
+    return [pointcloud.normalize(c)[0] for c in clouds]
 
 
 def cmd_train(args):
@@ -228,12 +233,8 @@ def cmd_train(args):
         if args.refine:
             params = refine.RefineParams(args.crop_size, seed=args.seed,
                                          channels=args.channels, hidden=args.hidden)
-            clouds = _corpus_clouds(args.input)
-            datasets = []
-            for c in clouds:
-                norm_c, _ = pointcloud.normalize(c)
-                ds = refine.build_refine_dataset(norm_c, args.depth, args.crop_size)
-                datasets.append(ds)
+            datasets = [refine.build_refine_dataset(c, args.depth, args.crop_size)
+                        for c in _corpus_clouds(args.input)]
             merged = {"crops": np.concatenate([d["crops"] for d in datasets]),
                       "targets": np.concatenate([d["targets"] for d in datasets])}
             curve = refine.train_refine(params, args.depth, merged, args.epochs,
@@ -248,11 +249,7 @@ def cmd_train(args):
             curve = model.train(dataset, args.epochs, args.batch, args.lr, args.seed)
             blob = model.serialize()
         elif args.model_kind == "voxel-static":
-            clouds = _corpus_clouds(args.input)
-            trees = []
-            for c in clouds:
-                norm_c, _ = pointcloud.normalize(c)
-                trees.append(octree.build(norm_c, args.depth))
+            trees = [octree.build(c, args.depth) for c in _corpus_clouds(args.input)]
             dataset = entropy.build_node_dataset(trees, args.crop_size)
             model = entropy.VoxelContextModel(args.crop_size, channels=args.channels,
                                               hidden=args.hidden, seed=args.seed)
@@ -261,8 +258,6 @@ def cmd_train(args):
         else:
             raise CliError(f"cannot train model kind {args.model_kind!r} "
                            "(use voxel-static, voxel-dynamic, or --refine)", EXIT_USAGE)
-    except CliError:
-        raise
     except ValueError as exc:
         raise CliError(f"training failed: {exc}", EXIT_TRAINING) from exc
     _atomic_write(args.model, blob)

@@ -72,14 +72,15 @@ TEMPORAL = (Branch("grid_prev"), Branch("grid_next"), Branch("grid_prev_child", 
 
 def level_outputs(net: nn.IntContextNet, geometry, crop_sizes, ctx, feats=None) -> np.ndarray:
     """Integer head outputs (n, out) at net.head.out_exp of one level, bit for
-    bit `net.forward` on `ctx.branch_crops` and `feats`. The head's first
-    layer, split by input columns (a slice per branch, then the features'),
-    is summed from the bias: integers within `nn.ACC_BITS`, so exactly. An
-    absent branch's crops are all zero, so it adds the tower's empty-space
-    output at every window to every row. The present branches run tile by
-    tile over their anchors, one tiling and one `nn.tile_layout` per tile for
-    all the branches with the same anchors and tower depth, each tile's tower
-    rows (`nn.tower_windows`) going straight into the head's first layer."""
+    bit those of the per-crop oracle (`tests/oracles.py`) on `ctx.branch_crops`
+    and `feats`. The head's first layer, split by input columns (a slice per
+    branch, then the features'), is summed from the bias: integers within
+    `nn.ACC_BITS`, so exactly. An absent branch's crops are all zero, so it
+    adds the tower's empty-space output at every window to every row. The
+    present branches run tile by tile over their anchors, one tiling and one
+    `nn.tile_layout` per tile for all the branches with the same anchors and
+    tower depth, each tile's tower rows (`nn.tower_windows`) going straight
+    into the head's first layer."""
     first, *rest = net.head.layers
     towers = list(zip(geometry, net.towers, crop_sizes))
     *slices, w_feat = np.split(first.w, np.cumsum([t.width(m) for _, t, m in towers]), axis=1)

@@ -1,7 +1,7 @@
 """Deterministic neural kernel: 3D valid convolution, fully connected layers,
 ReLU, reverse-mode gradients, Adam, Glorot init, the branch-generic context
-net with its training loop, integer-exact inference, the level-wise tower
-pass, and the "VCNM" model file.
+net with its training loop, its fixed-point copy, the level-wise tower pass
+(the one integer inference path), and the "VCNM" model file.
 
 Training runs in float64 with every reduction through np.einsum with
 optimize=False, so its results are bit-identical regardless of BLAS
@@ -12,19 +12,19 @@ Coding and refinement never run the float kernel. They quantize the stored
 weights to a fixed-point copy of the network (`quantize_context_net`) whose
 every operand is an integer held in float64 and whose every partial sum stays
 below 2^53, so BLAS matrix products are exact in any summation order: on any
-thread count and any CPU kernel, results agree bit for bit. `infer` runs it
-on a batch of per-node crops (the oracle); `tower_windows` runs a conv tower
-once over a zero-padded occupancy box and gathers each node's window. Each
+thread count and any CPU kernel, results agree bit for bit. `tower_windows`
+runs a conv tower once over a zero-padded occupancy box and gathers each
+node's window, bit for bit the per-crop oracle of `tests/oracles.py`. Each
 layer is kept as compact rows, one per position some node's window needs,
 and read through row indices (`tile_layout`, which depends on the crop
 corners alone, so towers reading different grids at the same corners share
 it); the first layer is computed only where an occupied cell is in reach
 (elsewhere its value on empty space, `IntNet.backgrounds`, is computed once
 per net). A convolution's weights are quantized once, columns tap-major, the
-order in which both passes gather a patch. Tower rows are window-major, and
-`quantize_context_net` orders the head's first-layer columns to match. The
-tiling and the head are the caller's: `entropy.level_outputs` applies the
-head's first layer tile by tile.
+order in which both the pass and the oracle gather a patch. Tower rows are
+window-major, and `quantize_context_net` orders the head's first-layer
+columns to match. The tiling and the head are the caller's:
+`entropy.level_outputs` applies the head's first layer tile by tile.
 `integer_tables` maps the integer logits to the coder's 16-bit frequency
 tables in integer arithmetic through a table of 2^(-j/256), so no
 transcendental function of the platform decides a coded bit; those tables are
@@ -550,17 +550,6 @@ class IntContextNet:
         """Node features as integers at the head's input exponent."""
         return np.rint(np.asarray(feats, dtype=F64) * 2.0 ** self.head.in_exp)
 
-    def forward(self, crop_sets, feats=None):
-        """Integer head outputs (at exponent head.out_exp) on per-node crops,
-        one (n, M, M, M) batch per tower: the oracle of the level-wise pass.
-        Tower rows are flattened window-major, as `tower_windows` gives them
-        and the head's first layer reads them (`quantize_context_net`)."""
-        flats = [np.moveaxis(infer(tower, np.asarray(crops)[:, None]), 1, -1)
-                 .reshape(len(crops), -1) for tower, crops in zip(self.towers, crop_sets)]
-        if feats is not None:
-            flats.append(self.features(feats))
-        return infer(self.head, np.concatenate(flats, axis=1))
-
 
 def quantize_context_net(branches, head, crop_sizes, feature_bound=0.0) -> IntContextNet:
     """Fixed-point copy of a context net's stored weights, tower i on crops of
@@ -582,24 +571,6 @@ def quantize_context_net(branches, head, crop_sizes, feature_bound=0.0) -> IntCo
     first = replace(first, w=first.w[:, np.concatenate(order)])
     qhead = replace(qhead, layers=(first,) + qhead.layers[1:])
     return IntContextNet(tuple(t.delivering(qhead.in_exp) for t in towers), qhead)
-
-
-def infer(net: IntNet, x):
-    """Integer forward pass on a batch whose entries hold integers at
-    net.in_exp; returns integers at net.out_exp."""
-    x = np.asarray(x, dtype=F64)
-    if not net.layers:
-        return x * 2.0 ** (net.out_exp - net.in_exp)
-    for layer in net.layers:
-        n = len(x)
-        if layer.conv:
-            do, ho, wo = (s - 2 for s in x.shape[2:])
-            cols = _im2col(x).reshape(n * do * ho * wo, x.shape[1], 27).swapaxes(1, 2)
-            x = layer.apply(cols.reshape(n * do * ho * wo, -1))   # tap-major, as layer.w
-            x = x.reshape(n, do * ho * wo, -1).transpose(0, 2, 1).reshape(n, -1, do, ho, wo)
-        else:
-            x = layer.apply(x.reshape(n, -1))
-    return x
 
 
 def _exp2_table():
@@ -653,9 +624,9 @@ def integer_tables(z, exp):
 # level-wise tower pass: a valid 3x3x3 convolution commutes with translation,
 # so the tower output of the crop box[a:a+m] is the window at a of one tower run
 # over the whole box. Each layer is computed once, at the union of positions
-# the nodes' windows need, by the integer kernel of `infer`, so every output
-# equals the per-crop one exactly. A layer's output is kept as compact rows,
-# one per needed position, and the next layer gathers its patches from them
+# the nodes' windows need, so every output equals the per-crop one
+# (`tests/oracles.py`) exactly. A layer's output is kept as compact rows, one
+# per needed position, and the next layer gathers its patches from them
 # through row indices (the coordinate maps of sparse convolution: Choy et al.,
 # MinkowskiEngine, arXiv:1904.08755; Graham & van der Maaten,
 # arXiv:1706.01307). A first-layer position whose patch holds no occupied cell
@@ -735,12 +706,13 @@ def tower_windows(net: IntNet, box, layout: TileLayout):
     """Integer tower outputs of the crops whose compact `layout` over the
     zero-padded occupancy array `box` is given (`tile_layout`), one row per
     anchor, each flattened window-major, column o*C + c for window position
-    o (x-major) and channel c: infer(net, crops) with its channel axis moved
-    last. Each layer runs as a row gather, a BLAS product and a requantize,
-    every later layer at all its needed positions and the first only where
-    its patch may hold an occupied cell. "May": the reach test shifts flat
-    indices, which can wrap across the box's rows and mark a position whose
-    patch is empty; computing that position gives the background, exactly."""
+    o (x-major) and channel c: the rows of the per-crop oracle
+    (`tests/oracles.py`). Each layer runs as a row gather, a BLAS product and
+    a requantize, every later layer at all its needed positions and the first
+    only where its patch may hold an occupied cell. "May": the reach test
+    shifts flat indices, which can wrap across the box's rows and mark a
+    position whose patch is empty; computing that position gives the
+    background, exactly."""
     box = np.asarray(box)
     if not net.layers:
         return np.take(box, layout.windows) * 2.0 ** (net.out_exp - net.in_exp)

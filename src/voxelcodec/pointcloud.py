@@ -154,7 +154,9 @@ def _parse_ply_header(data: bytes):
             else:
                 raise ParseError(f"unsupported PLY format '{tokens[1]}'", line_off)
         elif tokens[0] == "element":
-            in_vertex = tokens[1] == "vertex"
+            in_vertex = tokens[1:2] == ["vertex"]
+            if in_vertex == (vertex_count is not None):   # the payload is read as vertices
+                raise ParseError("the vertex element must come first, and once", line_off)
             if in_vertex:
                 try:
                     vertex_count = int(tokens[2])

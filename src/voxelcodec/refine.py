@@ -93,18 +93,13 @@ def _bounded(net: nn.IntContextNet, z):
     return np.clip(0.5 * np.tanh(z * 2.0 ** -net.head.out_exp), -_HALF_OPEN, _HALF_OPEN)
 
 
-def refine_offsets(params: RefineParams, depth: int, crops) -> np.ndarray:
-    """(n, 3) offsets in leaf-cell-edge units, each component in (-0.5, 0.5),
-    from the integer network on per-leaf crops."""
-    net = params.integer_net(depth)
-    return _bounded(net, net.forward((crops,)))
-
-
 def refine_apply(tree: Octree, params: RefineParams, norm: NormalizationParams) -> PointCloud:
     """Shift each leaf center by its predicted offset and map it to input coordinates.
 
     The integer net runs once over the leaf grid (`entropy.level_outputs`),
-    so the offsets equal refine_offsets() on the leaves' crops bit for bit.
+    so the offsets, each component in (-0.5, 0.5) leaf-cell edges, equal bit
+    for bit those of the per-crop oracle (`tests/oracles.py`) on the leaves'
+    crops.
     """
     d = tree.max_depth
     net = params.integer_net(d)

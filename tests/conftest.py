@@ -9,6 +9,8 @@ from voxelcodec import (AdaptiveContextModel, DynamicContextModel, PointCloud, R
                         RigidTransform, VoxelContextModel, nn)
 from voxelcodec.octree import cell_keys
 
+from oracles import forward
+
 # Files of the previous formats, written by the library before the move to
 # SHA-256 hashes: a uniform model as VCNM version 1, and a one-point uniform
 # stream at depth 3 as VCNB version 3, each closed by an FNV-1a-64 hash.
@@ -219,9 +221,9 @@ def coder_bound_bits(lengths):
 
 def crop_tables(model, crop_sets, feats):
     """(n, 255) coding frequencies of a context-net model on per-node crops
-    (one batch per branch): the integer net's forward, then its tables."""
+    (one batch per branch): the integer net's per-crop oracle, then its tables."""
     net = model.integer_net()
-    return nn.integer_tables(net.forward(crop_sets, feats), net.head.out_exp)
+    return nn.integer_tables(forward(net, crop_sets, feats), net.head.out_exp)
 
 
 # --- finite-difference gradient harness -------------------------------------

@@ -18,10 +18,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "voxelcodec"
 
-# Public names kept only as test oracles, each with its reason.
-ORACLES = {
-    "refine_offsets": "per-crop refinement offsets, the oracle of refine_apply's level pass",
-}
+# Public names kept only as test oracles, each with its reason. The per-crop
+# oracle of the level pass lives in tests/oracles.py, so none is left.
+ORACLES = {}
 
 # Public names kept only because the benchmark tracer wraps them by name; they
 # go when the tracer stops patching the library (ROADMAP item 1).

@@ -199,6 +199,20 @@ class TestEncodeDecode:
         decoded = sorted(os.listdir(out_dir))
         assert decoded == ["frame_0000.ply", "frame_0001.ply", "frame_0002.ply"]
 
+    def test_sequence_decode_onto_a_file_is_io_error(self, tmp_path, capsys):
+        """A sequence decodes into a directory: an existing file at the output
+        path is an I/O error (exit 2) that names it, and is left as it was."""
+        frames_dir = tmp_path / "frames"
+        frames_dir.mkdir()
+        for t in range(2):
+            _write_cloud(frames_dir / f"f{t}.ply", structured_cloud(200, seed=t))
+        bitstream, out = tmp_path / "seq.vcnb", tmp_path / "out"
+        assert _run("encode", frames_dir, bitstream, "--depth", 4, "--sequence") == 0
+        out.write_bytes(b"kept")
+        assert _run("decode", bitstream, out) == 2
+        assert str(out) in capsys.readouterr().err
+        assert out.read_bytes() == b"kept"
+
 
 class TestTrain:
     def _corpus(self, tmp_path, n_clouds=2, n_points=300):
@@ -359,11 +373,11 @@ class TestOptions:
     @pytest.mark.parametrize("command,option", [
         ("encode", "--seed"), ("decode", "--seed"), ("eval", "--seed"), ("bdbr", "--seed"),
         ("eval", "--report"), ("train", "--context-bits"), ("encode", "--poses"),
-        ("train", "--poses"), ("train", "--refine")])
+        ("train", "--poses"), ("train", "--refine"), ("decode", "--restore-poses")])
     def test_unread_option_rejected(self, files, command, option):
         """Also options that the mode chosen never reads: --poses outside a
-        sequence or dynamic training, and --model-kind when training the
-        refiner."""
+        sequence or dynamic training, --model-kind when training the refiner,
+        and --restore-poses on a single-cloud bitstream."""
         argv = {
             "encode": ("encode", files.src, files.dir / "o.vcnb", "--depth", 5),
             "decode": ("decode", files.bitstream, files.dir / "o.xyz"),
@@ -374,7 +388,7 @@ class TestOptions:
                       "--channels", "2", "--hidden", 8),
         }[command]
         values = {"--seed": (5,), "--report": (files.dir / "r.json",), "--context-bits": (4,),
-                  "--poses": (files.poses,), "--refine": ()}[option]
+                  "--poses": (files.poses,), "--refine": (), "--restore-poses": ()}[option]
         assert _run(*argv) == 0
         assert _run(*argv, option, *values) == 1
         assert not (files.dir / "r.json").exists()

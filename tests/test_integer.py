@@ -27,6 +27,7 @@ from voxelcodec import (DynamicContextModel, RefineParams, VoxelContextModel, bu
                         model_code_lengths, nn, normalize, train_refine)
 
 from conftest import structured_cloud
+from oracles import forward, infer
 
 LN2 = math.log(2.0)
 # conv fan-ins 27*c of the tower widths in use, then the head widths: the default
@@ -57,9 +58,9 @@ def test_blas_equals_int64_at_worst_case_magnitudes(fan_in, out, rows, conv, see
     net = nn.IntNet((nn.IntLayer(w, b, 1.0, False, conv),), 0, 0, float(q), True)
     if conv:   # a 3^3 crop of c channels: its one patch is the crop, read tap-major;
         # every input is q, so that order leaves the product as the oracle's
-        got = nn.infer(net, x.reshape(rows, fan_in // 27, 3, 3, 3)).reshape(rows, out)
+        got = infer(net, x.reshape(rows, fan_in // 27, 3, 3, 3)).reshape(rows, out)
     else:
-        got = nn.infer(net, x)
+        got = infer(net, x)
     expected = _int64_oracle(x, w, b)
     assert np.abs(expected).max() <= 1 << nn.ACC_BITS
     assert np.array_equal(got, expected.astype(np.float64))
@@ -83,7 +84,7 @@ def test_quantized_head_fits_its_fan_in(fan_in, peak, bias, bound, seed):
     q = np.rint(bound * 2.0 ** net.in_exp)
     assert (fan_in << nn.WEIGHT_BITS) * int(q) <= 1 << nn.ACC_BITS
     x = np.where(rng.random((4, fan_in)) < 0.5, q, np.rint(rng.uniform(0, q, (4, fan_in))))
-    got = nn.infer(net, x)
+    got = infer(net, x)
     assert np.array_equal(got, _int64_oracle(x, layer.w, layer.b).astype(np.float64))
     assert np.abs(got).max() <= net.bound * 2.0 ** net.out_exp
 
@@ -105,11 +106,11 @@ def test_outputs_within_carried_bounds(seed, tower_relu):
     assert net.towers[0].signed == (not tower_relu)
     crops = rng.random((40, 5, 5, 5)) < rng.random((40, 1, 1, 1))
     crops[0], crops[1] = True, False
-    rows = nn.infer(net.towers[0], crops[:, None]).reshape(len(crops), -1)
+    rows = infer(net.towers[0], crops[:, None]).reshape(len(crops), -1)
     assert np.abs(rows).max() <= np.rint(net.towers[0].bound * 2.0 ** net.head.in_exp)
-    z = nn.infer(net.head, rows)
+    z = infer(net.head, rows)
     assert np.abs(z).max() <= net.head.bound * 2.0 ** net.head.out_exp
-    assert np.array_equal(z, net.forward((crops,)))
+    assert np.array_equal(z, forward(net, (crops,)))
     # a one-layer head at its worst-case inputs: every row at the input bound,
     # with the sign of its weights where the tower output may be negative
     fc = nn.init_params((nn.FullyConnected(4),), (2,), 3)
@@ -119,7 +120,7 @@ def test_outputs_within_carried_bounds(seed, tower_relu):
     q = np.rint(net.towers[0].bound * 2.0 ** net.head.in_exp)
     w = net.head.layers[0].w
     worst = q * ((w > 0) if tower_relu else np.sign(w))
-    z = nn.infer(net.head, worst)
+    z = infer(net.head, worst)
     assert np.abs(z).max() <= net.head.bound * 2.0 ** net.head.out_exp
 
 
@@ -134,7 +135,7 @@ def test_integer_net_tracks_float_forward(seed, crop_size, child_crop_size, chan
     sizes, tower windows wider than one cell, and node features. This guards
     the window-major column order of the head's first layer
     (`quantize_context_net`), which the level pass and its bit-equality
-    oracle `IntContextNet.forward` share, so their agreement cannot see it."""
+    oracle `oracles.forward` share, so their agreement cannot see it."""
     rng = np.random.default_rng(seed)
     model = DynamicContextModel(crop_size=crop_size, child_crop_size=child_crop_size,
                                 channels=tuple(channels), hidden=8, seed=1)
@@ -149,7 +150,7 @@ def test_integer_net_tracks_float_forward(seed, crop_size, child_crop_size, chan
     feats = rng.random((n, 4))
     expected = nn.context_forward(model.branches, model.head, crops, feats)
     net = model.integer_net()
-    got = net.forward(crops, feats) * 2.0 ** -net.head.out_exp
+    got = forward(net, crops, feats) * 2.0 ** -net.head.out_exp
     np.testing.assert_allclose(got, expected, rtol=0, atol=1e-3 * np.abs(expected).max())
 
 

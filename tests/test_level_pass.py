@@ -5,8 +5,8 @@ tile loop per anchor set (`voxelgrid.anchor_tiles`) over the zero-padded
 grids, each tile's layer layouts (`nn.tile_layout`) built once and read by
 every branch at those anchors (`nn.tower_windows`), and the head's first
 layer applied tile by tile. The oracle runs the same fixed-point
-network on per-node crops (`nn.infer`, `IntContextNet.forward`,
-`refine_offsets`). The two must agree on the float64 bit patterns, and the
+network on per-node crops (`oracles.infer`, `oracles.forward`,
+`oracles.refine_offsets`). The two must agree on the float64 bit patterns, and the
 coder's integer tables with those of the per-crop logits, or encoder-side
 tables would depend on which path ran.
 """
@@ -20,13 +20,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from voxelcodec import (DynamicContextModel, RefineParams, VoxelContextModel, VoxelGrid,
-                        align_sequence, build, entropy, nn, normalize, refine_apply,
-                        refine_offsets)
+                        align_sequence, build, entropy, nn, normalize, refine_apply)
 from voxelcodec.entropy import (ALPHABET, CURRENT, FEATURE_DIM, TEMPORAL, level_contexts,
                                 level_outputs, make_level_context)
 from voxelcodec.voxelgrid import TILE, anchor_tiles
 
 from conftest import crops_by_contains, moving_sequence, structured_cloud
+from oracles import forward, refine_offsets, tower_rows
 
 
 def _randomize(params, rng):
@@ -92,11 +92,6 @@ def _tile_counts(model, ctx):
     return sum(tiles.values()), runs
 
 
-def _per_crop(tower, crops):
-    """The per-crop rows, window-major as the level pass gives them."""
-    return np.moveaxis(nn.infer(tower, crops[:, None]), 1, -1).reshape(len(crops), -1)
-
-
 def _same_bits(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
@@ -116,7 +111,7 @@ def test_tower_rows_equal_per_crop_forward(seed, depth, m, channels, n):
     grid = VoxelGrid(depth + child, occupied)
     cells = _near(rng, occupied >> child, depth, n)
     anchors = (TEMPORAL[2] if child else CURRENT).anchors(cells, m)
-    expected = _per_crop(tower, crops_by_contains(grid, anchors, m))
+    expected = tower_rows(tower, crops_by_contains(grid, anchors, m))
     assert _same_bits(_tower_rows(tower, grid, anchors, m), expected)
 
 
@@ -132,7 +127,7 @@ def test_absent_frame_row_equals_zero_crops(seed, m, channels):
     ctx = make_level_context(4, 5, _cells(rng, 4, 5))
     assert getattr(ctx, branch.grid) is None
     got = level_outputs(net, (branch,), (m,), ctx)
-    assert _same_bits(got, net.forward([np.zeros((len(ctx),) + (m,) * 3)]))
+    assert _same_bits(got, forward(net, [np.zeros((len(ctx),) + (m,) * 3)]))
 
 
 def test_level_spanning_many_tiles():
@@ -142,7 +137,7 @@ def test_level_spanning_many_tiles():
     grid = VoxelGrid(7, _cells(rng, 7, 3000))
     anchors = CURRENT.anchors(_cells(rng, 7, 300), 9)
     assert len(list(anchor_tiles(anchors, 9))) > (128 // TILE) ** 3 // 2
-    expected = _per_crop(tower, crops_by_contains(grid, anchors, 9))
+    expected = tower_rows(tower, crops_by_contains(grid, anchors, 9))
     assert _same_bits(_tower_rows(tower, grid, anchors, 9), expected)
 
 
@@ -180,7 +175,7 @@ def test_level_tables_equal_integer_tables_of_forward(seed, depth, present, chan
     each present tower run once per tile."""
     model, ctx, crops = _random_level(seed, depth, present, channels)
     net = model.integer_net()
-    freq = nn.integer_tables(net.forward(crops, ctx.node_features()), net.head.out_exp)
+    freq = nn.integer_tables(forward(net, crops, ctx.node_features()), net.head.out_exp)
     with mock.patch.object(nn, "tile_layout", wraps=nn.tile_layout) as layouts, \
             mock.patch.object(nn, "tower_windows", wraps=nn.tower_windows) as towers:
         rows, update = model.level_tables(ctx)
@@ -201,7 +196,7 @@ def test_dynamic_level_spanning_many_tiles_shares_plans(present):
     tiles = len(list(anchor_tiles(CURRENT.anchors(ctx.cells, 5), 5)))
     assert 8 < tiles < len(ctx) // 4
     net = model.integer_net()
-    freq = nn.integer_tables(net.forward(crops, ctx.node_features()), net.head.out_exp)
+    freq = nn.integer_tables(forward(net, crops, ctx.node_features()), net.head.out_exp)
     with mock.patch.object(nn, "tile_layout", wraps=nn.tile_layout) as layouts, \
             mock.patch.object(nn, "tower_windows", wraps=nn.tower_windows) as towers, \
             mock.patch.object(entropy, "anchor_tiles", wraps=anchor_tiles) as tilings:
@@ -230,7 +225,7 @@ def test_single_layer_head_equals_forward(seed, depth, present, channels):
     net = model.integer_net()
     assert len(net.head.layers) == 1
     got = level_outputs(net, model.geometry, model.crop_sizes, ctx, ctx.node_features())
-    assert _same_bits(got, net.forward(crops, ctx.node_features()))
+    assert _same_bits(got, forward(net, crops, ctx.node_features()))
 
 
 def test_refine_apply_spanning_many_tiles():

@@ -69,6 +69,26 @@ class TestReadWrite:
             read_points(b"ply\nformat ascii 1.0\nelement vertex 1\nproperty float x\n"
                         b"property float y\nproperty float z\n", pointcloud.PLY_ASCII)
 
+    def test_vertex_element_must_come_first(self):
+        """The payload is read as vertices from its first byte, so an element
+        declared before `vertex`, or a second `vertex`, is a parse error, in
+        either format; an element after `vertex` is ignored."""
+        vertex = b"element vertex 2\nproperty float x\nproperty float y\nproperty float z\n"
+        camera = b"element camera 1\nproperty float a\nproperty float b\nproperty float c\n"
+        binary = (b"ply\nformat binary_little_endian 1.0\nelement camera 1\nproperty float k\n"
+                  + vertex + b"end_header\n"
+                  + np.array([9, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6], dtype="<f4").tobytes())
+        ascii_ = (b"ply\nformat ascii 1.0\n" + camera + vertex + b"end_header\n"
+                  b"9 0 0\n0.1 0.2 0.3\n0.4 0.5 0.6\n")
+        twice = b"ply\nformat ascii 1.0\n" + vertex + vertex + b"end_header\n0 0 0\n0 0 0\n"
+        for data in (binary, ascii_, twice):
+            with pytest.raises(ParseError, match="vertex element must come first"):
+                read_points(data, pointcloud.PLY_ASCII)
+        after = (b"ply\nformat ascii 1.0\n" + vertex + camera + b"end_header\n"
+                 b"0.1 0.2 0.3\n0.4 0.5 0.6\n9 0 0\n")
+        assert np.allclose(read_points(after, pointcloud.PLY_ASCII).points,
+                           [[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]])
+
     def test_truncated_binary_payload_names_offset(self):
         cloud = random_cloud(10, seed=0)
         data = write_points(cloud, pointcloud.PLY_BINARY)

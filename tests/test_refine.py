@@ -3,11 +3,11 @@ import pytest
 
 from voxelcodec import (PointCloud, RefineParams, UniformModel, build,
                         build_refine_dataset, chamfer, decode_cloud, encode_cloud,
-                        normalize, reconstruct_centers, refine_apply, refine_offsets,
-                        nn, train_refine)
+                        normalize, reconstruct_centers, refine_apply, nn, train_refine)
 from voxelcodec.voxelgrid import VoxelGrid, local_crops
 
 from conftest import planar_cloud, random_cloud
+from oracles import refine_offsets
 
 
 def _offset_cloud(n, seed, depth, local=(0.9, 0.9, 0.9)):
