@@ -3,10 +3,13 @@ ReLU, reverse-mode gradients, Adam, Glorot init, the branch-generic context
 net with its training loop, its fixed-point copy, the level-wise tower pass
 (the one integer inference path), and the "VCNM" model file.
 
-Training runs in float64 with every reduction through np.einsum with
-optimize=False, so its results are bit-identical regardless of BLAS
-threading; parameters are stored float32. Initialization draws from a Philox
-counter stream so seeds are portable.
+Training runs in float64 with every product through np.einsum with
+optimize=False, and the one scatter-add, col2im, as an np.bincount per sample
+in a fixed order (tap-major) on one thread, so its results are bit-identical
+regardless of BLAS threading; parameters are stored float32. A conv lowers to
+a patch matrix built by one gather (`_im2col`), and no tower computes the
+gradient of its input crops. Initialization draws from a Philox counter
+stream so seeds are portable.
 
 Coding and refinement never run the float kernel. They quantize the stored
 weights to a fixed-point copy of the network (`quantize_context_net`) whose
@@ -145,12 +148,34 @@ def _mm(a, b, sig):
     return np.einsum(sig, a, b, optimize=False)
 
 
+@functools.lru_cache(maxsize=16)
+def _patch_index(c, d, h, w):
+    """(P, C*27) flat indices into one (C, D, H, W) sample of its 3x3x3 valid
+    conv's patch matrix: row p an output position (x-major), column
+    k = channel*27 + tap, tap = a*9 + b*3 + e. Read-only; its size is the
+    layer's, not the batch's."""
+    pos = np.ravel_multi_index(np.indices((d - 2, h - 2, w - 2)).reshape(3, -1), (d, h, w))
+    cols = np.arange(c)[:, None] * (d * h * w) + _cube_offsets((d, h, w), 3)
+    index = pos[:, None] + cols.reshape(-1)
+    index.flags.writeable = False
+    return index
+
+
+@functools.lru_cache(maxsize=16)
+def _scatter_index(c, d, h, w):
+    """`_patch_index` flattened tap-major, (27, P, C): the order in which
+    `_col2im` adds the patch entries."""
+    index = _patch_index(c, d, h, w)
+    index = np.ascontiguousarray(index.reshape(len(index), c, 27).transpose(2, 0, 1)).reshape(-1)
+    index.flags.writeable = False
+    return index
+
+
 def _im2col(x):
-    """(N, C, D, H, W) -> (N, P, C*27) patch matrix for a 3x3x3 valid conv."""
+    """(N, C, D, H, W) -> (N, P, C*27) patch matrix for a 3x3x3 valid conv,
+    C-contiguous: one gather through `_patch_index`."""
     n, c, d, h, w = x.shape
-    win = np.lib.stride_tricks.sliding_window_view(x, (3, 3, 3), axis=(2, 3, 4))
-    return np.ascontiguousarray(win.transpose(0, 2, 3, 4, 1, 5, 6, 7)).reshape(
-        n, (d - 2) * (h - 2) * (w - 2), c * 27)
+    return np.take(x.reshape(n, -1), _patch_index(c, d, h, w), axis=1)
 
 
 def forward(params: ModelParams, x, want_cache=True):
@@ -185,13 +210,15 @@ def forward(params: ModelParams, x, want_cache=True):
     return x, cache
 
 
-def backward(params: ModelParams, cache, grad_out):
+def backward(params: ModelParams, cache, grad_out, input_grad=True):
     """Reverse pass on a batch: upstream gradient -> (per-layer [dW, db] grads,
-    input gradient)."""
+    input gradient). With input_grad=False the stack's input is data: its
+    gradient is not computed, and None is returned in its place."""
     g = np.asarray(grad_out, dtype=F64)
     grads = [None] * len(params.layers)
     for i in range(len(params.layers) - 1, -1, -1):
         layer, t, c = params.layers[i], params.tensors[i], cache[i]
+        pass_down = i > 0 or input_grad
         if isinstance(layer, Conv3D):
             in_shape, cols = c
             n, co = g.shape[0], g.shape[1]
@@ -199,32 +226,36 @@ def backward(params: ModelParams, cache, grad_out):
             w = t[0].astype(F64).reshape(co, -1)
             dw = _mm(gmat, cols, "npo,npk->ok").reshape(t[0].shape)
             db = gmat.sum(axis=(0, 1))
-            dcols = _mm(gmat, w, "npo,ok->npk")
-            g = _col2im(dcols, in_shape)
+            if pass_down:
+                g = _col2im(_mm(gmat, w, "npo,ok->npk"), in_shape)
             grads[i] = [dw, db]
         elif isinstance(layer, FullyConnected):
             in_shape, x2 = c
             dw = _mm(g, x2, "no,ni->oi")
             db = g.sum(axis=0)
-            g = _mm(g, t[0].astype(F64), "no,oi->ni").reshape(in_shape)
+            if pass_down:
+                g = _mm(g, t[0].astype(F64), "no,oi->ni").reshape(in_shape)
             grads[i] = [dw, db]
         elif isinstance(layer, ReLU):
             g = g * c
             grads[i] = []
-    return grads, g
+    return grads, g if input_grad else None
 
 
 def _col2im(dcols, in_shape):
-    """Scatter-add patch gradients back onto the conv input."""
+    """Scatter-add patch gradients back onto the conv input: per sample, one
+    np.bincount of the patch entries in tap-major order (`_scatter_index`).
+    A tap reaches an input element at most once, and bincount adds in input
+    order, serially, into float64 zeros, so each element sums its
+    contributions from 0.0 in ascending tap order (a, b, e): the additions
+    of 27 shifted slab adds, bit for bit."""
     n, c, d, h, w = in_shape
-    do, ho, wo = d - 2, h - 2, w - 2
-    dpatches = dcols.reshape(n, do, ho, wo, c, 3, 3, 3)
-    dx = np.zeros(in_shape, dtype=F64)
-    for a in range(3):
-        for b in range(3):
-            for e in range(3):
-                dx[:, :, a:a + do, b:b + ho, e:e + wo] += dpatches[:, :, :, :, :, a, b, e].transpose(0, 4, 1, 2, 3)
-    return dx
+    index = _scatter_index(c, d, h, w)
+    taps = dcols.reshape(n, -1, c, 27).transpose(0, 3, 1, 2)   # (N, 27, P, C)
+    dx = np.empty((n, c * d * h * w))
+    for s in range(n):   # per sample: an index for the whole batch would grow with it
+        dx[s] = np.bincount(index, weights=taps[s].reshape(-1), minlength=dx.shape[1])
+    return dx.reshape(in_shape)
 
 
 def softmax_cross_entropy(logits, target):
@@ -372,13 +403,15 @@ def context_forward(branches, head, crop_sets, feats=None, caches=None):
 
 
 def context_backward(branches, head, caches, grad_out):
-    """Per-group parameter gradients, branches first and the head last."""
+    """Per-group parameter gradients, branches first and the head last. The
+    crops are data: no tower computes the gradient of its input."""
     head_grads, g = backward(head, caches[-1], grad_out)
     grads, lo = [], 0
     for tower, (cache, shape) in zip(branches, caches[:-1]):
         width = int(np.prod(shape[1:]))
         if tower.layers:
-            grads.append(backward(tower, cache, g[:, lo:lo + width].reshape(shape))[0])
+            grads.append(backward(tower, cache, g[:, lo:lo + width].reshape(shape),
+                                  input_grad=False)[0])
         else:
             grads.append([])
         lo += width

@@ -147,6 +147,8 @@ def _parse_ply_header(data: bytes):
         if tokens[0] == "ply":
             continue
         if tokens[0] == "format":
+            if len(tokens) < 2:
+                raise ParseError("format line names no format", line_off)
             if tokens[1] == "ascii":
                 fmt = PLY_ASCII
             elif tokens[1] == "binary_little_endian":
@@ -163,8 +165,10 @@ def _parse_ply_header(data: bytes):
                 except (IndexError, ValueError):
                     raise ParseError("bad vertex element line", line_off) from None
         elif tokens[0] == "property" and in_vertex:
-            if tokens[1] == "list":
+            if tokens[1:2] == ["list"]:
                 raise ParseError("list property in vertex element is unsupported", line_off)
+            if len(tokens) < 3:
+                raise ParseError("property line needs a type and a name", line_off)
             if tokens[1] not in _PLY_TYPES:
                 raise ParseError(f"unknown property type '{tokens[1]}'", line_off)
             properties.append((tokens[2], _PLY_TYPES[tokens[1]]))

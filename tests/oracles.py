@@ -1,15 +1,41 @@
-"""Per-crop integer inference: the oracle of the library's level pass.
+"""Oracles the tests hold the library to, bit for bit.
 
-The library runs its fixed-point networks (`nn.quantize_context_net`) only
-through the level pass (`entropy.level_outputs`, `nn.tower_windows`), which
-computes each layer once per tile. These functions run the same integer
-layers on a batch of per-node crops instead, each convolution as one im2col
-product per layer, so the tests can hold the level pass to them bit for bit.
+Per-crop integer inference, the oracle of the level pass: the library runs
+its fixed-point networks (`nn.quantize_context_net`) only through the level
+pass (`entropy.level_outputs`, `nn.tower_windows`), which computes each layer
+once per tile. `infer` and the functions after it run the same integer layers
+on a batch of per-node crops instead, each convolution as one im2col product
+per layer.
+
+The training kernel's patch layouts: `im2col` and `col2im` are the sliding
+window transpose and the 27 slab adds that `nn._im2col` (one gather) and
+`nn._col2im` (one ordered bincount per sample) replace.
 """
 
 import numpy as np
 
 from voxelcodec import nn, refine
+
+
+def im2col(x):
+    """(N, C, D, H, W) -> (N, P, C*27) patch matrix for a 3x3x3 valid conv."""
+    n, c, d, h, w = x.shape
+    win = np.lib.stride_tricks.sliding_window_view(x, (3, 3, 3), axis=(2, 3, 4))
+    return np.ascontiguousarray(win.transpose(0, 2, 3, 4, 1, 5, 6, 7)).reshape(
+        n, (d - 2) * (h - 2) * (w - 2), c * 27)
+
+
+def col2im(dcols, in_shape):
+    """Scatter-add patch gradients back onto the conv input."""
+    n, c, d, h, w = in_shape
+    do, ho, wo = d - 2, h - 2, w - 2
+    dpatches = dcols.reshape(n, do, ho, wo, c, 3, 3, 3)
+    dx = np.zeros(in_shape, dtype=np.float64)
+    for a in range(3):
+        for b in range(3):
+            for e in range(3):
+                dx[:, :, a:a + do, b:b + ho, e:e + wo] += dpatches[:, :, :, :, :, a, b, e].transpose(0, 4, 1, 2, 3)
+    return dx
 
 
 def infer(net, x):

@@ -147,6 +147,16 @@ class TestEncodeDecode:
         assert _run("decode", bitstream, tmp_path / "o.ply", option, model) == 3
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line", [b"format", b"property float"])
+    def test_short_ply_header_line_exit_3(self, tmp_path, capsys, line):
+        """A malformed PLY header line is a format error, not a crash."""
+        src = tmp_path / "in.ply"
+        head = b"format ascii 1.0\nelement vertex 1\n" if line != b"format" else b""
+        src.write_bytes(b"ply\n" + head + line + b"\nproperty float x\nproperty float y\n"
+                        b"property float z\nend_header\n0.1 0.2 0.3\n")
+        assert _run("encode", src, tmp_path / "o.vcnb", "--depth", 4) == 3
+        assert "byte offset" in capsys.readouterr().err
+
     def test_usage_error_exit_1(self):
         assert _run("encode") == 1
         assert _run("frobnicate") == 1

@@ -3,8 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from voxelcodec import RefineParams, load_entropy_model, nn
+import oracles
+from voxelcodec import (DynamicContextModel, RefineParams, VoxelContextModel,
+                        load_entropy_model, nn)
+from voxelcodec.entropy import ALPHABET, FEATURE_DIM
 from voxelcodec.nn import (AdamState, Conv3D, FullyConnected, ModelParams, ReLU,
                            adam_step, backward, forward, init_params, layer_shapes,
                            softmax_cross_entropy)
@@ -146,6 +151,100 @@ class TestBackward:
             params64, loss_fn, grads, rng, checks_per_tensor=10 ** 9)
         assert worst < 1e-4
         assert checked > 0.9 * (checked + skipped)
+
+
+class TestPatchLayouts:
+    """`nn._im2col` (one gather) and `nn._col2im` (an ordered bincount per
+    sample) give the bits of the layouts they replace, `oracles.im2col` and
+    `oracles.col2im`."""
+
+    @given(st.integers(1, 3), st.integers(1, 4), st.tuples(*[st.integers(3, 7)] * 3),
+           st.integers(0, 2 ** 32 - 1))
+    @example(1, 1, (3, 3, 3), 0)
+    @example(2, 3, (3, 6, 4), 1)
+    @settings(max_examples=60, deadline=None)
+    def test_bit_identical_to_the_slab_layouts(self, n, c, dhw, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((n, c) + dhw)
+        cols = nn._im2col(x)
+        assert cols.flags.c_contiguous
+        want = oracles.im2col(x)
+        assert cols.shape == want.shape and np.array_equal(cols.view(np.uint64), want.view(np.uint64))
+        # magnitudes 16 octaves apart, so another summation order rounds otherwise
+        shape = (n, math.prod(s - 2 for s in dhw), c * 27)
+        dcols = rng.standard_normal(shape) * rng.choice([2.0 ** -16, 1.0, 2.0 ** 16], shape)
+        dcols[rng.random(shape) < 0.1] = -0.0
+        dx, want = nn._col2im(dcols, x.shape), oracles.col2im(dcols, x.shape)
+        assert dx.shape == want.shape and np.array_equal(dx.view(np.uint64), want.view(np.uint64))
+
+    def test_index_caches_do_not_grow_with_the_batch(self):
+        rng = np.random.default_rng(0)
+        nn._im2col(rng.random((1, 2, 4, 5, 3)))
+        nn._col2im(rng.random((1, 6, 54)), (1, 2, 4, 5, 3))
+        sizes = nn._patch_index.cache_info().currsize, nn._scatter_index.cache_info().currsize
+        nn._im2col(rng.random((9, 2, 4, 5, 3)))
+        nn._col2im(rng.random((9, 6, 54)), (9, 2, 4, 5, 3))
+        assert (nn._patch_index.cache_info().currsize,
+                nn._scatter_index.cache_info().currsize) == sizes
+
+
+def _context_nets():
+    """Narrow static, dynamic and refinement nets: (branches, head, crop sizes,
+    feature width, output width)."""
+    static = VoxelContextModel(crop_size=7, channels=(2, 3, 4), hidden=8, seed=3)
+    dynamic = DynamicContextModel(crop_size=7, child_crop_size=6, channels=(2, 3), hidden=8,
+                                  seed=4)
+    refiner = RefineParams(crop_size=7, channels=(2, 3, 4), hidden=8, seed=5)
+    tower, head = refiner.add_depth(4)
+    return {"static": (static.branches, static.head, static.crop_sizes, FEATURE_DIM, ALPHABET),
+            "dynamic": (dynamic.branches, dynamic.head, dynamic.crop_sizes, FEATURE_DIM,
+                        ALPHABET),
+            "refine": ([tower], head, (7,), 0, 3)}
+
+
+@pytest.mark.parametrize("kind", ["static", "dynamic", "refine"])
+def test_context_backward_skips_only_the_crop_gradients(kind, monkeypatch):
+    """No tower's first convolution computes the gradient of its input (the
+    crops), and the weight gradients are those of a full `backward`."""
+    branches, head, crop_sizes, feature_dim, out_dim = _context_nets()[kind]
+    rng = np.random.default_rng(7)
+    last = head.tensors[-1][0]
+    last[:] = rng.uniform(-0.5, 0.5, last.shape)   # the zeroed output layer would pass no gradient
+    n = 5
+    crop_sets = [(rng.random((n, m, m, m)) < 0.3).astype(np.uint8) for m in crop_sizes]
+    feats = rng.random((n, feature_dim)) if feature_dim else None
+    grad_out = rng.standard_normal((n, out_dim))
+    caches = []
+    nn.context_forward(branches, head, crop_sets, feats, caches)
+    calls, col2im = [], nn._col2im
+    monkeypatch.setattr(nn, "_col2im", lambda dcols, in_shape: calls.append(in_shape)
+                        or col2im(dcols, in_shape))
+    grads = nn.context_backward(branches, head, caches, grad_out)
+    convs = [sum(isinstance(layer, Conv3D) for layer in t.layers) for t in branches]
+    assert len(calls) == sum(max(k - 1, 0) for k in convs)
+    assert not [s for s in calls if s[1:] in [(1, m, m, m) for m in crop_sizes]]
+
+    head_grads, g = backward(head, caches[-1], grad_out)
+    want, lo = [], 0
+    for tower, (cache, shape), crops in zip(branches, caches[:-1], crop_sets):
+        width = math.prod(shape[1:])
+        if tower.layers:
+            tower_grads, gx = backward(tower, cache, g[:, lo:lo + width].reshape(shape))
+            assert gx.shape == (n, 1) + crops.shape[1:]
+            want.append(tower_grads)
+        else:
+            want.append([])
+        lo += width
+    want.append(head_grads)
+    assert any(np.any(t) for t in _flat(grads[:-1]))
+    got, want = _flat(grads), _flat(want)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def _flat(grads):
+    return [t for group in grads for layer in group for t in layer]
 
 
 class TestAdam:

@@ -89,6 +89,22 @@ class TestReadWrite:
         assert np.allclose(read_points(after, pointcloud.PLY_ASCII).points,
                            [[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]])
 
+    @pytest.mark.parametrize("header", [
+        b"format\n",
+        b"format ascii 1.0\nelement vertex 1\nproperty\n",
+        b"format ascii 1.0\nelement vertex 1\nproperty float\n",
+        b"format binary_little_endian 1.0\nelement vertex 1\nproperty\n",
+        b"format binary_little_endian 1.0\nelement vertex 1\nproperty float\n",
+    ])
+    def test_short_header_line_names_its_offset(self, header):
+        """A bare `format` line, or a vertex `property` line without a type
+        or a name, is a parse error at the offset of that line (the last of
+        `header`)."""
+        data = b"ply\n" + header + b"property float x\nproperty float y\nproperty float z\nend_header\n"
+        with pytest.raises(ParseError) as exc:
+            read_points(data, pointcloud.PLY_ASCII)
+        assert exc.value.offset == len(b"ply\n") + header.rfind(b"\n", 0, -1) + 1
+
     def test_truncated_binary_payload_names_offset(self):
         cloud = random_cloud(10, seed=0)
         data = write_points(cloud, pointcloud.PLY_BINARY)
