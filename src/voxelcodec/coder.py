@@ -6,8 +6,9 @@ The entropy coder is a 32-bit byte-oriented range coder with carry counting;
 the range register stays in [2^24, 2^32) and every table totals at most
 2^16, keeping the truncation loss under 0.006 bits per symbol. Every symbol
 is coded from an integer cumulative table, last entry its total, that the
-model's `level_tables` hands over for the whole level (see `entropy`); no
-float arithmetic or sort decides one. `_code_level` codes or decodes every
+model's stream hands over for the whole level (`EntropyModel.stream`, see
+`entropy`); each encode or decode opens one stream. No float arithmetic or
+sort decides a symbol. `_code_level` codes or decodes every
 level of every model in one call of the coder's level method,
 `RangeEncoder.encode_level` or `RangeDecoder.decode_level`, which keeps the
 registers in local variables for the whole level; the coder has no
@@ -245,13 +246,13 @@ class BitstreamHeader:
         return header, pos
 
 
-def _code_level(ctx, symbols, model, enc_or_dec, decoding):
+def _code_level(ctx, symbols, level_tables, enc_or_dec, decoding):
     """Code or decode all symbols of one depth level in canonical order, each
-    from the table (a memoryview of Python ints) that `level_tables` yields
-    for its node, then the model's update rule, if any, in one call of the
-    range coder's level method. Returns the decoded symbol array when
-    decoding."""
-    rows, update = model.level_tables(ctx)
+    from the table (a memoryview of Python ints) that the stream's
+    `level_tables` yields for its node, then the model's update rule, if
+    any, in one call of the range coder's level method. Returns the decoded
+    symbol array when decoding."""
+    rows, update = level_tables(ctx)
     if decoding:
         return np.frombuffer(enc_or_dec.decode_level(rows, len(ctx), update), dtype=np.uint8)
     enc_or_dec.encode_level(rows, np.asarray(symbols).tolist(), update)
@@ -285,11 +286,9 @@ def decode_cloud(data: bytes, model: em.EntropyModel, refine_params=None,
 def encode_frames(header: BitstreamHeader, trees, model: em.EntropyModel) -> bytes:
     """Code the (truncated) octrees of every frame along the level schedule;
     the header gets the hash of the coded symbols."""
-    enc = RangeEncoder()
-    model.begin_stream()
+    enc, level_tables = RangeEncoder(), model.stream()
     for t, k, ctx in em.level_contexts(trees, header.max_depth, header.trunc_depth):
-        _code_level(ctx, trees[t].symbols[k], model, enc, decoding=False)
-    model.end_stream()
+        _code_level(ctx, trees[t].symbols[k], level_tables, enc, decoding=False)
     return replace(header, symbol_hash=_symbol_hash(trees)).pack() + enc.finish()
 
 
@@ -320,12 +319,11 @@ def decode_frames(data: bytes, model: em.EntropyModel, mode: int, refine_params=
         raise DecodeError("model hash mismatch: refusing to decode with different weights")
     # every node holds a point, so no level of a frame outgrows its point count
     limits = header.frame_point_counts if mode == MODE_DYNAMIC else [header.point_count]
-    dec = RangeDecoder(data[pos:])
-    model.begin_stream()
+    dec, level_tables = RangeDecoder(data[pos:]), model.stream()
     trees = [oct.Octree(header.trunc_depth, [np.zeros((1, 3), dtype=np.int64)], [])
              for _ in limits]
     for t, k, ctx in em.level_contexts(trees, header.max_depth, header.trunc_depth):
-        sym = _code_level(ctx, None, model, dec, decoding=True)
+        sym = _code_level(ctx, None, level_tables, dec, decoding=True)
         level = oct._expand_children(trees[t].levels[k], sym, k)
         if len(level) > limits[t]:
             raise DecodeError(f"frame {t} depth {k + 1} decodes to {len(level)} nodes, "
@@ -333,16 +331,11 @@ def decode_frames(data: bytes, model: em.EntropyModel, mode: int, refine_params=
         trees[t].symbols.append(sym)
         trees[t].levels.append(level)
     dec.finish()
-    model.end_stream()
     if _symbol_hash(trees) != header.symbol_hash:
         raise DecodeError("symbol stream hash mismatch: the payload is corrupt")
     if refine_params is not None:
         from .refine import refine_apply
-        refine_params.begin_stream()
-        try:
-            clouds = [refine_apply(tree, refine_params, header.norm) for tree in trees]
-        finally:
-            refine_params.end_stream()
+        clouds = [refine_apply(tree, refine_params, header.norm) for tree in trees]
     else:
         clouds = [oct.reconstruct_centers(tree, header.norm) for tree in trees]
     return header, trees, clouds

@@ -2,21 +2,23 @@
 
 Symbol values run 1..255 (a split node always has at least one occupied
 child), mapped to array indices 0..254. Four model kinds share one coding
-interface: per depth level the coder hands the model a LevelContext (a plain
-record of the level's decoded data, whose feature methods compute on call)
-and gets integer cumulative tables (`level_tables`), one per node in node
-order, with the rule, if any, that updates them as symbols are coded: one
-shared uniform row, the neural models' `nn.integer_tables`, or the adaptive
-baseline's live counts. Those tables are each model's only distribution: rate
-accounting reads q = freq/total from them (`level_code_lengths`). Each stream
-is bracketed by `begin_stream` and `end_stream`.
+interface: `stream()` opens one coded stream and returns its
+`level_tables(ctx)`, which the coder calls per depth level with a
+LevelContext (a plain record of the level's decoded data, whose feature
+methods compute on call) to get integer cumulative tables, one per node in
+node order, with the rule, if any, that updates them as symbols are coded:
+one shared uniform row, the neural models' `nn.integer_tables`, or the
+adaptive baseline's live counts. Those tables are each model's only
+distribution: rate accounting reads q = freq/total from them
+(`level_code_lengths`). The counts or integer net a stream builds live in
+that function, not in the model.
 
 The neural models and the refiner share one level pass (`level_outputs`):
 one tile loop per anchor set (`voxelgrid.anchor_tiles`) builds each tile's
 compact layer layouts (`nn.tile_layout`) once, every branch at those anchors
 runs its tower on them (`nn.tower_windows`), and the head's first layer is
 applied per tile, so no level-wide head input or tower output is built. The
-integer net is built once per stream.
+integer net is quantized once per stream, when the stream opens.
 """
 
 from __future__ import annotations
@@ -236,24 +238,19 @@ class EntropyModel:
     def kind(self) -> str:
         return KIND_NAMES[self.kind_code]
 
-    def begin_stream(self):
-        """Reset per-stream state. Called once per coded cloud/sequence on both sides."""
-
-    def end_stream(self):
-        """Release what only the stream needed; called after every coded or
-        decoded stream that ends without an error."""
-
     def level_probabilities(self, ctx: LevelContext):
-        """Not called by the library, whose rate accounting reads
-        `level_tables`; kept while the benchmark tracer wraps it by name."""
+        """Not called by the library, whose rate accounting reads the tables
+        of `stream`; kept while the benchmark tracer wraps it by name."""
         return None
 
-    def level_tables(self, ctx: LevelContext):
-        """The coder's tables: (rows, update). rows yields each node's (256,)
-        integer cumulative table in node order, as a memoryview: cum[0] = 0,
-        every frequency >= 1, total cum[-1] <= TOTAL_FREQ. update is None,
-        or update(row, symbol) runs after the node's symbol is coded, before
-        the next row is read, and may change any later row."""
+    def stream(self):
+        """Open one coded stream, on either side: returns its
+        level_tables(ctx) -> (rows, update), called once per coded level in
+        schedule order. rows yields each node's (256,) integer cumulative
+        table in node order, as a memoryview: cum[0] = 0, every frequency
+        >= 1, total cum[-1] <= TOTAL_FREQ. update is None, or update(row,
+        symbol) runs after the node's symbol is coded, before the next row
+        is read, and may change any later row of the stream."""
         raise NotImplementedError
 
     def node_probability(self, ctx: LevelContext, i: int) -> np.ndarray:
@@ -262,8 +259,8 @@ class EntropyModel:
         raise NotImplementedError
 
     def observe(self, ctx: LevelContext, i: int, symbol: int):
-        """Not called by the library, whose adaptive updates go through
-        `level_tables`; kept while the benchmark tracer wraps it by name."""
+        """Not called by the library, whose adaptive updates go through the
+        tables of `stream`; kept while the benchmark tracer wraps it by name."""
 
     def serialize(self) -> bytes:
         raise NotImplementedError
@@ -273,7 +270,7 @@ class EntropyModel:
 
 
 def table_rows(freq: np.ndarray, n: int):
-    """`level_tables` of fixed frequencies, (255,) shared by n nodes or an
+    """The level tables of fixed frequencies, (255,) shared by n nodes or an
     (n, 255) batch: cumulative rows as memoryviews, no update rule."""
     cum = np.zeros(freq.shape[:-1] + (ALPHABET + 1,), dtype=np.int64)
     np.cumsum(freq, axis=-1, out=cum[..., 1:])
@@ -289,8 +286,9 @@ class UniformModel(EntropyModel):
 
     kind_code = KIND_UNIFORM
 
-    def level_tables(self, ctx):
-        return table_rows(nn.integer_tables(np.zeros((1, ALPHABET)), 0)[0], len(ctx))
+    def stream(self):
+        row = nn.integer_tables(np.zeros((1, ALPHABET)), 0)[0]
+        return lambda ctx: table_rows(row, len(ctx))
 
     def serialize(self):
         return nn.serialize_model(self.kind_code, 0, {"kind": self.kind}, [])
@@ -344,11 +342,6 @@ class AdaptiveContextModel(EntropyModel):
         if not 1 <= context_bits <= 16:
             raise ValueError("context_bits must be in [1, 16]")
         self.context_bits = context_bits
-        self.begin_stream()
-
-    def begin_stream(self):
-        # context id -> memoryview of its int64 cumulative table, made on first use
-        self._tables = defaultdict(_fresh_table)
 
     def context_ids(self, ctx: LevelContext) -> np.ndarray:
         packed = (ctx.parent_symbols()
@@ -357,11 +350,16 @@ class AdaptiveContextModel(EntropyModel):
         mask = np.uint64((1 << self.context_bits) - 1)
         return (_splitmix64(packed) & mask).astype(np.int64)
 
-    def level_tables(self, ctx):
-        """Each node's context table, in node order, and `_add_count`. Nodes
-        that share a context share its table, so an update is seen by the
-        later nodes of the level."""
-        return list(map(self._tables.__getitem__, self.context_ids(ctx).tolist())), _add_count
+    def stream(self):
+        """Each level's node context tables, in node order, and `_add_count`.
+        The stream's tables start fresh; nodes that share a context share its
+        table, so an update is seen by every later node of the stream."""
+        # context id -> memoryview of its int64 cumulative table, made on first use
+        tables = defaultdict(_fresh_table)
+
+        def level_tables(ctx):
+            return list(map(tables.__getitem__, self.context_ids(ctx).tolist())), _add_count
+        return level_tables
 
     def serialize(self):
         return nn.serialize_model(self.kind_code, 0,
@@ -381,9 +379,9 @@ class ContextNetModel(EntropyModel):
     and `Branch` geometry of each branch, and the metadata that rebuilds them.
     Training and `logits` run the float network on per-node crops. Coding
     and rate accounting run its integer-exact copy (`nn.quantize_context_net`),
-    built on the first level that needs it and dropped by `begin_stream` and
-    `end_stream`, each tower once per level (`level_outputs`), and read
-    `nn.integer_tables` of its logits.
+    quantized when a stream opens and held by that stream alone, each tower
+    once per level (`level_outputs`), and read `nn.integer_tables` of its
+    logits.
     """
 
     branch_names: tuple   # VCNM group of each branch, in file order; the head follows
@@ -401,7 +399,6 @@ class ContextNetModel(EntropyModel):
                                                  seed, FEATURE_DIM)
         self.branches = list(branches)
         self.head = head
-        self.begin_stream()
 
     def logits(self, crop_sets, feats, caches=None):
         return nn.context_forward(self.branches, self.head, crop_sets, feats, caches)
@@ -409,21 +406,16 @@ class ContextNetModel(EntropyModel):
     def integer_net(self) -> nn.IntContextNet:
         return nn.quantize_context_net(self.branches, self.head, self.crop_sizes, FEATURE_BOUND)
 
-    def begin_stream(self):
-        """Drop the stream's integer net: the next coded level quantizes the
-        weights as they are then, so training between streams takes effect."""
-        self._stream_net = None
+    def stream(self):
+        """`nn.integer_tables` of each level's logits (`level_outputs`), by the
+        integer net of the weights as the stream opens, so training between
+        streams takes effect."""
+        net = self.integer_net()
 
-    end_stream = begin_stream   # the integer net, 4.4 MB at default width, is not kept
-
-    def level_tables(self, ctx):
-        """`nn.integer_tables` of the level's logits (`level_outputs`), by the
-        integer net built on the stream's first level."""
-        if self._stream_net is None:
-            self._stream_net = self.integer_net()
-        z = level_outputs(self._stream_net, self.geometry, self.crop_sizes, ctx,
-                          ctx.node_features())
-        return table_rows(nn.integer_tables(z, self._stream_net.head.out_exp), len(ctx))
+        def level_tables(ctx):
+            z = level_outputs(net, self.geometry, self.crop_sizes, ctx, ctx.node_features())
+            return table_rows(nn.integer_tables(z, net.head.out_exp), len(ctx))
+        return level_tables
 
     def evaluate(self, dataset, batch_size=512) -> float:
         """Mean cross-entropy of the current parameters on a dataset, in nats."""
@@ -455,8 +447,7 @@ class ContextNetModel(EntropyModel):
             raise ValueError(f"model kind {kind} is not {KIND_NAMES[cls.kind_code]}")
         named = dict(groups)
         with nn.model_fields():
-            config = {k: meta[k] for k in cls.config_keys}
-            config["channels"] = tuple(config["channels"])
+            config = {k: nn.int_field(meta, k, many=k == "channels") for k in cls.config_keys}
             branches = [named[n] for n in cls.branch_names]
             head = named["head"]
         model = cls(seed=seed, branches=branches, head=head, **config)
@@ -503,7 +494,7 @@ def load_entropy_model(blob: bytes) -> EntropyModel:
         return UniformModel()
     if kind == KIND_ADAPTIVE:
         with nn.model_fields():
-            return AdaptiveContextModel(meta["context_bits"])
+            return AdaptiveContextModel(nn.int_field(meta, "context_bits"))
     if kind == KIND_VOXEL_STATIC:
         return VoxelContextModel.deserialize(blob)
     if kind == KIND_VOXEL_DYNAMIC:
@@ -516,9 +507,8 @@ def load_entropy_model(blob: bytes) -> EntropyModel:
 
 
 def build_node_dataset(trees, crop_size=9):
-    """Flatten octrees into (crop, feature, symbol) training samples, all depths."""
-    if isinstance(trees, Octree):
-        trees = [trees]
+    """Flatten a list of octrees into (crop, feature, symbol) training
+    samples, all depths."""
     crops, feats, symbols = [], [], []
     for tree in trees:
         for _, k, ctx in level_contexts([tree], tree.max_depth, tree.max_depth):
@@ -532,32 +522,30 @@ def build_node_dataset(trees, crop_size=9):
 def model_code_lengths(model: EntropyModel, tree: Octree, trunc_depth=None) -> np.ndarray:
     """-log2 q for every coded symbol of one tree, in stream order.
 
-    Resets per-stream model state first, exactly like coding a fresh bitstream.
+    Runs a stream of its own, exactly like coding a fresh bitstream.
     """
     d = trunc_depth if trunc_depth is not None else tree.max_depth
     return schedule_code_lengths(model, [tree], tree.max_depth, d)[0]
 
 
 def schedule_code_lengths(model: EntropyModel, trees, max_depth, trunc_depth) -> list:
-    """Per-frame -log2 q of every symbol the schedule codes, between
-    begin_stream and end_stream."""
-    model.begin_stream()
+    """Per-frame -log2 q of every symbol the schedule codes, in one stream."""
+    level_tables = model.stream()
     lengths = [[] for _ in trees]
     for t, k, ctx in level_contexts(trees, max_depth, trunc_depth):
-        lengths[t].append(level_code_lengths(model, ctx, trees[t].symbols[k]))
-    model.end_stream()
+        lengths[t].append(level_code_lengths(level_tables, ctx, trees[t].symbols[k]))
     return [np.concatenate(parts) if parts else np.empty(0) for parts in lengths]
 
 
-def level_code_lengths(model: EntropyModel, ctx: LevelContext, symbols) -> np.ndarray:
+def level_code_lengths(level_tables, ctx: LevelContext, symbols) -> np.ndarray:
     """-log2 q of one level's symbols (1..255), in coding order.
 
-    q = freq/total is read node by node from the tables the coder codes with
-    (`level_tables`), updated after each symbol by the model's own rule, if
-    it has one, as the coder does.
+    q = freq/total is read node by node from the tables the coder codes with,
+    those of a stream's `level_tables` (`EntropyModel.stream`), updated after
+    each symbol by the model's own rule, if it has one, as the coder does.
     """
     syms = np.asarray(symbols).astype(np.int64).tolist()
-    rows, update = model.level_tables(ctx)
+    rows, update = level_tables(ctx)
     freq, total = np.empty(len(syms)), np.empty(len(syms))
     for i, (row, s) in enumerate(zip(rows, syms)):
         freq[i], total[i] = row[s] - row[s - 1], row[ALPHABET]

@@ -930,3 +930,14 @@ def model_fields():
         raise ValueError(f"model file lacks {exc.args[0]!r}") from exc
     except TypeError as exc:
         raise ValueError(f"model file has a malformed field: {exc}") from exc
+
+
+def int_field(meta: dict, key: str, many=False):
+    """Metadata entry `key` as an int, or with many=True a list of ints as a
+    tuple; any other type, bool, float or str, is a ValueError naming it."""
+    value = meta[key]
+    items = value if many else [value]
+    if not isinstance(items, list) or any(type(v) is not int for v in items):
+        kind = "a list of integers" if many else "an integer"
+        raise ValueError(f"model file has a malformed field: {key} = {value!r} is not {kind}")
+    return tuple(items) if many else value

@@ -163,7 +163,9 @@ def _parse_ply_header(data: bytes):
                 try:
                     vertex_count = int(tokens[2])
                 except (IndexError, ValueError):
-                    raise ParseError("bad vertex element line", line_off) from None
+                    vertex_count = -1
+                if vertex_count < 0:
+                    raise ParseError("bad vertex element line", line_off)
         elif tokens[0] == "property" and in_vertex:
             if tokens[1:2] == ["list"]:
                 raise ParseError("list property in vertex element is unsupported", line_off)

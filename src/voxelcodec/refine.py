@@ -28,27 +28,14 @@ class RefineParams:
         self.hidden = hidden
         self.seed = seed
         self.entries: dict[int, tuple] = {}
-        self.end_stream()
-
-    def begin_stream(self):
-        """Keep each depth's integer net from its first use until `end_stream`,
-        so a decoded stream quantizes each network once, however many frames."""
-        self._stream_nets = {}
-
-    def end_stream(self):
-        """Drop the stream's integer nets: training in place then takes effect."""
-        self._stream_nets = None
 
     def integer_net(self, depth: int) -> nn.IntContextNet:
-        """The depth's network in fixed point: the stream's, or a fresh one
-        outside a stream."""
+        """The depth's network in fixed point, quantized from its weights as
+        they are now."""
         if depth not in self.entries:
             raise ValueError(f"no refinement network for depth {depth}")
-        nets = {} if self._stream_nets is None else self._stream_nets
-        if depth not in nets:
-            tower, head = self.entries[depth]
-            nets[depth] = nn.quantize_context_net([tower], head, (self.crop_size,))
-        return nets[depth]
+        tower, head = self.entries[depth]
+        return nn.quantize_context_net([tower], head, (self.crop_size,))
 
     def add_depth(self, depth: int):
         (tower,), head = nn.init_context_net((self.crop_size,), self.channels, self.hidden, 3,
@@ -67,9 +54,6 @@ class RefineParams:
             groups.append((f"head-d{depth}", head))
         return nn.serialize_model(KIND_REFINE, self.seed, meta, groups)
 
-    def content_hash(self) -> int:
-        return nn.model_content_hash(self.serialize())
-
     @classmethod
     def deserialize(cls, blob: bytes):
         kind, seed, meta, groups = nn.deserialize_model(blob)
@@ -77,8 +61,10 @@ class RefineParams:
             raise ValueError(f"model kind {kind} is not a refinement model")
         named = dict(groups)
         with nn.model_fields():
-            params = cls(meta["crop_size"], tuple(meta["channels"]), meta["hidden"], seed)
-            for depth in meta["depths"]:
+            params = cls(nn.int_field(meta, "crop_size"),
+                         nn.int_field(meta, "channels", many=True),
+                         nn.int_field(meta, "hidden"), seed)
+            for depth in nn.int_field(meta, "depths", many=True):
                 params.entries[depth] = (named[f"tower-d{depth}"], named[f"head-d{depth}"])
         for tower, head in params.entries.values():
             nn.check_context_net([tower], head, (params.crop_size,), 0, 3)

@@ -92,6 +92,12 @@ def _with_group(model, name, params=None):
     return nn.serialize_model(kind, seed, meta, [(n, p) for n, p in groups if p is not None])
 
 
+def _with_meta(model, **fields):
+    """`model`'s file with the metadata `fields` set, as a hand edit would."""
+    kind, seed, meta, groups = nn.deserialize_model(model.serialize())
+    return nn.serialize_model(kind, seed, {**meta, **fields}, groups)
+
+
 def malformed_model_files():
     """VCNM files that are not well-formed models of this version, each with a
     valid content hash but the version-1 file, whose hash is FNV-1a-64:
@@ -130,6 +136,12 @@ def malformed_model_files():
         "refine-head-2-outputs": (_with_group(refiner, "head-d4", nn.init_params(
             hidden + (nn.FullyConnected(2),), (54,), 0)), "--refine", "3 values expected"),
         "model-version-1": (VCNM_V1_UNIFORM, "--model", "unsupported model version 1"),
+        # integer fields holding another type
+        "float-crop-size": (_with_meta(static, crop_size=5.0), "--model", "crop_size"),
+        "float-context-bits": (_with_meta(AdaptiveContextModel(12), context_bits=12.0),
+                               "--model", "context_bits"),
+        "string-crop-size": (_with_meta(static, crop_size="5"), "--model", "crop_size"),
+        "refine-string-depth": (_with_meta(refiner, depths=["4"]), "--refine", "depths"),
     }
 
 

@@ -147,6 +147,19 @@ class TestEncodeDecode:
         assert _run("decode", bitstream, tmp_path / "o.ply", option, model) == 3
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("case", ["float-crop-size", "float-context-bits",
+                                      "string-crop-size"])
+    def test_mistyped_model_field_encode_exit_3(self, tmp_path, capsys, case):
+        """A hand-edited integer field is refused when encode loads the model,
+        not at coding with a TypeError."""
+        blob, _, message = MALFORMED[case]
+        src = tmp_path / "in.xyz"
+        _write_cloud(src, random_cloud(50, 3))
+        model = tmp_path / "bad.vcnm"
+        model.write_bytes(blob)
+        assert _run("encode", src, tmp_path / "c.vcnb", "--depth", 4, "--model", model) == 3
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("line", [b"format", b"property float"])
     def test_short_ply_header_line_exit_3(self, tmp_path, capsys, line):
         """A malformed PLY header line is a format error, not a crash."""
@@ -156,6 +169,15 @@ class TestEncodeDecode:
                         b"property float z\nend_header\n0.1 0.2 0.3\n")
         assert _run("encode", src, tmp_path / "o.vcnb", "--depth", 4) == 3
         assert "byte offset" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fmt", ["ascii", "binary_little_endian"])
+    def test_negative_vertex_count_exit_3(self, tmp_path, capsys, fmt):
+        src = tmp_path / "in.ply"
+        src.write_bytes(f"ply\nformat {fmt} 1.0\nelement vertex -1\n".encode()
+                        + b"property float x\nproperty float y\nproperty float z\n"
+                        b"end_header\n0.1 0.2 0.3\n")
+        assert _run("encode", src, tmp_path / "o.vcnb", "--depth", 4) == 3
+        assert "bad vertex element line" in capsys.readouterr().err
 
     def test_usage_error_exit_1(self):
         assert _run("encode") == 1

@@ -34,7 +34,7 @@ class TestQuantize:
         for exp in (-3, 0, 20):
             freq = nn.integer_tables(np.full((3, 255), 7.0), exp)
             assert np.all(freq[:, 0] == 258) and np.all(freq[:, 1:] == 257)
-        (row,), update = UniformModel().level_tables(range(1))
+        (row,), update = UniformModel().stream()(range(1))
         assert np.array_equal(np.diff(row), freq[0]) and update is None
 
     def test_point_mass_floor(self):
@@ -122,14 +122,15 @@ def _tables(probs):
 
 
 class _FixedModel:
-    """Test-only model: hands coder._code_level the same frequencies for
-    every level, either one shared (255,) row or an (n, 255) batch."""
+    """Test-only model: its streams hand coder._code_level the same
+    frequencies for every level, either one shared (255,) row or an
+    (n, 255) batch."""
 
     def __init__(self, freq):
         self.freq = freq
 
-    def level_tables(self, ctx):
-        return table_rows(self.freq, len(ctx))
+    def stream(self):
+        return lambda ctx: table_rows(self.freq, len(ctx))
 
 
 class _OneContextAdaptive(AdaptiveContextModel):
@@ -221,13 +222,15 @@ class _RefDecoder:
 
 
 def _encode(symbols, model) -> bytes:
+    """One level of `symbols`, coded in a stream of its own."""
     enc = RangeEncoder()
-    coder._code_level(range(len(symbols)), symbols, model, enc, decoding=False)
+    coder._code_level(range(len(symbols)), symbols, model.stream(), enc, decoding=False)
     return enc.finish()
 
 
 def _decode(data, count, model) -> list:
-    return coder._code_level(range(count), None, model, RangeDecoder(data), decoding=True).tolist()
+    return coder._code_level(range(count), None, model.stream(), RangeDecoder(data),
+                             decoding=True).tolist()
 
 
 UNIFORM = _tables(np.full(255, 1.0 / 255))   # [258, 257 x 254]
@@ -276,15 +279,20 @@ class TestRangeCoder:
                 super().__init__()
                 self.totals = []
 
-            def level_tables(self, ctx):
-                rows, update = super().level_tables(ctx)
-                return map(self.check, rows), update
+            def stream(self):
+                level_tables = super().stream()
+
+                def checked(ctx):
+                    rows, update = level_tables(ctx)
+                    return map(self.check, rows), update
+                return checked
 
             def check(self, row):
                 # called as the coder reaches the node, after the previous update
                 cum = np.asarray(row)
                 assert cum[-1] <= TOTAL_FREQ and np.diff(cum).min() >= 1
                 self.totals.append(int(cum[-1]))
+                self.table = row   # context 0's table, the one every node codes with
                 return row
 
         encoder_model, decoder_model = Checked(), Checked()
@@ -293,7 +301,7 @@ class TestRangeCoder:
         assert encoder_model.totals == decoder_model.totals
         assert max(encoder_model.totals) == TOTAL_FREQ
         assert (np.diff(encoder_model.totals) < 0).sum() == 1
-        assert np.argmax(np.diff(encoder_model._tables[0])) == 8
+        assert np.argmax(np.diff(encoder_model.table)) == 8
 
     def test_truncated_stream_raises(self):
         data = _encode(list(range(1, 101)), _FixedModel(UNIFORM))
@@ -425,11 +433,15 @@ class _MixedRows(GivenContexts):
     """Test-only model: each node is ("ctx", id), an adaptive context table
     updated after its symbol, or ("row", view), a fixed read-only table."""
 
-    def level_tables(self, ctx):
-        tables, add_count = super().level_tables([ref for kind, ref in ctx if kind == "ctx"])
-        tables = iter(tables)
-        rows = [next(tables) if kind == "ctx" else ref for kind, ref in ctx]
-        return rows, lambda row, s: row.readonly or add_count(row, s)
+    def stream(self):
+        level_tables = super().stream()
+
+        def mixed(ctx):
+            tables, add_count = level_tables([ref for kind, ref in ctx if kind == "ctx"])
+            tables = iter(tables)
+            rows = [next(tables) if kind == "ctx" else ref for kind, ref in ctx]
+            return rows, lambda row, s: row.readonly or add_count(row, s)
+        return mixed
 
 
 def _mixed_stream(seed, segments):
@@ -485,15 +497,16 @@ class TestReferenceLoop:
             halved = np.flatnonzero(np.diff(totals) < 0)
             assert len(halved) == 1 and 1000 < halved[0] < len(totals) - 1000
 
-            model, enc = GivenContexts(16), RangeEncoder()
+            level_tables, enc = GivenContexts(16).stream(), RangeEncoder()
             for cids, syms in levels:
-                coder._code_level(cids, syms, model, enc, decoding=False)
+                coder._code_level(cids, syms, level_tables, enc, decoding=False)
             assert enc.finish() == data
 
-            model, dec = GivenContexts(16), RangeDecoder(data)
+            level_tables, dec = GivenContexts(16).stream(), RangeDecoder(data)
             ref, ref_dec = _ReferenceCounts(), _RefDecoder(data)
             for cids, syms in levels:
-                assert coder._code_level(cids, None, model, dec, decoding=True).tolist() == syms
+                assert coder._code_level(cids, None, level_tables, dec,
+                                         decoding=True).tolist() == syms
                 got, _ = _reference_level(len(cids), lambda i: ref.node_table(cids[i]),
                                           lambda i, s: ref.observe(cids[i], s), None, ref_dec,
                                           decoding=True)
@@ -501,12 +514,12 @@ class TestReferenceLoop:
             dec.finish()
             ref_dec.finish()
 
-            model = GivenContexts(16)
+            level_tables = GivenContexts(16).stream()
             for (cids, syms), tables in zip(levels, ref_tables):
                 rows = np.arange(len(syms))
                 s = np.array(syms)
                 expected = -np.log2((tables[rows, s] - tables[rows, s - 1]) / tables[:, -1])
-                assert np.array_equal(level_code_lengths(model, cids, syms), expected)
+                assert np.array_equal(level_code_lengths(level_tables, cids, syms), expected)
 
     @settings(max_examples=120, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1), st.lists(_SEGMENT, max_size=6),
@@ -524,16 +537,16 @@ class TestReferenceLoop:
         bounds = [0] + sorted(min(c, len(nodes)) for c in cuts) + [len(nodes)]
         levels = [nodes[a:b] for a, b in zip(bounds, bounds[1:])]
 
-        enc, model = RangeEncoder(), _MixedRows(16)
+        enc, level_tables = RangeEncoder(), _MixedRows(16).stream()
         for level in levels:
-            coder._code_level([ref for ref, _ in level], [s for _, s in level], model, enc,
-                              decoding=False)
+            coder._code_level([ref for ref, _ in level], [s for _, s in level], level_tables,
+                              enc, decoding=False)
         assert enc.finish() == data
 
         def decode(payload):
-            dec, model = RangeDecoder(payload), _MixedRows(16)
+            dec, level_tables = RangeDecoder(payload), _MixedRows(16).stream()
             for level in levels:
-                got = coder._code_level([ref for ref, _ in level], None, model, dec,
+                got = coder._code_level([ref for ref, _ in level], None, level_tables, dec,
                                         decoding=True)
                 assert got.tolist() == [s for _, s in level]
             dec.finish()
@@ -570,12 +583,12 @@ class TestReferenceLoop:
         ref_enc, enc = _RefEncoder(), RangeEncoder()
         for syms in levels:
             _reference_level(n, table, lambda i, s: None, syms, ref_enc, decoding=False)
-            coder._code_level(range(n), syms, _FixedModel(freq), enc, decoding=False)
+            coder._code_level(range(n), syms, _FixedModel(freq).stream(), enc, decoding=False)
         data = enc.finish()
         assert data == ref_enc.finish()
         dec, ref_dec = RangeDecoder(data), _RefDecoder(data)
         for syms in levels:
-            assert coder._code_level(range(n), None, _FixedModel(freq), dec,
+            assert coder._code_level(range(n), None, _FixedModel(freq).stream(), dec,
                                      decoding=True).tolist() == syms
             assert _reference_level(n, table, lambda i, s: None, None, ref_dec,
                                     decoding=True)[0] == syms
@@ -791,9 +804,13 @@ class TestCloudCodec:
         coded = []
 
         class Recording(AdaptiveContextModel):
-            def level_tables(self, ctx):
-                rows, update = super().level_tables(ctx)
-                return map(self.record, rows), update
+            def stream(self):
+                level_tables = super().stream()
+
+                def recorded(ctx):
+                    rows, update = level_tables(ctx)
+                    return map(self.record, rows), update
+                return recorded
 
             def record(self, row):
                 # called as the coder reaches the node, after the previous update

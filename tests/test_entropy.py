@@ -5,13 +5,14 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from voxelcodec import (AdaptiveContextModel, DynamicContextModel, RefineParams, UniformModel,
-                        VoxelContextModel, align_sequence, build, build_node_dataset,
-                        build_refine_dataset, build_sequence_dataset, decode_cloud,
-                        decode_sequence, encode_cloud, encode_sequence, entropy,
+from voxelcodec import (AdaptiveContextModel, DecodeError, DynamicContextModel, RefineParams,
+                        UniformModel, VoxelContextModel, align_sequence, build,
+                        build_node_dataset, build_refine_dataset, build_sequence_dataset, coder,
+                        decode_cloud, decode_sequence, encode_cloud, encode_sequence, entropy,
                         load_entropy_model, model_code_lengths, nn, normalize, payload_size,
                         train_refine)
-from voxelcodec.entropy import ALPHABET, make_level_context
+from voxelcodec.coder import RangeEncoder
+from voxelcodec.entropy import ALPHABET, level_contexts, make_level_context
 
 from conftest import (GivenContexts, contains, crop_tables, moving_sequence, random_cloud,
                       structured_cloud, uniform_code_lengths)
@@ -25,7 +26,7 @@ class TestUniform:
         m = UniformModel()
         tree = build(random_cloud(100, 0), 3)
         ctx = make_level_context(2, 3, tree.levels[2])
-        rows, update = m.level_tables(ctx)
+        rows, update = m.stream()(ctx)
         rows = [np.asarray(row) for row in rows]
         assert update is None and len(rows) == len(ctx) > 1
         assert all(np.array_equal(row, UNIFORM_CUM) for row in rows)
@@ -70,18 +71,15 @@ class TestLevelContext:
 
 class TestAdaptive:
     def test_fresh_context_uniform(self):
-        m = GivenContexts(12)
-        m.begin_stream()
-        (cum,), _ = m.level_tables([7])
+        (cum,), _ = GivenContexts(12).stream()([7])
         assert cum[-1] == 255
         assert np.allclose(_q(cum), 1.0 / 255)
 
     def test_single_observation_count(self):
-        m = GivenContexts(12)
-        m.begin_stream()
-        (cum,), update = m.level_tables([3])
+        level_tables = GivenContexts(12).stream()
+        (cum,), update = level_tables([3])
         update(cum, 255)
-        p = _q(m.level_tables([3])[0][0])
+        p = _q(level_tables([3])[0][0])
         assert p[254] == pytest.approx(2.0 / 256)
         assert p[0] == pytest.approx(1.0 / 256)
 
@@ -92,10 +90,8 @@ class TestAdaptive:
         n, burn = 30_000, 10_000
         symbols = np.where(rng.random(n) < 0.9, 7,
                            rng.integers(1, 256, n)).astype(np.int64)
-        m = GivenContexts(8)
-        m.begin_stream()
         bits = np.empty(n)
-        rows, update = m.level_tables(np.zeros(n))
+        rows, update = GivenContexts(8).stream()(np.zeros(n))
         for i, (cum, s) in enumerate(zip(rows, symbols.tolist())):
             bits[i] = -np.log2(_q(cum)[s - 1])
             update(cum, s)
@@ -110,19 +106,19 @@ class TestAdaptive:
         # replaying the same observation sequence yields identical tables
         rng = np.random.default_rng(1)
         seq = [(int(rng.integers(0, 50)), int(rng.integers(1, 256))) for _ in range(2000)]
-        a, b = GivenContexts(10), GivenContexts(10)
-        a.begin_stream()
-        b.begin_stream()
+        a, b = GivenContexts(10).stream(), GivenContexts(10).stream()
         cids = [cid for cid, _ in seq]
-        (rows_a, update_a), (rows_b, update_b) = a.level_tables(cids), b.level_tables(cids)
+        (rows_a, update_a), (rows_b, update_b) = a(cids), b(cids)
+        tables_a, tables_b = {}, {}   # each stream's context tables, as it made them
         for row_a, row_b, (cid, s) in zip(rows_a, rows_b, seq):
-            assert np.array_equal(row_a, b.level_tables([cid])[0][0])
+            assert np.array_equal(row_a, b([cid])[0][0])
             assert np.array_equal(row_a, row_b)
+            tables_a[cid], tables_b[cid] = row_a, row_b
             update_a(row_a, s)
             update_b(row_b, s)
-        assert set(a._tables) == set(b._tables)
-        for cid in a._tables:
-            assert np.array_equal(a._tables[cid], b._tables[cid])
+        assert set(tables_a) == set(tables_b)
+        for cid in tables_a:
+            assert np.array_equal(tables_a[cid], tables_b[cid])
 
     def test_context_bits_range(self):
         with pytest.raises(ValueError):
@@ -175,7 +171,7 @@ class TestVoxelModel:
         ds = build_node_dataset([tree], crop_size=5)
         m = VoxelContextModel(crop_size=5, channels=(2, 4), hidden=16, seed=0)
         m.train(ds, epochs=200, batch_size=32, lr=1e-2, seed=0)
-        rows, _ = m.level_tables(make_level_context(1, 3, tree.levels[1]))
+        rows, _ = m.stream()(make_level_context(1, 3, tree.levels[1]))
         q = np.array([np.diff(row) / row[ALPHABET] for row in rows])
         assert len(q) == 8 and np.all(q[:, 254] > 0.99)
 
@@ -295,10 +291,10 @@ class TestContentHash:
 
 
 class TestStreamNet:
-    """A context-net model, and a refiner, quantizes its weights once per
-    coded or decoded stream, and its integer net never outlives the stream:
-    weights trained in place between two streams code, or refine, exactly as
-    a freshly loaded copy of them."""
+    """A context-net model quantizes its weights once per coded or decoded
+    stream, and a refiner once per refined frame, and no integer net
+    outlives its use: weights trained in place between two streams code, or
+    refine, exactly as a freshly loaded copy of them."""
 
     DEPTH, TRUNC = 5, 4
 
@@ -347,8 +343,9 @@ class TestStreamNet:
                 stream()
             calls[name] = quantize.call_count
         # each stream codes TRUNC levels per frame, one frame or three; the
-        # refined decode quantizes the refiner once for its five frames
-        assert calls == {**dict.fromkeys(streams, 1), "decode_sequence refined": 2}
+        # refined decode quantizes the model once and the refiner once for
+        # each of its five frames
+        assert calls == {**dict.fromkeys(streams, 1), "decode_sequence refined": 1 + 5}
 
     def test_static_training_between_streams_takes_effect(self):
         d, trunc = self.DEPTH, self.TRUNC
@@ -389,6 +386,78 @@ class TestStreamNet:
         assert not all(np.array_equal(a.points, b.points) for a, b in zip(first, second))
 
 
+class TestStreamState:
+    """A model holds no stream state: each `stream()` builds its own tables
+    and integer net, which end with the stream, however it ends."""
+
+    DEPTH = 5
+
+    def _case(self, kind):
+        """(model, encode, decode) of one model kind: a cloud coded to DEPTH,
+        or a 3-frame sequence for the dynamic model."""
+        d = self.DEPTH
+        if kind == "voxel-dynamic":
+            frames = moving_sequence(3, 300, seed=32)
+            model = DynamicContextModel(crop_size=5, child_crop_size=6, channels=(2, 4),
+                                        hidden=16, seed=0)
+            return model, lambda: encode_sequence(frames, d, d, model), decode_sequence
+        cloud = structured_cloud(400, seed=31)
+        model = {"uniform": UniformModel, "adaptive": lambda: AdaptiveContextModel(12),
+                 "voxel-static": lambda: VoxelContextModel(crop_size=5, channels=(2, 4),
+                                                           hidden=16, seed=0)}[kind]()
+        return model, lambda: encode_cloud(cloud, d, d, model), decode_cloud
+
+    @staticmethod
+    def _same_state(obj, before):
+        state = vars(obj)
+        assert state.keys() == before.keys()
+        assert all(state[k] is v for k, v in before.items())
+
+    @pytest.mark.parametrize("kind", ["uniform", "adaptive", "voxel-static", "voxel-dynamic"])
+    def test_streams_leave_the_model_as_it_was(self, kind):
+        """An encode, a decode, a decode cut off mid-stream by DecodeError
+        and a rate pass each leave every attribute of the model, and of a
+        refiner, the same object."""
+        d = self.DEPTH
+        model, encode, decode = self._case(kind)
+        refiner = RefineParams(crop_size=5, channels=(2, 4), hidden=16, seed=0)
+        refiner.add_depth(d)
+        data = encode()
+        cut = data[:len(data) - payload_size(data) // 2]
+        tree = build(normalize(structured_cloud(400, seed=35))[0], d)
+        blobs = model.serialize(), refiner.serialize()
+        before = [(obj, dict(vars(obj))) for obj in (model, refiner)]
+
+        def truncated():
+            with pytest.raises(DecodeError, match="payload exhausted"):
+                decode(cut, model, refiner)
+
+        for run in (encode, lambda: decode(data, model, refiner), truncated,
+                    lambda: model_code_lengths(model, tree)):
+            run()
+            for obj, state in before:
+                self._same_state(obj, state)
+        assert (model.serialize(), refiner.serialize()) == blobs
+
+    def test_interleaved_adaptive_streams_code_as_alone(self):
+        """Two streams of one adaptive model, advanced level by level in
+        alternation, code the payloads each codes alone, which are those of
+        `encode_cloud`."""
+        d, model = self.DEPTH, AdaptiveContextModel(12)
+        clouds = [structured_cloud(400, seed=33), random_cloud(300, seed=34)]
+        trees = [build(normalize(cloud)[0], d) for cloud in clouds]
+        levels = [list(level_contexts([tree], d, d)) for tree in trees]
+        alone = [encode_cloud(cloud, d, d, model) for cloud in clouds]
+        alone = [data[-payload_size(data):] for data in alone]
+        encoders = [RangeEncoder(), RangeEncoder()]
+        streams = [model.stream(), model.stream()]
+        for step in zip(*levels):
+            for tree, (_, k, ctx), level_tables, enc in zip(trees, step, streams, encoders):
+                coder._code_level(ctx, tree.symbols[k], level_tables, enc, decoding=False)
+        assert [enc.finish() for enc in encoders] == alone
+        assert alone[0] != alone[1]
+
+
 class TestTraining:
     def test_loss_curve_nonincreasing_structured_corpus(self):
         # 10k-node corpus, 20 epochs: the curve may jitter a little but not rise
@@ -427,6 +496,9 @@ class TestRateAccounting:
 
             def __init__(self, tree):
                 self.tree = tree
+
+            def stream(self):
+                return self.level_tables
 
             def level_tables(self, ctx):
                 syms = self.tree.symbols[ctx.depth].astype(np.int64)

@@ -178,7 +178,7 @@ def test_level_tables_equal_integer_tables_of_forward(seed, depth, present, chan
     freq = nn.integer_tables(forward(net, crops, ctx.node_features()), net.head.out_exp)
     with mock.patch.object(nn, "tile_layout", wraps=nn.tile_layout) as layouts, \
             mock.patch.object(nn, "tower_windows", wraps=nn.tower_windows) as towers:
-        rows, update = model.level_tables(ctx)
+        rows, update = model.stream()(ctx)
     assert (layouts.call_count, towers.call_count) == _tile_counts(model, ctx)
     assert update is None
     cum = np.array([np.asarray(row) for row in rows])
@@ -200,7 +200,7 @@ def test_dynamic_level_spanning_many_tiles_shares_plans(present):
     with mock.patch.object(nn, "tile_layout", wraps=nn.tile_layout) as layouts, \
             mock.patch.object(nn, "tower_windows", wraps=nn.tower_windows) as towers, \
             mock.patch.object(entropy, "anchor_tiles", wraps=anchor_tiles) as tilings:
-        rows, update = model.level_tables(ctx)
+        rows, update = model.stream()(ctx)
         cum = np.array([np.asarray(row) for row in rows])
     assert (layouts.call_count, towers.call_count) == _tile_counts(model, ctx)
     assert update is None
@@ -250,11 +250,12 @@ def test_refine_apply_spanning_many_tiles():
 
 
 def _traced_peak_per_node(model, ctx):
-    """Traced peak bytes of one `level_tables` call per node of the level."""
+    """Traced peak bytes per node of the level of a stream's first
+    `level_tables` call, the stream's quantization included."""
     ctx.node_features()
     tracemalloc.start()
     try:
-        model.level_tables(ctx)
+        model.stream()(ctx)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

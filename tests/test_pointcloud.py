@@ -105,6 +105,17 @@ class TestReadWrite:
             read_points(data, pointcloud.PLY_ASCII)
         assert exc.value.offset == len(b"ply\n") + header.rfind(b"\n", 0, -1) + 1
 
+    @pytest.mark.parametrize("fmt", [pointcloud.PLY_ASCII, pointcloud.PLY_BINARY])
+    def test_negative_vertex_count_names_its_offset(self, fmt):
+        """`element vertex -1` is a parse error at that line, in either format,
+        not a payload read as vertices or an empty cloud."""
+        data = write_points(random_cloud(10, seed=0), fmt)
+        line = b"element vertex 10\n"
+        assert data.count(line) == 1
+        with pytest.raises(ParseError, match="bad vertex element line") as exc:
+            read_points(data.replace(line, b"element vertex -1\n"), fmt)
+        assert exc.value.offset == data.index(line)
+
     def test_truncated_binary_payload_names_offset(self):
         cloud = random_cloud(10, seed=0)
         data = write_points(cloud, pointcloud.PLY_BINARY)
