@@ -137,10 +137,13 @@ def _write_report(path, payload: dict):
 
 
 def _check_truncs(depth, truncs):
-    """A usage error unless 1 <= trunc <= depth for every truncation depth."""
-    for trunc in truncs:
+    """A usage error unless 1 <= trunc <= depth for every truncation depth, and
+    no depth repeats."""
+    for i, trunc in enumerate(truncs):
         if not 1 <= trunc <= depth:
             raise CliError(f"truncation depth {trunc} out of range [1, {depth}]", EXIT_USAGE)
+        if trunc in truncs[:i]:
+            raise CliError(f"truncation depth {trunc} given twice", EXIT_USAGE)
 
 
 def cmd_encode(args):
@@ -275,6 +278,7 @@ def cmd_eval(args):
     refine_params = _load_refine(args.refine) if args.refine else None
     truncs = sorted(args.truncs)
     normals_ref = metrics.estimate_normals(cloud.points) if len(cloud) > 12 else None
+    peak = pointcloud.normalize(cloud)[1].edge   # PSNR on normalized coordinates
     rows = []
     for trunc in truncs:
         data = coder.encode_cloud(cloud, args.depth, trunc, model)
@@ -283,10 +287,10 @@ def cmd_eval(args):
                                      else None)
         bpp = 8 * coder.payload_size(data) / len(cloud)
         cd = metrics.chamfer(decoded, cloud)
-        d1 = metrics.psnr_point(decoded, cloud)
+        d1 = metrics.psnr_point(decoded, cloud, peak)
         if normals_ref is not None and len(decoded) > 12:
-            d2 = metrics.psnr_plane(decoded, cloud,
-                                    metrics.estimate_normals(decoded.points), normals_ref)
+            d2 = metrics.psnr_plane(decoded, cloud, metrics.estimate_normals(decoded.points),
+                                    normals_ref, peak)
         else:
             d2 = float("nan")
         rows.append(metrics.RDPoint(bpp, cd, d1, d2, depth=trunc))

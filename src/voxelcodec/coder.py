@@ -2,20 +2,20 @@
 one decode loop that code any bitstream along the level schedule
 (`entropy.level_contexts`; a static cloud is one frame).
 
-The entropy coder is a 32-bit byte-oriented range coder with carry counting;
-the range register stays in [2^24, 2^32) and every table totals at most
-2^16, keeping the truncation loss under 0.006 bits per symbol. Every symbol
-is coded from an integer cumulative table, last entry its total, that the
-model's stream hands over for the whole level (`EntropyModel.stream`, see
-`entropy`); each encode or decode opens one stream. No float arithmetic or
-sort decides a symbol. `_code_level` codes or decodes every
-level of every model in one call of the coder's level method,
+The entropy coder is a 32-bit byte-oriented range coder that adds each carry
+into its in-memory payload; the range register stays in [2^24, 2^32) and every
+table totals at most 2^16, keeping the truncation loss under 0.006 bits per
+symbol. Every symbol is coded from an integer cumulative table, last entry its
+total, that the model's stream hands over for the whole level
+(`EntropyModel.stream`, see `entropy`); each encode or decode opens one
+stream. No float arithmetic or sort decides a symbol. `_code_level` codes or
+decodes every level of every model in one call of the coder's level method,
 `RangeEncoder.encode_level` or `RangeDecoder.decode_level`, which keeps the
-registers in local variables for the whole level; the coder has no
-per-symbol methods. Model determinism alone keeps
-encoder and decoder in sync; no tables travel in the stream, the decoder
-ends exactly at the end of the payload, and a hash of the coded symbols in
-the header rejects a corrupt payload that still decodes to some octree.
+registers in local variables for the whole level; the coder has no per-symbol
+methods. Model determinism alone keeps encoder and decoder in sync; no tables
+travel in the stream, the decoder ends exactly at the end of the payload, and
+a hash of the coded symbols in the header rejects a corrupt payload that still
+decodes to some octree.
 """
 
 from __future__ import annotations
@@ -65,53 +65,44 @@ def _quantize_rows(p):
 
 
 class RangeEncoder:
-    """Encoder registers: `low` (with its carry bit 32), `range`, the held-back
-    byte `cache` and the count `pending` of it plus the 0xFF bytes after it,
-    which a carry may still change."""
+    """Encoder registers `low` and `range`, and the payload so far. The whole
+    payload stays in memory until `finish`, so a carry out of `low` is added
+    straight into the bytes already written."""
 
     def __init__(self):
         self._low = 0
         self._range = _MASK32
-        self._cache = 0
-        self._pending = 1
-        self._out = bytearray()
+        self._out = bytearray(1)   # the leading zero byte, which no carry reaches
 
     def encode_level(self, rows, symbols, update):
         """Code symbols[i] from the cumulative table rows[i], calling
         update(row, symbol) after each when update is not None. The registers
         live in locals for the whole level."""
-        low, rng, cache, pending, out = (self._low, self._range, self._cache,
-                                         self._pending, self._out)
+        low, rng, out = self._low, self._range, self._out
         for row, s in zip(rows, symbols):
             lo = row[s - 1]
             r = rng // row[ALPHABET]
             low += r * lo
             rng = r * (row[s] - lo)
+            if low > _MASK32:
+                # carry: the trailing 0xFF bytes wrap to 0x00, the byte before them gains 1
+                low &= _MASK32
+                i = len(out) - 1
+                while out[i] == 0xFF:
+                    out[i] = 0
+                    i -= 1
+                out[i] += 1
             while rng < _RC_TOP:
                 rng <<= 8
-                # shift the top byte of low out, or hold it back while a carry
-                # could still reach it
-                if low < 0xFF000000 or low > _MASK32:
-                    carry = low >> 32
-                    out.append((cache + carry) & 0xFF)
-                    if pending > 1:
-                        out += bytes(((0xFF + carry) & 0xFF,)) * (pending - 1)
-                    pending = 0
-                    cache = (low >> 24) & 0xFF
-                pending += 1
+                out.append(low >> 24)
                 low = (low << 8) & _MASK32
             if update is not None:
                 update(row, s)
-        self._low, self._range, self._cache, self._pending = low, rng, cache, pending
+        self._low, self._range = low, rng
 
     def finish(self) -> bytes:
-        """Flush: the held-back bytes with the last carry, then the four bytes
-        of low."""
-        carry = self._low >> 32
-        self._out.append((self._cache + carry) & 0xFF)
-        self._out += bytes(((0xFF + carry) & 0xFF,)) * (self._pending - 1)
-        self._out += (self._low & _MASK32).to_bytes(4, "big")
-        return bytes(self._out)
+        """Flush: the four bytes of low."""
+        return bytes(self._out + self._low.to_bytes(4, "big"))
 
 
 class RangeDecoder:
@@ -119,7 +110,7 @@ class RangeDecoder:
         if len(data) < 5:
             raise DecodeError("range-coded payload exhausted")
         self._data = data
-        # the leading byte is the encoder's first cache byte, always zero
+        # the leading byte is the encoder's leading zero byte
         self._code = int.from_bytes(data[1:5], "big")
         self._pos = 5
         self._range = _MASK32

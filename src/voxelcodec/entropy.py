@@ -451,7 +451,8 @@ class ContextNetModel(EntropyModel):
             branches = [named[n] for n in cls.branch_names]
             head = named["head"]
         model = cls(seed=seed, branches=branches, head=head, **config)
-        nn.check_context_net(model.branches, model.head, model.crop_sizes, FEATURE_DIM, ALPHABET)
+        nn.check_context_net(model.branches, model.head, model.crop_sizes, FEATURE_DIM, ALPHABET,
+                             model.channels, model.hidden)
         return model
 
 

@@ -258,29 +258,19 @@ def _col2im(dcols, in_shape):
     return dx.reshape(in_shape)
 
 
-def softmax_cross_entropy(logits, target):
-    """Stable CE through log-sum-exp: loss = lse(logits) - logits[target], in nats.
-
-    Works on a single logit vector with an integer target, or a batch with a
-    target array; batch loss is the mean. Returns (loss, probabilities).
-    """
+def softmax_cross_entropy(logits, targets):
+    """Stable mean CE of a batch of logit rows through log-sum-exp:
+    lse(logits) - logits[target], in nats. Returns (loss, probabilities)."""
     z = np.asarray(logits, dtype=F64)
-    single = z.ndim == 1
-    if single:
-        z = z[None]
-        targets = np.array([target])
-    else:
-        targets = np.asarray(target)
+    targets = np.asarray(targets)
     k = z.shape[-1]
     if targets.min() < 0 or targets.max() >= k:
         raise ValueError(f"target out of range [0, {k})")
     m = z.max(axis=-1, keepdims=True)
     lse = np.log(np.exp(z - m).sum(axis=-1, keepdims=True)) + m
     logp = z - lse
-    probs = np.exp(logp)
     losses = -logp[np.arange(len(targets)), targets]
-    loss = float(losses[0]) if single else float(losses.mean())
-    return loss, (probs[0] if single else probs)
+    return float(losses.mean()), np.exp(logp)
 
 
 def cross_entropy_grad(probs, target):
@@ -337,17 +327,23 @@ def adam_step(params: ModelParams, grads, state: AdamState, lr,
 # stays >= 1); a branch whose crop is too small for one passes it through.
 
 
+def context_stacks(crop_sizes, channels, hidden, out_dim):
+    """-> (tower layer stacks, head layers): each tower as many Conv3D/ReLU
+    pairs of `channels` as its crop allows, the head FC(hidden), ReLU,
+    FC(out_dim)."""
+    towers = [tuple(layer for c in channels[:max(0, (m - 1) // 2)]
+                    for layer in (Conv3D(c), ReLU())) for m in crop_sizes]
+    return towers, (FullyConnected(hidden), ReLU(), FullyConnected(out_dim))
+
+
 def init_context_net(crop_sizes, channels, hidden, out_dim, seed, feature_dim=0):
-    """-> (branches, head): tower i drawn from seed+i, the head from
-    seed+len(crop_sizes) with a zeroed output layer."""
-    branches, width = [], feature_dim
-    for i, m in enumerate(crop_sizes):
-        n_convs = min(len(channels), max(0, (m - 1) // 2))
-        layers = tuple(layer for c in channels[:n_convs] for layer in (Conv3D(c), ReLU()))
-        branches.append(init_params(layers, (1, m, m, m), seed + i))
-        width += tower_width(branches[-1], m)
-    head = init_params((FullyConnected(hidden), ReLU(), FullyConnected(out_dim)), (width,),
-                       seed + len(crop_sizes), zero_final=True)
+    """-> (branches, head) of `context_stacks`: tower i drawn from seed+i, the
+    head from seed+len(crop_sizes) with a zeroed output layer."""
+    towers, head_layers = context_stacks(crop_sizes, channels, hidden, out_dim)
+    branches = [init_params(layers, (1, m, m, m), seed + i)
+                for i, (layers, m) in enumerate(zip(towers, crop_sizes))]
+    width = feature_dim + sum(tower_width(tower, m) for tower, m in zip(branches, crop_sizes))
+    head = init_params(head_layers, (width,), seed + len(crop_sizes), zero_final=True)
     return branches, head
 
 
@@ -360,15 +356,17 @@ def tower_width(tower: ModelParams, m) -> int:
     return int(np.prod(layer_shapes(tower.layers, (1, m, m, m))[-1]))
 
 
-def check_context_net(branches, head, crop_sizes, feature_dim, out_dim):
+def check_context_net(branches, head, crop_sizes, feature_dim, out_dim, channels, hidden):
     """Raise ValueError unless each tower fits its crop (`tower_width`), the head
-    maps the tower rows and `feature_dim` features to `out_dim` outputs, and
-    every tensor has the shape its layer stack implies (`tensor_shapes`)."""
+    maps the tower rows and `feature_dim` features to `out_dim` outputs, every
+    tensor has the shape its layer stack implies (`tensor_shapes`), and the
+    layer stacks are those `channels` and `hidden` describe (`context_stacks`)."""
     width, stacks = feature_dim, []
     for i, (tower, m) in enumerate(zip(branches, crop_sizes)):
         width += tower_width(tower, m)
         stacks.append((f"tower {i}", tower, (1, m, m, m)))
-    for name, params, input_shape in stacks + [("head", head, (width,))]:
+    stacks.append(("head", head, (width,)))
+    for name, params, input_shape in stacks:
         for j, (group, want) in enumerate(zip(params.tensors, tensor_shapes(params.layers, input_shape))):
             got = [t.shape for t in group]
             if got != want:
@@ -377,6 +375,11 @@ def check_context_net(branches, head, crop_sizes, feature_dim, out_dim):
     out = layer_shapes(head.layers, (width,))[-1]
     if out != (out_dim,):
         raise ValueError(f"head output shape {out}; {out_dim} values expected")
+    towers, head_layers = context_stacks(crop_sizes, channels, hidden, out_dim)
+    for (name, params, _), want in zip(stacks, towers + [head_layers]):
+        if params.layers != want:
+            raise ValueError(f"{name} layers {params.layers} are not the {want} that "
+                             f"channels {list(channels)} and hidden {hidden} describe")
 
 
 def context_forward(branches, head, crop_sets, feats=None, caches=None):

@@ -67,7 +67,8 @@ class RefineParams:
             for depth in nn.int_field(meta, "depths", many=True):
                 params.entries[depth] = (named[f"tower-d{depth}"], named[f"head-d{depth}"])
         for tower, head in params.entries.values():
-            nn.check_context_net([tower], head, (params.crop_size,), 0, 3)
+            nn.check_context_net([tower], head, (params.crop_size,), 0, 3, params.channels,
+                                 params.hidden)
         return params
 
 

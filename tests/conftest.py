@@ -109,6 +109,7 @@ def malformed_model_files():
     dynamic = DynamicContextModel(crop_size=5, child_crop_size=6, channels=(2,), hidden=8, seed=0)
     refiner = RefineParams(crop_size=5, channels=(2,), hidden=8, seed=0)
     refiner.add_depth(4)
+    two_convs = VoxelContextModel(crop_size=5, channels=(2, 4), hidden=8, seed=0)
     hidden = nn.FullyConnected(8), nn.ReLU()   # the narrow models' hidden layer
     # static's tower rows are 2 * 3^3 = 54 wide; its head reads them and 4 node features
     return {
@@ -142,6 +143,12 @@ def malformed_model_files():
                                "--model", "context_bits"),
         "string-crop-size": (_with_meta(static, crop_size="5"), "--model", "crop_size"),
         "refine-string-depth": (_with_meta(refiner, depths=["4"]), "--refine", "depths"),
+        # metadata that does not describe the layer stacks the file holds
+        "hidden-0": (_with_meta(two_convs, hidden=0), "--model", "head layers"),
+        "channels-empty": (_with_meta(two_convs, channels=[]), "--model", "tower 0 layers"),
+        "channels-7-9": (_with_meta(two_convs, channels=[7, 9]), "--model", "tower 0 layers"),
+        "refine-hidden-3-channels-1": (_with_meta(refiner, hidden=3, channels=[1]), "--refine",
+                                       "tower 0 layers"),
     }
 
 

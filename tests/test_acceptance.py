@@ -332,14 +332,14 @@ def test_criterion_5_entropy_model_learning():
 
     model = VoxelContextModel(crop_size=9, channels=(4, 8, 16), hidden=256, seed=1)
 
-    # epoch-0 exactness: the zero-initialized head emits all-zero logits, so the
-    # scalar-path loss is bit-identical to ln(255); the batched mean must equal
+    # epoch-0 exactness: the zero-initialized head emits all-zero logits, so each
+    # one-row loss is bit-identical to ln(255); the batched mean must equal
     # the identical vectorized computation (numpy's SIMD log may differ from the
     # scalar libm by one ulp, which we also bound explicitly)
     z = model.logits((held_ds["crops"][:2048],), held_ds["features"][:2048])
     assert np.all(z == 0.0)
     loss0, _ = nn.softmax_cross_entropy(z, held_ds["symbols"][:2048] - 1)
-    singles = [nn.softmax_cross_entropy(z[i], int(held_ds["symbols"][i] - 1))[0]
+    singles = [nn.softmax_cross_entropy(z[i:i + 1], held_ds["symbols"][i:i + 1] - 1)[0]
                for i in range(16)]
     batched_ref = float(np.log(np.exp(z).sum(axis=-1)).mean())
     exact0 = (all(v == math.log(255.0) for v in singles)

@@ -11,7 +11,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from voxelcodec import (PointCloud, UniformModel, cli, decode_cloud, encode_cloud,
+from voxelcodec import (PointCloud, UniformModel, cli, decode_cloud, encode_cloud, metrics,
                         pointcloud, psnr_point)
 from voxelcodec.cli import main
 
@@ -357,6 +357,22 @@ class TestEvalBdbr:
         bpps = [float(r.split(",")[0]) for r in rows[1:]]
         assert all(a < b for a, b in zip(bpps, bpps[1:]))
 
+    def test_psnr_on_normalized_coordinates(self, tmp_path):
+        """A cloud and its x10+5 copy code alike, so they read the same PSNR:
+        the peak is the normalization edge, not 1 in input units."""
+        points = structured_cloud(1200, seed=9).points
+        curves = []
+        for name, copy in (("a", points), ("b", points * 10 + 5)):
+            src, csv_path = tmp_path / f"{name}.xyz", tmp_path / f"{name}.csv"
+            _write_cloud(src, PointCloud(copy))
+            assert _run("eval", src, csv_path, "--depth", 7, "--truncs", "3,4,5,6") == 0
+            curves.append(metrics.rd_from_csv(csv_path.read_text()))
+        for a, b in zip(*curves):
+            assert a.bpp == b.bpp
+            # the CSV keeps 4 decimals: equal readings may round one step (1e-4) apart
+            assert abs(a.psnr_d1 - b.psnr_d1) < 1.5e-4
+            assert abs(a.psnr_d2 - b.psnr_d2) < 0.05
+
     def test_bdbr_self_zero(self, tmp_path, capsys):
         src = tmp_path / "in.ply"
         _write_cloud(src, structured_cloud(900, seed=10))
@@ -448,8 +464,9 @@ class TestOptions:
         ("encode", ("--model-kind", "adaptive", "--context-bits", 0)),
         ("eval", ("--truncs", "2,x")),
         ("eval", ("--truncs", "2,5")),
+        ("eval", ("--truncs", "3,3")),
     ], ids=["trunc-past-depth", "trunc-zero", "context-bits-zero", "truncs-not-int",
-            "eval-trunc-past-depth"])
+            "eval-trunc-past-depth", "eval-trunc-repeated"])
     def test_bad_value_is_usage_error(self, files, command, args):
         out = files.dir / ("o.vcnb" if command == "encode" else "o.csv")
         assert _run(command, files.src, out, "--depth", 4, *args) == 1

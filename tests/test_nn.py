@@ -68,23 +68,23 @@ class TestForward:
 
 class TestSoftmaxCrossEntropy:
     def test_zero_logits_uniform(self):
-        loss, probs = softmax_cross_entropy(np.zeros(255), 17)
-        assert np.allclose(probs, 1.0 / 255, atol=1e-15)
+        loss, probs = softmax_cross_entropy(np.zeros((1, 255)), [17])
+        assert np.allclose(probs[0], 1.0 / 255, atol=1e-15)
         assert loss == math.log(255.0)    # exact: lse(0) = log(255)
         assert abs(loss - 5.541) < 1e-3
 
     def test_saturated_logit(self):
-        z = np.zeros(255)
-        z[42] = 1000.0
-        loss, probs = softmax_cross_entropy(z, 42)
+        z = np.zeros((1, 255))
+        z[0, 42] = 1000.0
+        loss, probs = softmax_cross_entropy(z, [42])
         assert loss < 1e-12
-        assert probs[42] > 0.999999
+        assert probs[0, 42] > 0.999999
 
     def test_probabilities_sum_to_one(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
-            _, probs = softmax_cross_entropy(rng.normal(0, 5, 255), int(rng.integers(255)))
-            assert abs(probs.sum() - 1.0) < 1e-9
+            _, probs = softmax_cross_entropy(rng.normal(0, 5, (1, 255)), [int(rng.integers(255))])
+            assert abs(probs[0].sum() - 1.0) < 1e-9
 
     def test_matches_high_precision_reference(self):
         import mpmath
@@ -92,17 +92,17 @@ class TestSoftmaxCrossEntropy:
         rng = np.random.default_rng(4)
         z = rng.normal(0, 3, 255)
         t = 31
-        loss, probs = softmax_cross_entropy(z, t)
+        loss, probs = softmax_cross_entropy(z[None], [t])
         exps = [mpmath.exp(mpmath.mpf(v)) for v in z]
         total = mpmath.fsum(exps)
         ref_probs = np.array([float(e / total) for e in exps])
         ref_loss = float(-mpmath.log(exps[t] / total))
-        assert np.abs(probs - ref_probs).max() < 1e-9
+        assert np.abs(probs[0] - ref_probs).max() < 1e-9
         assert abs(loss - ref_loss) < 1e-9
 
     def test_target_out_of_range(self):
         with pytest.raises(ValueError):
-            softmax_cross_entropy(np.zeros(255), 255)
+            softmax_cross_entropy(np.zeros((1, 255)), [255])
 
 
 class TestBackward:
