@@ -170,7 +170,7 @@ def cmd_encode(args):
             coded = dynamic.align_sequence(frames).frames
         else:
             coded = [pointcloud.normalize(frames[0])[0]]
-        n_symbols = sum(octree.build(c, args.depth).truncate(trunc).symbol_count()
+        n_symbols = sum(octree.build(c, trunc).symbol_count()
                         for c in coded)
         n_points = sum(len(f) for f in frames)
         payload_bits = 8 * coder.payload_size(data)

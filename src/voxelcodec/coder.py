@@ -251,7 +251,10 @@ def _code_level(ctx, symbols, level_tables, enc_or_dec, decoding):
 
 def encode_cloud(cloud: PointCloud, depth: int, trunc_depth: int,
                  model: em.EntropyModel) -> bytes:
-    """Normalize, build the octree at `depth`, and code symbols below `trunc_depth`."""
+    """Normalize, build the octree down to `trunc_depth`, and code its symbols;
+    the header carries `depth`. Building to `trunc_depth` gives the levels of
+    the depth-`depth` tree truncated there: floor(p * 2^depth) >> (depth -
+    trunc_depth) is floor(p * 2^trunc_depth) on [0, 1], clamp at 1.0 included."""
     if len(cloud) == 0:
         raise ValueError("cannot encode an empty cloud")
     if not 1 <= trunc_depth <= depth:
@@ -259,7 +262,7 @@ def encode_cloud(cloud: PointCloud, depth: int, trunc_depth: int,
     if isinstance(model, em.DynamicContextModel):
         raise ValueError("dynamic models code sequences; use encode_sequence")
     norm_cloud, params = normalize(cloud)
-    tree = oct.build(norm_cloud, depth).truncate(trunc_depth)
+    tree = oct.build(norm_cloud, trunc_depth)
     header = BitstreamHeader(MODE_STATIC, params, depth, trunc_depth, len(cloud),
                              model.kind_code, model.content_hash())
     return encode_frames(header, [tree], model)

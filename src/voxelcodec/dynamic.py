@@ -69,7 +69,7 @@ def encode_sequence(frames, depth: int, trunc_depth: int, model: em.EntropyModel
     seq = frames if isinstance(frames, CloudSequence) else align_sequence(frames)
     if any(len(f) == 0 for f in seq.frames):
         raise ValueError("sequence contains an empty frame")
-    trees = [oct.build(f, depth).truncate(trunc_depth) for f in seq.frames]
+    trees = [oct.build(f, trunc_depth) for f in seq.frames]
     header = BitstreamHeader(
         MODE_DYNAMIC, seq.norm, depth, trunc_depth,
         sum(seq.point_counts()), model.kind_code, model.content_hash(),
@@ -99,7 +99,7 @@ def decode_sequence(data: bytes, model: em.EntropyModel, refine_params=None,
 def sequence_code_lengths(model: em.EntropyModel, seq: CloudSequence, depth: int,
                           trunc_depth: int):
     """-log2 q per coded symbol, split per frame, replaying the exact schedule."""
-    trees = [oct.build(f, depth).truncate(trunc_depth) for f in seq.frames]
+    trees = [oct.build(f, trunc_depth) for f in seq.frames]
     return em.schedule_code_lengths(model, trees, depth, trunc_depth)
 
 

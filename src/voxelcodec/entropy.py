@@ -47,8 +47,8 @@ KIND_REFINE = 4
 KIND_NAMES = {KIND_UNIFORM: "uniform", KIND_ADAPTIVE: "adaptive",
               KIND_VOXEL_STATIC: "voxel-static", KIND_VOXEL_DYNAMIC: "voxel-dynamic"}
 
-# (axis, step) of each face neighbour, in neighbour-bit order: +x, -x, +y, -y, +z, -z
-_NEIGHBOR_FACES = ((0, 1), (0, -1), (1, 1), (1, -1), (2, 1), (2, -1))
+# (axis, step) of neighbour bits 0-3: +x, -x, +y, -y; bits 4 and 5 are +z and -z
+_NEIGHBOR_FACES = ((0, 1), (0, -1), (1, 1), (1, -1))
 
 
 @dataclass(frozen=True)
@@ -118,8 +118,8 @@ class LevelContext:
 
     depth: int
     max_depth: int
-    cells: np.ndarray                    # (n, 3) occupied cells at this depth
-    grid: VoxelGrid                      # same-depth grid of the current frame
+    cells: np.ndarray                    # (n, 3) occupied cells at this depth, in key order
+    grid: VoxelGrid                      # same-depth grid of the current frame: cells' keys
     prev_cells: np.ndarray | None = None
     prev_symbols: np.ndarray | None = None
     grid_prev: VoxelGrid | None = None        # same depth, frame t-1
@@ -149,20 +149,26 @@ class LevelContext:
     def neighbor_bits(self) -> np.ndarray:
         """6-bit mask of face-neighbour occupancy in the same-depth grid.
 
-        A face neighbour's key is the cell's key plus or minus the axis's key
-        stride (2^(2d), 2^d or 1); cells on the grid's face in that direction
-        have no neighbour there.
+        The grid's sorted keys are this level's cells in order. A face
+        neighbour's key is the cell's key plus or minus the axis's key stride
+        (2^(2d), 2^d or 1). The ±x and ±y neighbours are found by binary
+        search: past the grid's ±x faces that key lies outside [0, 2^(3d)),
+        so no cell holds it, but past a ±y face it names a cell of the next
+        or previous x slab, so those cells are masked. A ±z neighbour is the
+        next or previous key, when the two keys differ by one and the upper
+        one is not at z = 0, the start of the next row.
         """
-        d, grid_keys = self.depth, self.grid.keys
-        keys = cell_keys(self.cells, d)
+        d, keys, cells = self.depth, self.grid.keys, self.cells
         bits = np.zeros(len(keys), dtype=np.int64)
         for b, (axis, step) in enumerate(_NEIGHBOR_FACES):
-            coord = self.cells[:, axis]
-            inside = coord < (1 << d) - 1 if step > 0 else coord > 0
-            near = keys[inside] + (step << (d * (2 - axis)))
-            pos = np.searchsorted(grid_keys, near)
-            hit = np.take(grid_keys, pos, mode="clip") == near
-            bits[inside] |= hit.astype(np.int64) << b
+            near = keys + (step << (d * (2 - axis)))
+            hit = np.take(keys, np.searchsorted(keys, near), mode="clip") == near
+            if axis:
+                hit &= cells[:, 1] != ((1 << d) - 1 if step > 0 else 0)
+            bits |= hit.astype(np.int64) << b
+        z_step = ((keys[1:] - keys[:-1] == 1) & (cells[1:, 2] != 0)).astype(np.int64)
+        bits[:-1] |= z_step << 4
+        bits[1:] |= z_step << 5
         return bits
 
     def branch_crops(self, branch: Branch, m: int) -> np.ndarray:
@@ -296,7 +302,7 @@ class UniformModel(EntropyModel):
 
 _M64 = np.uint64(0xFFFFFFFFFFFFFFFF)
 # _STEPS[s] adds one count to symbol s of a cumulative table: ones from index s on
-_STEPS = tuple(np.triu(np.ones((ALPHABET + 1, ALPHABET + 1), dtype=np.int64)))
+_STEPS = tuple(np.triu(np.ones((ALPHABET + 1, ALPHABET + 1), dtype=np.int32)))
 
 
 def _splitmix64(x: np.ndarray) -> np.ndarray:
@@ -306,22 +312,26 @@ def _splitmix64(x: np.ndarray) -> np.ndarray:
     return x ^ (x >> np.uint64(31))
 
 
-_FRESH = np.arange(ALPHABET + 1, dtype=np.int64)
+# a context's table before its first symbol: one count per symbol
+_FRESH = np.arange(ALPHABET + 1, dtype=np.int32)
 
 
-def _fresh_table() -> memoryview:
-    """A context's table before its first symbol: one count per symbol."""
-    return memoryview(_FRESH.copy())
+def _count_rule():
+    """`_add_count`, with the names it reads bound once, as closure cells."""
+    add, cumsum, diff, steps, top, limit = np.add, np.cumsum, np.diff, _STEPS, ALPHABET, TOTAL_FREQ
+
+    def add_count(row: memoryview, symbol: int):
+        """The adaptive count update: one more count for `symbol` (1..255) in
+        the int32 table `row` views, one int32 add; when the total passes
+        TOTAL_FREQ, every frequency f becomes (f + 1) >> 1."""
+        cum = row.obj
+        add(cum, steps[symbol], cum)
+        if row[top] > limit:
+            cumsum((diff(cum) + 1) >> 1, out=cum[1:])
+    return add_count
 
 
-def _add_count(row: memoryview, symbol: int):
-    """The adaptive count update: one more count for `symbol` (1..255) in the
-    table `row` views; when the total passes TOTAL_FREQ, every frequency f
-    becomes (f + 1) >> 1."""
-    cum = row.obj
-    np.add(cum, _STEPS[symbol], cum)
-    if row[ALPHABET] > TOTAL_FREQ:
-        np.cumsum((np.diff(cum) + 1) >> 1, out=cum[1:])
+_add_count = _count_rule()
 
 
 class AdaptiveContextModel(EntropyModel):
@@ -353,12 +363,16 @@ class AdaptiveContextModel(EntropyModel):
     def stream(self):
         """Each level's node context tables, in node order, and `_add_count`.
         The stream's tables start fresh; nodes that share a context share its
-        table, so an update is seen by every later node of the stream."""
-        # context id -> memoryview of its int64 cumulative table, made on first use
-        tables = defaultdict(_fresh_table)
+        table, so an update is seen by every later node of the stream. The
+        contexts a level meets first get their tables as rows of one int32
+        block, allocated for that level."""
+        tables = {}   # context id -> memoryview of its int32 cumulative table
 
         def level_tables(ctx):
-            return list(map(tables.__getitem__, self.context_ids(ctx).tolist())), _add_count
+            ids = self.context_ids(ctx).tolist()
+            new = set(ids).difference(tables)
+            tables.update(zip(new, map(memoryview, np.tile(_FRESH, (len(new), 1)))))
+            return list(map(tables.__getitem__, ids)), _add_count
         return level_tables
 
     def serialize(self):

@@ -12,9 +12,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 PSNR_CAP_DB = 100.0
+
+
+def _kdtree(points):
+    """A scipy `cKDTree` over points. scipy is imported on the first call, so
+    importing the package, encoding and decoding never load it."""
+    from scipy.spatial import cKDTree
+    return cKDTree(points)
 
 
 def _points(cloud):
@@ -31,7 +37,7 @@ def nearest_neighbor(query, reference):
     if len(ref) == 0:
         raise ValueError("empty reference cloud")
     q = np.asarray(query, dtype=np.float64).reshape(3)
-    tree = cKDTree(ref)
+    tree = _kdtree(ref)
     d, idx = tree.query(q)
     ties = tree.query_ball_point(q, r=d)
     idx = min(ties) if ties else int(idx)
@@ -41,7 +47,7 @@ def nearest_neighbor(query, reference):
 
 def _nn_sq_dists(a, b):
     """Squared distance from each point of a to its nearest neighbour in b."""
-    d, _ = cKDTree(b).query(a, workers=1)
+    d, _ = _kdtree(b).query(a, workers=1)
     return d ** 2
 
 
@@ -72,7 +78,7 @@ def estimate_normals(cloud, k=12) -> np.ndarray:
     pts = _points(cloud)
     if len(pts) < k + 1:
         raise ValueError(f"need at least {k + 1} points to estimate normals with k={k}")
-    tree = cKDTree(pts)
+    tree = _kdtree(pts)
     _, idx = tree.query(pts, k=k + 1, workers=1)   # includes the point itself
     neigh = pts[idx]
     centered = neigh - neigh.mean(axis=1, keepdims=True)
@@ -83,7 +89,7 @@ def estimate_normals(cloud, k=12) -> np.ndarray:
 
 
 def _plane_sq_errors(src, ref, ref_normals):
-    d, idx = cKDTree(ref).query(src, workers=1)
+    d, idx = _kdtree(ref).query(src, workers=1)
     err = src - ref[idx]
     return np.einsum("ni,ni->n", err, ref_normals[idx], optimize=False) ** 2
 

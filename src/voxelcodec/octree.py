@@ -90,12 +90,18 @@ def build(cloud: PointCloud, depth: int) -> Octree:
 
 
 def _expand_children(cells: np.ndarray, syms: np.ndarray, k: int) -> np.ndarray:
-    """Occupied depth-(k+1) cells implied by depth-k symbols, sorted canonically."""
-    sel = ((syms[:, None] >> np.arange(8, dtype=np.uint8)[None, :]) & 1).astype(bool)
-    base = cells[:, None, :] * 2 + CHILD_OFFSETS[None, :, :]
-    kids = base[sel]
-    order = np.argsort(cell_keys(kids, k + 1))
-    return kids[order]
+    """Occupied depth-(k+1) cells implied by depth-k symbols, sorted canonically.
+
+    The expansion runs on packed keys: a parent's key at depth k+1, shifted
+    left by one, is the key of its child (0, 0, 0), and child j adds the key
+    of CHILD_OFFSETS[j]. The keys of the set bits are sorted once.
+    """
+    d = k + 1
+    keys = (cell_keys(cells, d) << 1)[:, None] + cell_keys(CHILD_OFFSETS, d)
+    bits = np.unpackbits(np.asarray(syms, dtype=np.uint8)[:, None], axis=1, bitorder="little")
+    kids = keys[bits.view(bool)]
+    kids.sort()
+    return keys_to_cells(kids, d)
 
 
 def reconstruct_centers(tree: Octree, params: NormalizationParams) -> PointCloud:

@@ -10,11 +10,26 @@ per layer.
 The training kernel's patch layouts: `im2col` and `col2im` are the sliding
 window transpose and the 27 slab adds that `nn._im2col` (one gather) and
 `nn._col2im` (one ordered bincount per sample) replace.
+
+The decoder's child expansion: `expand_children` builds each parent's eight
+children as cells and sorts them by key, the form that
+`octree._expand_children` (packed keys, one sort) replaces.
 """
 
 import numpy as np
 
-from voxelcodec import nn, refine
+from voxelcodec import nn, octree, refine
+
+
+def expand_children(cells, syms, k):
+    """Occupied depth-(k+1) cells implied by depth-k symbols, sorted
+    canonically: an (n, 8, 3) broadcast of the child cells, masked by the
+    symbol bits, then an argsort of their keys."""
+    sel = ((syms[:, None] >> np.arange(8, dtype=np.uint8)[None, :]) & 1).astype(bool)
+    base = cells[:, None, :] * 2 + octree.CHILD_OFFSETS[None, :, :]
+    kids = base[sel]
+    order = np.argsort(octree.cell_keys(kids, k + 1))
+    return kids[order]
 
 
 def im2col(x):

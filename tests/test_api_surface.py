@@ -1,4 +1,5 @@
-"""The library holds no code that only tests call.
+"""The library holds no code that only tests call, and no private helper
+that nothing reads.
 
 Every module-level public function, class or constant in `src/voxelcodec/`,
 and every public method of those classes, must be referenced, as a name or
@@ -8,7 +9,9 @@ benchmark, the acceptance suite or the README's Python examples. Only reads
 (`ast.Load`) count, so a constant's assignment is not its own reference.
 String constants count because the benchmark tracer wraps library functions
 and methods by name. A method counts as referenced when its name is,
-whatever the object.
+whatever the object. Every module-level private function, class or constant
+must be referenced in the same way by the library, the tests or the
+benchmark, so a helper left behind by a change fails here.
 """
 
 import ast
@@ -38,12 +41,12 @@ def _bare(name):
 
 
 def _constants(body):
-    """The public names a module's top-level assignments bind."""
+    """The names a module's top-level assignments bind."""
     for node in body:
         targets = (node.targets if isinstance(node, ast.Assign)
                    else [node.target] if isinstance(node, ast.AnnAssign) else [])
         for target in targets:
-            if isinstance(target, ast.Name) and not target.id.startswith("_"):
+            if isinstance(target, ast.Name):
                 yield target.id
 
 
@@ -59,7 +62,19 @@ def _public_definitions():
                 for method in _public(node.body, ast.FunctionDef):
                     yield path.name, f"{node.name}.{method.name}"
         for name in _constants(body):
-            yield path.name, name
+            if not name.startswith("_"):
+                yield path.name, name
+
+
+def _private_definitions():
+    """(module file name, name) of every module-level private def, class and
+    constant; dunder names are not private."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        body = ast.parse(path.read_text()).body
+        names = [node.name for node in body if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+        for name in names + list(_constants(body)):
+            if name.startswith("_") and not name.startswith("__"):
+                yield path.name, name
 
 
 def _referenced(tree):
@@ -93,6 +108,16 @@ def test_every_public_definition_has_a_caller():
     unused = sorted(f"{module}:{name}" for module, name in _public_definitions()
                     if _bare(name) not in used and name not in ORACLES)
     assert not unused, f"public definitions nothing outside the tests calls: {unused}"
+
+
+def test_every_private_definition_is_read():
+    files = [*sorted(PACKAGE.glob("*.py")), *sorted((ROOT / "tests").glob("*.py")),
+             *sorted((ROOT / "perfbench").glob("*.py"))]
+    used = set().union(*(_referenced(ast.parse(p.read_text())) for p in files))
+    private = list(_private_definitions())
+    assert any(name == "_add_count" for _, name in private)
+    unused = sorted(f"{module}:{name}" for module, name in private if name not in used)
+    assert not unused, f"private definitions nothing reads: {unused}"
 
 
 def test_oracles_are_still_defined_and_unused():

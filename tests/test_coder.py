@@ -521,6 +521,22 @@ class TestReferenceLoop:
                 expected = -np.log2((tables[rows, s] - tables[rows, s - 1]) / tables[:, -1])
                 assert np.array_equal(level_code_lengths(level_tables, cids, syms), expected)
 
+    def test_int32_tables_match_reference_counts(self):
+        """Through the stream whose context 0 is halved mid-level, every int32
+        row the adaptive stream hands out, read as the coder reaches its node,
+        is the reference count table of its context."""
+        ref, level_tables, halved = _ReferenceCounts(), GivenContexts(16).stream(), 0
+        for cids, syms in _adaptive_stream(2):
+            rows, update = level_tables(cids)
+            for row, cid, s in zip(rows, cids, syms):
+                assert row.obj.dtype == np.int32
+                assert np.array_equal(row, ref.node_table(cid))
+                update(row, s)
+                total = ref.node_table(cid)[-1]
+                ref.observe(cid, s)
+                halved += int(ref.node_table(cid)[-1] < total)
+        assert halved == 1
+
     @settings(max_examples=120, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1), st.lists(_SEGMENT, max_size=6),
            st.lists(st.integers(0, 1800), max_size=3), st.integers(0, 255))

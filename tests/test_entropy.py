@@ -68,6 +68,25 @@ class TestLevelContext:
             on_face = ((cells == 0) | (cells == (1 << k) - 1)).any(axis=1)
             assert on_face.any()
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_neighbor_bits_across_row_boundaries(self, d):
+        # cells at z = 2^d - 1 whose key + 1 is an occupied cell at z = 0 of
+        # the next y row or x slab, and at z = 0 whose key - 1 is occupied:
+        # adjacent keys that are not face neighbours
+        top = (1 << d) - 1
+        cells = np.array([(0, 0, top), (0, 1, 0), (0, top, top), (1, 0, 0), (1, 0, 1),
+                          (top, top - 1, top), (top, top, 0), (top, top, top)], dtype=np.int64)
+        cells = np.unique(cells, axis=0)
+        ctx = make_level_context(d, d, cells)
+        keys = ctx.grid.keys
+        assert (np.diff(keys) == 1).any()
+        offsets = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
+        expected = sum(contains(ctx.grid, cells + off).astype(np.int64) << b
+                       for b, off in enumerate(offsets))
+        assert np.array_equal(ctx.neighbor_bits(), expected)
+        crossing = (cells[:-1, 2] == top) & (np.diff(keys) == 1)
+        assert crossing.any() and not (expected[:-1][crossing] & 16).any()
+
 
 class TestAdaptive:
     def test_fresh_context_uniform(self):
@@ -119,6 +138,23 @@ class TestAdaptive:
         assert set(tables_a) == set(tables_b)
         for cid in tables_a:
             assert np.array_equal(tables_a[cid], tables_b[cid])
+
+    def test_update_leaves_the_rest_of_the_level_block(self):
+        # the contexts a level meets first get int32 rows of one block; an
+        # update of one row changes that row only
+        level_tables = GivenContexts(10).stream()
+        level_tables([0])
+        rows, update = level_tables([5, 9, 0, 5, 7, 3])
+        assert all(row.format == "i" and row.obj.dtype == np.int32 for row in rows)
+        bases = [row.obj.base for row in rows]
+        assert all(base is bases[0] for i, base in enumerate(bases) if i != 2)
+        assert bases[2] is not bases[0] and len(bases[0]) == 4   # context 0 came earlier
+        before = [np.array(row) for row in rows]
+        update(rows[1], 200)
+        for i, row in enumerate(rows):
+            expected = before[i] + (np.arange(ALPHABET + 1) >= 200) * (i == 1)
+            assert np.array_equal(row, expected)
+        assert np.array_equal(before[1], np.arange(ALPHABET + 1))
 
     def test_context_bits_range(self):
         with pytest.raises(ValueError):

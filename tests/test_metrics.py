@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -192,3 +197,26 @@ def test_rd_csv_roundtrip():
     assert back[1].psnr_d2 == pytest.approx(50.0)
     with pytest.raises(ValueError):
         rd_from_csv("1,2,3\n")
+
+
+_NO_SCIPY_SCRIPT = """
+import sys
+import numpy as np
+import voxelcodec as vc
+model = vc.AdaptiveContextModel(12)
+cloud = vc.PointCloud(np.random.default_rng(0).random((300, 3)))
+assert len(vc.decode_cloud(vc.encode_cloud(cloud, 6, 5, model), model)) > 0
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+
+
+def test_codec_does_not_load_scipy():
+    """`import voxelcodec`, one encode and one decode leave scipy, and so
+    `scipy.spatial`, unloaded: the metrics import cKDTree on first use."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from voxelcodec import (NormalizationParams, PointCloud, UniformModel, build, decode_cloud,
                         encode_cloud, normalize, octree, reconstruct_centers)
 
 from conftest import assert_octree_invariants, random_cloud, structured_cloud
+from oracles import expand_children
 
 
 class TestBuild:
@@ -86,6 +89,23 @@ class TestRebuild:
         kids = octree._expand_children(root, np.array([16], dtype=np.uint8), 0)
         assert np.array_equal(kids, [[1, 0, 0]])
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 15), st.integers(0, 2**32 - 1), st.integers(0, 300))
+    def test_expand_children_matches_broadcast_oracle(self, k, seed, n):
+        """Random sorted depth-k cell sets, symbols 1..255: the packed-key
+        expansion gives the oracle's cells, int64, in the same order; at
+        k = 15 the child keys reach 48 bits."""
+        rng = np.random.default_rng(seed)
+        cells = np.unique(rng.integers(0, 1 << k, (n, 3)), axis=0)   # lexicographic order
+        syms = rng.integers(1, 256, len(cells)).astype(np.uint8)
+        if len(cells):
+            # the grid's last cell, all children set: the top child's key is 2^(3k+3) - 1
+            cells[-1], syms[-1] = (1 << k) - 1, 255
+        got = octree._expand_children(cells, syms, k)
+        expected = expand_children(cells, syms, k)
+        assert got.dtype == np.int64 and got.shape == expected.shape
+        assert np.array_equal(got, expected)
+
     @pytest.mark.parametrize("seed", range(10))
     def test_roundtrip_100_random_octrees(self, seed):
         # 10 seeds x 10 clouds of varying size/depth, through the decoder
@@ -153,6 +173,27 @@ class TestTruncate:
         for a, b in zip(full.levels, direct.levels):
             assert np.array_equal(a, b)
         for a, b in zip(full.symbols, direct.symbols):
+            assert np.array_equal(a, b)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 300), st.integers(1, 12), st.data())
+    def test_truncated_build_equals_build_truncated(self, seed, n, depth, data):
+        """Building to the truncation depth gives the levels and symbols of
+        the deeper tree truncated there, points at exactly 0.0 and 1.0
+        included (the clamp of 1.0 into the last cell)."""
+        trunc = data.draw(st.integers(1, depth))
+        rng = np.random.default_rng(seed)
+        pts = rng.random((n, 3))
+        pts[rng.random((n, 3)) < 0.2] = 0.0
+        pts[rng.random((n, 3)) < 0.2] = 1.0
+        pts[0], pts[-1] = 0.0, 1.0
+        cloud = PointCloud(pts)
+        direct, full = build(cloud, trunc), build(cloud, depth).truncate(trunc)
+        assert direct.max_depth == full.max_depth == trunc
+        assert len(direct.levels) == len(full.levels) and len(direct.symbols) == len(full.symbols)
+        for a, b in zip(direct.levels, full.levels):
+            assert np.array_equal(a, b)
+        for a, b in zip(direct.symbols, full.symbols):
             assert np.array_equal(a, b)
 
     def test_out_of_range(self):
