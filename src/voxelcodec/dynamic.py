@@ -21,6 +21,7 @@ from . import octree as oct
 from .coder import _code_level  # noqa: F401  (the benchmark tracer wraps dynamic._code_level)
 from .coder import MODE_DYNAMIC, BitstreamHeader, DecodeError, decode_frames, encode_frames
 from .pointcloud import NormalizationParams, PointCloud, RigidTransform, apply_pose, normalize
+from .voxelgrid import CHILD_CROP_SIZE
 
 
 @dataclass
@@ -104,7 +105,7 @@ def sequence_code_lengths(model: em.EntropyModel, seq: CloudSequence, depth: int
 
 
 def build_sequence_dataset(seq: CloudSequence, depth: int, crop_size=9,
-                           child_crop_size=10, trunc_depth=None):
+                           child_crop_size=CHILD_CROP_SIZE, trunc_depth=None):
     """Training samples with all four crops from the coding schedule."""
     trunc = trunc_depth if trunc_depth is not None else depth
     trees = [oct.build(f, depth) for f in seq.frames]

@@ -4,14 +4,15 @@ Symbol values run 1..255 (a split node always has at least one occupied
 child), mapped to array indices 0..254. Four model kinds share one coding
 interface: `stream()` opens one coded stream and returns its
 `level_tables(ctx)`, which the coder calls per depth level with a
-LevelContext (a plain record of the level's decoded data, whose feature
-methods compute on call) to get integer cumulative tables, one per node in
-node order, with the rule, if any, that updates them as symbols are coded:
-one shared uniform row, the neural models' `nn.integer_tables`, or the
-adaptive baseline's live counts. Those tables are each model's only
-distribution: rate accounting reads q = freq/total from them
-(`level_code_lengths`). The counts or integer net a stream builds live in
-that function, not in the model.
+LevelContext to get integer cumulative tables, one per node in node order,
+with the rule, if any, that updates them as symbols are coded: one shared
+uniform row, the neural models' `nn.integer_tables`, or the adaptive
+baseline's live counts. Those tables are each model's only distribution:
+rate accounting reads q = freq/total from them (`level_code_lengths`). The
+counts or integer net a stream builds live in that function, not in the
+model. A LevelContext holds the decoded grids (`VoxelGrid`) its feature
+methods read: the level's, whose cells are the nodes, the parent level's
+with its symbols, and the neighbour frames'.
 
 The neural models and the refiner share one level pass (`level_outputs`):
 one tile loop per anchor set (`voxelgrid.anchor_tiles`) builds each tile's
@@ -110,29 +111,33 @@ def level_outputs(net: nn.IntContextNet, geometry, crop_sizes, ctx, feats=None) 
 
 @dataclass
 class LevelContext:
-    """Everything a model may condition on while coding one depth level.
+    """Everything a model may condition on while coding one depth level: the
+    already-decoded grids of this level, whose cells in key order are the
+    nodes, of the level above it with its symbols, and of neighbour frames."""
 
-    All fields derive from already-decoded data: the depth-k cell list, the
-    depth-(k-1) cells/symbols, and (for sequences) neighbour-frame grids.
-    """
-
-    depth: int
+    grid: VoxelGrid                           # depth k of the current frame: the nodes
     max_depth: int
-    cells: np.ndarray                    # (n, 3) occupied cells at this depth, in key order
-    grid: VoxelGrid                      # same-depth grid of the current frame: cells' keys
-    prev_cells: np.ndarray | None = None
-    prev_symbols: np.ndarray | None = None
+    parent_grid: VoxelGrid | None = None      # depth k-1 of the current frame
+    parent_grid_symbols: np.ndarray | None = None   # its symbols, in its key order
     grid_prev: VoxelGrid | None = None        # same depth, frame t-1
     grid_next: VoxelGrid | None = None        # same depth, frame t+1
     grid_prev_child: VoxelGrid | None = None  # depth k+1, frame t-1
 
+    @property
+    def depth(self) -> int:
+        return self.grid.depth
+
+    @property
+    def cells(self) -> np.ndarray:
+        return self.grid.cells
+
     def __len__(self):
-        return len(self.cells)
+        return len(self.grid.cells)
 
     def node_features(self) -> np.ndarray:
         """(n, 4): normalized cube center plus fractional depth."""
         centers = (self.cells.astype(np.float64) + 0.5) / (1 << self.depth)
-        depth_frac = np.full((len(self.cells), 1), self.depth / self.max_depth)
+        depth_frac = np.full((len(self), 1), self.depth / self.max_depth)
         return np.concatenate([centers, depth_frac], axis=1)
 
     def child_indices(self) -> np.ndarray:
@@ -140,23 +145,22 @@ class LevelContext:
         return 4 * (c[:, 0] & 1) + 2 * (c[:, 1] & 1) + (c[:, 2] & 1)
 
     def parent_symbols(self) -> np.ndarray:
-        if self.depth == 0 or self.prev_cells is None:
-            return np.zeros(len(self.cells), dtype=np.int64)
-        pkeys = cell_keys(self.cells >> 1, self.depth - 1)
-        pos = np.searchsorted(cell_keys(self.prev_cells, self.depth - 1), pkeys)
-        return self.prev_symbols[pos].astype(np.int64)
+        """Each node's parent's symbol, searched in the parent grid's keys."""
+        if self.parent_grid is None:
+            return np.zeros(len(self), dtype=np.int64)
+        pos = np.searchsorted(self.parent_grid.keys, cell_keys(self.cells >> 1, self.depth - 1))
+        return self.parent_grid_symbols[pos].astype(np.int64)
 
     def neighbor_bits(self) -> np.ndarray:
         """6-bit mask of face-neighbour occupancy in the same-depth grid.
 
-        The grid's sorted keys are this level's cells in order. A face
-        neighbour's key is the cell's key plus or minus the axis's key stride
-        (2^(2d), 2^d or 1). The ±x and ±y neighbours are found by binary
-        search: past the grid's ±x faces that key lies outside [0, 2^(3d)),
-        so no cell holds it, but past a ±y face it names a cell of the next
-        or previous x slab, so those cells are masked. A ±z neighbour is the
-        next or previous key, when the two keys differ by one and the upper
-        one is not at z = 0, the start of the next row.
+        A face neighbour's key is the cell's key plus or minus the axis's key
+        stride (2^(2d), 2^d or 1). The ±x and ±y neighbours are found by
+        binary search: past the grid's ±x faces that key lies outside
+        [0, 2^(3d)), so no cell holds it, but past a ±y face it names a cell
+        of the next or previous x slab, so those cells are masked. A ±z
+        neighbour is the next or previous key, when the two keys differ by
+        one and the upper one is not at z = 0, the start of the next row.
         """
         d, keys, cells = self.depth, self.grid.keys, self.cells
         bits = np.zeros(len(keys), dtype=np.int64)
@@ -175,7 +179,7 @@ class LevelContext:
         """(n, m, m, m) crops of one branch; zeros where its frame is absent."""
         grid = getattr(self, branch.grid)
         if grid is None:
-            return np.zeros((len(self.cells),) + (m,) * 3, dtype=np.uint8)
+            return np.zeros((len(self),) + (m,) * 3, dtype=np.uint8)
         return (child_region_crops if branch.child else local_crops)(grid, self.cells, m)
 
     def crops(self, m: int) -> np.ndarray:
@@ -186,12 +190,10 @@ class LevelContext:
         return tuple(self.branch_crops(b, s) for b, s in zip(TEMPORAL, (m, m, m_child)))
 
 
-def make_level_context(k, max_depth, cells, prev_cells=None, prev_symbols=None,
-                       grid=None, **temporal) -> LevelContext:
-    if grid is None:
-        grid = VoxelGrid(k, cells)
-    return LevelContext(k, max_depth, np.asarray(cells, dtype=np.int64), grid,
-                        prev_cells, prev_symbols, **temporal)
+def make_level_context(grid, max_depth, parent_grid=None, parent_grid_symbols=None,
+                       **temporal) -> LevelContext:
+    """The context of level `grid`, whose cells are the nodes (see `LevelContext`)."""
+    return LevelContext(grid, max_depth, parent_grid, parent_grid_symbols, **temporal)
 
 
 def level_contexts(trees, max_depth, trunc_depth):
@@ -199,10 +201,12 @@ def level_contexts(trees, max_depth, trunc_depth):
     yields (t, k, ctx) in coding order.
 
     Pass k visits every frame's depth-k level in frame order before any frame
-    moves on to depth k+1. Frame t's context carries the depth-k grids of
-    frames t-1 and t+1 and the depth-(k+1) grid of frame t-1, all known by
-    then; a missing neighbour frame gives no grid, so a one-frame schedule is
-    the static level walk. The decoder appends each frame's decoded symbols
+    moves on to depth k+1. Frame t's context carries its own depth-k grid,
+    its depth-(k-1) grid and symbols, the depth-k grids of frames t-1 and
+    t+1 and the depth-(k+1) grid of frame t-1, all known by then; each grid
+    is built once and kept while a later pass may read it. A missing
+    neighbour frame gives no grid, so a one-frame schedule is the static
+    level walk. The decoder appends each frame's decoded symbols
     and next level to its tree between steps. max_depth is the untruncated
     depth, which the node features divide by.
     """
@@ -217,15 +221,13 @@ def level_contexts(trees, max_depth, trunc_depth):
 
     n = len(trees)
     for k in range(trunc_depth):
-        for key in [key for key in grids if key[1] < k]:
+        for key in [key for key in grids if key[1] < k - 1]:
             del grids[key]
         for t in range(n):
-            levels, symbols = trees[t].levels, trees[t].symbols
             yield t, k, make_level_context(
-                k, max_depth, levels[k],
-                prev_cells=levels[k - 1] if k else None,
-                prev_symbols=symbols[k - 1] if k else None,
-                grid=grid(t, k),
+                grid(t, k), max_depth,
+                grid(t, k - 1) if k else None,
+                trees[t].symbols[k - 1] if k else None,
                 grid_prev=grid(t - 1, k) if t > 0 else None,
                 grid_next=grid(t + 1, k) if t < n - 1 else None,
                 grid_prev_child=grid(t - 1, k + 1) if t > 0 else None)
@@ -414,8 +416,8 @@ class ContextNetModel(EntropyModel):
         self.branches = list(branches)
         self.head = head
 
-    def logits(self, crop_sets, feats, caches=None):
-        return nn.context_forward(self.branches, self.head, crop_sets, feats, caches)
+    def logits(self, crop_sets, feats):
+        return nn.context_forward(self.branches, self.head, crop_sets, feats)
 
     def integer_net(self) -> nn.IntContextNet:
         return nn.quantize_context_net(self.branches, self.head, self.crop_sizes, FEATURE_BOUND)
@@ -431,12 +433,13 @@ class ContextNetModel(EntropyModel):
             return table_rows(nn.integer_tables(z, net.head.out_exp), len(ctx))
         return level_tables
 
-    def evaluate(self, dataset, batch_size=512) -> float:
-        """Mean cross-entropy of the current parameters on a dataset, in nats."""
+    def evaluate(self, dataset) -> float:
+        """Mean cross-entropy of the current parameters on a dataset, in nats,
+        in batches of 512 nodes."""
         symbols, feats = dataset["symbols"], dataset["features"]
         total = 0.0
-        for lo in range(0, len(symbols), batch_size):
-            sel = slice(lo, lo + batch_size)
+        for lo in range(0, len(symbols), 512):
+            sel = slice(lo, lo + 512)
             z = self.logits([dataset[k][sel] for k in self.dataset_keys], feats[sel])
             total += nn.symbol_loss(z, symbols[sel])[0] * len(z)
         return total / len(symbols)
@@ -453,21 +456,6 @@ class ContextNetModel(EntropyModel):
     def serialize(self):
         meta = {"kind": self.kind, **{k: getattr(self, k) for k in self.config_keys}}
         return nn.serialize_model(self.kind_code, self.seed, meta, self._parameter_groups())
-
-    @classmethod
-    def deserialize(cls, blob: bytes):
-        kind, seed, meta, groups = nn.deserialize_model(blob)
-        if kind != cls.kind_code:
-            raise ValueError(f"model kind {kind} is not {KIND_NAMES[cls.kind_code]}")
-        named = dict(groups)
-        with nn.model_fields():
-            config = {k: nn.int_field(meta, k, many=k == "channels") for k in cls.config_keys}
-            branches = [named[n] for n in cls.branch_names]
-            head = named["head"]
-        model = cls(seed=seed, branches=branches, head=head, **config)
-        nn.check_context_net(model.branches, model.head, model.crop_sizes, FEATURE_DIM, ALPHABET,
-                             model.channels, model.hidden)
-        return model
 
 
 class VoxelContextModel(ContextNetModel):
@@ -504,17 +492,24 @@ class DynamicContextModel(ContextNetModel):
 
 
 def load_entropy_model(blob: bytes) -> EntropyModel:
-    kind, _, meta, _ = nn.deserialize_model(blob)
-    if kind == KIND_UNIFORM:
-        return UniformModel()
-    if kind == KIND_ADAPTIVE:
-        with nn.model_fields():
+    """The entropy model a file holds, from one `nn.deserialize_model` parse."""
+    kind, seed, meta, groups = nn.deserialize_model(blob)
+    nets = {cls.kind_code: cls for cls in (VoxelContextModel, DynamicContextModel)}
+    with nn.model_fields():
+        if kind == KIND_UNIFORM:
+            return UniformModel()
+        if kind == KIND_ADAPTIVE:
             return AdaptiveContextModel(nn.int_field(meta, "context_bits"))
-    if kind == KIND_VOXEL_STATIC:
-        return VoxelContextModel.deserialize(blob)
-    if kind == KIND_VOXEL_DYNAMIC:
-        return DynamicContextModel.deserialize(blob)
-    raise ValueError(f"unknown entropy model kind {kind}")
+        if kind not in nets:
+            raise ValueError(f"unknown entropy model kind {kind}")
+        cls, named = nets[kind], dict(groups)
+        config = {k: nn.int_field(meta, k, many=k == "channels") for k in cls.config_keys}
+        branches = [named[n] for n in cls.branch_names]
+        head = named["head"]
+    model = cls(seed=seed, branches=branches, head=head, **config)
+    nn.check_context_net(model.branches, model.head, model.crop_sizes, FEATURE_DIM, ALPHABET,
+                         model.channels, model.hidden)
+    return model
 
 
 # ---------------------------------------------------------------------------

@@ -197,10 +197,9 @@ def forward(params: ModelParams, x, want_cache=True):
             out = _mm(cols, w, "npk,ok->nop") + b[None, :, None]
             x = out.reshape(x.shape[0], layer.out_channels, do, ho, wo)
         elif isinstance(layer, FullyConnected):
-            flat_shape = x.shape
             x2 = x.reshape(x.shape[0], -1)
             if want_cache:
-                cache.append((flat_shape, x2))
+                cache.append((x.shape, x2))
             w = t[0].astype(F64)
             x = _mm(x2, w, "ni,oi->no") + t[1].astype(F64)[None, :]
         elif isinstance(layer, ReLU):
@@ -296,8 +295,10 @@ class AdamState:
                    [np.zeros_like(t, dtype=F32) for t in params.parameter_arrays()], 0)
 
 
-def adam_step(params: ModelParams, grads, state: AdamState, lr,
-              beta1=0.9, beta2=0.999, eps=1e-8):
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8   # Adam's moment decays and denominator guard
+
+
+def adam_step(params: ModelParams, grads, state: AdamState, lr):
     """One Adam update with bias correction; mutates params/state in place."""
     flat_params = params.parameter_arrays()
     flat_grads = [g for group in grads for g in group]
@@ -305,19 +306,18 @@ def adam_step(params: ModelParams, grads, state: AdamState, lr,
         raise ValueError("gradient structure does not match parameters")
     state.step += 1
     t = state.step
-    c1 = 1.0 - beta1 ** t
-    c2 = 1.0 - beta2 ** t
+    c1 = 1.0 - _BETA1 ** t
+    c2 = 1.0 - _BETA2 ** t
     for p, g, m, v in zip(flat_params, flat_grads, state.m, state.v):
         if p.shape != np.shape(g):
             raise ValueError(f"gradient shape {np.shape(g)} != parameter shape {p.shape}")
         g64 = np.asarray(g, dtype=F64)
-        m64 = m.astype(F64) * beta1 + (1 - beta1) * g64
-        v64 = v.astype(F64) * beta2 + (1 - beta2) * g64 * g64
-        p64 = p.astype(F64) - lr * (m64 / c1) / (np.sqrt(v64 / c2) + eps)
+        m64 = m.astype(F64) * _BETA1 + (1 - _BETA1) * g64
+        v64 = v.astype(F64) * _BETA2 + (1 - _BETA2) * g64 * g64
+        p64 = p.astype(F64) - lr * (m64 / c1) / (np.sqrt(v64 / c2) + _EPS)
         m[...] = m64.astype(F32)
         v[...] = v64.astype(F32)
         p[...] = p64.astype(F32)
-    return params, state
 
 
 # ---------------------------------------------------------------------------

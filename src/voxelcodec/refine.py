@@ -90,7 +90,7 @@ def refine_apply(tree: Octree, params: RefineParams, norm: NormalizationParams) 
     """
     d = tree.max_depth
     net = params.integer_net(d)
-    ctx = make_level_context(d, d, tree.levels[d])
+    ctx = make_level_context(VoxelGrid(d, tree.levels[d]), d)
     offsets = _bounded(net, level_outputs(net, (CURRENT,), (params.crop_size,), ctx))
     centers = tree.leaf_centers() + offsets * (2.0 ** -d)
     return PointCloud(norm.invert(centers))

@@ -2,10 +2,10 @@
 splits a level's crops into, and the local voxel crops cut from the tiles'
 zero-padded occupancy boxes.
 
-A grid at depth k covers [0, 2^k)^3 and is stored at every depth as the
-sorted keys of its occupied cells, since a crop or tile only ever touches a
-bounded box of cells. A box is gathered from key ranges (`VoxelGrid.box`),
-the coordinate-map idea of sparse convolution (Choy et al., MinkowskiEngine,
+A grid at depth k covers [0, 2^k)^3 and is stored at every depth as its
+occupied cells in key order, the nodes of a level context, and their sorted
+keys, since a crop or tile only ever touches a bounded box of cells. A box
+is gathered from key ranges (`VoxelGrid.box`), the coordinate-map idea of sparse convolution (Choy et al., MinkowskiEngine,
 arXiv:1904.08755), and every crop is a cube window of a tile's box. The
 tiling (`anchor_tiles`) is geometry only and takes no grid, so every grid
 read at the same crop corners shares it.
@@ -19,7 +19,8 @@ from .octree import cell_keys, keys_to_cells
 
 
 class VoxelGrid:
-    """Binary occupancy of one octree level, as the sorted keys of its cells."""
+    """Binary occupancy of one octree level: its distinct cells in key order
+    (int64, (n, 3)) and their sorted keys."""
 
     def __init__(self, depth: int, cells: np.ndarray):
         self.depth = depth
@@ -29,7 +30,10 @@ class VoxelGrid:
             raise ValueError(f"cell index out of range for depth {depth}")
         keys = cell_keys(cells, depth)
         # an octree level's cells are already strictly increasing in key order
-        self.keys = keys if (keys[1:] > keys[:-1]).all() else np.unique(keys)
+        if not (keys[1:] > keys[:-1]).all():
+            keys = np.unique(keys)
+            cells = keys_to_cells(keys, depth)
+        self.keys, self.cells = keys, cells
 
     def box(self, lo, ext) -> np.ndarray:
         """Zero-padded uint8 occupancy of the cells [lo, lo + ext); the box may

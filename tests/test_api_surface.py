@@ -1,5 +1,5 @@
-"""The library holds no code that only tests call, and no private helper
-that nothing reads.
+"""The library holds no code that only tests call, no private helper that
+nothing reads, and no parameter default that no call overrides.
 
 Every module-level public function, class or constant in `src/voxelcodec/`,
 and every public method of those classes, must be referenced, as a name or
@@ -11,7 +11,10 @@ String constants count because the benchmark tracer wraps library functions
 and methods by name. A method counts as referenced when its name is,
 whatever the object. Every module-level private function, class or constant
 must be referenced in the same way by the library, the tests or the
-benchmark, so a helper left behind by a change fails here.
+benchmark, so a helper left behind by a change fails here. Every defaulted
+parameter of a library function or method other than `__init__` must be
+passed by some call in the library, the tests, the benchmark, the demos or
+the README, so a setting that nothing sets fails here too.
 """
 
 import ast
@@ -135,3 +138,59 @@ def test_tracer_only_names_have_no_library_caller():
     for name in TRACER_ONLY:
         assert name in defined and name in spans, name
         assert name not in library, f"{name} has a caller in src/; drop it from TRACER_ONLY"
+
+
+def _defaulted_parameters():
+    """(module file name, function, parameter, position) of every defaulted
+    parameter of a library function or method other than `__init__`. The
+    position counts the positional arguments a call passes, so a method's
+    starts after self or cls; a keyword-only parameter's is None."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        body = ast.parse(path.read_text()).body
+        functions = [(node, 0) for node in body if isinstance(node, ast.FunctionDef)]
+        functions += [(method, 1) for node in body if isinstance(node, ast.ClassDef)
+                      for method in node.body if isinstance(method, ast.FunctionDef)
+                      and method.name != "__init__"]
+        for fn, bound in functions:
+            positional = fn.args.posonlyargs + fn.args.args
+            first = len(positional) - len(fn.args.defaults)
+            for i, arg in enumerate(positional[first:], first):
+                yield path.name, fn.name, arg.arg, i - bound
+            for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+                if default is not None:
+                    yield path.name, fn.name, arg.arg, None
+
+
+def _calls(trees):
+    """{bare function name: (most positional arguments of a call, every
+    keyword a call names)} over every call in the trees; a call that
+    unpacks *args or **kwargs names the keyword None."""
+    calls = {}
+    for node in (node for tree in trees for node in ast.walk(tree)):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            n, keywords = calls.get(name, (0, set()))
+            unpacks = any(isinstance(a, ast.Starred) for a in node.args)
+            calls[name] = (max(n, len(node.args)),
+                           keywords | {k.arg for k in node.keywords} | ({None} if unpacks else set()))
+    return calls
+
+
+def test_every_default_is_passed_somewhere():
+    """A defaulted parameter that no call in the library, the tests, the
+    benchmark, the demos or the README passes, by keyword or by position,
+    is a setting nothing sets. Calls match on the bare function name."""
+    files = [*sorted(PACKAGE.glob("*.py")), *sorted((ROOT / "tests").glob("*.py")),
+             *sorted((ROOT / "perfbench").glob("*.py")), *sorted((ROOT / "demos").glob("*.py"))]
+    readme = (ROOT / "README.md").read_text()
+    trees = [ast.parse(p.read_text()) for p in files]
+    trees += [ast.parse(block) for block in re.findall(r"```python\n(.*?)```", readme, re.S)]
+    calls = _calls(trees)
+    defaulted = list(_defaulted_parameters())
+    assert any(param == "want_cache" for _, _, param, _ in defaulted)
+    unpassed = []
+    for module, fn, param, pos in defaulted:
+        n, keywords = calls.get(fn, (0, set()))
+        if not ({param, None} & keywords or (pos is not None and pos < n)):
+            unpassed.append(f"{module}:{fn}({param})")
+    assert not unpassed, f"defaulted parameters no call ever passes: {unpassed}"

@@ -4,9 +4,11 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from voxelcodec import (AdaptiveContextModel, DecodeError, DynamicContextModel, RefineParams,
-                        UniformModel, VoxelContextModel, align_sequence, build,
+from voxelcodec import (AdaptiveContextModel, DecodeError, DynamicContextModel, PointCloud,
+                        RefineParams, UniformModel, VoxelContextModel, VoxelGrid, align_sequence, build,
                         build_node_dataset, build_refine_dataset, build_sequence_dataset, coder,
                         decode_cloud, decode_sequence, encode_cloud, encode_sequence, entropy,
                         load_entropy_model, model_code_lengths, nn, normalize, payload_size,
@@ -25,7 +27,7 @@ class TestUniform:
     def test_always_uniform(self):
         m = UniformModel()
         tree = build(random_cloud(100, 0), 3)
-        ctx = make_level_context(2, 3, tree.levels[2])
+        ctx = make_level_context(VoxelGrid(2, tree.levels[2]), 3)
         rows, update = m.stream()(ctx)
         rows = [np.asarray(row) for row in rows]
         assert update is None and len(rows) == len(ctx) > 1
@@ -61,7 +63,7 @@ class TestLevelContext:
         tree = build(norm, 7)
         offsets = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
         for k, cells in enumerate(tree.levels):
-            ctx = make_level_context(k, 7, cells)
+            ctx = make_level_context(VoxelGrid(k, cells), 7)
             expected = sum(contains(ctx.grid, cells + off).astype(np.int64) << b
                            for b, off in enumerate(offsets))
             assert np.array_equal(ctx.neighbor_bits(), expected)
@@ -77,7 +79,7 @@ class TestLevelContext:
         cells = np.array([(0, 0, top), (0, 1, 0), (0, top, top), (1, 0, 0), (1, 0, 1),
                           (top, top - 1, top), (top, top, 0), (top, top, top)], dtype=np.int64)
         cells = np.unique(cells, axis=0)
-        ctx = make_level_context(d, d, cells)
+        ctx = make_level_context(VoxelGrid(d, cells), d)
         keys = ctx.grid.keys
         assert (np.diff(keys) == 1).any()
         offsets = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
@@ -86,6 +88,36 @@ class TestLevelContext:
         assert np.array_equal(ctx.neighbor_bits(), expected)
         crossing = (cells[:-1, 2] == top) & (np.diff(keys) == 1)
         assert crossing.any() and not (expected[:-1][crossing] & 16).any()
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), frames=st.integers(1, 3),
+           depth=st.integers(1, 6), n=st.integers(1, 300), data=st.data())
+    def test_schedule_contexts_match_lookups(self, seed, frames, depth, n, data):
+        # every context of a random multi-frame schedule, depths 0 and 1
+        # included: its nodes are its frame's level, its parent symbols are
+        # a per-node dictionary lookup in the level above, and its
+        # neighbour bits the membership oracle's
+        rng = np.random.default_rng(seed)
+        trees = [build(PointCloud(rng.random((n, 3)) ** 2), depth) for _ in range(frames)]
+        trunc = data.draw(st.integers(1, depth))
+        offsets = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
+        seen = []
+        for t, k, ctx in level_contexts(trees, depth, trunc):
+            cells = trees[t].levels[k]
+            assert ctx.depth == k and np.array_equal(ctx.cells, cells) and len(ctx) == len(cells)
+            if k:
+                parent = {tuple(c): s for c, s in zip(trees[t].levels[k - 1].tolist(),
+                                                      trees[t].symbols[k - 1].tolist())}
+                expected = [parent[tuple(c)] for c in (cells >> 1).tolist()]
+            else:
+                expected = [0] * len(cells)
+            assert ctx.parent_symbols().tolist() == expected
+            grid = VoxelGrid(k, cells)
+            bits = sum(contains(grid, cells + off).astype(np.int64) << b
+                       for b, off in enumerate(offsets))
+            assert np.array_equal(ctx.neighbor_bits(), bits)
+            seen.append((t, k))
+        assert seen == [(t, k) for k in range(trunc) for t in range(frames)]
 
 
 class TestAdaptive:
@@ -191,7 +223,7 @@ class TestVoxelModel:
     def test_prediction_reproducible(self):
         m = VoxelContextModel(crop_size=5, channels=(2, 4), hidden=16, seed=2)
         blob = m.serialize()
-        m2 = VoxelContextModel.deserialize(blob)
+        m2 = load_entropy_model(blob)
         rng = np.random.default_rng(1)
         crops = (rng.random((8, 5, 5, 5)) < 0.4).astype(np.uint8)
         feats = rng.random((8, 4))
@@ -207,7 +239,7 @@ class TestVoxelModel:
         ds = build_node_dataset([tree], crop_size=5)
         m = VoxelContextModel(crop_size=5, channels=(2, 4), hidden=16, seed=0)
         m.train(ds, epochs=200, batch_size=32, lr=1e-2, seed=0)
-        rows, _ = m.stream()(make_level_context(1, 3, tree.levels[1]))
+        rows, _ = m.stream()(make_level_context(VoxelGrid(1, tree.levels[1]), 3))
         q = np.array([np.diff(row) / row[ALPHABET] for row in rows])
         assert len(q) == 8 and np.all(q[:, 254] > 0.99)
 
@@ -391,7 +423,7 @@ class TestStreamNet:
         model.train(build_node_dataset([build(normalize(cloud)[0], d)], crop_size=5),
                     epochs=2, batch_size=32, lr=1e-2, seed=0)
         second = encode_cloud(cloud, d, trunc, model)
-        fresh = VoxelContextModel.deserialize(model.serialize())
+        fresh = load_entropy_model(model.serialize())
         assert second == encode_cloud(cloud, d, trunc, fresh)
         assert self._payload(second) != self._payload(first)
 
@@ -404,7 +436,7 @@ class TestStreamNet:
                                            child_crop_size=6),
                     epochs=2, batch_size=32, lr=1e-2, seed=0)
         second = encode_sequence(frames, d, trunc, model)
-        fresh = DynamicContextModel.deserialize(model.serialize())
+        fresh = load_entropy_model(model.serialize())
         assert second == encode_sequence(frames, d, trunc, fresh)
         assert self._payload(second) != self._payload(first)
 

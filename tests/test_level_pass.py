@@ -124,7 +124,7 @@ def test_absent_frame_row_equals_zero_crops(seed, m, channels):
     rng = np.random.default_rng(seed)
     net = _net(m, tuple(channels), rng)
     branch = TEMPORAL[2] if m % 2 == 0 else TEMPORAL[0]
-    ctx = make_level_context(4, 5, _cells(rng, 4, 5))
+    ctx = make_level_context(VoxelGrid(4, _cells(rng, 4, 5)), 5)
     assert getattr(ctx, branch.grid) is None
     got = level_outputs(net, (branch,), (m,), ctx)
     assert _same_bits(got, forward(net, [np.zeros((len(ctx),) + (m,) * 3)]))
@@ -153,7 +153,7 @@ def _random_level(seed, depth, present, channels, n=40):
     cells = np.unique(_cells(rng, depth, n), axis=0)
     has_prev, has_next = present
     ctx = make_level_context(
-        depth, depth + 1, cells,
+        VoxelGrid(depth, cells), depth + 1,
         grid_prev=VoxelGrid(depth, _near(rng, cells, depth, n + 10)) if has_prev else None,
         grid_next=VoxelGrid(depth, _near(rng, cells, depth, n + 10)) if has_next else None,
         grid_prev_child=VoxelGrid(depth + 1, _near(rng, 2 * cells, depth + 1, 5 * n))

@@ -1,5 +1,6 @@
 import hashlib
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,8 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from voxelcodec import (DynamicContextModel, RefineParams, VoxelContextModel,
-                        load_entropy_model, nn)
+from voxelcodec import (AdaptiveContextModel, DynamicContextModel, RefineParams,
+                        UniformModel, VoxelContextModel, load_entropy_model, nn)
 from voxelcodec.entropy import ALPHABET, FEATURE_DIM
 from voxelcodec.nn import (AdamState, Conv3D, FullyConnected, ModelParams, ReLU,
                            adam_step, backward, forward, init_params, layer_shapes,
@@ -354,6 +355,19 @@ class TestModelFile:
         assert nn.hash64(blob[:-8]) == nn.model_content_hash(blob)
         with pytest.raises(ValueError, match="unknown layer kind 9"):
             nn.deserialize_model(blob)
+
+    @pytest.mark.parametrize("model", [
+        UniformModel(), AdaptiveContextModel(12),
+        VoxelContextModel(crop_size=5, channels=(2,), hidden=8, seed=3),
+        DynamicContextModel(crop_size=5, child_crop_size=6, channels=(2,), hidden=8, seed=3)],
+        ids=["uniform", "adaptive", "voxel-static", "voxel-dynamic"])
+    def test_load_parses_the_file_once(self, model):
+        # one hash check and one tensor copy per load, whatever the kind
+        blob = model.serialize()
+        with mock.patch.object(nn, "deserialize_model", wraps=nn.deserialize_model) as parse:
+            back = load_entropy_model(blob)
+        assert parse.call_count == 1
+        assert type(back) is type(model) and back.serialize() == blob
 
     @pytest.mark.parametrize("case", sorted(MALFORMED))
     def test_malformed_file_is_value_error(self, case):

@@ -61,19 +61,21 @@ class TestGridFromLevel:
 
     def test_unsorted_and_duplicate_cells_give_the_level_keys(self):
         # a level's cells come sorted and unique; any other order, with
-        # repeats, must give the same sorted unique keys and occupancy
+        # repeats, must give the same sorted unique keys, cells and occupancy
         tree = build(random_cloud(500, 6), 6)
         rng = np.random.default_rng(0)
         for k in range(1, 7):
             cells = tree.levels[k]
             level = VoxelGrid(k, cells)
             assert np.array_equal(level.keys, octree.cell_keys(cells, k))
+            assert np.array_equal(level.cells, cells)
             shuffled = rng.permutation(np.concatenate([cells, cells[rng.integers(0, len(cells),
                                                                                   len(cells))]]))
             for mixed in (shuffled, cells[::-1], np.concatenate([cells, cells[-1:]])):
                 grid = VoxelGrid(k, mixed)
                 assert grid.keys.dtype == level.keys.dtype
                 assert np.array_equal(grid.keys, level.keys)
+                assert grid.cells.dtype == np.int64 and np.array_equal(grid.cells, cells)
                 assert np.array_equal(_whole(grid), _whole(level))
 
     def test_pooling_consistency(self):
@@ -189,8 +191,7 @@ class TestChildRegionCrop:
 class TestTemporalContext:
     def test_first_frame_zero_prev(self):
         tree = build(random_cloud(100, 2), 3)
-        g = VoxelGrid(2, tree.levels[2])
-        ctx = make_level_context(2, 3, tree.levels[2][:1], grid=g)
+        ctx = make_level_context(VoxelGrid(2, tree.levels[2]), 3)
         cur = ctx.crops(9)[0]
         prev, nxt, child = (c[0] for c in ctx.temporal_crops(9, 10))
         assert prev.sum() == 0 and child.sum() == 0
@@ -199,9 +200,9 @@ class TestTemporalContext:
     def test_identical_frames_equal_crops(self):
         tree = build(structured_cloud(300, 3), 4)
         g = VoxelGrid(3, tree.levels[3])
-        ctx = make_level_context(3, 4, tree.levels[3][5:6], grid=g, grid_prev=g, grid_next=g)
-        cur = ctx.crops(9)[0]
-        prev, nxt, _ = (c[0] for c in ctx.temporal_crops(9, 10))
+        ctx = make_level_context(g, 4, grid_prev=g, grid_next=g)
+        cur = ctx.crops(9)[5]
+        prev, nxt, _ = (c[5] for c in ctx.temporal_crops(9, 10))
         assert np.array_equal(cur, prev)
         assert np.array_equal(cur, nxt)
 
@@ -211,7 +212,7 @@ class TestTemporalContext:
         ga3, gb3 = VoxelGrid(3, a.levels[3]), VoxelGrid(3, b.levels[3])
         gb4 = VoxelGrid(4, b.levels[4])
         center = a.levels[3][:1]
-        ctx = make_level_context(3, 4, center, grid=ga3, grid_prev=gb3, grid_prev_child=gb4)
+        ctx = make_level_context(ga3, 4, grid_prev=gb3, grid_prev_child=gb4)
         cur = ctx.crops(9)[0]
         prev, nxt, child = (c[0] for c in ctx.temporal_crops(9, 10))
         assert np.array_equal(cur, local_crops(ga3, center, 9)[0])
