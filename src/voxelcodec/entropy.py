@@ -270,11 +270,16 @@ class EntropyModel:
         """Not called by the library, whose adaptive updates go through the
         tables of `stream`; kept while the benchmark tracer wraps it by name."""
 
-    def serialize(self) -> bytes:
+    def model_file(self):
+        """(kind code, seed, metadata, [(name, ModelParams)]): read by serialize, content_hash."""
         raise NotImplementedError
 
+    def serialize(self) -> bytes:
+        return nn.serialize_model(*self.model_file())
+
     def content_hash(self) -> int:
-        return nn.model_content_hash(self.serialize())
+        """The hash closing serialize(), from the weights as they are now, without the file."""
+        return nn.hash_model(*self.model_file())
 
 
 def table_rows(freq: np.ndarray, n: int):
@@ -298,8 +303,8 @@ class UniformModel(EntropyModel):
         row = nn.integer_tables(np.zeros((1, ALPHABET)), 0)[0]
         return lambda ctx: table_rows(row, len(ctx))
 
-    def serialize(self):
-        return nn.serialize_model(self.kind_code, 0, {"kind": self.kind}, [])
+    def model_file(self):
+        return self.kind_code, 0, {"kind": self.kind}, []
 
 
 _M64 = np.uint64(0xFFFFFFFFFFFFFFFF)
@@ -377,9 +382,8 @@ class AdaptiveContextModel(EntropyModel):
             return list(map(tables.__getitem__, ids)), _add_count
         return level_tables
 
-    def serialize(self):
-        return nn.serialize_model(self.kind_code, 0,
-                                  {"kind": self.kind, "context_bits": self.context_bits}, [])
+    def model_file(self):
+        return self.kind_code, 0, {"kind": self.kind, "context_bits": self.context_bits}, []
 
 
 FEATURE_DIM = 4
@@ -453,9 +457,9 @@ class ContextNetModel(EntropyModel):
     def _parameter_groups(self):
         return list(zip(self.branch_names, self.branches)) + [("head", self.head)]
 
-    def serialize(self):
+    def model_file(self):
         meta = {"kind": self.kind, **{k: getattr(self, k) for k in self.config_keys}}
-        return nn.serialize_model(self.kind_code, self.seed, meta, self._parameter_groups())
+        return self.kind_code, self.seed, meta, self._parameter_groups()
 
 
 class VoxelContextModel(ContextNetModel):

@@ -23,15 +23,16 @@ and read through row indices (`tile_layout`, which depends on the crop
 corners alone, so towers reading different grids at the same corners share
 it); the first layer is computed only where an occupied cell is in reach
 (elsewhere its value on empty space, `IntNet.backgrounds`, is computed once
-per net). A convolution's weights are quantized once, columns tap-major, the
-order in which both the pass and the oracle gather a patch. Tower rows are
-window-major, and `quantize_context_net` orders the head's first-layer
-columns to match. The tiling and the head are the caller's:
+per net). Each weight tensor is quantized from one float64 copy, scaled and
+rounded in place; a convolution's columns are tap-major, the order in which
+both the pass and the oracle gather a patch. Tower rows are window-major, and
+`quantize_context_net` orders the head's first-layer columns to match as
+that copy is made. The tiling and the head are the caller's:
 `entropy.level_outputs` applies the head's first layer tile by tile.
 `integer_tables` maps the integer logits to the coder's 16-bit frequency
-tables in integer arithmetic through a table of 2^(-j/256), so no
-transcendental function of the platform decides a coded bit; those tables are
-the networks' only distribution, for coding and rate accounting alike.
+tables in integer arithmetic through one table of 2^16 * 2^(-j/256), so no
+transcendental function decides a coded bit; those tables are the networks'
+only distribution. A model file is hashed from its pieces (`hash_model`).
 """
 
 from __future__ import annotations
@@ -505,16 +506,27 @@ class IntNet:
         return replace(self, layers=self.layers[:-1] + (last,), out_exp=exp)
 
 
-def _quantized_weights(t):
-    """(wq (out, K), float64 bias, e_w) of one layer's stored tensors; a
-    convolution's columns tap-major, k = (a*9 + b*3 + e)*C + c."""
-    w = np.moveaxis(t[0].astype(F64), 1, -1).reshape(len(t[0]), -1)
+def _quantized_weights(t, blocks):
+    """(wq (out, K), float64 bias, peak |bias|, e_w) of one layer's stored
+    tensors, from one float64 copy of the weights scaled and rounded in place.
+    Each block (width, s) of `blocks`, from column 0 on, is copied as its
+    (width / s, s) columns transposed; a convolution's one block makes its
+    columns tap-major, k = tap*C + c."""
+    w = t[0].reshape(len(t[0]), -1)
+    wq, lo = np.empty(w.shape), 0
+    for width, s in [(w.shape[1], 27)] if t[0].ndim == 5 else blocks:
+        wq[:, lo:lo + width].reshape(len(w), s, -1)[...] = \
+            w[:, lo:lo + width].reshape(len(w), -1, s).transpose(0, 2, 1)
+        lo += width
+    wq[:, lo:] = w[:, lo:]
     b = t[1].astype(F64)
-    if not (np.isfinite(w).all() and np.isfinite(b).all()):
+    w_hi, w_lo, b_hi, b_lo = (float(f(x, initial=0.0)) for x in (wq, b) for f in (np.max, np.min))
+    if not all(map(math.isfinite, (w_hi, w_lo, b_hi, b_lo))):   # max and min keep a NaN
         raise ValueError("network weights are not all finite")
-    peak = float(np.abs(w).max(initial=0.0))
+    peak = max(w_hi, -w_lo)
     e_w = WEIGHT_BITS - math.frexp(peak)[1] if peak > 0 else 0
-    return np.rint(w * 2.0 ** e_w), b, e_w
+    wq *= 2.0 ** e_w
+    return np.rint(wq, out=wq), b, max(b_hi, -b_lo), e_w
 
 
 def _fits(bound, e, fan_in, b_peak, e_w) -> bool:
@@ -537,18 +549,24 @@ def _input_exponent(bound, fan_in, b_peak, e_w) -> int:
     return e
 
 
-def _fixed_point(params: ModelParams, in_exp, bound, signed) -> IntNet:
+def _row_sums(f, x):
+    """f(x).sum(axis=1) for an elementwise f, by row blocks: no temporary as large as x."""
+    step = max(1, _COLUMN_BUDGET // x.shape[1])
+    return np.concatenate([f(x[lo:lo + step]).sum(axis=1) for lo in range(0, max(len(x), 1), step)])
+
+
+def _fixed_point(params: ModelParams, in_exp, bound, signed, blocks=()) -> IntNet:
     """Quantize a stack whose input has magnitude at most `bound`, and is
     nonnegative unless `signed`. The first layer reads integers at `in_exp`,
-    or at the largest exponent it allows if that is None; the output stays at
-    the last layer's accumulator exponent."""
+    or at the largest exponent it allows if that is None, its weight columns
+    in `blocks` order (`_quantized_weights`); the output stays at the last
+    layer's accumulator exponent."""
     specs = []   # [wq, bq, input exponent, accumulator exponent, relu, conv]
     out_exp = in_exp if in_exp is not None else 0
     for i, layer in enumerate(params.layers):
         if not isinstance(layer, (Conv3D, FullyConnected)):
             continue
-        wq, b, e_w = _quantized_weights(params.tensors[i])
-        b_peak = float(np.abs(b).max(initial=0.0))
+        wq, b, b_peak, e_w = _quantized_weights(params.tensors[i], () if specs else blocks)
         if specs or in_exp is None:
             exp = _input_exponent(bound, wq.shape[1], b_peak, e_w)
         elif _fits(bound, in_exp, wq.shape[1], b_peak, e_w):
@@ -558,13 +576,11 @@ def _fixed_point(params: ModelParams, in_exp, bound, signed) -> IntNet:
         q = round(math.ldexp(bound, exp))
         bq = np.rint(b * 2.0 ** (e_w + exp))
         relu = i + 1 < len(params.layers) and isinstance(params.layers[i + 1], ReLU)
-        if signed:
-            hi = np.abs(wq).sum(axis=1) * q + bq
-            lo = bq - np.abs(wq).sum(axis=1) * q
-        else:
-            hi = np.maximum(wq, 0.0).sum(axis=1) * q + bq
-            lo = np.minimum(wq, 0.0).sum(axis=1) * q + bq
-        top = max(float(hi.max(initial=0.0)), 0.0 if relu else -float(lo.min(initial=0.0)))
+        reach = _row_sums(np.abs if signed else lambda x: np.maximum(x, 0.0), wq) * q
+        top = float((reach + bq).max(initial=0.0))
+        if not relu:   # only an output no ReLU clips can fall below zero
+            lo = bq - reach if signed else _row_sums(lambda x: np.minimum(x, 0.0), wq) * q + bq
+            top = max(top, -float(lo.min(initial=0.0)))
         out_exp = e_w + exp
         bound, signed = math.ldexp(top, -out_exp), not relu
         specs.append([wq, bq, exp, out_exp, relu, isinstance(layer, Conv3D)])
@@ -592,20 +608,13 @@ def quantize_context_net(branches, head, crop_sizes, feature_bound=0.0) -> IntCo
     edge crop_sizes[i]. The head's input exponent follows from its fan-in and
     the largest bound among the tower outputs and the node features
     (`feature_bound`). The head's first layer reads each tower's rows
-    window-major: its columns are permuted here, once, from the float net's
-    (channel, x, y, z) order."""
+    window-major: its columns are permuted from the float net's (channel, x,
+    y, z) order as its weights are copied, one (width, side^3) block per tower."""
     towers = [_fixed_point(tower, 0, 1.0, False) for tower in branches]
+    blocks = [(tower.width(m), (m - 2 * len(tower.layers)) ** 3)
+              for tower, m in zip(towers, crop_sizes, strict=True)]
     qhead = _fixed_point(head, None, max([t.bound for t in towers] + [feature_bound]),
-                         any(t.signed for t in towers))
-    first = qhead.layers[0]
-    order, lo = [], 0
-    for tower, m in zip(towers, crop_sizes, strict=True):
-        width, side = tower.width(m), m - 2 * len(tower.layers)
-        order.append(lo + np.arange(width).reshape(-1, side ** 3).T.reshape(-1))
-        lo += width
-    order.append(np.arange(lo, first.w.shape[1]))
-    first = replace(first, w=first.w[:, np.concatenate(order)])
-    qhead = replace(qhead, layers=(first,) + qhead.layers[1:])
+                         any(t.signed for t in towers), blocks)
     return IntContextNet(tuple(t.delivering(qhead.in_exp) for t in towers), qhead)
 
 
@@ -623,6 +632,8 @@ def _exp2_table():
 _EXP2_UNITS, _LOG2E = _exp2_table()
 TABLE_TOTAL = 1 << 16   # every row of `integer_tables` sums to this
 _EXP2_OCTAVES = 64   # logits more than 64 octaves below the row's largest are clipped there
+# 2^16 * 2^(-j/256) at every index j = octave*256 + u that `_exp2_index` returns
+_EXP2_SHIFTED = (_EXP2_UNITS >> np.arange(_EXP2_OCTAVES)[:, None]).reshape(-1)
 
 
 def _exp2_index(z, exp):
@@ -638,16 +649,14 @@ def _exp2_index(z, exp):
 def integer_tables(z, exp):
     """(n, k) int64 coding frequencies, each >= 1 and each row totalling
     TABLE_TOTAL, from integer logits z * 2^exp, in integers from the index j
-    of `_exp2_index` on: t = 2^16 * 2^(-j/256) by table and shift, and
-    1 + ((t * M) >> 32) with one M = ((TABLE_TOTAL - k) << 32) // sum(t) per
-    row (t * M < 2^48 in int64); the rest of the total goes to the row's
+    of `_exp2_index` on: t = 2^16 * 2^(-j/256), one lookup in `_EXP2_SHIFTED`,
+    and 1 + ((t * M) >> 32) with one M = ((TABLE_TOTAL - k) << 32) // sum(t)
+    per row (t * M < 2^48 in int64); the rest of the total goes to the row's
     largest logit (first of equals, j = 0). No float division or sort."""
     top = np.argmax(z, axis=1)
     j = _exp2_index(z, exp)
     n, k = j.shape
-    t = _EXP2_UNITS[j & 255]
-    np.right_shift(j, 8, out=j)
-    np.right_shift(t, j, out=t)
+    t = _EXP2_SHIFTED[j]
     del j
     t *= ((TABLE_TOTAL - k) << 32) // t.sum(axis=1, keepdims=True)
     t >>= 32
@@ -670,7 +679,7 @@ def integer_tables(z, exp):
 # every later needed position is computed, which is exact, because one whose
 # taps are all background evaluates to the background.
 
-_COLUMN_BUDGET = 1 << 17   # patch-matrix entries per BLAS call
+_COLUMN_BUDGET = 1 << 17   # patch-matrix entries per BLAS call, and entries per `_row_sums` block
 
 
 def _dilate(mask, w, strides):
@@ -826,42 +835,41 @@ MODEL_MAGIC = b"VCNM"
 MODEL_VERSION = 2
 
 
-def hash64(data: bytes) -> int:
-    """The first 8 bytes of SHA-256(data), read as a little-endian u64: the hash
-    that closes a model file and a bitstream header."""
-    return int.from_bytes(hashlib.sha256(data).digest()[:8], "little")
+def hash64(*pieces) -> int:
+    """The first 8 bytes of SHA-256 of the bytes-like `pieces` joined, read as a
+    little-endian u64: the hash that closes a model file and a bitstream header."""
+    digest = hashlib.sha256()
+    for piece in pieces:
+        digest.update(piece)
+    return int.from_bytes(digest.digest()[:8], "little")
 
 
-def _pack_group(name: str, params: ModelParams) -> bytes:
-    out = bytearray()
-    nb = name.encode("utf-8")
-    out += struct.pack("<B", len(nb)) + nb
-    out += struct.pack("<H", len(params.layers))
-    for layer in params.layers:
-        arg = getattr(layer, "out_channels", getattr(layer, "out_dim", 0))
-        out += struct.pack("<BI", LAYER_KINDS[type(layer)], arg)
-    flat = params.parameter_arrays()
-    out += struct.pack("<H", len(flat))
-    for t in flat:
-        out += struct.pack("<B", t.ndim)
-        out += struct.pack(f"<{t.ndim}I", *t.shape)
-        out += t.astype("<f4").tobytes()
-    return bytes(out)
+def _model_pieces(kind: int, seed: int, meta: dict, groups):
+    """A model file's bytes before its closing hash, as bytes-like pieces; each
+    tensor is its "<f4" C-contiguous buffer (itself, when stored so)."""
+    meta_bytes = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    groups = list(groups)
+    yield (MODEL_MAGIC + struct.pack("<BBQI", MODEL_VERSION, kind, seed & 0xFFFFFFFFFFFFFFFF,
+                                     len(meta_bytes)) + meta_bytes + struct.pack("<H", len(groups)))
+    for name, params in groups:
+        nb, flat, n = name.encode("utf-8"), params.parameter_arrays(), len(params.layers)
+        args = [v for layer in params.layers for v in (
+            LAYER_KINDS[type(layer)], getattr(layer, "out_channels", getattr(layer, "out_dim", 0)))]
+        yield struct.pack("<B", len(nb)) + nb + struct.pack(f"<H{'BI' * n}H", n, *args, len(flat))
+        for t in flat:
+            yield struct.pack(f"<B{t.ndim}I", t.ndim, *t.shape)
+            yield np.ascontiguousarray(t, dtype="<f4")
 
 
 def serialize_model(kind: int, seed: int, meta: dict, groups) -> bytes:
-    """groups: iterable of (name, ModelParams)."""
-    out = bytearray()
-    out += MODEL_MAGIC
-    out += struct.pack("<BBQ", MODEL_VERSION, kind, seed & 0xFFFFFFFFFFFFFFFF)
-    meta_bytes = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    out += struct.pack("<I", len(meta_bytes)) + meta_bytes
-    groups = list(groups)
-    out += struct.pack("<H", len(groups))
-    for name, params in groups:
-        out += _pack_group(name, params)
-    out += struct.pack("<Q", hash64(out))
-    return bytes(out)
+    """groups: iterable of (name, ModelParams). The pieces and their hash, joined once."""
+    pieces = list(_model_pieces(kind, seed, meta, groups))
+    return b"".join(pieces + [struct.pack("<Q", hash64(*pieces))])
+
+
+def hash_model(kind: int, seed: int, meta: dict, groups) -> int:
+    """`serialize_model`'s closing hash, from the weights as they are now, without the file."""
+    return hash64(*_model_pieces(kind, seed, meta, groups))
 
 
 def model_content_hash(blob: bytes) -> int:

@@ -357,6 +357,64 @@ class TestContentHash:
         assert m.content_hash() != before
         assert m.content_hash() == self._uncached(m)
 
+    @staticmethod
+    def _kinds():
+        return [UniformModel(), AdaptiveContextModel(9),
+                VoxelContextModel(crop_size=5, channels=(2, 4), hidden=16, seed=5),
+                DynamicContextModel(crop_size=5, child_crop_size=6, channels=(2,), hidden=8,
+                                    seed=0)]
+
+    def test_hash_is_the_file_trailer(self):
+        """For every model kind, content_hash(), which never builds the file,
+        is the hash that closes serialize()."""
+        for m in self._kinds():
+            assert m.content_hash() == nn.model_content_hash(m.serialize()) == self._uncached(m)
+
+    def test_hash_reads_replaced_tensors_as_the_file_does(self):
+        """A tensor replaced by a float64 array, or by a non-contiguous
+        float32 one, is hashed as the file stores it: "<f4", C order."""
+        rng = np.random.default_rng(3)
+        for m in self._kinds()[2:]:
+            for params in m.branches + [m.head]:
+                group = params.tensors[0]
+                before = m.content_hash()
+                group[0] = rng.normal(0.0, 0.3, group[0].shape)   # float64
+                assert m.content_hash() != before
+                assert m.content_hash() == nn.model_content_hash(m.serialize()) == self._uncached(m)
+                before = m.content_hash()
+                wide = np.zeros(group[1].shape + (3,), dtype=np.float32)
+                wide[..., 1] = rng.normal(0.0, 0.3, group[1].shape)
+                group[1] = wide[..., 1]   # strided float32
+                assert not group[1].flags.c_contiguous
+                assert m.content_hash() != before
+                assert m.content_hash() == nn.model_content_hash(m.serialize()) == self._uncached(m)
+            assert load_entropy_model(m.serialize()).content_hash() == m.content_hash()
+
+    def test_streams_never_build_the_model_file(self):
+        """Coding and decoding with a context-net model hash its weights for
+        the header without writing its file."""
+        static = VoxelContextModel(crop_size=5, channels=(2, 4), hidden=16, seed=0)
+        dynamic = DynamicContextModel(crop_size=5, child_crop_size=6, channels=(2,), hidden=8,
+                                      seed=0)
+        cloud, frames = structured_cloud(300, seed=11), moving_sequence(3, 200, seed=12)
+        cloud_data = encode_cloud(cloud, 5, 3, static)
+        seq_data = encode_sequence(frames, 5, 3, dynamic)
+        streams = {
+            "encode_cloud": lambda: encode_cloud(cloud, 5, 3, static),
+            "decode_cloud": lambda: decode_cloud(cloud_data, static),
+            "encode_sequence": lambda: encode_sequence(frames, 5, 3, dynamic),
+            "decode_sequence": lambda: decode_sequence(seq_data, dynamic),
+        }
+        calls = {}
+        for name, stream in streams.items():
+            with mock.patch.object(nn, "serialize_model", wraps=nn.serialize_model) as serialize:
+                stream()
+            calls[name] = serialize.call_count
+        assert calls == dict.fromkeys(streams, 0)
+        with mock.patch.object(nn, "serialize_model", wraps=nn.serialize_model) as serialize:
+            static.serialize()   # the wrap sees the calls it counts
+        assert serialize.call_count == 1
+
 
 class TestStreamNet:
     """A context-net model quantizes its weights once per coded or decoded

@@ -27,6 +27,7 @@ from voxelcodec import (DynamicContextModel, RefineParams, VoxelContextModel, bu
                         model_code_lengths, nn, normalize, train_refine)
 
 from conftest import structured_cloud
+import oracles
 from oracles import forward, infer
 
 LN2 = math.log(2.0)
@@ -160,6 +161,111 @@ def test_quantization_rejects_non_finite_weights():
                             np.zeros(2, dtype=np.float32)]])
     with pytest.raises(ValueError, match="finite"):
         nn.quantize_context_net([], head, (), 1.0)
+    # NaN, +inf and -inf, each in a conv-tower weight, a tower bias, a head
+    # weight and a head bias: the finiteness test reads max and min only
+    for value in (np.nan, np.inf, -np.inf):
+        for group, index in (("tower", 0), ("tower", 1), ("head", 0), ("head", 1)):
+            (tower,), head = nn.init_context_net((5,), (2, 3), 8, 4, seed=0)
+            t = (tower if group == "tower" else head).tensors[0][index]
+            t.reshape(-1)[t.size // 2] = value
+            with pytest.raises(ValueError, match="finite"):
+                nn.quantize_context_net([tower], head, (5,))
+
+
+def _outcome(quantize, *args):
+    """quantize(*args), or the type of the exception it raises."""
+    try:
+        return quantize(*args)
+    except (ValueError, OverflowError) as exc:
+        return type(exc)
+
+
+def _assert_same_int_net(got, want):
+    if isinstance(want, type):
+        assert got is want
+        return
+    assert (got.in_exp, got.out_exp, got.bound, got.signed) == \
+        (want.in_exp, want.out_exp, want.bound, want.signed)
+    assert len(got.layers) == len(want.layers)
+    for a, b in zip(got.layers, want.layers):
+        assert (a.scale, a.relu, a.conv) == (b.scale, b.relu, b.conv)
+        assert a.w.dtype == b.w.dtype == a.b.dtype == b.b.dtype == np.float64
+        assert np.array_equal(a.w, b.w) and np.array_equal(a.b, b.b)
+
+
+def _fill(params, rng, scales):
+    """Draw every tensor of params at a scale from `scales`: 0 makes a
+    zero-weight tensor, a negative scale one of a single sign."""
+    for group in params.tensors:
+        for t in group:
+            scale = rng.choice(scales)
+            values = rng.normal(0.0, abs(scale), t.shape)
+            t[...] = -np.abs(values) if scale < 0 else values
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), relus=st.lists(st.booleans(), min_size=1, max_size=3),
+       signed=st.booleans(), bound=st.sampled_from([0.0, 1.0, 3.5, 1e4]),
+       in_exp=st.sampled_from([None, 0, 5]),
+       scales=st.lists(st.sampled_from([0.0, 1e-3, 0.5, -0.5, 40.0]), min_size=1, max_size=3))
+def test_fixed_point_equals_per_step_oracle(seed, relus, signed, bound, in_exp, scales):
+    """`nn._fixed_point` (one float64 copy per tensor, scaled and rounded in
+    place, the low bound only where no ReLU follows) gives every `IntLayer`
+    and `IntNet` field of the per-step quantizer of `tests/oracles.py`, on
+    fully connected stacks with and without ReLUs, signed and unsigned
+    inputs, and zero-weight and single-sign layers."""
+    rng = np.random.default_rng(seed)
+    layers = ()
+    for relu in relus:
+        layers += (nn.FullyConnected(int(rng.integers(1, 6))),) + ((nn.ReLU(),) if relu else ())
+    params = nn.init_params(layers, (int(rng.integers(1, 40)),), 0)
+    _fill(params, rng, scales)
+    _assert_same_int_net(_outcome(nn._fixed_point, params, in_exp, bound, signed),
+                         _outcome(oracles._fixed_point, params, in_exp, bound, signed))
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), crop_size=st.sampled_from([2, 3, 5, 7]),
+       child_crop_size=st.sampled_from([4, 6]),
+       channels=st.lists(st.integers(1, 3), min_size=1, max_size=3),
+       scales=st.lists(st.sampled_from([0.0, 1e-3, 0.5, -0.5, 40.0]), min_size=1, max_size=3),
+       feature_bound=st.sampled_from([0.0, 1.0]))
+def test_quantize_context_net_equals_per_step_oracle(seed, crop_size, child_crop_size, channels,
+                                                     scales, feature_bound):
+    """`nn.quantize_context_net`, whose head columns are permuted as the
+    weights are copied, gives every tower and head field of the oracle's,
+    which permutes them after quantization: one- and four-branch nets, towers
+    of several layers or none (a crop too small for one), zero-weight and
+    single-sign layers."""
+    rng = np.random.default_rng(seed)
+    model = DynamicContextModel(crop_size=crop_size, child_crop_size=child_crop_size,
+                                channels=tuple(channels), hidden=6, seed=1)
+    for params in model.branches + [model.head]:
+        _fill(params, rng, scales)
+    for branches, crops in ((model.branches, model.crop_sizes),
+                            (model.branches[:1], model.crop_sizes[:1])):
+        head = model.head
+        if len(branches) == 1:   # a head as wide as one tower's rows and the features
+            width = nn.tower_width(branches[0], crops[0]) + 4
+            head = nn.init_params(head.layers, (width,), 2)
+            _fill(head, rng, scales)
+        got = _outcome(nn.quantize_context_net, branches, head, crops, feature_bound)
+        want = _outcome(oracles.quantize_context_net, branches, head, crops, feature_bound)
+        if isinstance(want, type):
+            assert got is want
+            continue
+        for a, b in zip(got.towers + (got.head,), want.towers + (want.head,), strict=True):
+            _assert_same_int_net(a, b)
+
+
+def test_exp2_shifted_table():
+    """The one table `integer_tables` reads: every index j < 2^14 that
+    `_exp2_index` returns holds 2^16 * 2^(-j/256) by table and shift."""
+    j = np.arange(1 << 14)
+    assert nn._EXP2_SHIFTED.shape == (1 << 14,) and nn._EXP2_SHIFTED.dtype == np.int64
+    assert np.array_equal(nn._EXP2_SHIFTED, nn._EXP2_UNITS[j & 255] >> (j >> 8))
+    z = np.array([[0.0, -1e30]])   # clipped at the table's last index
+    assert nn._exp2_index(z, 0).max() == (1 << 14) - 1
 
 
 def test_integer_exp2_table_is_correctly_rounded():
@@ -193,7 +299,8 @@ def test_integer_tables_track_softmax():
 def test_integer_tables_peak_memory_per_row():
     """`integer_tables` holds its table index j in int16: on 2,000 rows of 255
     logits its traced peak above entry stays under 3,500 bytes per row
-    (3,085 measured; with an int64 index it was 6,128)."""
+    (2,592 measured with one lookup of the shifted table, 3,103 with the
+    separate table read and shift; with an int64 index it was 6,128)."""
     z = np.rint(np.random.default_rng(0).normal(0, 4, (2000, 255)) * 2.0 ** 20)
     tracemalloc.start()
     try:
