@@ -549,12 +549,6 @@ def _input_exponent(bound, fan_in, b_peak, e_w) -> int:
     return e
 
 
-def _row_sums(f, x):
-    """f(x).sum(axis=1) for an elementwise f, by row blocks: no temporary as large as x."""
-    step = max(1, _COLUMN_BUDGET // x.shape[1])
-    return np.concatenate([f(x[lo:lo + step]).sum(axis=1) for lo in range(0, max(len(x), 1), step)])
-
-
 def _fixed_point(params: ModelParams, in_exp, bound, signed, blocks=()) -> IntNet:
     """Quantize a stack whose input has magnitude at most `bound`, and is
     nonnegative unless `signed`. The first layer reads integers at `in_exp`,
@@ -576,10 +570,10 @@ def _fixed_point(params: ModelParams, in_exp, bound, signed, blocks=()) -> IntNe
         q = round(math.ldexp(bound, exp))
         bq = np.rint(b * 2.0 ** (e_w + exp))
         relu = i + 1 < len(params.layers) and isinstance(params.layers[i + 1], ReLU)
-        reach = _row_sums(np.abs if signed else lambda x: np.maximum(x, 0.0), wq) * q
+        reach = (np.abs(wq) if signed else np.maximum(wq, 0.0)).sum(axis=1) * q
         top = float((reach + bq).max(initial=0.0))
         if not relu:   # only an output no ReLU clips can fall below zero
-            lo = bq - reach if signed else _row_sums(lambda x: np.minimum(x, 0.0), wq) * q + bq
+            lo = bq - reach if signed else np.minimum(wq, 0.0).sum(axis=1) * q + bq
             top = max(top, -float(lo.min(initial=0.0)))
         out_exp = e_w + exp
         bound, signed = math.ldexp(top, -out_exp), not relu
@@ -679,7 +673,7 @@ def integer_tables(z, exp):
 # every later needed position is computed, which is exact, because one whose
 # taps are all background evaluates to the background.
 
-_COLUMN_BUDGET = 1 << 17   # patch-matrix entries per BLAS call, and entries per `_row_sums` block
+_COLUMN_BUDGET = 1 << 17   # patch-matrix entries per BLAS call
 
 
 def _dilate(mask, w, strides):

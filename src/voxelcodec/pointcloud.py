@@ -97,15 +97,11 @@ def normalize(cloud: PointCloud) -> tuple[PointCloud, NormalizationParams]:
 
     origin is the componentwise minimum, the edge is the largest axis extent
     (1.0 for a fully degenerate cloud), so output coordinates land in [0, 1]^3.
-    Both come from per-column reductions; only a zero's sign depends on their
-    order, so a zero minimum is taken from `min(axis=0)`, as it always was.
     """
     if len(cloud) == 0:
         raise ValueError("cannot normalize an empty cloud")
-    origin = np.array([c.min() for c in cloud.points.T])
-    if not origin.all():
-        origin = cloud.points.min(axis=0)
-    edge = float((np.array([c.max() for c in cloud.points.T]) - origin).max())
+    origin = cloud.points.min(axis=0)
+    edge = float((cloud.points.max(axis=0) - origin).max())
     if edge == 0.0:
         edge = 1.0
     params = NormalizationParams(origin, edge)

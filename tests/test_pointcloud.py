@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from voxelcodec import (ParseError, PointCloud, RigidTransform, apply_pose, normalize,
@@ -166,42 +166,6 @@ class TestNormalize:
         assert norm.points.min() >= -1e-12 and norm.points.max() <= 1.0 + 1e-12
         back = params.invert(norm.points)
         assert np.abs(back - cloud.points).max() <= 1e-6 * max(params.edge, 1.0)
-
-    @given(st.lists(st.tuples(*[st.sampled_from([0.0, -0.0, 1.0, -1e300, 1e300])
-                                | st.floats(-1e300, 1e300) for _ in range(3)]),
-                    min_size=1, max_size=80),
-           st.sampled_from(["C", "F", "row-strided", "column-strided"]), st.booleans(),
-           st.integers(1, 40))
-    @settings(max_examples=80, deadline=None)
-    @example([(1.0, 1.0, {7: -0.0, 13: 0.0}.get(i, 1.0)) for i in range(17)], "C", False, 1)
-    def test_bounding_box_equals_axis_reductions(self, pts, layout, zeros, copies):
-        """The per-column origin and edge equal points.min(axis=0) and
-        (points.max(axis=0) - origin).max() bit for bit: signed zeros, single
-        points, magnitudes near 1e300, and inputs in either order or strided.
-        With `zeros`, every value <= 0 becomes a zero of its sign and every
-        other 1.0, so the minima are ties of 0.0 and -0.0, which a reduction
-        in another order can resolve to the other sign; `copies` repeats the
-        rows, long enough for a vectorized reduction. The explicit example is
-        such a tie: on numpy 2.4 (x86-64) its last column's own minimum is
-        -0.0, while min(axis=0) gives 0.0."""
-        pts = np.tile(np.asarray(pts, dtype=np.float64), (copies, 1))
-        if zeros:
-            pts = np.where(pts > 0, 1.0, np.copysign(0.0, pts))
-        if layout == "F":
-            pts = np.asfortranarray(pts)
-        elif layout == "row-strided":
-            pts = np.repeat(pts, 2, axis=0)[::2]
-        elif layout == "column-strided":
-            wide = np.zeros((len(pts), 7))
-            wide[:, 1::2] = pts
-            pts = wide[:, 1::2]
-        cloud = PointCloud(pts)
-        assert cloud.points is pts
-        origin = pts.min(axis=0)
-        edge = (pts.max(axis=0) - origin).max()
-        _, params = normalize(cloud)
-        assert params.origin.tobytes() == origin.tobytes()
-        assert np.float64(params.edge).tobytes() == np.float64(edge if edge else 1.0).tobytes()
 
 
 class TestPose:
