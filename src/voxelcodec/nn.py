@@ -8,8 +8,11 @@ optimize=False, and the one scatter-add, col2im, as an np.bincount per sample
 in a fixed order (tap-major) on one thread, so its results are bit-identical
 regardless of BLAS threading; parameters are stored float32. A conv lowers to
 a patch matrix built by one gather (`_im2col`), and no tower computes the
-gradient of its input crops. Initialization draws from a Philox counter
-stream so seeds are portable.
+gradient of its input crops. Training caches a conv's input, not its patch
+matrix (up to 27 times larger): backward rebuilds it for the weight gradient
+and frees it before the patch gradients are built (Chen et al.,
+arXiv:1604.06174). Initialization draws from a Philox counter stream so seeds
+are portable.
 
 Coding and refinement never run the float kernel. They quantize the stored
 weights to a fixed-point copy of the network (`quantize_context_net`) whose
@@ -182,27 +185,26 @@ def _im2col(x):
 def forward(params: ModelParams, x, want_cache=True):
     """Run the stack on a batch: one sample per entry of `x`'s leading axis.
 
-    Returns (output, cache); pass the cache to backward() unchanged.
+    Returns (output, cache); pass the cache to backward() unchanged. Each
+    weighted layer caches its float64 input and each ReLU its mask.
     """
     x = np.asarray(x, dtype=F64)
     layer_shapes(params.layers, x.shape[1:])  # shape check up front
     cache = [] if want_cache else None
     for layer, t in zip(params.layers, params.tensors):
         if isinstance(layer, Conv3D):
+            if want_cache:
+                cache.append(x)
             w = t[0].astype(F64).reshape(layer.out_channels, -1)
             b = t[1].astype(F64)
-            cols = _im2col(x)
-            if want_cache:
-                cache.append((x.shape, cols))
             do, ho, wo = x.shape[2] - 2, x.shape[3] - 2, x.shape[4] - 2
-            out = _mm(cols, w, "npk,ok->nop") + b[None, :, None]
+            out = _mm(_im2col(x), w, "npk,ok->nop") + b[None, :, None]
             x = out.reshape(x.shape[0], layer.out_channels, do, ho, wo)
         elif isinstance(layer, FullyConnected):
-            x2 = x.reshape(x.shape[0], -1)
             if want_cache:
-                cache.append((x.shape, x2))
+                cache.append(x)
             w = t[0].astype(F64)
-            x = _mm(x2, w, "ni,oi->no") + t[1].astype(F64)[None, :]
+            x = _mm(x.reshape(x.shape[0], -1), w, "ni,oi->no") + t[1].astype(F64)[None, :]
         elif isinstance(layer, ReLU):
             if want_cache:
                 cache.append(x > 0)
@@ -220,21 +222,19 @@ def backward(params: ModelParams, cache, grad_out, input_grad=True):
         layer, t, c = params.layers[i], params.tensors[i], cache[i]
         pass_down = i > 0 or input_grad
         if isinstance(layer, Conv3D):
-            in_shape, cols = c
             n, co = g.shape[0], g.shape[1]
             gmat = np.ascontiguousarray(g.reshape(n, co, -1).transpose(0, 2, 1))  # (N, P, C_out)
             w = t[0].astype(F64).reshape(co, -1)
-            dw = _mm(gmat, cols, "npo,npk->ok").reshape(t[0].shape)
+            dw = _mm(gmat, _im2col(c), "npo,npk->ok").reshape(t[0].shape)   # patches freed here
             db = gmat.sum(axis=(0, 1))
             if pass_down:
-                g = _col2im(_mm(gmat, w, "npo,ok->npk"), in_shape)
+                g = _col2im(_mm(gmat, w, "npo,ok->npk"), c.shape)
             grads[i] = [dw, db]
         elif isinstance(layer, FullyConnected):
-            in_shape, x2 = c
-            dw = _mm(g, x2, "no,ni->oi")
+            dw = _mm(g, c.reshape(len(c), -1), "no,ni->oi")
             db = g.sum(axis=0)
             if pass_down:
-                g = _mm(g, t[0].astype(F64), "no,oi->ni").reshape(in_shape)
+                g = _mm(g, t[0].astype(F64), "no,oi->ni").reshape(c.shape)
             grads[i] = [dw, db]
         elif isinstance(layer, ReLU):
             g = g * c

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -246,6 +247,30 @@ def test_context_backward_skips_only_the_crop_gradients(kind, monkeypatch):
 
 def _flat(grads):
     return [t for group in grads for layer in group for t in layer]
+
+
+@pytest.mark.parametrize("cls,bound_mb", [(VoxelContextModel, 42), (DynamicContextModel, 210)])
+def test_training_epoch_peak_memory(cls, bound_mb):
+    """A conv layer caches its input, not its patch matrix: the traced peak of
+    one default-width epoch of 32 samples in one batch of 32, after a warm-up
+    epoch, stays under the bound. Measured 32.6 MB static and 165.8 MB
+    dynamic; caching each conv's patch matrix until the Adam step it was
+    51.2 and 257.5 MB (MB = 2^20 bytes)."""
+    model = cls()
+    rng = np.random.default_rng(0)
+    dataset = {k: (rng.random((32, m, m, m)) < 0.3).astype(np.uint8)
+               for k, m in zip(model.dataset_keys, model.crop_sizes)}
+    dataset["features"] = rng.random((32, FEATURE_DIM))
+    dataset["symbols"] = rng.integers(1, ALPHABET + 1, 32)
+    model.train(dataset, 1)
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        model.train(dataset, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - entry) / 2 ** 20 < bound_mb
 
 
 class TestAdam:
